@@ -109,15 +109,23 @@ fn write_string(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// Deepest array/object nesting the parser accepts. The parser recurses
+/// once per level, so an unbounded depth lets `[[[[…` input overflow the
+/// stack; every document this workspace writes is far shallower.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open around `pos`.
+    depth: usize,
 }
 
 fn parse(s: &str) -> Result<Value, Error> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let value = p.value()?;
     p.skip_ws();
@@ -170,8 +178,19 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(Error::new("nesting too deep"));
+                }
+                self.depth += 1;
+                let value = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(Error::new(format!(
                 "unexpected character at byte {}",
@@ -372,6 +391,33 @@ mod tests {
     fn parses_whitespace_and_nesting() {
         let v: Vec<(u8, bool)> = from_str(" [ [1 , true] , [2,false] ] ").expect("parse");
         assert_eq!(v, vec![(1, true), (2, false)]);
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let arrays = "[".repeat(100_000);
+        let err = from_str::<Value>(&arrays).unwrap_err();
+        assert_eq!(err.to_string(), "nesting too deep");
+        let objects = "{\"a\":".repeat(100_000);
+        let err = from_str::<Value>(&objects).unwrap_err();
+        assert_eq!(err.to_string(), "nesting too deep");
+    }
+
+    #[test]
+    fn nesting_within_the_limit_round_trips() {
+        let mut value = Value::Int(7);
+        for _ in 0..100 {
+            value = Value::Seq(vec![value]);
+        }
+        let json = to_string(&value).expect("serialize");
+        assert_eq!(json, format!("{}7{}", "[".repeat(100), "]".repeat(100)));
+        let back: Value = from_str(&json).expect("100 levels parse");
+        assert_eq!(back, value);
+
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(from_str::<Value>(&at_limit).is_ok());
+        let past_limit = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(from_str::<Value>(&past_limit).is_err());
     }
 
     #[test]

@@ -1,16 +1,19 @@
-//! Regenerates `BENCH_hotpath.json`: event-calendar fabric throughput vs
-//! the naive linear-scan baseline, allocation counts for the
-//! buffer-reuse probe API vs the allocating wrapper, and end-to-end
-//! scenario throughput.
+//! Regenerates `BENCH_hotpath.json`: cached-head fabric dispatch
+//! throughput vs the naive linear-scan baseline on the shipped 3-source
+//! machine, allocation counts for the buffer-reuse probe API vs the
+//! allocating wrapper, recycled-machine vs fresh-machine trial
+//! throughput, and end-to-end scenario throughput.
 //!
 //! Writes to the path in `SEGSCOPE_BENCH_JSON` (default
 //! `BENCH_hotpath.json` in the current directory). Set
-//! `SEGSCOPE_BENCH_FULL=1` for the larger scales.
+//! `SEGSCOPE_BENCH_FULL=1` for the larger scales, which also arms the
+//! ≥5x recycled-trials gate.
 
 use segscope::SegProbe;
 use segscope_bench::hotpath_report::{
-    measure_fabric, measure_scenario, write_report, HotpathBenchReport, ProbeBench,
+    measure_fabric, measure_scenario, measure_trials, write_report, HotpathBenchReport, ProbeBench,
 };
+use segscope_bench::{fnv1a_fold, FNV1A_BASIS};
 use segsim::{Machine, MachineConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -56,16 +59,6 @@ fn counted<T>(f: impl FnOnce() -> T) -> (f64, u64, u64, T) {
     (wall_s, allocs, bytes, out)
 }
 
-/// Order-sensitive FNV-1a fold over a probe-sample stream.
-fn fold_sample(hash: u64, segcnt: u64) -> u64 {
-    let mut h = hash;
-    for byte in segcnt.to_le_bytes() {
-        h ^= u64::from(byte);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Measures the probe loop twice from identical machine state: `batches`
 /// batches of `samples` through the allocating `probe_n`, then through
 /// `probe_n_into` with one reused buffer.
@@ -76,10 +69,10 @@ fn measure_probe(samples: usize, batches: usize) -> ProbeBench {
     let mut machine = Machine::new(cfg.clone(), seed);
     let mut probe = SegProbe::new();
     let (fresh_s, allocs_fresh, alloc_bytes_fresh, fresh_hash) = counted(|| {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut h = FNV1A_BASIS;
         for _ in 0..batches {
             let batch = probe.probe_n(&mut machine, samples).expect("probe works");
-            h = batch.iter().fold(h, |h, s| fold_sample(h, s.segcnt));
+            h = batch.iter().fold(h, |h, s| fnv1a_fold(h, s.segcnt));
         }
         h
     });
@@ -88,12 +81,12 @@ fn measure_probe(samples: usize, batches: usize) -> ProbeBench {
     let mut probe = SegProbe::new();
     let mut buf = Vec::new();
     let (reused_s, allocs_reused, alloc_bytes_reused, reused_hash) = counted(|| {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut h = FNV1A_BASIS;
         for _ in 0..batches {
             probe
                 .probe_n_into(&mut machine, samples, &mut buf)
                 .expect("probe works");
-            h = buf.iter().fold(h, |h, s| fold_sample(h, s.segcnt));
+            h = buf.iter().fold(h, |h, s| fnv1a_fold(h, s.segcnt));
         }
         h
     });
@@ -114,39 +107,33 @@ fn measure_probe(samples: usize, batches: usize) -> ProbeBench {
 }
 
 fn main() {
-    segscope_bench::header("Hot-path performance: calendar fabric, probe buffers, scenarios");
+    segscope_bench::header("Hot-path performance: fabric dispatch, probe buffers, recycled trials");
     let full = segscope_bench::full_scale();
-    let (events, samples, batches, trials) = if full {
-        (3_000_000, 1_000, 2_000, 32)
+    // Short probe trials (a 32-slot burst, the per-candidate unit of the
+    // scan-style attacks) are where per-trial machine construction
+    // dominates — the regime the recycled machine exists for.
+    let (events, samples, batches, trials, scenario_trials) = if full {
+        (1_500_000, 1_000, 2_000, 2_000, 32)
     } else {
-        (300_000, 1_000, 200, 4)
+        (150_000, 1_000, 200, 256, 4)
     };
 
-    let presets = [
-        (MachineConfig::lenovo_yangtian(), 0usize),
-        (MachineConfig::lenovo_yangtian(), 32),
-        (MachineConfig::lenovo_yangtian(), 128),
-        (MachineConfig::honor_magicbook(), 128),
-        (MachineConfig::lenovo_yangtian(), 256),
-    ];
-    let mut fabric = Vec::new();
-    for (i, (cfg, extra)) in presets.iter().enumerate() {
-        // Warmup pass (page-in, branch training) before the timed one.
-        let _ = measure_fabric(cfg, *extra, events / 10, 0xB3CC_0003 + i as u64);
-        let arm = measure_fabric(cfg, *extra, events, 0xB3CC_0003 + i as u64);
-        println!(
-            "fabric `{}` ({} sources, {} events): naive {:.2}M irq/s, \
-             calendar {:.2}M irq/s ({:.2}x), identical: {}",
-            arm.machine,
-            arm.sources,
-            arm.events,
-            arm.naive_events_per_s / 1e6,
-            arm.calendar_events_per_s / 1e6,
-            arm.speedup,
-            arm.identical,
-        );
-        fabric.push(arm);
-    }
+    let cfg = MachineConfig::lenovo_yangtian();
+    // Warmup pass (page-in, branch training) before the timed one.
+    let _ = measure_fabric(&cfg, events / 10, 0xBA7C_0010);
+    let fabric = measure_fabric(&cfg, events, 0xBA7C_0010);
+    println!(
+        "fabric `{}` ({} sources, {} events, {} peeks/pop): naive {:.2}M irq/s, \
+         cached {:.2}M irq/s ({:.2}x), identical: {}",
+        fabric.machine,
+        fabric.sources,
+        fabric.events,
+        fabric.peeks_per_pop,
+        fabric.naive_events_per_s / 1e6,
+        fabric.cached_events_per_s / 1e6,
+        fabric.speedup,
+        fabric.identical,
+    );
 
     let probe = measure_probe(samples, batches);
     println!(
@@ -162,7 +149,20 @@ fn main() {
         probe.identical,
     );
 
-    let scenario = measure_scenario(trials);
+    let trials_arm = measure_trials(trials, 32, 3, 0xBA7C_0020);
+    println!(
+        "trials `{}` ({} trials x {} slots): fresh {:.0} trials/s, \
+         recycled {:.0} trials/s ({:.2}x), identical: {}",
+        trials_arm.machine,
+        trials_arm.trials,
+        trials_arm.slots_per_trial,
+        trials_arm.fresh_trials_per_s,
+        trials_arm.recycled_trials_per_s,
+        trials_arm.speedup,
+        trials_arm.identical,
+    );
+
+    let scenario = measure_scenario(scenario_trials);
     println!(
         "scenario `{}`: {} trials in {:.2} s ({:.2} trials/s)",
         scenario.scenario, scenario.trials, scenario.wall_s, scenario.trials_per_s,
@@ -180,7 +180,9 @@ fn main() {
     let report = HotpathBenchReport {
         fabric,
         probe,
+        trials: trials_arm,
         scenario,
+        full_scale: full,
         note,
     };
     report.validate().expect("hot-path invariants hold");

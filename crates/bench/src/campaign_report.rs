@@ -20,22 +20,6 @@ use std::time::Instant;
 /// count, enforced only on multi-core hosts.
 pub const SHARDED_MIN_SPEEDUP: f64 = 2.0;
 
-/// FNV-1a offset basis.
-const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Order-sensitive FNV-1a digest of a byte string.
-#[must_use]
-pub fn fnv_digest(text: &str) -> u64 {
-    let mut hash = FNV_BASIS;
-    for byte in text.bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
-
 /// One sweep of the bench grid at a fixed shard count.
 #[derive(Debug, Clone, Serialize)]
 pub struct CampaignArm {
@@ -174,7 +158,7 @@ pub fn measure_campaign(spec: &CampaignSpec, shards: usize) -> CampaignArm {
         shards,
         wall_s,
         cells_per_s: spec.cell_count() as f64 / wall_s.max(1e-9),
-        report_digest: fnv_digest(&report.to_json()),
+        report_digest: crate::fnv1a(report.to_json().as_bytes()),
     }
 }
 

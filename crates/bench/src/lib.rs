@@ -13,13 +13,39 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batched_report;
 pub mod campaign_report;
 pub mod hotpath_report;
 pub mod parallel_report;
 pub mod serve_report;
 
 use std::fmt::Write as _;
+
+/// FNV-1a offset basis: the digest of the empty input and the seed of
+/// every [`fnv1a_fold`] chain.
+pub const FNV1A_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-1a prime.
+const FNV1A_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+fn fnv1a_bytes(hash: u64, bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(hash, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV1A_PRIME))
+}
+
+/// Folds `value`'s little-endian bytes into an order-sensitive FNV-1a
+/// hash; start a chain from [`FNV1A_BASIS`]. The bench reports compare
+/// two code paths' streams by folding both this way.
+#[must_use]
+pub fn fnv1a_fold(hash: u64, value: u64) -> u64 {
+    fnv1a_bytes(hash, &value.to_le_bytes())
+}
+
+/// FNV-1a digest of a byte string.
+#[must_use]
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    fnv1a_bytes(FNV1A_BASIS, bytes)
+}
 
 /// Whether the harness should run at full scale
 /// (`SEGSCOPE_BENCH_FULL=1`).
@@ -101,6 +127,15 @@ mod tests {
     fn formatting_helpers() {
         assert_eq!(pm(1.234, 0.56), "1.2 ± 0.6");
         assert_eq!(pct(0.924), "92.4%");
+    }
+
+    #[test]
+    fn fnv1a_matches_the_reference_vectors() {
+        assert_eq!(fnv1a(b""), FNV1A_BASIS);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
+        let v = 0x0123_4567_89ab_cdefu64;
+        assert_eq!(fnv1a_fold(FNV1A_BASIS, v), fnv1a(&v.to_le_bytes()));
     }
 
     #[test]

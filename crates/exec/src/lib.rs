@@ -188,9 +188,9 @@ where
 /// trial, and returns one output per seed, in trial order.
 ///
 /// This is the entry point for batched trial runners: a worker hands the
-/// whole chunk to a lane batch (e.g. `segsim::MachineBatch`) that
-/// recycles machines across the chunk's trials instead of rebuilding one
-/// per trial. The determinism contract is unchanged from
+/// whole chunk to a runner that recycles one machine across the chunk's
+/// trials (e.g. `scenario::with_recycled_machine`) instead of rebuilding
+/// one per trial. The determinism contract is unchanged from
 /// [`parallel_trials`]: every trial's seed is
 /// `derive_seed(experiment_seed, index)` and outputs come back in trial
 /// order, so results are bit-identical at any thread count *and any

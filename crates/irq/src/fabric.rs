@@ -11,48 +11,6 @@ use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Source count at and below which the linear scan beats the calendar
-/// heap.
-///
-/// Chosen from `BENCH_hotpath.json`: at the common 3-source machine
-/// (timer + PMI + resched) the calendar measured 0.85x against the scan,
-/// broke even in the low tens, and only cleared 2x beyond ~100 sources.
-/// Eight leaves comfortable margin on both sides of the measured
-/// crossover and matches the `sources > 8` boundary
-/// `hotpath_report::validate()` uses to classify multi-source arms.
-pub const FABRIC_CUTOVER_SOURCES: usize = 8;
-
-/// Which arbitration strategy an [`InterruptFabric`] is running.
-///
-/// The fabric auto-selects per [`FabricImpl::auto_select`]: small fabrics
-/// scan their source array linearly (better constant factor, no heap
-/// maintenance), large fabrics keep the lazily-invalidated event-calendar
-/// heap. The two are behaviourally identical — same delivery order, same
-/// tie-breaks, same RNG-draw sequence — so selection never changes any
-/// simulated outcome, only throughput.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum FabricImpl {
-    /// O(sources) linear scan per refresh; no calendar maintenance.
-    NaiveScan,
-    /// Lazily-invalidated min-heap calendar; O(log sources) maintenance
-    /// with an O(1) cached head.
-    Calendar,
-}
-
-impl FabricImpl {
-    /// The implementation a fabric with `source_count` sources runs:
-    /// [`FabricImpl::NaiveScan`] at or below [`FABRIC_CUTOVER_SOURCES`],
-    /// [`FabricImpl::Calendar`] above it.
-    #[must_use]
-    pub fn auto_select(source_count: usize) -> Self {
-        if source_count <= FABRIC_CUTOVER_SOURCES {
-            FabricImpl::NaiveScan
-        } else {
-            FabricImpl::Calendar
-        }
-    }
-}
-
 /// Identifies one source inside an [`InterruptFabric`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct SourceId(usize);
@@ -117,10 +75,6 @@ pub(crate) enum SourceModel {
 pub(crate) struct SourceState {
     pub(crate) model: SourceModel,
     pub(crate) next: Option<Ps>,
-    /// Bumped every time `next` changes; calendar entries carry the
-    /// generation they were scheduled under, so stale heap entries are
-    /// recognised and discarded lazily.
-    pub(crate) gen: u64,
 }
 
 impl SourceState {
@@ -140,13 +94,11 @@ impl SourceState {
 /// interrupts (device activity emitted by victim workload models) are
 /// injected with [`InterruptFabric::inject`].
 ///
-/// Internally the fabric is *adaptive* (see [`FabricImpl`]): at or below
-/// [`FABRIC_CUTOVER_SOURCES`] sources it refreshes its cached head with a
-/// linear scan of the source array (the heap constant factors lose at
-/// small counts), above it it keeps an *event calendar* — a
-/// lazily-invalidated min-heap of armed source arrivals. Either way the
-/// cached merged head across sources and the injected one-shot heap makes
-/// [`peek_next`](Self::peek_next) O(1). The pre-calendar implementation
+/// Every mutating call refreshes a cached merged head — the earliest
+/// armed source arrival (a linear scan; shipped machines carry at most
+/// three sources) against the injected one-shot heap — so
+/// [`peek_next`](Self::peek_next), which the dispatch loop issues several
+/// times per delivered interrupt, is O(1). The uncached implementation
 /// survives as [`crate::naive::NaiveFabric`], the reference oracle the
 /// differential tests (and the `bench_hotpath` baseline arm) compare
 /// against.
@@ -154,42 +106,9 @@ impl SourceState {
 pub struct InterruptFabric {
     sources: Vec<SourceState>,
     injected: BinaryHeap<Reverse<InjectedEvent>>,
-    /// Min-heap of `(at, idx, gen)` arrivals. Entries whose `gen` no
-    /// longer matches their source are stale and skipped on pop. Empty
-    /// (and unmaintained) while `calendar_live` is false.
-    calendar: BinaryHeap<Reverse<CalendarEntry>>,
     /// Cached earliest pending interrupt: the merged head of the sources
-    /// (calendar head or scan minimum) and the injected heap, refreshed
-    /// by every mutating call.
+    /// and the injected heap, refreshed by every mutating call.
     next_event: Option<PendingInterrupt>,
-    /// Whether the calendar heap is being maintained. Flips to true — once,
-    /// permanently — when the source count first exceeds
-    /// [`FABRIC_CUTOVER_SOURCES`]; sources are never removed, so a fabric
-    /// never falls back to scanning.
-    calendar_live: bool,
-}
-
-/// One armed source arrival in the calendar heap.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-struct CalendarEntry {
-    at: Ps,
-    /// Source index; the secondary key, so simultaneous arrivals pop in
-    /// source order — exactly the tie the naive scan's `at < best.at`
-    /// comparison resolves toward the lowest index.
-    idx: usize,
-    gen: u64,
-}
-
-impl Ord for CalendarEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.idx, self.gen).cmp(&(other.at, other.idx, other.gen))
-    }
-}
-
-impl PartialOrd for CalendarEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
 }
 
 /// A canonical, heap-free image of an [`InterruptFabric`] — see
@@ -204,7 +123,6 @@ pub struct FabricSnapshot {
     sources: Vec<SourceState>,
     /// Undelivered one-shots, sorted in delivery order.
     injected: Vec<InjectedEvent>,
-    calendar_live: bool,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -253,22 +171,16 @@ impl InterruptFabric {
     ) -> SourceId {
         assert!(hz > 0.0, "timer frequency must be positive");
         let period = Ps::from_secs_f64(1.0 / hz);
-        let id = SourceId(self.sources.len());
-        self.sources.push(SourceState {
-            model: SourceModel::Periodic {
+        self.add_source(
+            SourceModel::Periodic {
                 kind: InterruptKind::Timer,
                 period,
                 jitter_std,
                 nominal_next: period,
                 enabled: true,
             },
-            next: None,
-            gen: 0,
-        });
-        self.reschedule(id.0, Ps::ZERO, rng);
-        self.maybe_activate_calendar();
-        self.refresh_next();
-        id
+            rng,
+        )
     }
 
     /// Adds a Poisson source of the given kind at `rate_hz` events/second,
@@ -284,52 +196,22 @@ impl InterruptFabric {
         rng: &mut R,
     ) -> SourceId {
         assert!(rate_hz > 0.0, "poisson rate must be positive");
-        let id = SourceId(self.sources.len());
-        self.sources.push(SourceState {
-            model: SourceModel::Poisson {
+        self.add_source(
+            SourceModel::Poisson {
                 kind,
                 rate_hz,
                 enabled: true,
             },
-            next: None,
-            gen: 0,
-        });
-        self.reschedule(id.0, Ps::ZERO, rng);
-        self.maybe_activate_calendar();
+            rng,
+        )
+    }
+
+    /// Appends a source, drawing its first arrival from time zero.
+    fn add_source<R: Rng + ?Sized>(&mut self, mut model: SourceModel, rng: &mut R) -> SourceId {
+        let next = draw_next(&mut model, Ps::ZERO, rng);
+        self.sources.push(SourceState { model, next });
         self.refresh_next();
-        id
-    }
-
-    /// The arbitration strategy currently active (see [`FabricImpl`]).
-    #[must_use]
-    pub fn active_impl(&self) -> FabricImpl {
-        if self.calendar_live {
-            FabricImpl::Calendar
-        } else {
-            FabricImpl::NaiveScan
-        }
-    }
-
-    /// Switches to calendar maintenance once the source count crosses the
-    /// cutover, seeding the heap from every armed source. One-way: adds
-    /// only grow the source array, so the scan mode is never re-entered.
-    fn maybe_activate_calendar(&mut self) {
-        if self.calendar_live
-            || FabricImpl::auto_select(self.sources.len()) == FabricImpl::NaiveScan
-        {
-            return;
-        }
-        debug_assert!(self.calendar.is_empty(), "scan mode maintains no calendar");
-        for (idx, state) in self.sources.iter().enumerate() {
-            if let Some(at) = state.next {
-                self.calendar.push(Reverse(CalendarEntry {
-                    at,
-                    idx,
-                    gen: state.gen,
-                }));
-            }
-        }
-        self.calendar_live = true;
+        SourceId(self.sources.len() - 1)
     }
 
     /// Schedules a one-shot interrupt (device activity from a victim
@@ -397,12 +279,11 @@ impl InterruptFabric {
             }
             SourceModel::Poisson { enabled: e, .. } => *e = enabled,
         }
-        if enabled {
-            self.reschedule(id.0, now, rng);
+        state.next = if enabled {
+            draw_next(&mut state.model, now, rng)
         } else {
-            state.next = None;
-            state.gen += 1;
-        }
+            None
+        };
         self.refresh_next();
     }
 
@@ -426,14 +307,14 @@ impl InterruptFabric {
             }
             SourceModel::Poisson { .. } => panic!("set_timer_hz on a non-periodic source"),
         }
-        self.reschedule(id.0, now, rng);
+        state.next = draw_next(&mut state.model, now, rng);
         self.refresh_next();
     }
 
     /// The earliest pending interrupt across all sources and injections,
     /// without consuming it.
     ///
-    /// O(1): returns the calendar's cached merged head.
+    /// O(1): returns the cached merged head.
     #[inline]
     #[must_use]
     pub fn peek_next(&self) -> Option<PendingInterrupt> {
@@ -452,25 +333,7 @@ impl InterruptFabric {
         match next.source {
             Some(SourceId(idx)) => {
                 let state = &mut self.sources[idx];
-                state.gen += 1;
                 state.next = draw_next(&mut state.model, next.at, rng);
-                let (gen, rearmed) = (state.gen, state.next);
-                if self.calendar_live {
-                    // `refresh_next` left the calendar head valid, and a
-                    // valid head is the cached event itself — so the
-                    // source's next arrival replaces it in place (one
-                    // sift-down) instead of a pop + push (two sifts).
-                    match rearmed {
-                        Some(at) => {
-                            if let Some(mut head) = self.calendar.peek_mut() {
-                                *head = Reverse(CalendarEntry { at, idx, gen });
-                            }
-                        }
-                        None => {
-                            self.calendar.pop();
-                        }
-                    }
-                }
             }
             None => {
                 self.injected.pop();
@@ -557,13 +420,12 @@ impl InterruptFabric {
     }
 
     /// Captures the fabric's canonical state: source models with their
-    /// armed arrivals, undelivered one-shots in delivery order, and the
-    /// (one-way) calendar flag.
+    /// armed arrivals and undelivered one-shots in delivery order.
     ///
-    /// The calendar heap and cached head are *derived* state — fully
-    /// reconstructible from the sources — so they are deliberately left
-    /// out: two behaviourally identical fabrics always produce equal
-    /// snapshots even if their heap arrangements differ.
+    /// The cached head is *derived* state — fully reconstructible from the
+    /// sources — so it is deliberately left out, as is the one-shot heap's
+    /// internal arrangement: two behaviourally identical fabrics always
+    /// produce equal snapshots.
     #[must_use]
     pub fn snapshot(&self) -> FabricSnapshot {
         let mut injected: Vec<InjectedEvent> = self.injected.iter().map(|&Reverse(e)| e).collect();
@@ -571,121 +433,30 @@ impl InterruptFabric {
         FabricSnapshot {
             sources: self.sources.clone(),
             injected,
-            calendar_live: self.calendar_live,
         }
     }
 
-    /// Rebuilds a fabric from a [`FabricSnapshot`], re-deriving the
-    /// calendar heap and cached head. The result is restore-exact: it
-    /// yields the same deliveries and consumes the same RNG draws as the
-    /// fabric the snapshot was taken from.
+    /// Rebuilds a fabric from a [`FabricSnapshot`], re-deriving the cached
+    /// head. The result is restore-exact: it yields the same deliveries
+    /// and consumes the same RNG draws as the fabric the snapshot was
+    /// taken from.
     #[must_use]
     pub fn from_snapshot(snap: &FabricSnapshot) -> Self {
         let mut fabric = InterruptFabric {
             sources: snap.sources.clone(),
             injected: snap.injected.iter().copied().map(Reverse).collect(),
-            calendar: BinaryHeap::new(),
             next_event: None,
-            calendar_live: snap.calendar_live,
         };
-        if fabric.calendar_live {
-            for (idx, state) in fabric.sources.iter().enumerate() {
-                if let Some(at) = state.next {
-                    fabric.calendar.push(Reverse(CalendarEntry {
-                        at,
-                        idx,
-                        gen: state.gen,
-                    }));
-                }
-            }
-        }
         fabric.refresh_next();
         fabric
     }
 
-    /// Redraws source `idx`'s next arrival from `now`, bumping its
-    /// generation and (in calendar mode, when armed) entering it into the
-    /// calendar. The caller is responsible for
-    /// [`refresh_next`](Self::refresh_next).
-    fn reschedule<R: Rng + ?Sized>(&mut self, idx: usize, now: Ps, rng: &mut R) {
-        let state = &mut self.sources[idx];
-        state.gen += 1;
-        state.next = draw_next(&mut state.model, now, rng);
-        if self.calendar_live {
-            if let Some(at) = state.next {
-                self.calendar.push(Reverse(CalendarEntry {
-                    at,
-                    idx,
-                    gen: state.gen,
-                }));
-            }
-        }
-    }
-
-    /// Re-merges the best source arrival and the injected head into the
-    /// cached `next_event`. In calendar mode the best arrival is the heap
-    /// head (stale entries discarded on the way); in scan mode it is the
-    /// linear minimum over the source array — the same first-wins `<`
-    /// comparison [`crate::naive::NaiveFabric`] applies, so ties resolve
-    /// toward the lowest source index in both modes.
-    ///
-    /// Postcondition (calendar mode): the calendar head, if any, is a live
-    /// entry — its generation matches its source — so `pop` may consume it
-    /// blindly.
+    /// Re-merges the earliest source arrival and the injected head into
+    /// the cached `next_event`: the same first-wins `<` comparisons
+    /// [`crate::naive::NaiveFabric`] applies, so simultaneous source
+    /// arrivals resolve toward the lowest source index and a one-shot
+    /// preempts a source arrival only when strictly earlier.
     fn refresh_next(&mut self) {
-        let best = if self.calendar_live {
-            while let Some(Reverse(head)) = self.calendar.peek() {
-                if self.sources[head.idx].gen == head.gen {
-                    break;
-                }
-                self.calendar.pop();
-            }
-            self.calendar.peek().map(|&Reverse(e)| PendingInterrupt {
-                at: e.at,
-                kind: self.sources[e.idx].kind(),
-                source: Some(SourceId(e.idx)),
-                class: ExitClass::Irq,
-            })
-        } else {
-            let mut best: Option<PendingInterrupt> = None;
-            for (idx, state) in self.sources.iter().enumerate() {
-                if let Some(at) = state.next {
-                    if best.is_none_or(|b| at < b.at) {
-                        best = Some(PendingInterrupt {
-                            at,
-                            kind: state.kind(),
-                            source: Some(SourceId(idx)),
-                            class: ExitClass::Irq,
-                        });
-                    }
-                }
-            }
-            best
-        };
-        // An injected one-shot preempts the best source arrival only when
-        // strictly earlier — the same tie-break the naive scan applies.
-        self.next_event = match (best, self.injected.peek()) {
-            (Some(b), Some(&Reverse(ev))) if ev.at < b.at => Some(PendingInterrupt {
-                at: ev.at,
-                kind: ev.kind,
-                source: None,
-                class: ev.class,
-            }),
-            (Some(b), _) => Some(b),
-            (None, Some(&Reverse(ev))) => Some(PendingInterrupt {
-                at: ev.at,
-                kind: ev.kind,
-                source: None,
-                class: ev.class,
-            }),
-            (None, None) => None,
-        };
-    }
-
-    /// The original O(sources) linear scan, kept as an in-crate reference
-    /// oracle the calendar cache is asserted against.
-    #[cfg(test)]
-    fn scan_next(&self) -> Option<PendingInterrupt> {
         let mut best: Option<PendingInterrupt> = None;
         for (idx, state) in self.sources.iter().enumerate() {
             if let Some(at) = state.next {
@@ -699,7 +470,7 @@ impl InterruptFabric {
                 }
             }
         }
-        if let Some(Reverse(ev)) = self.injected.peek() {
+        if let Some(&Reverse(ev)) = self.injected.peek() {
             if best.is_none_or(|b| ev.at < b.at) {
                 best = Some(PendingInterrupt {
                     at: ev.at,
@@ -709,13 +480,13 @@ impl InterruptFabric {
                 });
             }
         }
-        best
+        self.next_event = best;
     }
 }
 
-/// Draws a source's next arrival after `now`. Shared by the calendar
-/// fabric and [`crate::naive::NaiveFabric`] so both consume identical RNG
-/// draws for identical op sequences.
+/// Draws a source's next arrival after `now`. Shared by [`InterruptFabric`]
+/// and [`crate::naive::NaiveFabric`] so both consume identical RNG draws
+/// for identical op sequences.
 pub(crate) fn draw_next<R: Rng + ?Sized>(
     model: &mut SourceModel,
     now: Ps,
@@ -964,40 +735,6 @@ mod tests {
     }
 
     #[test]
-    fn calendar_cache_always_matches_linear_scan() {
-        let mut r = rng();
-        let mut fabric = InterruptFabric::new();
-        let timer = fabric.add_periodic_timer(250.0, Ps::from_us(1), &mut r);
-        fabric.add_poisson(InterruptKind::PerfMon, 40.0, &mut r);
-        fabric.add_poisson(InterruptKind::Resched, 90.0, &mut r);
-        assert_eq!(fabric.peek_next(), fabric.scan_next());
-        for step in 0u32..2000 {
-            match step % 7 {
-                0 => fabric.inject(Ps::from_us(u64::from(step) * 13), InterruptKind::Network),
-                1 => {
-                    let now = fabric.peek_next().map_or(Ps::ZERO, |p| p.at);
-                    fabric.set_enabled(timer, step % 14 == 1, now, &mut r);
-                }
-                2 => {
-                    let now = fabric.peek_next().map_or(Ps::ZERO, |p| p.at);
-                    if step % 14 != 1 {
-                        fabric.set_timer_hz(
-                            timer,
-                            100.0 + f64::from(step % 5) * 250.0,
-                            now,
-                            &mut r,
-                        );
-                    }
-                }
-                _ => {
-                    let _ = fabric.pop(&mut r);
-                }
-            }
-            assert_eq!(fabric.peek_next(), fabric.scan_next(), "step {step}");
-        }
-    }
-
-    #[test]
     fn simultaneous_injections_pop_in_kind_order() {
         // Two one-shots at the same instant: the injected heap orders by
         // (at, kind), and the cached head must agree with that ordering.
@@ -1005,7 +742,6 @@ mod tests {
         let mut fabric = InterruptFabric::new();
         fabric.inject(Ps::from_us(10), InterruptKind::Network);
         fabric.inject(Ps::from_us(10), InterruptKind::Timer);
-        assert_eq!(fabric.peek_next(), fabric.scan_next());
         let first = fabric.pop(&mut r).unwrap();
         let second = fabric.pop(&mut r).unwrap();
         assert_eq!(first.at, second.at);
@@ -1013,164 +749,29 @@ mod tests {
         assert!(fabric.pop(&mut r).is_none());
     }
 
+    /// A restored fabric must pop the same stream, consume the same RNG
+    /// draws, and snapshot back to an equal image, with one-shots in
+    /// flight.
     #[test]
-    fn auto_select_pins_the_cutover_constant() {
-        assert_eq!(
-            FabricImpl::auto_select(FABRIC_CUTOVER_SOURCES),
-            FabricImpl::NaiveScan,
-            "at the cutover the scan still wins"
-        );
-        assert_eq!(
-            FabricImpl::auto_select(FABRIC_CUTOVER_SOURCES + 1),
-            FabricImpl::Calendar,
-            "one past the cutover switches to the calendar"
-        );
-        assert_eq!(FabricImpl::auto_select(0), FabricImpl::NaiveScan);
-        assert_eq!(FabricImpl::auto_select(3), FabricImpl::NaiveScan);
-        assert_eq!(FabricImpl::auto_select(131), FabricImpl::Calendar);
-
-        // A fabric tracks the selection as sources are added, one-way.
-        let mut r = rng();
+    fn snapshot_restore_is_exact() {
+        let mut r = SmallRng::seed_from_u64(0x5AAF);
         let mut fabric = InterruptFabric::new();
         fabric.add_periodic_timer(250.0, Ps::from_us(1), &mut r);
-        for _ in 0..FABRIC_CUTOVER_SOURCES - 1 {
-            fabric.add_poisson(InterruptKind::Resched, 50.0, &mut r);
-            assert_eq!(fabric.active_impl(), FabricImpl::NaiveScan);
+        for _ in 0..100 {
+            fabric.pop(&mut r);
         }
-        fabric.add_poisson(InterruptKind::Network, 30.0, &mut r);
-        assert_eq!(fabric.source_count(), FABRIC_CUTOVER_SOURCES + 1);
-        assert_eq!(fabric.active_impl(), FabricImpl::Calendar);
-    }
+        fabric.inject(Ps::from_secs(10), InterruptKind::Gpu);
+        fabric.inject(Ps::from_secs(5), InterruptKind::Keyboard);
 
-    #[test]
-    fn cache_matches_linear_scan_in_calendar_mode() {
-        // The op-soup oracle check again, this time with enough sources
-        // that the adaptive fabric runs its calendar heap.
-        let mut r = rng();
-        let mut fabric = InterruptFabric::new();
-        let timer = fabric.add_periodic_timer(250.0, Ps::from_us(1), &mut r);
-        for i in 0..FABRIC_CUTOVER_SOURCES + 3 {
-            fabric.add_poisson(InterruptKind::Network, 30.0 + 11.0 * i as f64, &mut r);
+        let snap = fabric.snapshot();
+        let mut restored = InterruptFabric::from_snapshot(&snap);
+        let mut r2 = r.clone();
+        assert_eq!(restored.snapshot(), snap, "snapshot round-trips");
+        assert_eq!(restored.peek_next(), fabric.peek_next());
+        for step in 0..500 {
+            assert_eq!(fabric.pop(&mut r), restored.pop(&mut r2), "step {step}");
         }
-        assert_eq!(fabric.active_impl(), FabricImpl::Calendar);
-        for step in 0u32..2000 {
-            match step % 7 {
-                0 => fabric.inject(Ps::from_us(u64::from(step) * 13), InterruptKind::Gpu),
-                1 => {
-                    let now = fabric.peek_next().map_or(Ps::ZERO, |p| p.at);
-                    fabric.set_enabled(timer, step % 14 == 1, now, &mut r);
-                }
-                2 => {
-                    let now = fabric.peek_next().map_or(Ps::ZERO, |p| p.at);
-                    if step % 14 != 1 {
-                        fabric.set_timer_hz(
-                            timer,
-                            100.0 + f64::from(step % 5) * 250.0,
-                            now,
-                            &mut r,
-                        );
-                    }
-                }
-                _ => {
-                    let _ = fabric.pop(&mut r);
-                }
-            }
-            assert_eq!(fabric.peek_next(), fabric.scan_next(), "step {step}");
-        }
-    }
-
-    /// Auto-selection must never change what gets delivered: the adaptive
-    /// fabric and the always-scanning [`crate::naive::NaiveFabric`] must
-    /// produce identical event streams *and* identical RNG positions from
-    /// identical op sequences — below the cutover, above it, and across a
-    /// mid-stream crossing.
-    #[test]
-    fn auto_select_never_changes_delivered_streams() {
-        use crate::naive::NaiveFabric;
-        for extra_sources in [0usize, 2, FABRIC_CUTOVER_SOURCES + 4] {
-            let mut ra = SmallRng::seed_from_u64(0xADA7 + extra_sources as u64);
-            let mut rb = ra.clone();
-            let mut adaptive = InterruptFabric::new();
-            let mut naive = NaiveFabric::new();
-            let ta = adaptive.add_periodic_timer(250.0, Ps::from_us(1), &mut ra);
-            let tb = naive.add_periodic_timer(250.0, Ps::from_us(1), &mut rb);
-            for i in 0..extra_sources {
-                let hz = 40.0 + 17.0 * i as f64;
-                adaptive.add_poisson(InterruptKind::Network, hz, &mut ra);
-                naive.add_poisson(InterruptKind::Network, hz, &mut rb);
-            }
-            let mut now = Ps::ZERO;
-            for step in 0u32..1500 {
-                match step % 11 {
-                    0 => {
-                        let at = now + Ps::from_us(u64::from(step % 40) * 7);
-                        adaptive.inject(at, InterruptKind::Keyboard);
-                        naive.inject(at, InterruptKind::Keyboard);
-                    }
-                    1 => {
-                        let enabled = step % 22 == 1;
-                        adaptive.set_enabled(ta, enabled, now, &mut ra);
-                        naive.set_enabled(tb, enabled, now, &mut rb);
-                    }
-                    2 if step % 22 != 1 => {
-                        let hz = 100.0 + f64::from(step % 7) * 150.0;
-                        adaptive.set_timer_hz(ta, hz, now, &mut ra);
-                        naive.set_timer_hz(tb, hz, now, &mut rb);
-                    }
-                    _ => {
-                        assert_eq!(adaptive.peek_next(), naive.peek_next(), "step {step}");
-                        let a = adaptive.pop(&mut ra);
-                        let b = naive.pop(&mut rb);
-                        assert_eq!(a, b, "step {step}");
-                        if let Some(p) = a {
-                            now = now.max(p.at);
-                        }
-                    }
-                }
-                // Mid-stream crossing: grow both fabrics past the cutover.
-                if step == 700 && extra_sources == 2 {
-                    for i in 0..FABRIC_CUTOVER_SOURCES {
-                        let hz = 25.0 + 9.0 * i as f64;
-                        adaptive.add_poisson(InterruptKind::Thermal, hz, &mut ra);
-                        naive.add_poisson(InterruptKind::Thermal, hz, &mut rb);
-                    }
-                    assert_eq!(adaptive.active_impl(), FabricImpl::Calendar);
-                }
-            }
-            // Identical final RNG positions: one more draw agrees.
-            assert_eq!(ra.gen::<u64>(), rb.gen::<u64>());
-        }
-    }
-
-    /// A restored fabric must pop the same stream, consume the same RNG
-    /// draws, and snapshot back to an equal image — in both scan and
-    /// calendar modes, with one-shots in flight.
-    #[test]
-    fn snapshot_restore_is_exact_in_both_modes() {
-        for extra_sources in [0usize, FABRIC_CUTOVER_SOURCES + 3] {
-            let mut r = SmallRng::seed_from_u64(0x5AAF + extra_sources as u64);
-            let mut fabric = InterruptFabric::new();
-            fabric.add_periodic_timer(250.0, Ps::from_us(1), &mut r);
-            for i in 0..extra_sources {
-                fabric.add_poisson(InterruptKind::Network, 40.0 + 13.0 * i as f64, &mut r);
-            }
-            for _ in 0..100 {
-                fabric.pop(&mut r);
-            }
-            fabric.inject(Ps::from_secs(10), InterruptKind::Gpu);
-            fabric.inject(Ps::from_secs(5), InterruptKind::Keyboard);
-
-            let snap = fabric.snapshot();
-            let mut restored = InterruptFabric::from_snapshot(&snap);
-            let mut r2 = r.clone();
-            assert_eq!(restored.snapshot(), snap, "snapshot round-trips");
-            assert_eq!(restored.peek_next(), fabric.peek_next());
-            assert_eq!(restored.active_impl(), fabric.active_impl());
-            for step in 0..500 {
-                assert_eq!(fabric.pop(&mut r), restored.pop(&mut r2), "step {step}");
-            }
-            assert_eq!(r.gen::<u64>(), r2.gen::<u64>(), "RNG positions agree");
-        }
+        assert_eq!(r.gen::<u64>(), r2.gen::<u64>(), "RNG positions agree");
     }
 
     /// Snapshots survive the JSON wire format bit-for-bit, including the
@@ -1184,6 +785,25 @@ mod tests {
         fabric.inject(Ps::from_us(77), InterruptKind::Network);
         let snap = fabric.snapshot();
         let json = serde_json::to_string(&snap).unwrap();
+        let back: FabricSnapshot = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, snap);
+    }
+
+    /// Images written when sources carried a `gen` counter and the
+    /// snapshot a calendar-mode flag still load: fields are looked up by
+    /// name and extra keys are ignored.
+    #[test]
+    fn snapshots_with_retired_fields_still_load() {
+        let mut r = rng();
+        let mut fabric = InterruptFabric::new();
+        fabric.add_periodic_timer(250.0, Ps::from_us(1), &mut r);
+        fabric.add_poisson(InterruptKind::Resched, 90.0, &mut r);
+        let snap = fabric.snapshot();
+        let json = serde_json::to_string(&snap)
+            .unwrap()
+            .replace(",\"next\":", ",\"gen\":7,\"next\":")
+            .replacen('{', concat!("{\"calendar", "_live\":false,"), 1);
+        assert!(json.contains("\"gen\":7") && json.contains("_live\":false"));
         let back: FabricSnapshot = serde_json::from_str(&json).unwrap();
         assert_eq!(back, snap);
     }

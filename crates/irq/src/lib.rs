@@ -52,9 +52,7 @@ pub mod time;
 mod trace;
 
 pub use exit::{ExitClass, KernelExit};
-pub use fabric::{
-    FabricImpl, FabricSnapshot, InterruptFabric, PendingInterrupt, SourceId, FABRIC_CUTOVER_SOURCES,
-};
+pub use fabric::{FabricSnapshot, InterruptFabric, PendingInterrupt, SourceId};
 pub use fault::{FaultLog, FaultPlan, FaultedPop};
 pub use handler::{HandlerCostModel, HandlerCostParams};
 pub use kind::InterruptKind;

@@ -1,22 +1,19 @@
-//! The original linear-scan interrupt fabric, preserved verbatim.
+//! The uncached linear-scan interrupt fabric.
 //!
-//! [`NaiveFabric`] is the pre-calendar implementation of
-//! [`InterruptFabric`](crate::InterruptFabric): `peek_next` walks every
-//! source on every call and `pop` re-matches the winner to reschedule it.
-//! It is kept for two jobs:
+//! [`NaiveFabric`] is [`InterruptFabric`](crate::InterruptFabric) without
+//! the cached head: `peek_next` walks every source on every call and
+//! `pop` re-matches the winner to reschedule it. It is kept for two jobs:
 //!
 //! 1. **Reference oracle** — the differential tests drive generated op
 //!    sequences through both fabrics and assert identical
 //!    [`PendingInterrupt`] sequences *and* identical RNG positions (both
 //!    implementations share the fabric's private `draw_next`, so they consume
 //!    the same draws in the same order).
-//! 2. **Baseline arm** — `bench_hotpath` measures delivered-interrupts/sec
-//!    against it to quantify the calendar's win.
+//! 2. **Baseline arm** — `bench_hotpath` measures consumed-interrupts/sec
+//!    against it to quantify the cached head's win.
 //!
 //! It is *not* part of the simulator hot path; `segsim`-level code uses
-//! the adaptive [`InterruptFabric`](crate::InterruptFabric) exclusively
-//! (which below [`crate::FABRIC_CUTOVER_SOURCES`] sources runs the same
-//! linear scan, with a cached O(1) head on top).
+//! [`InterruptFabric`](crate::InterruptFabric) exclusively.
 
 use crate::exit::ExitClass;
 use crate::fabric::{draw_next, InjectedEvent, SourceModel, SourceState};
@@ -28,7 +25,7 @@ use rand::Rng;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// The pre-calendar fabric: O(sources) `peek_next`, re-matching `pop`.
+/// The uncached fabric: O(sources) `peek_next`, re-matching `pop`.
 ///
 /// Behaviourally identical to [`InterruptFabric`](crate::InterruptFabric)
 /// — same tie-breaking, same RNG-draw order — just slower.
@@ -68,7 +65,6 @@ impl NaiveFabric {
                 enabled: true,
             },
             next: None,
-            gen: 0,
         };
         state.next = draw_next(&mut state.model, Ps::ZERO, rng);
         self.sources.push(state);
@@ -95,7 +91,6 @@ impl NaiveFabric {
                 enabled: true,
             },
             next: None,
-            gen: 0,
         };
         state.next = draw_next(&mut state.model, Ps::ZERO, rng);
         self.sources.push(state);
@@ -173,7 +168,7 @@ impl NaiveFabric {
     }
 
     /// The earliest pending interrupt, found by scanning every source on
-    /// every call — the O(sources) cost the calendar removes.
+    /// every call — the O(sources) cost the cached head removes.
     #[must_use]
     pub fn peek_next(&self) -> Option<PendingInterrupt> {
         let mut best: Option<PendingInterrupt> = None;
@@ -204,7 +199,7 @@ impl NaiveFabric {
 
     /// Consumes the earliest pending interrupt, scanning once to find it
     /// and then re-matching the winner to reschedule it (the double scan
-    /// the calendar's fused consume path eliminates).
+    /// the cached head's fused consume path eliminates).
     pub fn pop<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Option<PendingInterrupt> {
         let next = self.peek_next()?;
         match next.source {
@@ -221,7 +216,7 @@ impl NaiveFabric {
 
     /// Mirrors [`InterruptFabric::pop_with_faults`](crate::InterruptFabric::pop_with_faults):
     /// same fault rolls in the same order, so the RNG stream stays aligned
-    /// with the calendar fabric's.
+    /// with the cached fabric's.
     pub fn pop_with_faults<R: Rng + ?Sized>(
         &mut self,
         plan: &FaultPlan,

@@ -1,10 +1,10 @@
-//! Differential conformance: the event-calendar [`InterruptFabric`]
-//! against the pre-calendar linear-scan [`NaiveFabric`] oracle, driven
+//! Differential conformance: the cached-head [`InterruptFabric`]
+//! against the uncached linear-scan [`NaiveFabric`] oracle, driven
 //! by generated operation sequences (same style as the
 //! `crates/conformance` op generator).
 //!
 //! Both fabrics consume identically seeded RNGs. After every op the
-//! cached calendar head must equal the oracle's fresh scan, delivered
+//! cached head must equal the oracle's fresh scan, delivered
 //! events must be bit-identical, and — the property that catches hidden
 //! maintenance draws — both RNG streams must end at the same position.
 
@@ -60,22 +60,22 @@ fn decode_ops(codes: &[u8], seed: u64) -> Vec<Op> {
         .collect()
 }
 
-/// Applies `ops` to a calendar fabric and a naive-scan oracle in
+/// Applies `ops` to a cached-head fabric and a naive-scan oracle in
 /// lockstep, asserting identical deliveries, identical cached-vs-scanned
 /// heads, identical fault logs, and identical final RNG positions.
 fn assert_differential(ops: &[Op], seed: u64) {
-    let mut cal_rng = SmallRng::seed_from_u64(seed ^ 0xD1FF_5EED);
+    let mut fab_rng = SmallRng::seed_from_u64(seed ^ 0xD1FF_5EED);
     let mut nai_rng = SmallRng::seed_from_u64(seed ^ 0xD1FF_5EED);
-    let mut cal = InterruptFabric::new();
+    let mut fab = InterruptFabric::new();
     let mut nai = NaiveFabric::new();
-    let mut cal_ids = vec![cal.add_periodic_timer(1000.0, Ps::from_ns(500), &mut cal_rng)];
+    let mut fab_ids = vec![fab.add_periodic_timer(1000.0, Ps::from_ns(500), &mut fab_rng)];
     let mut nai_ids = vec![nai.add_periodic_timer(1000.0, Ps::from_ns(500), &mut nai_rng)];
     for (kind, rate) in [
         (InterruptKind::PerfMon, 80.0),
         (InterruptKind::Resched, 200.0),
         (InterruptKind::Network, 500.0),
     ] {
-        cal_ids.push(cal.add_poisson(kind, rate, &mut cal_rng));
+        fab_ids.push(fab.add_poisson(kind, rate, &mut fab_rng));
         nai_ids.push(nai.add_poisson(kind, rate, &mut nai_rng));
     }
     let plan = FaultPlan {
@@ -84,13 +84,13 @@ fn assert_differential(ops: &[Op], seed: u64) {
         duplicate_delay: Ps::from_us(7),
         ..FaultPlan::none()
     };
-    let mut cal_log = FaultLog::default();
+    let mut fab_log = FaultLog::default();
     let mut nai_log = FaultLog::default();
     let mut now = Ps::ZERO;
     for (step, op) in ops.iter().enumerate() {
         match *op {
             Op::Pop => {
-                let a = cal.pop(&mut cal_rng);
+                let a = fab.pop(&mut fab_rng);
                 let b = nai.pop(&mut nai_rng);
                 assert_eq!(a, b, "pop diverged at step {step}");
                 if let Some(ev) = a {
@@ -98,7 +98,7 @@ fn assert_differential(ops: &[Op], seed: u64) {
                 }
             }
             Op::PopWithFaults => {
-                let a = cal.pop_with_faults(&plan, &mut cal_log, &mut cal_rng);
+                let a = fab.pop_with_faults(&plan, &mut fab_log, &mut fab_rng);
                 let b = nai.pop_with_faults(&plan, &mut nai_log, &mut nai_rng);
                 assert_eq!(a, b, "pop_with_faults diverged at step {step}");
                 if let Some(FaultedPop::Delivered(ev) | FaultedPop::Dropped(ev)) = a {
@@ -107,32 +107,32 @@ fn assert_differential(ops: &[Op], seed: u64) {
             }
             Op::Inject { delta, kind } => {
                 let at = now.checked_add(delta).unwrap_or(Ps::MAX);
-                cal.inject(at, kind);
+                fab.inject(at, kind);
                 nai.inject(at, kind);
             }
             Op::SetEnabled { src, enabled } => {
-                cal.set_enabled(cal_ids[src], enabled, now, &mut cal_rng);
+                fab.set_enabled(fab_ids[src], enabled, now, &mut fab_rng);
                 nai.set_enabled(nai_ids[src], enabled, now, &mut nai_rng);
             }
             Op::SetTimerHz { hz } => {
-                cal.set_timer_hz(cal_ids[0], hz, now, &mut cal_rng);
+                fab.set_timer_hz(fab_ids[0], hz, now, &mut fab_rng);
                 nai.set_timer_hz(nai_ids[0], hz, now, &mut nai_rng);
             }
         }
         assert_eq!(
-            cal.peek_next(),
+            fab.peek_next(),
             nai.peek_next(),
             "cached head diverged from the scan after step {step} ({op:?})"
         );
         assert_eq!(
-            cal.injected_backlog(),
+            fab.injected_backlog(),
             nai.injected_backlog(),
             "injected backlog diverged after step {step}"
         );
     }
-    assert_eq!(cal_log, nai_log, "fault logs diverged");
+    assert_eq!(fab_log, nai_log, "fault logs diverged");
     assert_eq!(
-        cal_rng.gen::<u64>(),
+        fab_rng.gen::<u64>(),
         nai_rng.gen::<u64>(),
         "RNG streams ended at different positions"
     );
@@ -174,7 +174,7 @@ fn simultaneous_injection_storm_matches_oracle() {
 
 proptest! {
     /// Random interleavings of inject / pop / set_enabled / set_timer_hz
-    /// / pop_with_faults keep the calendar fabric and the naive oracle in
+    /// / pop_with_faults keep the cached-head fabric and the naive oracle in
     /// lockstep: identical deliveries and identical RNG positions.
     #[test]
     fn random_interleavings_match_oracle(

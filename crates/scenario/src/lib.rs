@@ -35,7 +35,7 @@ mod merge;
 
 pub use merge::{MergeReport, RunTotals};
 
-use segsim::{FaultLog, FaultPlan, Machine, MachineBatch, MachineConfig};
+use segsim::{FaultLog, FaultPlan, Machine, MachineConfig};
 use serde::{Deserialize, Serialize, Value};
 use std::cell::RefCell;
 use std::fmt;
@@ -141,16 +141,17 @@ pub trait Scenario: Sync {
     /// [`build_machine`](Scenario::build_machine) per trial, the
     /// run-level fault override, then
     /// [`run_trial`](Scenario::run_trial). High-volume scenarios
-    /// override this to recycle machine lanes (via
-    /// [`with_recycled_machine`] or a [`segsim::MachineBatch`] of their
-    /// own), amortizing machine construction across the chunk.
+    /// override this to recycle one machine per worker thread (via
+    /// [`with_recycled_machine`]), amortizing machine construction across
+    /// the chunk.
     ///
     /// Overrides **must** preserve the chunk-geometry contract: trial
     /// `i`'s pair depends only on `(config, ctxs[i], fault_override)` —
     /// never on the chunk's size, position, or lane assignment. With
     /// [`segsim::Machine::reset`] replaying `Machine::new` exactly,
     /// lane recycling satisfies this for free; the workspace-level
-    /// `batch_parity` proptest holds every override to it.
+    /// `batch_parity` tests hold [`with_recycled_machine`] and the KASLR
+    /// override to it.
     fn run_batch(
         &self,
         config: &Self::Config,
@@ -190,13 +191,15 @@ pub fn with_recycled_machine<T>(
     f: impl FnOnce(&mut Machine) -> T,
 ) -> T {
     thread_local! {
-        static LANE: RefCell<Option<MachineBatch>> = const { RefCell::new(None) };
+        static LANE: RefCell<Option<Machine>> = const { RefCell::new(None) };
     }
     LANE.with(|cell| {
         let mut slot = cell.borrow_mut();
-        let batch = slot.get_or_insert_with(|| MachineBatch::new_uniform(&config, &[seed]));
-        batch.reset_lane(0, config, seed);
-        batch.with_lane_mut(0, f)
+        match slot.as_mut() {
+            Some(machine) => machine.reset(config, seed),
+            None => *slot = Some(Machine::new(config, seed)),
+        }
+        f(slot.as_mut().expect("lane installed above"))
     })
 }
 

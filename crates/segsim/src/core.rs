@@ -602,16 +602,6 @@ impl Machine {
         self.regs.selector(reg)
     }
 
-    /// The visible selector of `reg`, read *without* executing an
-    /// instruction: no cycles consumed, no RNG draws. **Simulator API** —
-    /// batch runners mirror selector state into their struct-of-arrays
-    /// views with this; attacker code must use [`rdseg`](Machine::rdseg).
-    #[inline]
-    #[must_use]
-    pub fn peek_seg(&self, reg: DataSegReg) -> Selector {
-        self.regs.selector(reg)
-    }
-
     /// The high-resolution timestamp (`rdtsc` on Intel, `rdpru` on AMD):
     /// invariant TSC cycles at the base frequency.
     ///

@@ -37,7 +37,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod batch;
 mod config;
 mod core;
 mod error;
@@ -46,7 +45,6 @@ pub mod presets;
 mod snapshot;
 
 pub use crate::core::{CoResident, DeliveredIrq, Machine, SpanEnd, UserSpan};
-pub use batch::MachineBatch;
 pub use config::{Defense, Hypervisor, MachineConfig, NoiseModel, Vendor};
 pub use error::SimError;
 pub use freq::{FreqConfig, FreqModel, StepFn};

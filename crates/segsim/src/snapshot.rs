@@ -19,8 +19,8 @@
 //! * the observability sink — tracing is RNG- and timing-neutral by
 //!   construction, so it is not machine state; [`Machine::restore`]
 //!   leaves the machine untraced and callers reinstall a sink if wanted;
-//! * derived fabric state (calendar heap, cached head) — rebuilt from the
-//!   canonical source list on restore;
+//! * derived fabric state (the cached head) — rebuilt from the canonical
+//!   source list on restore;
 //! * stale cache lines — the hierarchy is canonicalized on capture, so
 //!   two behaviourally identical machines produce equal (and
 //!   byte-identical once serialized) snapshots.

@@ -1,5 +1,4 @@
-//! The cross-session batcher: SoA lockstep lanes with recycling,
-//! mirroring `segsim::MachineBatch`.
+//! The cross-session batcher: SoA lockstep lanes with recycling.
 
 use crate::model::{advance_cells, StepModel};
 use crate::session::Verdict;
@@ -27,11 +26,11 @@ impl SessionId {
 /// A lockstep batch of streaming sessions over one model.
 ///
 /// Per-session hidden/cell state lives in feature-major SoA buffers
-/// (`buf[feature * capacity + lane]`, the `segsim::MachineBatch`
-/// layout). Each [`SessionBatch::step`] packs the staged lanes into a
-/// dense block and drives **one** blocked kernel call per gate matrix
-/// for the whole batch instead of one matvec per session; lanes recycle
-/// through a free list as sessions finish and new ones attach.
+/// (`buf[feature * capacity + lane]`). Each [`SessionBatch::step`]
+/// packs the staged lanes into a dense block and drives **one** blocked
+/// kernel call per gate matrix for the whole batch instead of one matvec
+/// per session; lanes recycle through a free list as sessions finish and
+/// new ones attach.
 ///
 /// **Parity:** the packed kernel's per-lane floating-point order is
 /// width-independent (see [`nnet::Mat::matvec_bias_acc_soa`]), so a

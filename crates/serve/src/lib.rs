@@ -9,10 +9,9 @@
 //!   incremental [`StreamSession::push`]`(timestep) -> Option<Verdict>`
 //!   API, exactly matching [`nnet::SeqClassifier::predict`] on the same
 //!   trace (the parity oracle test pins this bit-for-bit);
-//! * [`SessionBatch`] — the cross-session batcher: SoA state lanes
-//!   (mirroring `segsim::MachineBatch`), one blocked kernel call per
-//!   gate matrix per step for the whole batch, lane recycling as
-//!   sessions finish and new ones attach;
+//! * [`SessionBatch`] — the cross-session batcher: SoA state lanes, one
+//!   blocked kernel call per gate matrix per step for the whole batch,
+//!   lane recycling as sessions finish and new ones attach;
 //! * [`QuantizedSeqClassifier`] — post-training i8/i16 weight
 //!   quantization with per-row scales and a dequant-free integer inner
 //!   loop, gated to within 1% of the `f32` model's accuracy.

@@ -7,6 +7,19 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# require_keys FILE KEY... — fails unless FILE mentions every "KEY".
+require_keys() {
+    local file="$1"
+    shift
+    local key
+    for key in "$@"; do
+        if ! grep -q "\"$key\"" "$file"; then
+            echo "$file missing key \"$key\"" >&2
+            exit 1
+        fi
+    done
+}
+
 echo "==> cargo build --release"
 cargo build --release --offline --workspace
 
@@ -23,6 +36,25 @@ done
 echo "==> segscope CLI (release): list + per-scenario run smoke"
 cargo build --release --offline --bin segscope
 SEGSCOPE="target/release/segscope"
+
+echo "==> e2e benchmark smoke tests"
+# The end-to-end benchmark is a workspace of its own that builds against
+# the crates by path; its tests are the only check that a public-API
+# change left it compiling and running.
+cargo test -q --offline --manifest-path e2e/Cargo.toml
+
+echo "==> hostile JSON input (deep nesting) is an error, not an abort"
+head -c 200000 /dev/zero | tr '\0' '[' > target/ci.deep.spec.json
+rm -rf target/ci-deep
+if "$SEGSCOPE" campaign run --spec target/ci.deep.spec.json --out target/ci-deep \
+    --trials 1 2> target/ci.deep.err; then
+    echo "segscope accepted a 200000-deep spec" >&2
+    exit 1
+fi
+grep -q "nesting too deep" target/ci.deep.err || {
+    echo "segscope did not reject the deep spec with a parse error" >&2
+    exit 1
+}
 "$SEGSCOPE" list >/dev/null
 for name in $("$SEGSCOPE" list --names); do
     echo "--> segscope run $name"
@@ -100,30 +132,15 @@ echo "==> bench_hotpath (quick) + BENCH_hotpath.json schema"
 # Absolute path: cargo bench runs the harness with the package dir as cwd.
 SEGSCOPE_BENCH_JSON="$PWD/target/BENCH_hotpath.json" \
     cargo bench -q --offline -p segscope-bench --bench bench_hotpath >/dev/null
-# The binary already enforces the hot-path invariants via validate();
-# here we check the emitted file carries the schema CI consumers read.
-for key in fabric probe scenario note naive_events_per_s \
-           calendar_events_per_s speedup alloc_reduction trials_per_s; do
-    if ! grep -q "\"$key\"" target/BENCH_hotpath.json; then
-        echo "target/BENCH_hotpath.json missing key \"$key\"" >&2
-        exit 1
-    fi
-done
-
-echo "==> bench_batched (quick) + BENCH_batched.json schema"
-# validate() inside the binary enforces the hard gates: batched path
-# bit-identical to scalar, adaptive fabric >= 1.0x at 3 sources, batched
-# trials >= 2x (>= 5x when SEGSCOPE_BENCH_FULL=1).
-SEGSCOPE_BENCH_JSON="$PWD/target/BENCH_batched.json" \
-    cargo bench -q --offline -p segscope-bench --bench bench_batched >/dev/null
-for key in fabric trials full_scale note mode peeks_per_pop \
-           adaptive_events_per_s scalar_trials_per_s batched_trials_per_s \
-           slots_per_trial speedup identical; do
-    if ! grep -q "\"$key\"" target/BENCH_batched.json; then
-        echo "target/BENCH_batched.json missing key \"$key\"" >&2
-        exit 1
-    fi
-done
+# validate() inside the binary enforces the hard gates: cached fabric
+# bit-identical to the naive scan and >= 1.0x at 3 sources, fewer probe
+# allocations, recycled trials bit-identical to fresh ones and >= 2x
+# (>= 5x when SEGSCOPE_BENCH_FULL=1). Here we check the emitted file
+# carries the schema CI consumers read.
+require_keys target/BENCH_hotpath.json fabric probe trials scenario full_scale \
+    note peeks_per_pop naive_events_per_s cached_events_per_s speedup identical \
+    alloc_reduction slots_per_trial fresh_trials_per_s recycled_trials_per_s \
+    trials_per_s
 
 echo "==> bench_campaign (quick) + BENCH_campaign.json schema"
 # validate() inside the binary enforces the hard gates: merged reports
@@ -131,13 +148,8 @@ echo "==> bench_campaign (quick) + BENCH_campaign.json schema"
 # multi-core hosts).
 SEGSCOPE_BENCH_JSON="$PWD/target/BENCH_campaign.json" \
     cargo bench -q --offline -p segscope-bench --bench bench_campaign >/dev/null
-for key in spec cells trials_per_cell arms shards wall_s cells_per_s \
-           report_digest identical multi_core full_scale note; do
-    if ! grep -q "\"$key\"" target/BENCH_campaign.json; then
-        echo "target/BENCH_campaign.json missing key \"$key\"" >&2
-        exit 1
-    fi
-done
+require_keys target/BENCH_campaign.json spec cells trials_per_cell arms shards \
+    wall_s cells_per_s report_digest identical multi_core full_scale note
 
 echo "==> bench_serve (quick) + BENCH_serve.json schema"
 # validate() inside the binary enforces the hard gates: every batched
@@ -147,14 +159,9 @@ echo "==> bench_serve (quick) + BENCH_serve.json schema"
 # multi-core hosts).
 SEGSCOPE_BENCH_JSON="$PWD/target/BENCH_serve.json" \
     cargo bench -q --offline -p segscope-bench --bench bench_serve >/dev/null
-for key in sessions steps_per_session arms sequential quant precision \
-           capacity sessions_per_s speedup verdict_fnv scheme \
-           accuracy_delta eval_examples threads multi_core full_scale note; do
-    if ! grep -q "\"$key\"" target/BENCH_serve.json; then
-        echo "target/BENCH_serve.json missing key \"$key\"" >&2
-        exit 1
-    fi
-done
+require_keys target/BENCH_serve.json sessions steps_per_session arms sequential \
+    quant precision capacity sessions_per_s speedup verdict_fnv scheme \
+    accuracy_delta eval_examples threads multi_core full_scale note
 
 echo "==> segscope campaign smoke: sweep, kill, resume, report"
 # A 2-scenario x 2-preset grid: run it whole, then kill a second copy
@@ -189,14 +196,9 @@ cmp target/ci-campaign/report.json target/ci-campaign-killed/report.json || {
     exit 1
 }
 # The merged report must carry the schema campaign consumers read.
-for key in name seed spec_digest cells totals fault_log matrix cell_results \
-           scenario preset fault replicate report ground_truth_deliveries \
-           delivery_faults timing_faults; do
-    if ! grep -q "\"$key\"" target/ci-campaign/report.json; then
-        echo "target/ci-campaign/report.json missing key \"$key\"" >&2
-        exit 1
-    fi
-done
+require_keys target/ci-campaign/report.json name seed spec_digest cells totals \
+    fault_log matrix cell_results scenario preset fault replicate report \
+    ground_truth_deliveries delivery_faults timing_faults
 
 echo "==> segscope campaign defense matrix: spec, run, report schema"
 # The enclave attack x defense matrix end to end at low trial count:
@@ -211,12 +213,8 @@ grep -q '"defenses"' target/ci-matrix.spec.json || {
 }
 "$SEGSCOPE" campaign run --spec target/ci-matrix.spec.json --trials 2 \
     --out target/ci-matrix --shards 3 >/dev/null
-for key in defense mean_accuracy accuracy_cells quanshield padding; do
-    if ! grep -q "\"$key\"" target/ci-matrix/report.json; then
-        echo "target/ci-matrix/report.json missing key \"$key\"" >&2
-        exit 1
-    fi
-done
+require_keys target/ci-matrix/report.json defense mean_accuracy accuracy_cells \
+    quanshield padding
 
 echo "==> snapshot fuzz gate (release, random pause points)"
 # The restore-exactness proptests at release optimization: presets ×
@@ -232,13 +230,8 @@ echo "==> segscope snapshot/replay round trip + recording schema"
 # The serialized recording must carry the schema replay consumers read:
 # the spec, the event stream, and the snapshot ladder down to the
 # machine image's RNG position and fabric state.
-for key in spec events snapshots final_digest machine seed spans \
-           event_index digest snapshot rng_state now fabric; do
-    if ! grep -q "\"$key\"" target/ci.rec.json; then
-        echo "target/ci.rec.json missing key \"$key\"" >&2
-        exit 1
-    fi
-done
+require_keys target/ci.rec.json spec events snapshots final_digest machine seed \
+    spans event_index digest snapshot rng_state now fabric
 # And the bisector must localize a single injected fault. Capture to a
 # file first: grep -q on a pipe exits at the first match and the closed
 # pipe kills the still-printing binary with EPIPE.

@@ -346,28 +346,24 @@ fn parse_u64(text: &str, flag: &str) -> Result<u64, String> {
     .map_err(|_| format!("`{flag}` needs an unsigned integer, got `{text}`"))
 }
 
-/// Replaces (or inserts) the top-level `machine` key of `params` with the
-/// named Table I preset. Scenarios whose config has no `machine` field
-/// ignore unknown keys, so the caller warns when that is about to happen.
+/// [`campaign::inject_machine`] with the CLI's diagnostics: a warning
+/// when `params` had no `machine` key (scenarios whose config has no
+/// `machine` field ignore unknown keys, so the preset has no effect), and
+/// the preset list when the name is unknown.
 fn inject_machine(params: &mut Value, preset: &str) -> Result<(), String> {
-    let config = segsim::presets::by_name(preset).ok_or_else(|| {
-        format!(
+    let had_machine = has_machine_field(params);
+    campaign::inject_machine(params, preset).map_err(|e| match e {
+        campaign::CampaignError::UnknownPreset(_) => format!(
             "unknown machine preset `{preset}` (choose from: {})",
             segsim::presets::NAMES.join(", ")
-        )
+        ),
+        campaign::CampaignError::Parse(msg) => msg,
+        other => other.to_string(),
     })?;
-    let Value::Map(entries) = params else {
-        return Err("scenario params are not a JSON object".to_owned());
-    };
-    let machine = config.to_value();
-    match entries.iter_mut().find(|(k, _)| k == "machine") {
-        Some((_, slot)) => *slot = machine,
-        None => {
-            eprintln!(
-                "warning: scenario config has no `machine` field; `--machine {preset}` has no effect"
-            );
-            entries.push(("machine".to_owned(), machine));
-        }
+    if !had_machine {
+        eprintln!(
+            "warning: scenario config has no `machine` field; `--machine {preset}` has no effect"
+        );
     }
     Ok(())
 }

@@ -1,33 +1,37 @@
-//! Workspace-level batched-vs-scalar parity: the batched execution path
-//! must be architecturally invisible at every layer it touches.
+//! Workspace-level recycled-vs-fresh parity: recycling a machine across
+//! trials must be architecturally invisible at every layer it touches.
 //!
 //! Two differential oracles:
 //!
-//! 1. [`MachineBatch`] lanes with *random per-lane configurations*
-//!    (vendor preset × fault plan × seed) at the required batch sizes
-//!    1, 4, 17, and 64 produce the same probe samples, the same
-//!    [`FaultLog`]s, and the same final RNG positions as scalar
-//!    [`Machine`]s run one by one.
+//! 1. A random sequence of trials with *random per-trial configurations*
+//!    (vendor preset × fault plan × seed), run through one thread's
+//!    [`with_recycled_machine`] holder at sequence lengths 1, 4, 17, and
+//!    64, produces the same probe samples, the same [`FaultLog`]s, the
+//!    same ground-truth records, and the same final RNG positions as a
+//!    fresh [`Machine`] per trial.
 //! 2. A scenario's recycled-lane `run_batch` override (the KASLR break)
 //!    matches the per-trial `build_machine` + `run_trial` path at the
 //!    same chunk sizes, output for output and delivery for delivery.
+//!
+//! [`FaultLog`]: segscope_repro::segsim::FaultLog
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use segscope_repro::attacks::kaslr::{KaslrConfig, KaslrScenario, KaslrScenarioConfig};
 use segscope_repro::irq::time::Ps;
+use segscope_repro::irq::IrqRecord;
 use segscope_repro::replay::first_divergence;
-use segscope_repro::scenario::{Scenario, TrialCtx};
-use segscope_repro::segsim::{FaultPlan, Machine, MachineBatch, MachineConfig};
+use segscope_repro::scenario::{with_recycled_machine, Scenario, TrialCtx};
+use segscope_repro::segsim::{FaultLog, FaultPlan, Machine, MachineConfig};
 use segscope_repro::x86seg::Selector;
 
-/// The chunk/batch sizes the batched path must be transparent at: a
-/// degenerate single lane, a small chunk, a prime that never divides the
-/// workload evenly, and a full-width batch.
+/// The sequence/chunk sizes recycling must be transparent at: a
+/// degenerate single trial, a small chunk, a prime that never divides the
+/// workload evenly, and a long run of config transitions.
 const REQUIRED_SIZES: [usize; 4] = [1, 4, 17, 64];
 
-/// Draws one per-lane `(config, seed)` pair: vendor preset × fault plan
+/// Draws one trial's `(config, seed)` pair: vendor preset × fault plan
 /// × seed, all from a dedicated generator rng so the draws never touch
 /// the machine streams under test.
 fn draw_lane(rng: &mut SmallRng) -> (MachineConfig, u64) {
@@ -46,37 +50,18 @@ fn draw_lane(rng: &mut SmallRng) -> (MachineConfig, u64) {
     (config, rng.gen::<u64>())
 }
 
-/// Runs the shared probe workload on a batch, returning the per-lane
-/// sample series (one `Vec<u16>` of rdgs samples per lane).
-fn drive_batch(batch: &mut MachineBatch, rounds: usize) -> Vec<Vec<u16>> {
-    let mut samples = vec![Vec::new(); batch.len()];
-    for round in 0..rounds {
-        let sel = Selector::from_bits(1 + (round % 3) as u16);
-        batch.wrgs_all(sel).expect("flat selectors load");
-        batch.spin_all(3_000 + (round as u64 % 7) * 500);
-        for (lane, &bits) in batch.rdgs_all().iter().enumerate() {
-            samples[lane].push(bits);
-        }
-        if round % 5 == 4 {
-            let deadline =
-                batch.nows().iter().copied().max().unwrap_or(Ps::ZERO) + Ps::from_us(400);
-            batch.run_all_until(deadline);
-        }
-    }
-    samples
-}
-
-/// Runs the identical workload on one scalar machine.
-fn drive_scalar(machine: &mut Machine, rounds: usize, deadlines: &[Ps]) -> Vec<u16> {
+/// Runs the shared probe workload on one machine: GS marker loads, spins,
+/// and samples, with a 5 ms user-mode stretch every fifth round — long
+/// enough that every trial takes timer deliveries at any preset's HZ.
+fn drive_scalar(machine: &mut Machine, rounds: usize) -> Vec<u16> {
     let mut samples = Vec::new();
-    let mut next_deadline = deadlines.iter();
     for round in 0..rounds {
         let sel = Selector::from_bits(1 + (round % 3) as u16);
         machine.wrgs(sel).expect("flat selectors load");
         machine.spin(3_000 + (round as u64 % 7) * 500);
         samples.push(machine.rdgs().bits());
         if round % 5 == 4 {
-            let deadline = *next_deadline.next().expect("deadline per barrier round");
+            let deadline = machine.now() + Ps::from_ms(5);
             while machine.now() < deadline {
                 let _ = machine.run_user_until(deadline);
             }
@@ -85,79 +70,58 @@ fn drive_scalar(machine: &mut Machine, rounds: usize, deadlines: &[Ps]) -> Vec<u
     samples
 }
 
+/// Everything one trial leaves behind: samples, fault audit, ground-truth
+/// deliveries, and one draw past the final RNG position.
+type TrialFootprint = (Vec<u16>, FaultLog, Vec<IrqRecord>, u64);
+
+fn run_trial(machine: &mut Machine, rounds: usize) -> TrialFootprint {
+    let samples = drive_scalar(machine, rounds);
+    (
+        samples,
+        *machine.fault_log(),
+        machine.ground_truth().records().to_vec(),
+        machine.rng_mut().gen::<u64>(),
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// At every required batch size, random heterogeneous lanes match
-    /// scalar machines sample for sample, fault for fault, and draw for
-    /// draw.
+    /// Random config transitions through the thread-local recycled
+    /// machine match fresh machines sample for sample, fault for fault,
+    /// delivery for delivery, and draw for draw.
     #[test]
-    fn batched_lanes_match_scalar_at_required_sizes(
+    fn recycled_machine_matches_fresh_machines_at_required_sizes(
         seed in 0u64..1_000_000,
         rounds in 10usize..25,
     ) {
         for &size in &REQUIRED_SIZES {
             let mut gen_rng = SmallRng::seed_from_u64(seed ^ 0x5ca1_ab1e);
-            let lanes: Vec<(MachineConfig, u64)> =
-                (0..size).map(|_| draw_lane(&mut gen_rng)).collect();
-
-            let mut batch = MachineBatch::from_configs(lanes.clone());
-            let batch_samples = drive_batch(&mut batch, rounds);
-
-            // Replay the barrier deadlines the batch actually used: the
-            // scalar replay must chase the same absolute instants even
-            // though it cannot see the other lanes' clocks.
-            let mut replay = MachineBatch::from_configs(lanes.clone());
-            let mut deadlines = Vec::new();
-            for round in 0..rounds {
-                let sel = Selector::from_bits(1 + (round % 3) as u16);
-                replay.wrgs_all(sel).expect("flat selectors load");
-                replay.spin_all(3_000 + (round as u64 % 7) * 500);
-                let _ = replay.rdgs_all();
-                if round % 5 == 4 {
-                    let deadline = replay.nows().iter().copied().max().unwrap_or(Ps::ZERO)
-                        + Ps::from_us(400);
-                    deadlines.push(deadline);
-                    replay.run_all_until(deadline);
-                }
-            }
-
-            for (i, (config, lane_seed)) in lanes.iter().enumerate() {
-                let mut scalar = Machine::new(config.clone(), *lane_seed);
-                let scalar_samples = drive_scalar(&mut scalar, rounds, &deadlines);
+            for trial in 0..size {
+                let (config, trial_seed) = draw_lane(&mut gen_rng);
+                let recycled =
+                    with_recycled_machine(config.clone(), trial_seed, |m| run_trial(m, rounds));
+                let fresh = run_trial(&mut Machine::new(config, trial_seed), rounds);
                 // Stream comparisons report the first diverging index
                 // and both sides, not whole-vector inequality.
-                if let Some(at) = first_divergence(&scalar_samples, &batch_samples[i]) {
+                if let Some(at) = first_divergence(&fresh.0, &recycled.0) {
                     prop_assert!(
                         false,
-                        "size {} lane {}: samples first diverge at round {}: \
-                         scalar {:?} vs batched {:?}",
-                        size, i, at,
-                        scalar_samples.get(at), batch_samples[i].get(at)
+                        "size {} trial {}: samples first diverge at round {}: \
+                         fresh {:?} vs recycled {:?}",
+                        size, trial, at, fresh.0.get(at), recycled.0.get(at)
                     );
                 }
-                prop_assert_eq!(
-                    scalar.fault_log(), batch.lane(i).fault_log(),
-                    "size {} lane {} fault log", size, i
-                );
-                if let Some(at) = first_divergence(
-                    scalar.ground_truth().records(),
-                    batch.lane(i).ground_truth().records(),
-                ) {
+                prop_assert_eq!(fresh.1, recycled.1, "size {} trial {} fault log", size, trial);
+                if let Some(at) = first_divergence(&fresh.2, &recycled.2) {
                     prop_assert!(
                         false,
-                        "size {} lane {}: deliveries first diverge at record {}: \
-                         scalar {:?} vs batched {:?}",
-                        size, i, at,
-                        scalar.ground_truth().records().get(at),
-                        batch.lane(i).ground_truth().records().get(at)
+                        "size {} trial {}: deliveries first diverge at record {}: \
+                         fresh {:?} vs recycled {:?}",
+                        size, trial, at, fresh.2.get(at), recycled.2.get(at)
                     );
                 }
-                prop_assert_eq!(
-                    scalar.rng_mut().gen::<u64>(),
-                    batch.with_lane_mut(i, |l| l.rng_mut().gen::<u64>()),
-                    "size {} lane {} RNG position", size, i
-                );
+                prop_assert_eq!(fresh.3, recycled.3, "size {} trial {} RNG position", size, trial);
             }
         }
     }
