@@ -356,13 +356,15 @@ impl Scenario for CirclScenario {
         requested.unwrap_or(1)
     }
 
-    fn build_machine(&self, config: &Self::Config, ctx: &TrialCtx) -> Machine {
-        let mut machine = Machine::new(
+    fn machine(&self, _config: &Self::Config, ctx: &TrialCtx) -> (MachineConfig, u64) {
+        (
             MachineConfig::lenovo_yangtian(),
             exec::derive_seed(ctx.seed, exec::AUX_STREAM),
-        );
+        )
+    }
+
+    fn wire(&self, config: &Self::Config, machine: &mut Machine, _ctx: &TrialCtx) {
         machine.set_fault_plan(config.fault_plan);
-        machine
     }
 
     fn run_trial(

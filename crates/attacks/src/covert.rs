@@ -392,10 +392,12 @@ impl Scenario for CovertScenario {
         requested.unwrap_or(3)
     }
 
-    fn build_machine(&self, config: &Self::Config, ctx: &TrialCtx) -> Machine {
-        let mut machine = Machine::new(MachineConfig::lenovo_yangtian(), ctx.seed);
+    fn machine(&self, _config: &Self::Config, ctx: &TrialCtx) -> (MachineConfig, u64) {
+        (MachineConfig::lenovo_yangtian(), ctx.seed)
+    }
+
+    fn wire(&self, config: &Self::Config, machine: &mut Machine, _ctx: &TrialCtx) {
         machine.set_fault_plan(config.channel.fault_plan);
-        machine
     }
 
     fn run_trial(
@@ -409,36 +411,6 @@ impl Scenario for CovertScenario {
             &config.channel,
             &bitstring_to_bits(&config.payload),
         )
-    }
-
-    /// Batched path: each trial of the chunk runs one full transmission
-    /// on this worker's recycled machine lane. The wiring replays
-    /// [`build_machine`](Scenario::build_machine)'s (the channel's fault
-    /// plan, then the run-level override), so outputs are identical to
-    /// the per-trial path at any chunk geometry — `tests/batch_parity.rs`
-    /// pins this.
-    fn run_batch(
-        &self,
-        config: &Self::Config,
-        ctxs: &[TrialCtx],
-        fault_override: Option<FaultPlan>,
-    ) -> Vec<(CovertResult, scenario::TrialStats)> {
-        ctxs.iter()
-            .map(|ctx| {
-                scenario::with_recycled_machine(
-                    MachineConfig::lenovo_yangtian(),
-                    ctx.seed,
-                    |machine| {
-                        machine.set_fault_plan(config.channel.fault_plan);
-                        if let Some(plan) = fault_override {
-                            machine.set_fault_plan(Some(plan));
-                        }
-                        let output = self.run_trial(config, machine, ctx);
-                        (output, scenario::TrialStats::of(machine))
-                    },
-                )
-            })
-            .collect()
     }
 
     fn summarize(&self, config: &Self::Config, outputs: &[CovertResult]) -> CovertSummary {

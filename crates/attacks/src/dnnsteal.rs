@@ -363,13 +363,15 @@ impl Scenario for DnnStealScenario {
         config.train_models + config.test_models
     }
 
-    fn build_machine(&self, config: &DnnStealConfig, ctx: &TrialCtx) -> Machine {
-        let mut machine = Machine::new(
+    fn machine(&self, _config: &DnnStealConfig, ctx: &TrialCtx) -> (MachineConfig, u64) {
+        (
             MachineConfig::lenovo_yangtian(),
             exec::derive_seed(ctx.seed, exec::AUX_STREAM),
-        );
+        )
+    }
+
+    fn wire(&self, config: &DnnStealConfig, machine: &mut Machine, _ctx: &TrialCtx) {
         machine.set_fault_plan(config.fault_plan);
-        machine
     }
 
     fn run_trial(

@@ -172,8 +172,8 @@ impl Scenario for HecklerScenario {
         requested.unwrap_or(config.trials)
     }
 
-    fn build_machine(&self, config: &Self::Config, ctx: &TrialCtx) -> Machine {
-        Machine::new(config.machine.clone(), ctx.seed)
+    fn machine(&self, config: &Self::Config, ctx: &TrialCtx) -> (MachineConfig, u64) {
+        (config.machine.clone(), ctx.seed)
     }
 
     fn run_trial(

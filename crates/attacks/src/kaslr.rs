@@ -354,14 +354,13 @@ impl Scenario for KaslrScenario {
         requested.unwrap_or(8)
     }
 
-    fn build_machine(&self, config: &Self::Config, ctx: &TrialCtx) -> Machine {
-        let mut machine = Machine::new(config.machine.clone(), ctx.seed);
-        let layout = {
-            let rng = machine.rng_mut();
-            KaslrLayout::randomize(rng)
-        };
+    fn machine(&self, config: &Self::Config, ctx: &TrialCtx) -> (MachineConfig, u64) {
+        (config.machine.clone(), ctx.seed)
+    }
+
+    fn wire(&self, _config: &Self::Config, machine: &mut Machine, _ctx: &TrialCtx) {
+        let layout = KaslrLayout::randomize(machine.rng_mut());
         machine.set_kaslr(layout);
-        machine
     }
 
     fn run_trial(
@@ -372,34 +371,6 @@ impl Scenario for KaslrScenario {
     ) -> Result<KaslrResult, KaslrError> {
         machine.spin(50_000_000); // warm-up
         break_kaslr(machine, &config.attack)
-    }
-
-    /// Batched path: the chunk's trials share this worker's recycled
-    /// machine lane instead of paying `Machine::new` per trial. The
-    /// lane reset replays a fresh machine bit for bit, and the wiring
-    /// below replays [`build_machine`](Scenario::build_machine)'s
-    /// (layout randomization from the machine RNG, then `set_kaslr`), so
-    /// outputs are identical to the per-trial path at any chunk
-    /// geometry — `tests/batch_parity.rs` pins this.
-    fn run_batch(
-        &self,
-        config: &Self::Config,
-        ctxs: &[TrialCtx],
-        fault_override: Option<segsim::FaultPlan>,
-    ) -> Vec<(Self::TrialOutput, scenario::TrialStats)> {
-        ctxs.iter()
-            .map(|ctx| {
-                scenario::with_recycled_machine(config.machine.clone(), ctx.seed, |machine| {
-                    let layout = KaslrLayout::randomize(machine.rng_mut());
-                    machine.set_kaslr(layout);
-                    if let Some(plan) = fault_override {
-                        machine.set_fault_plan(Some(plan));
-                    }
-                    let output = self.run_trial(config, machine, ctx);
-                    (output, scenario::TrialStats::of(machine))
-                })
-            })
-            .collect()
     }
 
     fn summarize(&self, _config: &Self::Config, outputs: &[Self::TrialOutput]) -> KaslrSummary {

@@ -374,12 +374,14 @@ impl Scenario for MonitorSessions {
         requested.unwrap_or(config.users)
     }
 
-    fn build_machine(&self, config: &Self::Config, ctx: &TrialCtx) -> Machine {
-        let mut machine = Machine::new(config.machine.clone(), ctx.seed);
+    fn machine(&self, config: &Self::Config, ctx: &TrialCtx) -> (MachineConfig, u64) {
+        (config.machine.clone(), ctx.seed)
+    }
+
+    fn wire(&self, config: &Self::Config, machine: &mut Machine, _ctx: &TrialCtx) {
         if config.fault_plan.is_some() {
             machine.set_fault_plan(config.fault_plan);
         }
-        machine
     }
 
     fn run_trial(
@@ -466,12 +468,14 @@ impl Scenario for KeystrokeScenario {
         config.users * (config.enroll_sessions + config.test_sessions)
     }
 
-    fn build_machine(&self, config: &Self::Config, ctx: &TrialCtx) -> Machine {
-        let mut machine = Machine::new(config.machine.clone(), ctx.seed);
+    fn machine(&self, config: &Self::Config, ctx: &TrialCtx) -> (MachineConfig, u64) {
+        (config.machine.clone(), ctx.seed)
+    }
+
+    fn wire(&self, config: &Self::Config, machine: &mut Machine, _ctx: &TrialCtx) {
         if config.fault_plan.is_some() {
             machine.set_fault_plan(config.fault_plan);
         }
-        machine
     }
 
     fn run_trial(

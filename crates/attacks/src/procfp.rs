@@ -323,11 +323,13 @@ impl Scenario for ProcFpScenario {
         AppClass::ALL.len() * (config.enroll + config.test)
     }
 
-    fn build_machine(&self, config: &ProcFpConfig, ctx: &TrialCtx) -> Machine {
-        let mut machine = Machine::new(MachineConfig::xiaomi_air13(), ctx.seed);
+    fn machine(&self, _config: &ProcFpConfig, ctx: &TrialCtx) -> (MachineConfig, u64) {
+        (MachineConfig::xiaomi_air13(), ctx.seed)
+    }
+
+    fn wire(&self, config: &ProcFpConfig, machine: &mut Machine, _ctx: &TrialCtx) {
         machine.set_fault_plan(config.fault_plan);
         machine.set_local_load(0.3); // the spy keeps a low profile
-        machine
     }
 
     fn run_trial(

@@ -276,10 +276,12 @@ impl Scenario for SpectralScenario {
         requested.unwrap_or(1)
     }
 
-    fn build_machine(&self, config: &SpectralScenarioConfig, ctx: &TrialCtx) -> Machine {
-        let mut machine = Machine::new(MachineConfig::lenovo_savior(), ctx.seed);
+    fn machine(&self, _config: &SpectralScenarioConfig, ctx: &TrialCtx) -> (MachineConfig, u64) {
+        (MachineConfig::lenovo_savior(), ctx.seed)
+    }
+
+    fn wire(&self, config: &SpectralScenarioConfig, machine: &mut Machine, _ctx: &TrialCtx) {
         machine.set_fault_plan(config.attack.fault_plan);
-        machine
     }
 
     fn run_trial(

@@ -355,10 +355,12 @@ impl Scenario for SpectreScenario {
         requested.unwrap_or(1)
     }
 
-    fn build_machine(&self, config: &Self::Config, ctx: &TrialCtx) -> Machine {
-        let mut machine = Machine::new(MachineConfig::xiaomi_air13(), ctx.seed);
+    fn machine(&self, _config: &Self::Config, ctx: &TrialCtx) -> (MachineConfig, u64) {
+        (MachineConfig::xiaomi_air13(), ctx.seed)
+    }
+
+    fn wire(&self, config: &Self::Config, machine: &mut Machine, _ctx: &TrialCtx) {
         machine.set_fault_plan(config.attack.fault_plan);
-        machine
     }
 
     fn run_trial(

@@ -275,11 +275,20 @@ pub struct FingerprintResult {
     pub chance: f64,
 }
 
-/// Builds the attacker machine of one visit: the Table IV setting's
-/// noise/SMT adjustments, the config's fault plan, and the co-residency
-/// or frequency-pinning wiring.
+/// Builds the attacker machine of one visit: the setting's machine
+/// config, then its post-boot wiring — the recipe [`WebsiteScenario`]
+/// boots every trial from.
 #[must_use]
 pub fn build_visit_machine(config: &WebsiteFpConfig, visit_seed: u64) -> Machine {
+    let mut machine = Machine::new(visit_machine_config(config), visit_seed);
+    wire_visit_machine(config, &mut machine);
+    machine
+}
+
+/// The attacker machine config of one visit: the Table IV setting's
+/// noise/SMT adjustments and the config's fault plan.
+#[must_use]
+fn visit_machine_config(config: &WebsiteFpConfig) -> MachineConfig {
     let mut machine_cfg = MachineConfig::xiaomi_air13();
     if config.setting == Setting::HyperThreadingDisabled {
         machine_cfg.noise.smt_factor = 1.0;
@@ -288,7 +297,12 @@ pub fn build_visit_machine(config: &WebsiteFpConfig, visit_seed: u64) -> Machine
         machine_cfg.noise.smt_factor = 1.04;
     }
     machine_cfg.fault_plan = config.fault_plan;
-    let mut machine = Machine::new(machine_cfg, visit_seed);
+    machine_cfg
+}
+
+/// The post-boot wiring of a visit machine: the setting's co-resident
+/// browser or pinned frequency.
+fn wire_visit_machine(config: &WebsiteFpConfig, machine: &mut Machine) {
     match config.setting {
         Setting::Default => {
             machine.set_co_resident(Some(CoResident::browser()));
@@ -301,7 +315,6 @@ pub fn build_visit_machine(config: &WebsiteFpConfig, visit_seed: u64) -> Machine
             machine.set_co_resident(Some(CoResident::browser()));
         }
     }
-    machine
 }
 
 /// Runs one visit to `site` on a prepared machine and collects the
@@ -463,8 +476,12 @@ impl Scenario for WebsiteScenario {
         config.n_sites * config.traces_per_site
     }
 
-    fn build_machine(&self, config: &Self::Config, ctx: &TrialCtx) -> Machine {
-        build_visit_machine(config, ctx.seed)
+    fn machine(&self, config: &Self::Config, ctx: &TrialCtx) -> (MachineConfig, u64) {
+        (visit_machine_config(config), ctx.seed)
+    }
+
+    fn wire(&self, config: &Self::Config, machine: &mut Machine, _ctx: &TrialCtx) {
+        wire_visit_machine(config, machine);
     }
 
     fn run_trial(
@@ -488,7 +505,8 @@ impl Scenario for WebsiteScenario {
         let mut fold_rng =
             SmallRng::seed_from_u64(exec::derive_seed(config.seed, exec::AUX_STREAM));
         let folds = nnet::k_fold_indices(outputs.len(), config.folds, &mut fold_rng);
-        let fold_scores: Vec<(f64, f64)> = exec::parallel_map_auto(folds.len(), |f| {
+        let threads = exec::resolve_threads(None);
+        let fold_scores: Vec<(f64, f64)> = exec::parallel_map(folds.len(), threads, |f| {
             let (train_idx, test_idx) = &folds[f];
             let train: Vec<SeqExample> = train_idx.iter().map(|&i| outputs[i].clone()).collect();
             let test: Vec<SeqExample> = test_idx.iter().map(|&i| outputs[i].clone()).collect();

@@ -26,12 +26,12 @@ fn main() {
     );
     // One parallel task per slot duration, each with a derived seed.
     let slots = [40u64, 20, 12, 8, 6];
-    let sweep = exec::parallel_trials_auto(0xC0, slots.len(), |i, seed| {
+    let sweep = exec::parallel_map(slots.len(), exec::resolve_threads(None), |i| {
         let config = CovertConfig {
             slot: Ps::from_ms(slots[i]),
             ..CovertConfig::slow()
         };
-        let result = transmit(&config, &bits, seed);
+        let result = transmit(&config, &bits, exec::derive_seed(0xC0, i as u64));
         (config, result)
     });
     let mut best_clean_rate = 0.0f64;

@@ -24,6 +24,14 @@ fn make_machine(hz: f64, seed: u64) -> Machine {
     machine
 }
 
+/// Runs `rep(seed)` for `reps` derived seeds of `experiment_seed` on
+/// the environment's worker count, in rep order.
+fn seeded(experiment_seed: u64, reps: usize, rep: impl Fn(u64) -> f64 + Sync) -> Vec<f64> {
+    exec::parallel_map(reps, exec::resolve_threads(None), |r| {
+        rep(exec::derive_seed(experiment_seed, r as u64))
+    })
+}
+
 fn main() {
     segscope_bench::header("Table II: probed interrupts in 10 s (isolated core)");
     let reps = if segscope_bench::full_scale() { 30 } else { 8 };
@@ -43,7 +51,7 @@ fn main() {
     // --- SegScope: exact, threshold-free ---
     let mut cells = vec!["SegScope".to_owned()];
     for hz in [100.0, 250.0, 1000.0] {
-        let counts: Vec<f64> = exec::parallel_trials_auto(0x7AB2, reps, |_r, seed| {
+        let counts: Vec<f64> = seeded(0x7AB2, reps, |seed| {
             let mut m = make_machine(hz, seed);
             let mut probe = SegProbe::new();
             probe
@@ -59,7 +67,7 @@ fn main() {
     // --- Schwarz et al. (timestamp jumps, threshold 1000 cycles) ---
     let mut cells = vec!["Schwarz et al.".to_owned()];
     for hz in [100.0, 250.0, 1000.0] {
-        let counts: Vec<f64> = exec::parallel_trials_auto(0x7AB3, reps, |_r, seed| {
+        let counts: Vec<f64> = seeded(0x7AB3, reps, |seed| {
             let mut m = make_machine(hz, seed);
             TsJumpProber::paper_default()
                 .probe_for(&mut m, duration)
@@ -73,7 +81,7 @@ fn main() {
     // --- Lipp et al. (loop counting sampled every 5 ms) ---
     let mut cells = vec!["Lipp et al.".to_owned()];
     for hz in [100.0, 250.0, 1000.0] {
-        let counts: Vec<f64> = exec::parallel_trials_auto(0x7AB4, reps, |_r, seed| {
+        let counts: Vec<f64> = seeded(0x7AB4, reps, |seed| {
             let mut m = make_machine(hz, seed);
             let mut prober = LoopCountProber::paper_default();
             prober.calibrate(&mut m, 200).expect("clock available");

@@ -202,13 +202,27 @@ impl CampaignManifest {
         serde_json::to_string(self).expect("campaign manifests are serializable")
     }
 
-    /// Parses a manifest from JSON.
+    /// Parses a manifest from JSON and validates its shape: the cell
+    /// progress must pass [`exec::ChunkManifest::validate`], and every
+    /// recorded result must carry its own cell's index.
     ///
     /// # Errors
     ///
-    /// [`CampaignError::Parse`] with the underlying message.
+    /// [`CampaignError::Parse`] with the underlying message, naming the
+    /// bad cell when the shape is wrong.
     pub fn from_json(json: &str) -> Result<Self, CampaignError> {
-        serde_json::from_str(json).map_err(|e| CampaignError::Parse(e.to_string()))
+        let manifest: Self =
+            serde_json::from_str(json).map_err(|e| CampaignError::Parse(e.to_string()))?;
+        manifest.cells.validate().map_err(CampaignError::Parse)?;
+        for (cell, results) in manifest.cells.completed() {
+            if let Some(result) = results.iter().find(|r| r.index != cell) {
+                return Err(CampaignError::Parse(format!(
+                    "chunk {cell} records the result of cell {}",
+                    result.index
+                )));
+            }
+        }
+        Ok(manifest)
     }
 }
 
@@ -397,8 +411,8 @@ mod tests {
             requested.unwrap_or(2)
         }
 
-        fn build_machine(&self, config: &GridProbeConfig, ctx: &TrialCtx) -> Machine {
-            Machine::new(config.machine.clone(), ctx.seed)
+        fn machine(&self, config: &GridProbeConfig, ctx: &TrialCtx) -> (MachineConfig, u64) {
+            (config.machine.clone(), ctx.seed)
         }
 
         fn run_trial(
@@ -636,6 +650,74 @@ mod tests {
                 total: 8
             })
         );
+    }
+
+    /// The manifest a campaign leaves after its first wave of three
+    /// cells, plus the `[cell, [result]]` JSON entry of each cell.
+    fn one_wave_manifest() -> (String, Vec<CellResult>) {
+        let spec = small_spec();
+        let mut manifest = CampaignManifest::new(&spec);
+        let opts = CampaignOptions {
+            shards: 3,
+            threads: Some(1),
+            stop_after_waves: Some(1),
+        };
+        run_campaign(&probe_registry(), &spec, &opts, &mut manifest, |_| {}).expect("runs");
+        let results = manifest
+            .cells
+            .completed()
+            .map(|(_, results)| results[0].clone())
+            .collect();
+        (manifest.to_json(), results)
+    }
+
+    fn entry(cell: usize, results: &[CellResult]) -> String {
+        serde_json::to_string(&(cell, results.to_vec())).expect("serializable")
+    }
+
+    #[test]
+    fn corrupted_manifests_are_rejected_naming_the_chunk() {
+        let (good, r) = one_wave_manifest();
+        assert_eq!(r.len(), 3);
+        assert!(CampaignManifest::from_json(&good).is_ok());
+        let cases = [
+            // Cell 0's results emptied: would report 7 of 8 cells.
+            (entry(0, &r[..1]), entry(0, &[]), "chunk 0 holds 0 outputs"),
+            // An extra result in cell 1.
+            (
+                entry(1, &r[1..2]),
+                entry(1, &[r[1].clone(), r[1].clone()]),
+                "chunk 1 holds 2 outputs",
+            ),
+            // A key past the last cell: would never complete.
+            (
+                entry(2, &r[2..]),
+                entry(8, &r[2..]),
+                "chunk 8 is out of range",
+            ),
+            // Cell 2 holding cell 1's result.
+            (
+                entry(2, &r[2..]),
+                entry(2, &r[1..2]),
+                "chunk 2 records the result of cell 1",
+            ),
+            // A zero chunk size.
+            (
+                "\"chunk\":1,".to_owned(),
+                "\"chunk\":0,".to_owned(),
+                "chunk size must be at least 1",
+            ),
+        ];
+        for (from, to, expected) in cases {
+            let json = good.replace(&from, &to);
+            assert_ne!(json, good, "the corruption must apply");
+            match CampaignManifest::from_json(&json) {
+                Err(CampaignError::Parse(message)) => {
+                    assert!(message.contains(expected), "`{message}` lacks `{expected}`");
+                }
+                other => panic!("expected a parse error naming `{expected}`, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -1,22 +1,20 @@
-//! Mid-run checkpointing for chunked trial fan-outs.
+//! Progress records for chunked trial fan-outs.
 //!
 //! A [`ChunkManifest`] records which trial chunks of a
 //! [`parallel_trial_chunks`](crate::parallel_trial_chunks)-style run have
-//! completed, together with their outputs. A killed run resumes by
-//! loading the manifest and calling [`resume_chunks`], which executes
-//! only the missing chunks; because every chunk's seeds derive from
-//! `(experiment_seed, trial_index)` alone, the assembled output vector
-//! is bit-identical to the uninterrupted run — at any thread count, and
-//! no matter how the work was split across kills.
+//! completed, together with their outputs. Because every chunk's seeds
+//! derive from `(experiment_seed, trial_index)` alone, a killed run that
+//! reloads its manifest and runs only the missing chunks assembles an
+//! output vector bit-identical to the uninterrupted run — at any thread
+//! count, and no matter how the work was split across kills. The
+//! campaign layer drives exactly that loop over its cell axis.
 //!
 //! The manifest is plain serde data: persist it with
 //! [`ChunkManifest::to_json`] / [`ChunkManifest::from_json`] wherever
-//! the caller wants (the CLI writes it next to the report file). For
-//! kill-resilience *during* a resume, [`resume_chunks_with`] runs the
-//! missing chunks in bounded waves and hands the manifest to a persist
-//! callback after each wave.
+//! the caller wants. Loading validates the shape, so a corrupted file is
+//! an error rather than a silently wrong result.
 
-use crate::{derive_seed, parallel_map};
+use crate::derive_seed;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -42,24 +40,6 @@ impl<T> ChunkManifest<T> {
             chunk: chunk.max(1),
             completed: BTreeMap::new(),
         }
-    }
-
-    /// The experiment seed this run derives every trial seed from.
-    #[must_use]
-    pub fn experiment_seed(&self) -> u64 {
-        self.experiment_seed
-    }
-
-    /// Total number of trials in the run.
-    #[must_use]
-    pub fn trials(&self) -> usize {
-        self.trials
-    }
-
-    /// Chunk size (trials per unit of work).
-    #[must_use]
-    pub fn chunk(&self) -> usize {
-        self.chunk
     }
 
     /// Total number of chunks in the run.
@@ -88,9 +68,13 @@ impl<T> ChunkManifest<T> {
             .collect()
     }
 
+    /// Completed chunks and their outputs, by ascending chunk index.
+    pub fn completed(&self) -> impl Iterator<Item = (usize, &[T])> {
+        self.completed.iter().map(|(&c, outputs)| (c, &outputs[..]))
+    }
+
     /// The trial-index range `[start, end)` of chunk `c`.
-    #[must_use]
-    pub fn chunk_range(&self, c: usize) -> (usize, usize) {
+    fn chunk_range(&self, c: usize) -> (usize, usize) {
         let start = c * self.chunk;
         (start, (start + self.chunk).min(self.trials))
     }
@@ -150,6 +134,37 @@ impl<T> ChunkManifest<T> {
         // trial order by construction.
         self.completed.into_values().flatten().collect()
     }
+
+    /// Checks the invariants [`record_chunk`](Self::record_chunk)
+    /// enforces on a manifest that did not come through it (one loaded
+    /// from disk): a non-zero chunk size, every key in range, and every
+    /// chunk holding one output per trial.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the first bad chunk.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.chunk == 0 {
+            return Err("manifest chunk size must be at least 1".to_owned());
+        }
+        let total = self.total_chunks();
+        for (&c, outputs) in &self.completed {
+            if c >= total {
+                return Err(format!(
+                    "chunk {c} is out of range (the run has {total} chunks)"
+                ));
+            }
+            let (start, end) = self.chunk_range(c);
+            if outputs.len() != end - start {
+                return Err(format!(
+                    "chunk {c} holds {} outputs, expected {}",
+                    outputs.len(),
+                    end - start
+                ));
+            }
+        }
+        Ok(())
+    }
 }
 
 impl<T: Serialize> ChunkManifest<T> {
@@ -161,80 +176,17 @@ impl<T: Serialize> ChunkManifest<T> {
 }
 
 impl<T: Deserialize> ChunkManifest<T> {
-    /// Parses a manifest from JSON.
+    /// Parses a manifest from JSON and validates its shape.
     ///
     /// # Errors
     ///
-    /// Returns the underlying parse/shape error message.
+    /// The underlying parse error, a zero chunk size, a chunk index
+    /// outside the run, or a chunk whose output count differs from its
+    /// trial count — each message names the bad chunk.
     pub fn from_json(json: &str) -> Result<Self, String> {
-        serde_json::from_str(json).map_err(|e| e.to_string())
-    }
-}
-
-/// Runs every missing chunk of `manifest` on `threads` workers and
-/// records the results.
-///
-/// After this returns, `manifest.into_outputs()` is bit-identical to
-/// what [`parallel_trial_chunks`](crate::parallel_trial_chunks) with the
-/// same geometry and task would have produced in one uninterrupted run.
-///
-/// # Panics
-///
-/// Panics if `task` returns a different number of outputs than seeds.
-pub fn resume_chunks<T, F>(manifest: &mut ChunkManifest<T>, threads: usize, task: F)
-where
-    T: Send,
-    F: Fn(usize, &[u64]) -> Vec<T> + Sync,
-{
-    resume_chunks_with(manifest, threads, usize::MAX, task, |_| {});
-}
-
-/// [`resume_chunks`] with bounded checkpoint waves: missing chunks run
-/// `wave` at a time (clamped to ≥ `threads` so workers stay busy), and
-/// `persist` sees the manifest after each wave — so a kill loses at most
-/// one wave of work.
-///
-/// # Panics
-///
-/// Panics if `task` returns a different number of outputs than seeds.
-pub fn resume_chunks_with<T, F, P>(
-    manifest: &mut ChunkManifest<T>,
-    threads: usize,
-    wave: usize,
-    task: F,
-    mut persist: P,
-) where
-    T: Send,
-    F: Fn(usize, &[u64]) -> Vec<T> + Sync,
-    P: FnMut(&ChunkManifest<T>),
-{
-    let missing = manifest.remaining_chunks();
-    if missing.is_empty() {
-        return;
-    }
-    let wave = wave.max(threads.max(1));
-    for batch in missing.chunks(wave) {
-        // Precompute each chunk's work description so the parallel
-        // closure does not borrow the manifest (whose outputs need not
-        // be `Sync`).
-        let work: Vec<(usize, Vec<u64>)> = batch
-            .iter()
-            .map(|&c| (manifest.chunk_range(c).0, manifest.chunk_seeds(c)))
-            .collect();
-        let ran = parallel_map(batch.len(), threads, |k| {
-            let (start, seeds) = &work[k];
-            let values = task(*start, seeds);
-            assert_eq!(
-                values.len(),
-                seeds.len(),
-                "chunk task must return one output per trial"
-            );
-            values
-        });
-        for (k, values) in ran.into_iter().enumerate() {
-            manifest.record_chunk(batch[k], values);
-        }
-        persist(manifest);
+        let manifest: Self = serde_json::from_str(json).map_err(|e| e.to_string())?;
+        manifest.validate()?;
+        Ok(manifest)
     }
 }
 
@@ -251,14 +203,12 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn uninterrupted_resume_matches_parallel_trial_chunks() {
-        let reference = parallel_trial_chunks(0x5EED, 103, 4, 8, task);
-        for threads in [1, 2, 8] {
-            let mut manifest = ChunkManifest::new(0x5EED, 103, 8);
-            resume_chunks(&mut manifest, threads, task);
-            assert!(manifest.is_complete());
-            assert_eq!(manifest.into_outputs(), reference, "threads {threads}");
+    /// Runs chunks `which` of `manifest`, recording each.
+    fn run_chunks(manifest: &mut ChunkManifest<(usize, u64)>, which: &[usize]) {
+        for &c in which {
+            let (start, _) = manifest.chunk_range(c);
+            let seeds = manifest.chunk_seeds(c);
+            manifest.record_chunk(c, task(start, &seeds));
         }
     }
 
@@ -267,43 +217,18 @@ mod tests {
         let reference = parallel_trial_chunks(0xDEAD, 50, 2, 7, task);
         // "Kill" after three chunks: only 0, 2, 5 completed.
         let mut manifest = ChunkManifest::new(0xDEAD, 50, 7);
-        for c in [0usize, 2, 5] {
-            let (start, _) = manifest.chunk_range(c);
-            let seeds = manifest.chunk_seeds(c);
-            manifest.record_chunk(c, task(start, &seeds));
-        }
+        run_chunks(&mut manifest, &[0, 2, 5]);
         // Round-trip through JSON, as a real kill/restart would.
-        let revived = ChunkManifest::from_json(&manifest.to_json()).unwrap();
+        let mut revived = ChunkManifest::from_json(&manifest.to_json()).unwrap();
         assert!(revived.matches(0xDEAD, 50, 7));
         assert!(!revived.matches(0xDEAD, 50, 8));
         assert!(!revived.is_complete());
-        assert_eq!(revived.remaining_chunks(), vec![1, 3, 4, 6, 7]);
-        let mut revived = revived;
-        resume_chunks(&mut revived, 4, task);
+        assert_eq!(revived.completed_chunks(), 3);
+        let missing = revived.remaining_chunks();
+        assert_eq!(missing, vec![1, 3, 4, 6, 7]);
+        run_chunks(&mut revived, &missing);
+        assert!(revived.is_complete());
         assert_eq!(revived.into_outputs(), reference);
-    }
-
-    #[test]
-    fn waves_persist_incrementally() {
-        let mut manifest = ChunkManifest::new(0xA1, 64, 4); // 16 chunks
-        let mut seen = Vec::new();
-        resume_chunks_with(&mut manifest, 2, 4, task, |m| {
-            seen.push(m.completed_chunks());
-        });
-        assert_eq!(seen, vec![4, 8, 12, 16], "one persist per wave");
-        assert_eq!(
-            manifest.into_outputs(),
-            parallel_trial_chunks(0xA1, 64, 2, 4, task)
-        );
-    }
-
-    #[test]
-    fn resume_on_complete_manifest_is_a_no_op() {
-        let mut manifest = ChunkManifest::new(0xB2, 10, 10);
-        resume_chunks(&mut manifest, 2, task);
-        let before = manifest.clone();
-        resume_chunks(&mut manifest, 2, |_, _| panic!("nothing should run"));
-        assert_eq!(manifest, before);
     }
 
     #[test]

@@ -23,12 +23,19 @@
 //! Worker count resolution (see [`resolve_threads`]): an explicit
 //! per-call override beats the `SEGSCOPE_THREADS` environment variable,
 //! which beats `std::thread::available_parallelism()`.
+//!
+//! The surface is two fan-outs and one progress record:
+//! [`parallel_map`] (ordered fan-out of any task),
+//! [`parallel_trial_chunks`] (seeded fan-out of trial chunks — the one
+//! path every scenario trial takes), and [`ChunkManifest`] (which chunks
+//! of a run completed, with their outputs — the campaign layer's
+//! resumable record).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 mod checkpoint;
 
-pub use checkpoint::{resume_chunks, resume_chunks_with, ChunkManifest};
+pub use checkpoint::ChunkManifest;
 
 /// Environment variable overriding the default worker count.
 pub const THREADS_ENV: &str = "SEGSCOPE_THREADS";
@@ -150,52 +157,19 @@ where
     })
 }
 
-/// [`parallel_map`] with the worker count resolved from the
-/// environment ([`resolve_threads`] with no override).
-pub fn parallel_map_auto<T, F>(tasks: usize, task: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    parallel_map(tasks, resolve_threads(None), task)
-}
-
-/// Seeded fan-out: runs `task(i, derive_seed(experiment_seed, i))` for
-/// each trial index, in parallel, with ordered results.
-pub fn parallel_trials<T, F>(experiment_seed: u64, trials: usize, threads: usize, task: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize, u64) -> T + Sync,
-{
-    parallel_map(trials, threads, |i| {
-        task(i, derive_seed(experiment_seed, i as u64))
-    })
-}
-
-/// [`parallel_trials`] with the worker count resolved from the
-/// environment.
-pub fn parallel_trials_auto<T, F>(experiment_seed: u64, trials: usize, task: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize, u64) -> T + Sync,
-{
-    parallel_trials(experiment_seed, trials, resolve_threads(None), task)
-}
-
 /// Seeded fan-out where a *chunk of consecutive trials* — not a single
 /// trial — is the unit of work a worker claims: `task(start, seeds)`
 /// receives the chunk's first trial index plus one derived seed per
 /// trial, and returns one output per seed, in trial order.
 ///
-/// This is the entry point for batched trial runners: a worker hands the
-/// whole chunk to a runner that recycles one machine across the chunk's
-/// trials (e.g. `scenario::with_recycled_machine`) instead of rebuilding
-/// one per trial. The determinism contract is unchanged from
-/// [`parallel_trials`]: every trial's seed is
-/// `derive_seed(experiment_seed, index)` and outputs come back in trial
-/// order, so results are bit-identical at any thread count *and any
-/// chunk size* — provided `task` derives each trial's output from its
-/// seed alone (lane recycling must replay fresh-machine state exactly).
+/// This is the one seeded fan-out: the scenario driver hands each chunk
+/// to a body that recycles one machine across the chunk's trials (see
+/// `scenario::with_recycled_machine`) instead of rebuilding one per
+/// trial. Every trial's seed is `derive_seed(experiment_seed, index)`
+/// and outputs come back in trial order, so results are bit-identical at
+/// any thread count *and any chunk size* — provided `task` derives each
+/// trial's output from its seed alone (lane recycling must replay
+/// fresh-machine state exactly).
 ///
 /// # Panics
 ///
@@ -229,43 +203,6 @@ where
         values
     });
     ran.into_iter().flatten().collect()
-}
-
-/// [`parallel_trials`] with per-trial observability: each trial gets its
-/// own private [`obs::TraceSink`] of `capacity` events, bracketed by
-/// `TrialStart`/`TrialEnd` span events, and the per-trial sinks are
-/// merged **in task order** into one returned sink (each trial's events
-/// re-tagged with its trial index as the track).
-///
-/// Because trial sinks are private and merged by index — never by
-/// completion order — the merged trace is byte-identical at any worker
-/// count, the same contract [`parallel_map`] gives for results.
-pub fn parallel_trials_traced<T, F>(
-    experiment_seed: u64,
-    trials: usize,
-    threads: usize,
-    capacity: usize,
-    task: F,
-) -> (Vec<T>, obs::TraceSink)
-where
-    T: Send,
-    F: Fn(usize, u64, &mut obs::TraceSink) -> T + Sync,
-{
-    let ran = parallel_map(trials, threads, |i| {
-        let mut sink = obs::TraceSink::with_capacity(capacity);
-        sink.emit(0, obs::EventKind::TrialStart { index: i as u64 });
-        let value = task(i, derive_seed(experiment_seed, i as u64), &mut sink);
-        let end_ps = sink.events().last().map_or(0, |e| e.at_ps);
-        sink.emit(end_ps, obs::EventKind::TrialEnd { index: i as u64 });
-        (value, sink)
-    });
-    let mut merged = obs::TraceSink::with_capacity(capacity.saturating_mul(trials.max(1)));
-    let mut values = Vec::with_capacity(trials);
-    for (i, (value, sink)) in ran.into_iter().enumerate() {
-        merged.absorb(&sink, i as u32);
-        values.push(value);
-    }
-    (values, merged)
 }
 
 #[cfg(test)]
@@ -314,17 +251,10 @@ mod tests {
     }
 
     #[test]
-    fn trials_pass_derived_seeds() {
-        let out = parallel_trials(0xABCD, 16, 4, |i, seed| (i, seed));
-        for (i, (idx, seed)) in out.iter().enumerate() {
-            assert_eq!(*idx, i);
-            assert_eq!(*seed, derive_seed(0xABCD, i as u64));
-        }
-    }
-
-    #[test]
-    fn chunked_trials_match_per_trial_fan_out_at_any_geometry() {
-        let reference = parallel_trials(0xBA7C, 103, 1, |i, seed| (i, seed));
+    fn chunked_trials_pass_derived_seeds_at_any_geometry() {
+        let reference: Vec<(usize, u64)> = (0..103)
+            .map(|i| (i, derive_seed(0xBA7C, i as u64)))
+            .collect();
         for threads in [1, 2, 4, 8] {
             for chunk in [1, 4, 17, 64, 200] {
                 let out = parallel_trial_chunks(0xBA7C, 103, threads, chunk, |start, seeds| {
@@ -358,37 +288,6 @@ mod tests {
             assert!(i != 7, "task 7 exploded");
             i
         });
-    }
-
-    #[test]
-    fn traced_trials_merge_in_task_order_at_any_thread_count() {
-        let run = |threads| {
-            parallel_trials_traced(0x7AC3, 9, threads, 64, |i, seed, sink| {
-                sink.emit(
-                    (i as u64 + 1) * 100,
-                    obs::EventKind::ProbeSample {
-                        segcnt: seed % 1000,
-                        irq: obs::IrqClass::Timer,
-                    },
-                );
-                sink.metrics.incr("trials", 1);
-                seed
-            })
-        };
-        let (ref_values, ref_sink) = run(1);
-        assert_eq!(ref_sink.metrics.counter("trials"), 9);
-        // 9 trials × (TrialStart + ProbeSample + TrialEnd).
-        assert_eq!(ref_sink.len(), 27);
-        for threads in [2, 4, 8] {
-            let (values, sink) = run(threads);
-            assert_eq!(values, ref_values);
-            assert_eq!(sink, ref_sink, "trace differs at {threads} threads");
-        }
-        // Events are grouped by trial, tracks ascending.
-        let tracks: Vec<u32> = ref_sink.events().iter().map(|e| e.track).collect();
-        let mut sorted = tracks.clone();
-        sorted.sort_unstable();
-        assert_eq!(tracks, sorted);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! `scenario` — the one harness all nine SegScope case studies run on.
+//! `scenario` — the one harness all eleven SegScope case studies run on.
 //!
 //! Every headline experiment of the reproduction used to hand-roll the
 //! same four pieces of glue: pick a [`segsim::MachineConfig`], derive
@@ -7,19 +7,21 @@
 //! crate folds that glue into one generic driver behind the
 //! [`Scenario`] trait:
 //!
-//! * [`Scenario::build_machine`] constructs the trial's machine (config
-//!   selection, seeding, layout/fault wiring) — and nothing else;
+//! * [`Scenario::machine`] names the trial machine's boot parameters
+//!   (config and seed);
+//! * [`Scenario::wire`] applies the post-boot, config-level wiring
+//!   (layout draws, fault plans, load and frequency settings);
 //! * [`Scenario::run_trial`] runs the attack on that machine;
 //! * [`Scenario::summarize`] reduces the ordered trial outputs into a
 //!   JSON-able report.
 //!
-//! The driver [`run_scenario`] supplies everything between: seed
-//! derivation via [`exec::derive_seed`], the fault-plan override, trace
-//! sinks, and the deterministic fan-out — chunked
-//! [`exec::parallel_trial_chunks`] through [`Scenario::run_batch`] for
-//! untraced runs (so lane-recycling scenarios amortize machine
-//! construction per worker), [`exec::parallel_trials_traced`] for traced
-//! ones. The determinism contract is inherited wholesale:
+//! The driver [`run_scenario`] supplies everything between, in one chunk
+//! body: seed derivation via [`exec::derive_seed`], a per-worker recycled
+//! machine lane ([`with_recycled_machine`]), the fault-plan override,
+//! the optional per-trial trace sink, and the deterministic fan-out
+//! through [`exec::parallel_trial_chunks`]. Traced and untraced runs go
+//! through the same body, so they produce the same outputs. The
+//! determinism contract is inherited wholesale:
 //!
 //! > **Bit-identical outputs, summaries, and merged traces at any
 //! > worker count.**
@@ -44,9 +46,7 @@ use std::fmt;
 /// the ground-truth interrupt-delivery count and the machine's fault
 /// audit, captured at the end of the trial.
 ///
-/// Every [`Scenario::run_batch`] implementation returns one of these per
-/// trial (use [`TrialStats::of`] on the trial's machine right after the
-/// trial body). Like the outputs, stats must be a pure function of
+/// Like the outputs, stats are a pure function of
 /// `(config, ctx, fault_override)` — the chunk-geometry contract covers
 /// them too, and both merge commutatively ([`RunTotals`] and
 /// [`FaultLog`] implement [`MergeReport`]), so run-level accounting is
@@ -70,8 +70,8 @@ impl TrialStats {
     }
 }
 
-/// The context of one trial, handed to [`Scenario::build_machine`] and
-/// [`Scenario::run_trial`].
+/// The context of one trial, handed to every per-trial [`Scenario`]
+/// method.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TrialCtx {
     /// Trial index within the experiment (`0..trials`).
@@ -84,13 +84,13 @@ pub struct TrialCtx {
 }
 
 /// One experiment that the generic driver can run: a typed config, a
-/// per-trial machine recipe, the trial body, and a summary reduction.
+/// per-trial machine recipe ([`machine`](Scenario::machine) plus
+/// [`wire`](Scenario::wire)), the trial body, and a summary reduction.
 ///
-/// Implementations must keep [`build_machine`](Scenario::build_machine)
-/// limited to machine construction and config-level fault/layout wiring:
-/// the driver installs the trace sink and the run-level fault-plan
-/// override *after* it, and warm-up spins belong in
-/// [`run_trial`](Scenario::run_trial) so traces cover them.
+/// The recipe is limited to machine construction and config-level
+/// wiring: the driver installs the run-level fault-plan override and the
+/// trace sink *after* [`wire`](Scenario::wire), and warm-up spins belong
+/// in [`run_trial`](Scenario::run_trial) so traces cover them.
 pub trait Scenario: Sync {
     /// The experiment parameters (JSON-roundtrippable; `Default` is what
     /// `segscope run <name>` uses when `--params` is omitted).
@@ -117,10 +117,29 @@ pub trait Scenario: Sync {
     /// sessions, …) ignore it.
     fn trial_count(&self, config: &Self::Config, requested: Option<usize>) -> usize;
 
-    /// Builds the trial's machine: `Machine::new` plus config-level
-    /// fault/layout wiring. No warm-up spins here — the driver installs
-    /// the trace sink right after, and traces must cover warm-up.
-    fn build_machine(&self, config: &Self::Config, ctx: &TrialCtx) -> Machine;
+    /// The trial machine's boot parameters: the `(config, seed)` pair
+    /// `Machine::new` (or a recycled lane's reset) boots from. The seed
+    /// is usually `ctx.seed`; scenarios that keep the trial seed for
+    /// their own draws boot from an auxiliary stream of it instead.
+    fn machine(&self, config: &Self::Config, ctx: &TrialCtx) -> (MachineConfig, u64);
+
+    /// Config-level wiring applied to the freshly booted machine, before
+    /// the run-level fault override and the trace sink. Calls run in a
+    /// fixed order because some draw from the machine RNG. The default
+    /// wires nothing.
+    fn wire(&self, _config: &Self::Config, _machine: &mut Machine, _ctx: &TrialCtx) {}
+
+    /// The trial's machine, built fresh: `Machine::new` from
+    /// [`machine`](Scenario::machine), then [`wire`](Scenario::wire).
+    /// The driver never calls this — it recycles one lane per worker —
+    /// but the recycled lane must match it bit for bit, so it stays the
+    /// fresh-machine oracle for parity tests.
+    fn build_machine(&self, config: &Self::Config, ctx: &TrialCtx) -> Machine {
+        let (machine_config, seed) = self.machine(config, ctx);
+        let mut machine = Machine::new(machine_config, seed);
+        self.wire(config, &mut machine, ctx);
+        machine
+    }
 
     /// Runs one trial on the prepared machine.
     fn run_trial(
@@ -133,25 +152,19 @@ pub trait Scenario: Sync {
     /// Reduces the ordered trial outputs into the report body.
     fn summarize(&self, config: &Self::Config, outputs: &[Self::TrialOutput]) -> Self::Summary;
 
-    /// Runs a *chunk* of consecutive trials — the unit of work one
-    /// worker claims in the untraced driver — returning one
-    /// `(output, [`TrialStats`])` pair per trial, in order.
+    /// Runs a *chunk* of consecutive trials untraced, returning one
+    /// `(output, [`TrialStats`])` pair per trial, in order: the driver's
+    /// chunk body, exposed for callers that fan chunks out themselves.
     ///
-    /// The default is the scalar loop the driver always ran: a fresh
-    /// [`build_machine`](Scenario::build_machine) per trial, the
-    /// run-level fault override, then
-    /// [`run_trial`](Scenario::run_trial). High-volume scenarios
-    /// override this to recycle one machine per worker thread (via
-    /// [`with_recycled_machine`]), amortizing machine construction across
-    /// the chunk.
-    ///
-    /// Overrides **must** preserve the chunk-geometry contract: trial
-    /// `i`'s pair depends only on `(config, ctxs[i], fault_override)` —
-    /// never on the chunk's size, position, or lane assignment. With
-    /// [`segsim::Machine::reset`] replaying `Machine::new` exactly,
-    /// lane recycling satisfies this for free; the workspace-level
-    /// `batch_parity` tests hold [`with_recycled_machine`] and the KASLR
-    /// override to it.
+    /// Every trial runs on this worker thread's recycled machine lane
+    /// ([`with_recycled_machine`] booted from
+    /// [`machine`](Scenario::machine)), then [`wire`](Scenario::wire),
+    /// the run-level fault override, and
+    /// [`run_trial`](Scenario::run_trial). Trial `i`'s pair depends only
+    /// on `(config, ctxs[i], fault_override)` — never on the chunk's
+    /// size, position, or lane history — and equals
+    /// [`build_machine`](Scenario::build_machine) plus `run_trial`.
+    /// Do not override it: [`run_scenario`] runs the same body directly.
     fn run_batch(
         &self,
         config: &Self::Config,
@@ -160,15 +173,52 @@ pub trait Scenario: Sync {
     ) -> Vec<(Self::TrialOutput, TrialStats)> {
         ctxs.iter()
             .map(|ctx| {
-                let mut machine = self.build_machine(config, ctx);
-                if let Some(plan) = fault_override {
-                    machine.set_fault_plan(Some(plan));
-                }
-                let output = self.run_trial(config, &mut machine, ctx);
-                (output, TrialStats::of(&machine))
+                let (output, stats, _) = run_on_lane(self, config, ctx, fault_override, 0);
+                (output, stats)
             })
             .collect()
     }
+}
+
+/// The one trial body: boots this worker's recycled lane from
+/// [`Scenario::machine`], wires it, applies `fault_override`, and runs
+/// the trial. With `capacity > 0` the trial is traced into its own sink:
+/// `TrialStart`, the machine's ring of `capacity - 2` events at track 0,
+/// then `TrialEnd` — so a machine-full ring cannot overflow the trial
+/// sink. The sink is boxed: an unboxed `Option<TraceSink>` would widen
+/// every untraced trial's result by a whole sink, which long runs feel
+/// in peak memory.
+fn run_on_lane<S: Scenario + ?Sized>(
+    scenario: &S,
+    config: &S::Config,
+    ctx: &TrialCtx,
+    fault_override: Option<FaultPlan>,
+    capacity: usize,
+) -> (S::TrialOutput, TrialStats, Option<Box<obs::TraceSink>>) {
+    let (machine_config, seed) = scenario.machine(config, ctx);
+    with_recycled_machine(machine_config, seed, |machine| {
+        scenario.wire(config, machine, ctx);
+        if let Some(plan) = fault_override {
+            machine.set_fault_plan(Some(plan));
+        }
+        if capacity > 0 {
+            machine.install_trace_sink(obs::TraceSink::with_capacity(
+                capacity.saturating_sub(2).max(1),
+            ));
+        }
+        let output = scenario.run_trial(config, machine, ctx);
+        let sink = (capacity > 0).then(|| {
+            let ring = machine.take_trace_sink().expect("sink installed above");
+            let index = ctx.index as u64;
+            let mut sink = obs::TraceSink::with_capacity(capacity);
+            sink.emit(0, obs::EventKind::TrialStart { index });
+            sink.absorb(&ring, 0);
+            let end_ps = sink.events().last().map_or(0, |e| e.at_ps);
+            sink.emit(end_ps, obs::EventKind::TrialEnd { index });
+            Box::new(sink)
+        });
+        (output, TrialStats::of(machine), sink)
+    })
 }
 
 /// Runs `f` on this worker thread's recycled machine lane, reset to
@@ -182,9 +232,12 @@ pub trait Scenario: Sync {
 /// machine bit-identical to a fresh one, so outputs stay independent of
 /// which thread (or how many) ran which trial.
 ///
-/// Scenario [`run_batch`](Scenario::run_batch) overrides are the
-/// intended caller: replay your `build_machine` wiring inside `f`, then
-/// run the trial body.
+/// [`run_scenario`] and [`Scenario::run_batch`] run every trial here.
+///
+/// # Panics
+///
+/// Panics when `f` calls back into this function on the same thread:
+/// the lane is borrowed for the whole closure.
 pub fn with_recycled_machine<T>(
     config: MachineConfig,
     seed: u64,
@@ -217,8 +270,8 @@ pub struct RunOptions {
     /// entirely (no sinks are installed).
     pub capacity: usize,
     /// Run-level fault-plan override, installed on every trial machine
-    /// *after* [`Scenario::build_machine`]. `None` leaves whatever the
-    /// config wired in place.
+    /// *after* [`Scenario::wire`]. `None` leaves whatever the config
+    /// wired in place.
     pub fault_plan: Option<FaultPlan>,
 }
 
@@ -268,13 +321,9 @@ impl<T, U> ScenarioRun<T, U> {
 /// experiment seed, trial count, worker count, and chunk size are
 /// computed from `(scenario, config, opts)`.
 ///
-/// Every consumer of the geometry — the untraced arm of
-/// [`run_scenario`], [`checkpoint_manifest`], and
-/// [`run_scenario_checkpointed`] — resolves it through
-/// [`run_geometry`], so the layers cannot silently drift apart (a
-/// manifest cut for one geometry can never be resumed under another
-/// without [`exec::ChunkManifest::matches`] noticing).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// [`run_scenario`] resolves it through [`run_geometry`], and so can
+/// callers that fan [`Scenario::run_batch`] chunks out themselves.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunGeometry {
     /// The resolved experiment seed every trial seed derives from.
     pub experiment_seed: u64,
@@ -282,29 +331,14 @@ pub struct RunGeometry {
     pub trials: usize,
     /// Worker threads the run fans out over.
     pub threads: usize,
-    /// Consecutive trials per unit of work (chunk) in the untraced
-    /// driver. Outputs are chunk-size independent (see
-    /// [`Scenario::run_batch`]); the value only trades scheduling
-    /// overhead against load balance.
+    /// Consecutive trials per unit of work (chunk). Outputs are
+    /// chunk-size independent (see [`Scenario::run_batch`]); the value
+    /// only trades scheduling overhead against load balance.
     pub chunk: usize,
 }
 
-impl RunGeometry {
-    /// The empty [`exec::ChunkManifest`] of a run with this geometry.
-    #[must_use]
-    pub fn manifest<T>(&self) -> exec::ChunkManifest<T> {
-        exec::ChunkManifest::new(self.experiment_seed, self.trials, self.chunk)
-    }
-
-    /// Whether `manifest` belongs to a run with this geometry.
-    #[must_use]
-    pub fn matches<T>(&self, manifest: &exec::ChunkManifest<T>) -> bool {
-        manifest.matches(self.experiment_seed, self.trials, self.chunk)
-    }
-}
-
-/// Resolves the execution geometry [`run_scenario`] (untraced) and the
-/// checkpointed driver use for `(scenario, config, opts)`.
+/// Resolves the execution geometry [`run_scenario`] uses for
+/// `(scenario, config, opts)`.
 #[must_use]
 pub fn run_geometry<S: Scenario>(
     scenario: &S,
@@ -322,99 +356,56 @@ pub fn run_geometry<S: Scenario>(
     }
 }
 
-/// How many consecutive trials one worker claims per queue operation in
-/// the untraced (chunked) driver: the batch a recycled lane amortizes
-/// machine construction over. Outputs are chunk-size independent (see
-/// [`Scenario::run_batch`]); the value only trades scheduling overhead
-/// against load balance.
+/// How many consecutive trials one worker claims per queue operation:
+/// the batch a recycled lane amortizes machine construction over.
 fn trial_chunk(trials: usize, threads: usize) -> usize {
     trials.div_ceil(threads.max(1) * 2).clamp(1, 32)
 }
 
 /// Runs `scenario` under `config` and `opts`: derives per-trial seeds,
-/// builds each trial's machine, applies the run-level fault-plan
-/// override, installs trace sinks (when `opts.capacity > 0`), fans the
-/// trials out, and reduces the ordered outputs into the summary.
+/// runs every trial on a recycled machine lane with the run-level
+/// fault-plan override and (when `opts.capacity > 0`) a private trace
+/// sink, fans the chunks out, and reduces the ordered outputs into the
+/// summary.
 ///
-/// Bit-identical at any worker count; with tracing enabled the per-trial
-/// wiring matches the layout the attacks' hand-rolled `*_traced`
-/// functions used (machine ring of `capacity - 2` events inside the
-/// engine's `TrialStart`/`TrialEnd` brackets), so pre-refactor golden
-/// traces stay byte-identical.
+/// Bit-identical at any worker count. Per-trial sinks are merged in
+/// trial order with the trial index as the track, so merged traces are
+/// byte-identical too.
 pub fn run_scenario<S: Scenario>(
     scenario: &S,
     config: &S::Config,
     opts: &RunOptions,
 ) -> ScenarioRun<S::TrialOutput, S::Summary> {
-    let geometry = run_geometry(scenario, config, opts);
     let RunGeometry {
         experiment_seed: seed,
         trials,
         threads,
         chunk,
-    } = geometry;
-    let make_ctx = |i: usize, trial_seed: u64| TrialCtx {
-        index: i,
-        seed: trial_seed,
-        experiment_seed: seed,
-    };
-    let (ran, sink) = if opts.capacity == 0 {
-        // Untraced runs take the batched path: a chunk of consecutive
-        // trials is the unit of work, handed whole to the scenario's
-        // `run_batch` so lane-recycling overrides can amortize machine
-        // construction across it. Chunk geometry cannot leak into the
-        // outputs (see `Scenario::run_batch`), so this arm stays
-        // bit-identical to the per-trial fan-out it replaced.
-        let ran = exec::parallel_trial_chunks(seed, trials, threads, chunk, |start, seeds| {
-            let ctxs: Vec<TrialCtx> = seeds
-                .iter()
-                .enumerate()
-                .map(|(k, &s)| make_ctx(start + k, s))
-                .collect();
-            scenario.run_batch(config, &ctxs, opts.fault_plan)
-        });
-        (ran, None)
-    } else {
-        let capacity = opts.capacity;
-        let (ran, sink) =
-            exec::parallel_trials_traced(seed, trials, threads, capacity, |i, s, task_sink| {
-                let ctx = make_ctx(i, s);
-                let mut machine = scenario.build_machine(config, &ctx);
-                if let Some(plan) = opts.fault_plan {
-                    machine.set_fault_plan(Some(plan));
-                }
-                // Leave room for the engine's TrialStart/TrialEnd
-                // brackets so a machine-full ring cannot overflow the
-                // task sink.
-                machine.install_trace_sink(obs::TraceSink::with_capacity(
-                    capacity.saturating_sub(2).max(1),
-                ));
-                let output = scenario.run_trial(config, &mut machine, &ctx);
-                let machine_sink = machine.take_trace_sink().expect("sink installed");
-                task_sink.absorb(&machine_sink, 0);
-                let stats = TrialStats::of(&machine);
-                (output, stats)
-            });
-        (ran, Some(sink))
-    };
-    assemble_run(scenario, config, seed, trials, sink, ran)
-}
-
-/// Folds the ordered `(output, stats)` pairs into a [`ScenarioRun`]:
-/// the shared tail of the plain and checkpointed drivers.
-fn assemble_run<S: Scenario>(
-    scenario: &S,
-    config: &S::Config,
-    seed: u64,
-    trials: usize,
-    sink: Option<obs::TraceSink>,
-    ran: Vec<(S::TrialOutput, TrialStats)>,
-) -> ScenarioRun<S::TrialOutput, S::Summary> {
+    } = run_geometry(scenario, config, opts);
+    let ran = exec::parallel_trial_chunks(seed, trials, threads, chunk, |start, seeds| {
+        seeds
+            .iter()
+            .enumerate()
+            .map(|(k, &trial_seed)| {
+                let ctx = TrialCtx {
+                    index: start + k,
+                    seed: trial_seed,
+                    experiment_seed: seed,
+                };
+                run_on_lane(scenario, config, &ctx, opts.fault_plan, opts.capacity)
+            })
+            .collect()
+    });
+    let mut sink = (opts.capacity > 0)
+        .then(|| obs::TraceSink::with_capacity(opts.capacity.saturating_mul(trials.max(1))));
     let mut outputs = Vec::with_capacity(ran.len());
     let mut gt_deliveries = Vec::with_capacity(ran.len());
     let mut totals = RunTotals::empty();
     let mut fault_log = FaultLog::empty();
-    for (output, stats) in ran {
+    for (i, (output, stats, trial_sink)) in ran.into_iter().enumerate() {
+        if let (Some(merged), Some(trial_sink)) = (sink.as_mut(), trial_sink) {
+            merged.absorb(&trial_sink, i as u32);
+        }
         outputs.push(output);
         gt_deliveries.push(stats.gt_deliveries);
         totals.merge(&RunTotals::from_trial(stats.gt_deliveries));
@@ -431,101 +422,6 @@ fn assemble_run<S: Scenario>(
         fault_log,
         summary,
     }
-}
-
-/// The empty [`exec::ChunkManifest`] a checkpointed run of `scenario`
-/// under `config` and `opts` starts from: same experiment seed, trial
-/// count, and chunk geometry as [`run_scenario`] would use.
-///
-/// Callers that resume from disk validate the loaded manifest against
-/// this one's geometry first:
-///
-/// ```ignore
-/// let fresh = checkpoint_manifest(&scenario, &config, &opts);
-/// let loaded = exec::ChunkManifest::from_json(&text)?;
-/// assert!(loaded.matches(fresh.experiment_seed(), fresh.trials(), fresh.chunk()));
-/// ```
-#[must_use]
-pub fn checkpoint_manifest<S: Scenario>(
-    scenario: &S,
-    config: &S::Config,
-    opts: &RunOptions,
-) -> exec::ChunkManifest<(S::TrialOutput, TrialStats)> {
-    run_geometry(scenario, config, opts).manifest()
-}
-
-/// [`run_scenario`], resumable: runs only the chunks `manifest` has not
-/// completed, handing the manifest to `persist` after every wave of
-/// chunks, then assembles the same [`ScenarioRun`] an uninterrupted
-/// [`run_scenario`] with the same inputs produces — bit-identical
-/// outputs, totals, and summary, no matter where (or how often) the
-/// previous run was killed.
-///
-/// Checkpointing covers the untraced path only (`opts.capacity` must be
-/// 0): a merged trace is not resumable chunk-wise, and long
-/// multi-trial campaigns — the runs worth checkpointing — run untraced.
-///
-/// The manifest must come from [`checkpoint_manifest`] with the same
-/// `(scenario, config, opts)`, or from a persisted copy of one (see
-/// [`exec::ChunkManifest::matches`] for the loader-side check).
-///
-/// # Panics
-///
-/// Panics when `opts.capacity != 0` or when `manifest` does not match
-/// the run geometry `(scenario, config, opts)` resolves to.
-pub fn run_scenario_checkpointed<S>(
-    scenario: &S,
-    config: &S::Config,
-    opts: &RunOptions,
-    manifest: &mut exec::ChunkManifest<(S::TrialOutput, TrialStats)>,
-    persist: impl FnMut(&exec::ChunkManifest<(S::TrialOutput, TrialStats)>),
-) -> ScenarioRun<S::TrialOutput, S::Summary>
-where
-    S: Scenario,
-    S::TrialOutput: Clone,
-{
-    assert_eq!(opts.capacity, 0, "checkpointed runs are untraced");
-    let geometry = run_geometry(scenario, config, opts);
-    let RunGeometry {
-        experiment_seed: seed,
-        trials,
-        threads,
-        chunk,
-    } = geometry;
-    assert!(
-        geometry.matches(manifest),
-        "manifest (seed {:#x}, {} trials, chunk {}) does not belong to \
-         this run (seed {seed:#x}, {trials} trials, chunk {chunk})",
-        manifest.experiment_seed(),
-        manifest.trials(),
-        manifest.chunk(),
-    );
-    exec::resume_chunks_with(
-        manifest,
-        threads,
-        threads,
-        |start, seeds| {
-            let ctxs: Vec<TrialCtx> = seeds
-                .iter()
-                .enumerate()
-                .map(|(k, &s)| TrialCtx {
-                    index: start + k,
-                    seed: s,
-                    experiment_seed: seed,
-                })
-                .collect();
-            scenario.run_batch(config, &ctxs, opts.fault_plan)
-        },
-        persist,
-    );
-    assemble_run(
-        scenario,
-        config,
-        seed,
-        trials,
-        None,
-        manifest.clone().into_outputs(),
-    )
 }
 
 /// A structured, JSON-able record of one driver run.
@@ -720,7 +616,7 @@ impl fmt::Debug for dyn DynScenario + '_ {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use segsim::MachineConfig;
+    use rand::Rng;
 
     /// A minimal scenario exercising the driver: each trial spins the
     /// machine briefly and reports its seed and interrupt count.
@@ -757,8 +653,8 @@ mod tests {
             requested.unwrap_or(3)
         }
 
-        fn build_machine(&self, _config: &ProbeConfig, ctx: &TrialCtx) -> Machine {
-            Machine::new(MachineConfig::xiaomi_air13(), ctx.seed)
+        fn machine(&self, _config: &ProbeConfig, ctx: &TrialCtx) -> (MachineConfig, u64) {
+            (MachineConfig::xiaomi_air13(), ctx.seed)
         }
 
         fn run_trial(&self, config: &ProbeConfig, machine: &mut Machine, ctx: &TrialCtx) -> u64 {
@@ -874,8 +770,9 @@ mod tests {
         }
     }
 
-    /// A scenario whose `run_batch` recycles a lane through
-    /// [`with_recycled_machine`], mirroring the kaslr/covert overrides.
+    /// A scenario whose trial output depends on the machine state and
+    /// whose wiring draws from the machine RNG, so any lane-recycling or
+    /// wiring-order slip shows up in the outputs.
     struct RecycledProbe;
 
     impl Scenario for RecycledProbe {
@@ -899,32 +796,18 @@ mod tests {
             requested.unwrap_or(12)
         }
 
-        fn build_machine(&self, _config: &ProbeConfig, ctx: &TrialCtx) -> Machine {
-            Machine::new(MachineConfig::xiaomi_air13(), ctx.seed)
+        fn machine(&self, _config: &ProbeConfig, ctx: &TrialCtx) -> (MachineConfig, u64) {
+            (MachineConfig::xiaomi_air13(), ctx.seed)
+        }
+
+        fn wire(&self, _config: &ProbeConfig, machine: &mut Machine, _ctx: &TrialCtx) {
+            let load = 0.25 + f64::from(machine.rng_mut().gen::<u8>()) / 512.0;
+            machine.set_local_load(load);
         }
 
         fn run_trial(&self, config: &ProbeConfig, machine: &mut Machine, _ctx: &TrialCtx) -> u64 {
             machine.spin(config.spins.max(1_000_000));
-            machine.kernel_entries()
-        }
-
-        fn run_batch(
-            &self,
-            config: &ProbeConfig,
-            ctxs: &[TrialCtx],
-            fault_override: Option<FaultPlan>,
-        ) -> Vec<(u64, TrialStats)> {
-            ctxs.iter()
-                .map(|ctx| {
-                    with_recycled_machine(MachineConfig::xiaomi_air13(), ctx.seed, |machine| {
-                        if let Some(plan) = fault_override {
-                            machine.set_fault_plan(Some(plan));
-                        }
-                        let output = self.run_trial(config, machine, ctx);
-                        (output, TrialStats::of(machine))
-                    })
-                })
-                .collect()
+            machine.kernel_entries() ^ machine.rng_mut().gen::<u64>()
         }
 
         fn summarize(&self, _config: &ProbeConfig, outputs: &[u64]) -> ProbeSummary {
@@ -935,10 +818,10 @@ mod tests {
     }
 
     #[test]
-    fn recycled_batch_override_matches_fresh_machines_at_any_geometry() {
+    fn recycled_lanes_match_fresh_machines_at_any_geometry() {
         let config = ProbeConfig { spins: 30_000_000 };
-        // Reference: fresh machine per trial (what the default
-        // `run_batch` would do with RecycledProbe's trial body).
+        // Reference: the fresh-machine oracle, one `build_machine` per
+        // trial.
         let reference: Vec<u64> = (0..12)
             .map(|i| {
                 let ctx = TrialCtx {
@@ -951,17 +834,54 @@ mod tests {
             })
             .collect();
         for threads in [1, 2, 4] {
-            let run = run_scenario(
-                &RecycledProbe,
-                &config,
-                &RunOptions {
-                    threads: Some(threads),
-                    ..RunOptions::default()
-                },
-            );
-            assert_eq!(run.outputs, reference, "threads {threads}");
-            assert_eq!(run.totals.trials, 12);
-            assert_eq!(run.total_gt_deliveries(), run.gt_deliveries.iter().sum());
+            for capacity in [0, 1 << 10] {
+                let run = run_scenario(
+                    &RecycledProbe,
+                    &config,
+                    &RunOptions {
+                        threads: Some(threads),
+                        capacity,
+                        ..RunOptions::default()
+                    },
+                );
+                assert_eq!(
+                    run.outputs, reference,
+                    "threads {threads} capacity {capacity}"
+                );
+                assert_eq!(run.totals.trials, 12);
+                assert_eq!(run.total_gt_deliveries(), run.gt_deliveries.iter().sum());
+            }
+        }
+    }
+
+    #[test]
+    fn traced_trials_are_bracketed_and_merged_in_trial_order() {
+        let config = ProbeConfig { spins: 40_000_000 };
+        let run = run_scenario(
+            &Probe,
+            &config,
+            &RunOptions {
+                threads: Some(2),
+                capacity: 64,
+                ..RunOptions::default()
+            },
+        );
+        let events = run.sink.expect("traced").events();
+        // Tracks ascend (trial order); each trial opens with TrialStart
+        // at t = 0 and closes with TrialEnd at its last event's time.
+        let tracks: Vec<u32> = events.iter().map(|e| e.track).collect();
+        let mut sorted = tracks.clone();
+        sorted.sort_unstable();
+        assert_eq!(tracks, sorted);
+        for trial in 0..run.trials as u32 {
+            let own: Vec<_> = events.iter().filter(|e| e.track == trial).collect();
+            let index = u64::from(trial);
+            assert_eq!(own[0].kind, obs::EventKind::TrialStart { index });
+            assert_eq!(own[0].at_ps, 0);
+            let last = own.last().expect("bracketed");
+            assert_eq!(last.kind, obs::EventKind::TrialEnd { index });
+            assert_eq!(last.at_ps, own[own.len() - 2].at_ps);
+            assert!(own.len() <= 64, "ring of capacity - 2 plus two brackets");
         }
     }
 
@@ -995,132 +915,7 @@ mod tests {
     }
 
     #[test]
-    fn checkpointed_run_matches_run_scenario() {
-        let config = ProbeConfig { spins: 30_000_000 };
-        let opts = RunOptions {
-            trials: Some(12),
-            threads: Some(2),
-            ..RunOptions::default()
-        };
-        let reference = run_scenario(&RecycledProbe, &config, &opts);
-        let mut manifest = checkpoint_manifest(&RecycledProbe, &config, &opts);
-        let run = run_scenario_checkpointed(&RecycledProbe, &config, &opts, &mut manifest, |_| {});
-        assert!(manifest.is_complete());
-        assert_eq!(run, reference);
-    }
-
-    #[test]
-    fn killed_checkpointed_run_resumes_to_the_identical_report() {
-        let config = ProbeConfig { spins: 30_000_000 };
-        let opts = RunOptions {
-            trials: Some(12),
-            threads: Some(2),
-            ..RunOptions::default()
-        };
-        let reference = run_scenario(&RecycledProbe, &config, &opts);
-
-        // First life: run until the first persist, then "die" holding
-        // only what persist saw — exactly what a kill leaves on disk.
-        let mut first = checkpoint_manifest(&RecycledProbe, &config, &opts);
-        let mut saved: Option<String> = None;
-        let salvaged = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_scenario_checkpointed(&RecycledProbe, &config, &opts, &mut first, |m| {
-                if saved.is_none() {
-                    saved = Some(m.to_json());
-                    panic!("killed");
-                }
-            })
-        }));
-        assert!(salvaged.is_err(), "the kill must interrupt the run");
-        let saved = saved.expect("one wave persisted before the kill");
-
-        // Second life: load the persisted manifest, validate it against
-        // the run geometry, and resume.
-        let mut revived: exec::ChunkManifest<(u64, TrialStats)> =
-            exec::ChunkManifest::from_json(&saved).expect("parses");
-        let fresh = checkpoint_manifest(&RecycledProbe, &config, &opts);
-        assert!(revived.matches(fresh.experiment_seed(), fresh.trials(), fresh.chunk()));
-        assert!(!revived.is_complete(), "the kill left work behind");
-        let resumed =
-            run_scenario_checkpointed(&RecycledProbe, &config, &opts, &mut revived, |_| {});
-        assert_eq!(resumed, reference);
-        assert_eq!(
-            serde_json::to_string(&resumed.summary).expect("serializable"),
-            serde_json::to_string(&reference.summary).expect("serializable"),
-        );
-    }
-
-    /// A scenario that records the chunk partition its `run_batch` sees,
-    /// so tests can observe the untraced driver's actual geometry.
-    struct ChunkSpy {
-        chunks: std::sync::Mutex<Vec<(usize, usize)>>,
-    }
-
-    impl Scenario for ChunkSpy {
-        type Config = ProbeConfig;
-        type TrialOutput = u64;
-        type Summary = ProbeSummary;
-
-        fn name(&self) -> &'static str {
-            "chunk_spy"
-        }
-
-        fn describe(&self) -> &'static str {
-            "records the chunk partition the driver hands run_batch"
-        }
-
-        fn experiment_seed(&self, _config: &ProbeConfig, requested: Option<u64>) -> u64 {
-            requested.unwrap_or(0x5CE0)
-        }
-
-        fn trial_count(&self, _config: &ProbeConfig, requested: Option<usize>) -> usize {
-            requested.unwrap_or(3)
-        }
-
-        fn build_machine(&self, _config: &ProbeConfig, ctx: &TrialCtx) -> Machine {
-            Machine::new(MachineConfig::xiaomi_air13(), ctx.seed)
-        }
-
-        fn run_trial(&self, _config: &ProbeConfig, _machine: &mut Machine, ctx: &TrialCtx) -> u64 {
-            ctx.seed
-        }
-
-        fn run_batch(
-            &self,
-            config: &ProbeConfig,
-            ctxs: &[TrialCtx],
-            fault_override: Option<FaultPlan>,
-        ) -> Vec<(u64, TrialStats)> {
-            self.chunks
-                .lock()
-                .unwrap()
-                .push((ctxs[0].index, ctxs.len()));
-            ctxs.iter()
-                .map(|ctx| {
-                    let mut machine = self.build_machine(config, ctx);
-                    if let Some(plan) = fault_override {
-                        machine.set_fault_plan(Some(plan));
-                    }
-                    (
-                        self.run_trial(config, &mut machine, ctx),
-                        TrialStats::of(&machine),
-                    )
-                })
-                .collect()
-        }
-
-        fn summarize(&self, _config: &ProbeConfig, outputs: &[u64]) -> ProbeSummary {
-            ProbeSummary {
-                seeds: outputs.to_vec(),
-            }
-        }
-    }
-
-    /// Satellite of the campaign PR: the chunk geometry is resolved in
-    /// exactly one place ([`run_geometry`]), so the untraced driver, the
-    /// fresh manifest, and the checkpointed driver can never drift.
-    #[test]
-    fn geometry_is_shared_by_driver_manifest_and_checkpointed_run() {
+    fn geometry_resolves_seed_trials_threads_and_chunk() {
         let config = ProbeConfig::default();
         for (trials, threads) in [(3usize, 1usize), (12, 2), (37, 4), (1, 8)] {
             let opts = RunOptions {
@@ -1128,36 +923,12 @@ mod tests {
                 threads: Some(threads),
                 ..RunOptions::default()
             };
-            let geometry = run_geometry(&ChunkSpy::default(), &config, &opts);
+            let geometry = run_geometry(&Probe, &config, &opts);
             assert_eq!(geometry.experiment_seed, 0x5CE0);
             assert_eq!(geometry.trials, trials);
             assert_eq!(geometry.threads, threads);
             assert_eq!(geometry.chunk, trial_chunk(trials, threads));
-
-            // The fresh checkpoint manifest carries the same geometry.
-            let spy = ChunkSpy::default();
-            let manifest = checkpoint_manifest(&spy, &config, &opts);
-            assert!(geometry.matches(&manifest));
-            assert!(manifest.matches(geometry.experiment_seed, geometry.trials, geometry.chunk));
-
-            // And the untraced driver partitions the trials into exactly
-            // the chunks that geometry describes.
-            let _ = run_scenario(&spy, &config, &opts);
-            let mut seen = spy.chunks.lock().unwrap().clone();
-            seen.sort_unstable();
-            let expected: Vec<(usize, usize)> = (0..trials)
-                .step_by(geometry.chunk)
-                .map(|start| (start, geometry.chunk.min(trials - start)))
-                .collect();
-            assert_eq!(seen, expected, "trials {trials}, threads {threads}");
-        }
-    }
-
-    impl Default for ChunkSpy {
-        fn default() -> Self {
-            ChunkSpy {
-                chunks: std::sync::Mutex::new(Vec::new()),
-            }
+            assert!((1..=32).contains(&geometry.chunk));
         }
     }
 
@@ -1181,18 +952,5 @@ mod tests {
             "a delivery storm over {} deliveries must log faults",
             faulted.total_gt_deliveries(),
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "does not belong")]
-    fn checkpointed_run_rejects_a_foreign_manifest() {
-        let config = ProbeConfig { spins: 30_000_000 };
-        let opts = RunOptions {
-            trials: Some(12),
-            threads: Some(2),
-            ..RunOptions::default()
-        };
-        let mut manifest = exec::ChunkManifest::new(0xBAD, 99, 1);
-        let _ = run_scenario_checkpointed(&RecycledProbe, &config, &opts, &mut manifest, |_| {});
     }
 }

@@ -57,10 +57,18 @@ grep -q "nesting too deep" target/ci.deep.err || {
 }
 "$SEGSCOPE" list >/dev/null
 for name in $("$SEGSCOPE" list --names); do
-    echo "--> segscope run $name"
+    echo "--> segscope run $name (untraced, then traced on 2 threads)"
     # Repetition scenarios take --trials 2; structured ones (trial count
     # fixed by the config) ignore it and run their quick() defaults.
-    "$SEGSCOPE" run "$name" --trials 2 >/dev/null
+    # Traced and untraced runs share one trial body, so their reports
+    # must be byte-identical.
+    "$SEGSCOPE" run "$name" --trials 2 --report "target/ci.$name.report.json" >/dev/null
+    "$SEGSCOPE" run "$name" --trials 2 --threads 2 --trace-out "target/ci.$name.trace.json" \
+        --report "target/ci.$name.traced.report.json" >/dev/null
+    cmp "target/ci.$name.report.json" "target/ci.$name.traced.report.json" || {
+        echo "segscope run $name: traced report differs from the untraced one" >&2
+        exit 1
+    }
 done
 
 echo "==> enclave scenarios + countermeasure smoke (release)"
@@ -164,9 +172,11 @@ require_keys target/BENCH_serve.json sessions steps_per_session arms sequential 
     accuracy_delta eval_examples threads multi_core full_scale note
 
 echo "==> segscope campaign smoke: sweep, kill, resume, report"
-# A 2-scenario x 2-preset grid: run it whole, then kill a second copy
+# A 2-scenario x 2-preset grid: run it whole, then stop a second copy
 # mid-run, resume it at a different shard count, and require the two
-# report files byte-identical. Also gates the report JSON schema.
+# report files byte-identical. Also gates the report JSON schema. (The
+# real-SIGKILL and corrupted-manifest evidence is tests/campaign_kill.rs,
+# run by `cargo test` above.)
 CAMP_SPEC='{"name":"ci-smoke","seed":193,
   "scenarios":[{"scenario":"kaslr","params":null},{"scenario":"covert","params":null}],
   "presets":["lenovo_yangtian","amazon_t2_large"],

@@ -74,8 +74,10 @@ CAMPAIGN OPTIONS (run, resume):
 
 A campaign directory holds spec.json (the resolved grid), manifest.json
 (per-cell progress, rewritten after every wave), and report.json (the
-merged result, written on completion). Reports are bit-identical at any
---shards/--threads value and across any kill/resume schedule.
+merged result, written on completion). Every file is written through a
+temporary file and renamed into place, so a kill never truncates one.
+Reports are bit-identical at any --shards/--threads value and across
+any kill/resume schedule.
 
 RUN OPTIONS:
     --seed N           Experiment seed override (default: the scenario's)
@@ -413,16 +415,14 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     let report_json = serde_json::to_string(&run.report).map_err(|e| e.to_string())?;
     println!("{report_json}");
     if let Some(path) = &parsed.report_out {
-        std::fs::write(path, format!("{report_json}\n"))
-            .map_err(|e| format!("cannot write report to `{path}`: {e}"))?;
+        write_file(path, format!("{report_json}\n"))?;
     }
     if let Some(path) = &parsed.trace_out {
         let sink = run
             .sink
             .as_ref()
             .ok_or_else(|| "no trace collected (is --capacity 0?)".to_owned())?;
-        std::fs::write(path, obs::export::chrome_trace(sink))
-            .map_err(|e| format!("cannot write trace to `{path}`: {e}"))?;
+        write_file(path, obs::export::chrome_trace(sink))?;
     }
     Ok(())
 }
@@ -494,8 +494,7 @@ fn cmd_snapshot(args: &[String]) -> Result<(), String> {
     let out = out.ok_or_else(|| "`segscope snapshot` needs --out PATH".to_owned())?;
     let recording = replay::record(&spec, every)?;
     let json = serde_json::to_string(&recording).map_err(|e| e.to_string())?;
-    std::fs::write(&out, json + "\n")
-        .map_err(|e| format!("cannot write recording to `{out}`: {e}"))?;
+    write_file(&out, json + "\n")?;
     println!(
         "recorded {} events over {} spans ({} snapshot rungs, digest {:#018x}) -> {out}",
         recording.events.len(),
@@ -669,8 +668,26 @@ fn read_campaign_manifest(path: &str) -> Result<CampaignManifest, String> {
     CampaignManifest::from_json(&text).map_err(|e| format!("`{path}`: {e}"))
 }
 
+/// Writes `contents` to `path` atomically: into `PATH.tmp`, fsynced,
+/// renamed over `path`, then the directory fsynced so the rename itself
+/// is durable. A kill at any instant leaves either the old file or the
+/// new one in place, never a truncated one — which is what lets
+/// `campaign resume` trust `manifest.json` after a `SIGKILL`.
 fn write_file(path: &str, contents: String) -> Result<(), String> {
-    std::fs::write(path, contents).map_err(|e| format!("cannot write `{path}`: {e}"))
+    use std::io::Write as _;
+    let tmp = format!("{path}.tmp");
+    let error = |e: std::io::Error| format!("cannot write `{path}`: {e}");
+    let mut file = std::fs::File::create(&tmp).map_err(error)?;
+    file.write_all(contents.as_bytes()).map_err(error)?;
+    file.sync_all().map_err(error)?;
+    std::fs::rename(&tmp, path).map_err(error)?;
+    let dir = match std::path::Path::new(path).parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => std::path::Path::new("."),
+    };
+    std::fs::File::open(dir)
+        .and_then(|dir| dir.sync_all())
+        .map_err(error)
 }
 
 /// Runs (or resumes) the campaign in `dir`, persisting the manifest

@@ -9,22 +9,27 @@
 //!    64, produces the same probe samples, the same [`FaultLog`]s, the
 //!    same ground-truth records, and the same final RNG positions as a
 //!    fresh [`Machine`] per trial.
-//! 2. A scenario's recycled-lane `run_batch` override (the KASLR break)
-//!    matches the per-trial `build_machine` + `run_trial` path at the
-//!    same chunk sizes, output for output and delivery for delivery.
+//! 2. Every registered scenario's `run_batch` — the driver's recycled
+//!    chunk body — matches the fresh-machine `build_machine` +
+//!    `run_trial` path at chunk sizes 1, 4, and 17, output for output
+//!    and delivery for delivery. All eleven run back to back on one
+//!    thread, so the lane crosses every scenario's machine config.
 //!
 //! [`FaultLog`]: segscope_repro::segsim::FaultLog
-
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use segscope_repro::attacks::kaslr::{KaslrConfig, KaslrScenario, KaslrScenarioConfig};
+use segscope_repro::attacks::{
+    aexcount, circl, covert, dnnsteal, heckler, kaslr, keystroke, procfp, spectral, spectre,
+    website,
+};
 use segscope_repro::irq::time::Ps;
 use segscope_repro::irq::IrqRecord;
 use segscope_repro::replay::first_divergence;
-use segscope_repro::scenario::{with_recycled_machine, Scenario, TrialCtx};
+use segscope_repro::scenario::{with_recycled_machine, Scenario, TrialCtx, TrialStats};
 use segscope_repro::segsim::{FaultLog, FaultPlan, Machine, MachineConfig};
 use segscope_repro::x86seg::Selector;
+use std::fmt::Debug;
 
 /// The sequence/chunk sizes recycling must be transparent at: a
 /// degenerate single trial, a small chunk, a prime that never divides the
@@ -127,46 +132,189 @@ proptest! {
     }
 }
 
-/// The KASLR scenario's recycled-lane `run_batch` override returns the
-/// same outputs and ground-truth delivery counts as the per-trial
-/// fresh-machine path, at every required chunk size.
-#[test]
-fn scenario_run_batch_matches_per_trial_path_at_required_sizes() {
-    let scenario = KaslrScenario;
-    let config = KaslrScenarioConfig {
-        machine: MachineConfig::lenovo_yangtian(),
-        attack: KaslrConfig {
-            slots: 8,
-            c: 1,
-            k: 8,
-            calibration: 16,
-            ..KaslrConfig::paper_default()
-        },
-    };
-    for &size in &REQUIRED_SIZES {
-        let ctxs: Vec<TrialCtx> = (0..size)
-            .map(|index| TrialCtx {
-                index,
-                seed: segscope_repro::exec::derive_seed(0xBA7C_9A51, index as u64),
+/// Chunk sizes the scenario chunk body must be transparent at.
+const CHUNK_SIZES: [usize; 3] = [1, 4, 17];
+
+/// Runs `scenario`'s `run_batch` over consecutive chunks of
+/// [`CHUNK_SIZES`] trials on this thread and checks every
+/// `(output, stats)` pair against a fresh `build_machine` + `run_trial`.
+/// Trial indices wrap at the scenario's trial count, so structured
+/// scenarios only see indices their config defines. Returns the name.
+fn assert_batch_matches_fresh<S>(
+    scenario: &S,
+    config: &S::Config,
+    fault_override: Option<FaultPlan>,
+) -> &'static str
+where
+    S: Scenario,
+    S::TrialOutput: PartialEq + Debug,
+{
+    let name = scenario.name();
+    let trials = scenario.trial_count(config, Some(CHUNK_SIZES.iter().sum()));
+    let mut next = 0;
+    for &size in &CHUNK_SIZES {
+        let ctxs: Vec<TrialCtx> = (next..next + size)
+            .map(|k| TrialCtx {
+                index: k % trials,
+                seed: segscope_repro::exec::derive_seed(0xBA7C_9A51, k as u64),
                 experiment_seed: 0xBA7C_9A51,
             })
             .collect();
-        let batched = scenario.run_batch(&config, &ctxs, None);
-        let reference: Vec<_> = ctxs
+        next += size;
+        let batched = scenario.run_batch(config, &ctxs, fault_override);
+        let fresh: Vec<_> = ctxs
             .iter()
             .map(|ctx| {
-                let mut machine = scenario.build_machine(&config, ctx);
-                let output = scenario.run_trial(&config, &mut machine, ctx);
-                (output, segscope_repro::scenario::TrialStats::of(&machine))
+                let mut machine = scenario.build_machine(config, ctx);
+                if let Some(plan) = fault_override {
+                    machine.set_fault_plan(Some(plan));
+                }
+                let output = scenario.run_trial(config, &mut machine, ctx);
+                (output, TrialStats::of(&machine))
             })
             .collect();
-        if let Some(at) = first_divergence(&batched, &reference) {
+        if let Some(at) = first_divergence(&batched, &fresh) {
             panic!(
-                "chunk size {size}: first divergence at trial {at}\n  \
-                 batched:   {:?}\n  per-trial: {:?}",
+                "{name}, chunk size {size}: first divergence at trial {at}\n  \
+                 batched: {:?}\n  fresh:   {:?}",
                 batched.get(at),
-                reference.get(at),
+                fresh.get(at),
             );
         }
     }
+    name
+}
+
+/// Every registered scenario's recycled chunk body returns the same
+/// outputs and trial stats as the fresh-machine path, at every required
+/// chunk size, with the lane carried from one scenario to the next.
+#[test]
+fn scenario_run_batch_matches_per_trial_path_at_required_sizes() {
+    let xiaomi = MachineConfig::xiaomi_air13();
+    let mut ran = vec![
+        assert_batch_matches_fresh(
+            &kaslr::KaslrScenario,
+            &kaslr::KaslrScenarioConfig {
+                machine: MachineConfig::lenovo_yangtian(),
+                attack: kaslr::KaslrConfig {
+                    slots: 8,
+                    c: 1,
+                    k: 8,
+                    calibration: 16,
+                    ..kaslr::KaslrConfig::paper_default()
+                },
+            },
+            None,
+        ),
+        assert_batch_matches_fresh(
+            &covert::CovertScenario,
+            &covert::CovertScenarioConfig {
+                channel: covert::CovertConfig {
+                    preamble_bits: 2,
+                    ..covert::CovertConfig::fast()
+                },
+                payload: "101".to_owned(),
+            },
+            Some(FaultPlan::delivery_storm()),
+        ),
+        assert_batch_matches_fresh(
+            &spectre::SpectreScenario,
+            &spectre::SpectreScenarioConfig {
+                attack: spectre::SpectreConfig {
+                    gadgets: 4,
+                    calibration: 8,
+                    candidates: 96,
+                    ..spectre::SpectreConfig::quick()
+                },
+                secret: "S".to_owned(),
+            },
+            None,
+        ),
+        assert_batch_matches_fresh(
+            &circl::CirclScenario,
+            &circl::CirclConfig {
+                key_bits: 4,
+                samples_per_challenge: 2,
+                calibration: 2,
+                ..circl::CirclConfig::quick()
+            },
+            None,
+        ),
+        assert_batch_matches_fresh(
+            &spectral::SpectralScenario,
+            &spectral::SpectralScenarioConfig {
+                bits: 24,
+                ..spectral::SpectralScenarioConfig::default()
+            },
+            None,
+        ),
+        assert_batch_matches_fresh(
+            &aexcount::AexCountScenario,
+            &aexcount::AexCountConfig {
+                machine: xiaomi.clone(),
+                ..aexcount::AexCountConfig::quick()
+            },
+            Some(FaultPlan::timing_storm()),
+        ),
+        assert_batch_matches_fresh(
+            &heckler::HecklerScenario,
+            &heckler::HecklerConfig {
+                windows: 3,
+                ..heckler::HecklerConfig::quick()
+            },
+            None,
+        ),
+        assert_batch_matches_fresh(
+            &keystroke::KeystrokeScenario,
+            &keystroke::KeystrokeConfig {
+                users: 2,
+                enroll_sessions: 1,
+                test_sessions: 1,
+                keys_per_session: 6,
+                ..keystroke::KeystrokeConfig::quick()
+            },
+            None,
+        ),
+        assert_batch_matches_fresh(
+            &procfp::ProcFpScenario,
+            &procfp::ProcFpConfig {
+                enroll: 1,
+                test: 1,
+                window: Ps::from_ms(40),
+                probes: 40,
+                ..procfp::ProcFpConfig::quick()
+            },
+            None,
+        ),
+        assert_batch_matches_fresh(
+            &website::WebsiteScenario,
+            &website::WebsiteFpConfig {
+                n_sites: 2,
+                traces_per_site: 2,
+                trace_len: 48,
+                ..website::WebsiteFpConfig::quick(
+                    website::Browser::Chrome,
+                    website::Setting::Default,
+                )
+            },
+            None,
+        ),
+        assert_batch_matches_fresh(
+            &dnnsteal::DnnStealScenario,
+            &dnnsteal::DnnStealConfig {
+                train_models: 2,
+                test_models: 1,
+                ..dnnsteal::DnnStealConfig::quick()
+            },
+            None,
+        ),
+    ];
+    let mut registered: Vec<&str> = segscope_repro::attacks::registry()
+        .entries()
+        .iter()
+        .map(|s| s.name())
+        .collect();
+    ran.sort_unstable();
+    registered.sort_unstable();
+    assert_eq!(ran, registered, "every registered scenario is covered");
 }
