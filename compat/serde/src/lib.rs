@@ -20,6 +20,7 @@
 //!   non-string keys like `InterruptKind` lossless)
 
 use std::cmp::Reverse;
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BinaryHeap};
 use std::fmt;
 
@@ -291,17 +292,20 @@ impl<K: Serialize, V: Serialize> Serialize for BTreeMap<K, V> {
 
 impl<K: Deserialize + Ord, V: Deserialize> Deserialize for BTreeMap<K, V> {
     fn from_value(value: &Value) -> Result<Self, Error> {
-        value
-            .as_seq()?
-            .iter()
-            .map(|pair| {
-                let pair = pair.as_seq()?;
-                if pair.len() != 2 {
-                    return Err(Error::custom("map entry is not a [key, value] pair"));
+        let mut map = BTreeMap::new();
+        for pair in value.as_seq()? {
+            let pair = pair.as_seq()?;
+            if pair.len() != 2 {
+                return Err(Error::custom("map entry is not a [key, value] pair"));
+            }
+            match map.entry(K::from_value(&pair[0])?) {
+                Entry::Occupied(_) => return Err(Error::custom("duplicate map key")),
+                Entry::Vacant(slot) => {
+                    slot.insert(V::from_value(&pair[1])?);
                 }
-                Ok((K::from_value(&pair[0])?, V::from_value(&pair[1])?))
-            })
-            .collect()
+            }
+        }
+        Ok(map)
     }
 }
 
@@ -449,6 +453,19 @@ mod tests {
         map.insert(String::from("a"), (1usize, 2.0f64));
         map.insert(String::from("b"), (3usize, 4.0f64));
         round(map);
+    }
+
+    #[test]
+    fn duplicate_map_keys_error() {
+        let pair = |k: i128, v: i128| Value::Seq(vec![Value::Int(k), Value::Int(v)]);
+        let twice = Value::Seq(vec![pair(1, 10), pair(2, 20), pair(1, 10)]);
+        let err = BTreeMap::<u8, u8>::from_value(&twice).unwrap_err();
+        assert_eq!(err.to_string(), "duplicate map key");
+        let once = Value::Seq(vec![pair(1, 10), pair(2, 20)]);
+        assert_eq!(
+            BTreeMap::<u8, u8>::from_value(&once).map(|m| m.len()),
+            Ok(2)
+        );
     }
 
     #[test]

@@ -338,9 +338,13 @@ impl<'a> Parser<'a> {
                 return Ok(Value::Int(i));
             }
         }
-        text.parse::<f64>()
-            .map(Value::Float)
-            .map_err(|_| Error::new(format!("invalid number `{text}`")))
+        // A literal past f64's range (`1e999`) parses to infinity, which
+        // the writer refuses to emit; reject it here too, so everything
+        // read back can be written again.
+        match text.parse::<f64>() {
+            Ok(f) if f.is_finite() => Ok(Value::Float(f)),
+            _ => Err(Error::new(format!("invalid number `{text}`"))),
+        }
     }
 }
 
@@ -385,6 +389,9 @@ mod tests {
         assert!(from_str::<u64>("{").is_err());
         assert!(from_str::<u64>("\"unterminated").is_err());
         assert!(to_string(&f64::NAN).is_err());
+        assert!(from_str::<f64>("1e999").is_err());
+        assert!(from_str::<f64>("-1e999").is_err());
+        assert!(from_str::<f64>("1e-999").is_ok());
     }
 
     #[test]

@@ -31,7 +31,9 @@
 //! campaign resumes by reloading the manifest and calling
 //! [`run_campaign`] again, which executes only the missing cells. The
 //! manifest carries the spec's FNV digest so it can never be resumed
-//! under a different grid.
+//! under a different grid. A caller that persists a wave by appending
+//! only its new cells writes them with [`CampaignManifest::log_line`]
+//! and loads them back with [`CampaignManifest::replay_log`].
 
 mod report;
 mod spec;
@@ -195,8 +197,8 @@ impl CampaignManifest {
         self.cells.remaining_chunks()
     }
 
-    /// Serializes the manifest to JSON (what the CLI persists after
-    /// every wave).
+    /// Serializes the manifest to JSON (what the CLI writes when it
+    /// starts a campaign and when it compacts the cell log).
     #[must_use]
     pub fn to_json(&self) -> String {
         serde_json::to_string(self).expect("campaign manifests are serializable")
@@ -215,14 +217,72 @@ impl CampaignManifest {
             serde_json::from_str(json).map_err(|e| CampaignError::Parse(e.to_string()))?;
         manifest.cells.validate().map_err(CampaignError::Parse)?;
         for (cell, results) in manifest.cells.completed() {
-            if let Some(result) = results.iter().find(|r| r.index != cell) {
-                return Err(CampaignError::Parse(format!(
-                    "chunk {cell} records the result of cell {}",
-                    result.index
-                )));
-            }
+            check_index(cell, results).map_err(CampaignError::Parse)?;
         }
         Ok(manifest)
+    }
+
+    /// One line of a cell log: `result`'s `[cell, [result]]` entry —
+    /// the format of the manifest's `completed` list — and a `\n`.
+    #[must_use]
+    pub fn log_line(result: &CellResult) -> String {
+        serde_json::to_string(&(result.index, [result])).expect("cell results are serializable")
+            + "\n"
+    }
+
+    /// Records the cells of a log of [`log_line`](Self::log_line)s, as
+    /// appended after every wave, on top of this (compacted) manifest.
+    ///
+    /// Every line passes the checks of [`from_json`](Self::from_json). A
+    /// final line without its `\n` is an append the writer did not
+    /// finish: it is dropped, and its cells count as not run. A cell
+    /// logged again with an equal result (a crash between compacting
+    /// the log into the manifest and removing it) is skipped. Returns
+    /// whether a torn final line was dropped.
+    ///
+    /// # Errors
+    ///
+    /// [`CampaignError::Parse`] naming the first bad line (1-based) —
+    /// malformed, invalid UTF-8, failing a shape check, or recording a
+    /// cell already held with a different result; the manifest is then
+    /// left with the lines before it recorded.
+    pub fn replay_log(&mut self, log: &[u8]) -> Result<bool, CampaignError> {
+        let complete = log
+            .iter()
+            .rposition(|&b| b == b'\n')
+            .map_or(0, |end| end + 1);
+        for (n, line) in log[..complete].split_inclusive(|&b| b == b'\n').enumerate() {
+            self.replay_line(&line[..line.len() - 1])
+                .map_err(|e| CampaignError::Parse(format!("line {}: {e}", n + 1)))?;
+        }
+        Ok(complete < log.len())
+    }
+
+    /// Records one log line (without its `\n`).
+    fn replay_line(&mut self, line: &[u8]) -> Result<(), String> {
+        let text = std::str::from_utf8(line).map_err(|_| "invalid UTF-8".to_owned())?;
+        let (cell, results): (usize, Vec<CellResult>) =
+            serde_json::from_str(text).map_err(|e| e.to_string())?;
+        self.cells.check_chunk(cell, results.len())?;
+        check_index(cell, &results)?;
+        match self.cells.chunk(cell) {
+            Some(held) if held == results.as_slice() => Ok(()),
+            Some(_) => Err(format!(
+                "chunk {cell} is recorded twice with different results"
+            )),
+            None => self.cells.try_record_chunk(cell, results),
+        }
+    }
+}
+
+/// Checks that every result recorded under cell `cell` is that cell's.
+fn check_index(cell: usize, results: &[CellResult]) -> Result<(), String> {
+    match results.iter().find(|r| r.index != cell) {
+        Some(result) => Err(format!(
+            "chunk {cell} records the result of cell {}",
+            result.index
+        )),
+        None => Ok(()),
     }
 }
 
@@ -718,6 +778,103 @@ mod tests {
                 other => panic!("expected a parse error naming `{expected}`, got {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn a_manifest_repeating_a_cell_is_rejected() {
+        let (good, r) = one_wave_manifest();
+        let once = entry(1, &r[1..2]);
+        let twice = good.replace(&once, &format!("{once},{once}"));
+        assert_ne!(twice, good, "the repetition must apply");
+        match CampaignManifest::from_json(&twice) {
+            Err(CampaignError::Parse(message)) => {
+                assert!(message.contains("duplicate map key"), "{message}");
+            }
+            other => panic!("expected a duplicate-key error, got {other:?}"),
+        }
+    }
+
+    fn log_of(results: &[CellResult]) -> String {
+        results.iter().map(CampaignManifest::log_line).collect()
+    }
+
+    fn replay(base: &CampaignManifest, log: &[u8]) -> Result<(CampaignManifest, bool), String> {
+        let mut manifest = base.clone();
+        match manifest.replay_log(log) {
+            Ok(torn) => Ok((manifest, torn)),
+            Err(CampaignError::Parse(message)) => Err(message),
+            Err(other) => panic!("replay errs with Parse only, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn replaying_the_cell_log_rebuilds_the_manifest() {
+        let (good, r) = one_wave_manifest();
+        let wave = CampaignManifest::from_json(&good).expect("parses");
+        let empty = CampaignManifest::new(&small_spec());
+        for result in &r {
+            let line = CampaignManifest::log_line(result);
+            assert!(line.ends_with('\n'));
+            assert!(
+                good.contains(line.trim_end()),
+                "a log line is the manifest's own entry"
+            );
+        }
+        let log = log_of(&r);
+        assert_eq!(replay(&empty, log.as_bytes()), Ok((wave.clone(), false)));
+        assert_eq!(replay(&empty, b""), Ok((empty.clone(), false)));
+        // The whole log again on top of its compaction: every cell is a
+        // duplicate with an equal result.
+        assert_eq!(replay(&wave, log.as_bytes()), Ok((wave.clone(), false)));
+    }
+
+    #[test]
+    fn corrupted_log_lines_are_rejected_naming_the_line_and_chunk() {
+        let (_, r) = one_wave_manifest();
+        let empty = CampaignManifest::new(&small_spec());
+        let mut conflicting = r[1].clone();
+        conflicting.replicate += 1;
+        let head = log_of(&r[..2]);
+        let cases = [
+            (entry(0, &[]), "line 3: chunk 0 holds 0 outputs"),
+            (
+                entry(1, &[r[1].clone(), r[1].clone()]),
+                "line 3: chunk 1 holds 2 outputs",
+            ),
+            (entry(8, &r[2..]), "line 3: chunk 8 is out of range"),
+            (
+                entry(2, &r[1..2]),
+                "line 3: chunk 2 records the result of cell 1",
+            ),
+            (
+                entry(1, &[conflicting]),
+                "line 3: chunk 1 is recorded twice with different results",
+            ),
+            (String::new(), "line 3: unexpected character"),
+            ("[".repeat(10_000), "line 3: nesting too deep"),
+            (
+                format!("{},", entry(2, &r[2..])),
+                "line 3: trailing characters",
+            ),
+        ];
+        for (line, expected) in cases {
+            let log = format!("{head}{line}\n");
+            match replay(&empty, log.as_bytes()) {
+                Err(message) => {
+                    assert!(
+                        message.starts_with(expected),
+                        "`{message}` is not `{expected}`"
+                    );
+                }
+                Ok(_) => panic!("accepted a log whose line 3 should fail with `{expected}`"),
+            }
+        }
+        let mut invalid_utf8 = head.into_bytes();
+        invalid_utf8.extend_from_slice(b"[2,\xff]\n");
+        assert_eq!(
+            replay(&empty, &invalid_utf8),
+            Err("line 3: invalid UTF-8".to_owned())
+        );
     }
 
     #[test]

@@ -16,6 +16,7 @@
 
 use crate::derive_seed;
 use serde::{Deserialize, Serialize};
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 /// Progress record of a chunked trial run: geometry plus the outputs of
@@ -73,6 +74,12 @@ impl<T> ChunkManifest<T> {
         self.completed.iter().map(|(&c, outputs)| (c, &outputs[..]))
     }
 
+    /// The outputs of chunk `c`, if it has completed.
+    #[must_use]
+    pub fn chunk(&self, c: usize) -> Option<&[T]> {
+        self.completed.get(&c).map(Vec::as_slice)
+    }
+
     /// The trial-index range `[start, end)` of chunk `c`.
     fn chunk_range(&self, c: usize) -> (usize, usize) {
         let start = c * self.chunk;
@@ -92,19 +99,57 @@ impl<T> ChunkManifest<T> {
     ///
     /// # Panics
     ///
-    /// Panics on an out-of-range index, an arity mismatch, or a chunk
-    /// recorded twice — all three indicate a resume against the wrong
-    /// manifest.
+    /// Panics where [`try_record_chunk`](Self::try_record_chunk) errs:
+    /// an out-of-range index, an arity mismatch, or a chunk recorded
+    /// twice — all three indicate a resume against the wrong manifest.
     pub fn record_chunk(&mut self, c: usize, outputs: Vec<T>) {
-        assert!(c < self.total_chunks(), "chunk {c} out of range");
+        if let Err(message) = self.try_record_chunk(c, outputs) {
+            panic!("{message}");
+        }
+    }
+
+    /// [`record_chunk`](Self::record_chunk) for outputs that did not come
+    /// from this run (ones decoded from disk): the same checks, as errors.
+    ///
+    /// # Errors
+    ///
+    /// The [`check_chunk`](Self::check_chunk) message, or one naming a
+    /// chunk that is already recorded; the manifest is left unchanged.
+    pub fn try_record_chunk(&mut self, c: usize, outputs: Vec<T>) -> Result<(), String> {
+        self.check_chunk(c, outputs.len())?;
+        match self.completed.entry(c) {
+            Entry::Occupied(_) => Err(format!("chunk {c} is recorded twice")),
+            Entry::Vacant(slot) => {
+                slot.insert(outputs);
+                Ok(())
+            }
+        }
+    }
+
+    /// Checks that chunk `c` is in range and that `outputs` is its
+    /// trial count.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the chunk, or a zero chunk size.
+    pub fn check_chunk(&self, c: usize, outputs: usize) -> Result<(), String> {
+        if self.chunk == 0 {
+            return Err("manifest chunk size must be at least 1".to_owned());
+        }
+        let total = self.total_chunks();
+        if c >= total {
+            return Err(format!(
+                "chunk {c} is out of range (the run has {total} chunks)"
+            ));
+        }
         let (start, end) = self.chunk_range(c);
-        assert_eq!(
-            outputs.len(),
-            end - start,
-            "chunk {c} must record one output per trial"
-        );
-        let previous = self.completed.insert(c, outputs);
-        assert!(previous.is_none(), "chunk {c} recorded twice");
+        if outputs != end - start {
+            return Err(format!(
+                "chunk {c} holds {outputs} outputs, expected {}",
+                end - start
+            ));
+        }
+        Ok(())
     }
 
     /// Whether this manifest belongs to the run described by
@@ -147,23 +192,9 @@ impl<T> ChunkManifest<T> {
         if self.chunk == 0 {
             return Err("manifest chunk size must be at least 1".to_owned());
         }
-        let total = self.total_chunks();
-        for (&c, outputs) in &self.completed {
-            if c >= total {
-                return Err(format!(
-                    "chunk {c} is out of range (the run has {total} chunks)"
-                ));
-            }
-            let (start, end) = self.chunk_range(c);
-            if outputs.len() != end - start {
-                return Err(format!(
-                    "chunk {c} holds {} outputs, expected {}",
-                    outputs.len(),
-                    end - start
-                ));
-            }
-        }
-        Ok(())
+        self.completed
+            .iter()
+            .try_for_each(|(&c, outputs)| self.check_chunk(c, outputs.len()))
     }
 }
 

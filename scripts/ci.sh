@@ -175,7 +175,7 @@ echo "==> segscope campaign smoke: sweep, kill, resume, report"
 # A 2-scenario x 2-preset grid: run it whole, then stop a second copy
 # mid-run, resume it at a different shard count, and require the two
 # report files byte-identical. Also gates the report JSON schema. (The
-# real-SIGKILL and corrupted-manifest evidence is tests/campaign_kill.rs,
+# real-SIGKILL and corrupted-cell-log evidence is tests/campaign_kill.rs,
 # run by `cargo test` above.)
 CAMP_SPEC='{"name":"ci-smoke","seed":193,
   "scenarios":[{"scenario":"kaslr","params":null},{"scenario":"covert","params":null}],
@@ -196,11 +196,26 @@ grep -q "8/8 cells complete" target/ci.camp-status.txt || {
 }
 "$SEGSCOPE" campaign run --spec target/ci-campaign.spec.json --trials 2 \
     --out target/ci-campaign-killed --shards 3 --stop-after-waves 1 >/dev/null
+# A cut run leaves its wave in cells.log, uncompacted: the 3/8 count can
+# only come from reading the log on top of the empty manifest.json.
+[[ -f target/ci-campaign-killed/cells.log ]] || {
+    echo "a cut campaign left no cells.log" >&2
+    exit 1
+}
+"$SEGSCOPE" campaign status --out target/ci-campaign-killed > target/ci.camp-status.txt
+grep -q "3/8 cells complete" target/ci.camp-status.txt || {
+    echo "campaign status does not count the cells in cells.log" >&2
+    exit 1
+}
 if "$SEGSCOPE" campaign report --out target/ci-campaign-killed >/dev/null 2>&1; then
     echo "campaign report accepted an incomplete manifest" >&2
     exit 1
 fi
 "$SEGSCOPE" campaign resume --out target/ci-campaign-killed --shards 8 >/dev/null
+[[ ! -e target/ci-campaign-killed/cells.log ]] || {
+    echo "a finished campaign kept its cells.log" >&2
+    exit 1
+}
 cmp target/ci-campaign/report.json target/ci-campaign-killed/report.json || {
     echo "killed+resumed campaign report differs from the uninterrupted one" >&2
     exit 1

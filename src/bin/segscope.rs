@@ -73,11 +73,14 @@ CAMPAIGN OPTIONS (run, resume):
     --stop-after-waves N  Checkpoint and exit after N waves (resume later)
 
 A campaign directory holds spec.json (the resolved grid), manifest.json
-(per-cell progress, rewritten after every wave), and report.json (the
-merged result, written on completion). Every file is written through a
-temporary file and renamed into place, so a kill never truncates one.
-Reports are bit-identical at any --shards/--threads value and across
-any kill/resume schedule.
+(the compacted per-cell progress), cells.log (the cells of every wave
+since, one JSON line each, appended and synced after every wave), and
+report.json (the merged result, written on completion). Completion and
+resume fold cells.log into manifest.json and remove it. Every other
+write goes through a temporary file renamed into place, so a kill
+never truncates a file; a kill mid-append leaves a torn last line in
+cells.log, which resume drops and reruns. Reports are bit-identical at
+any --shards/--threads value and across any kill/resume schedule.
 
 RUN OPTIONS:
     --seed N           Experiment seed override (default: the scenario's)
@@ -637,7 +640,11 @@ fn parse_campaign_args(args: &[String], verb: &str) -> Result<CampaignArgs, Stri
                 parsed.opts.threads = Some(threads);
             }
             "--stop-after-waves" => {
-                parsed.opts.stop_after_waves = Some(parse_u64(&value()?, flag)?.max(1) as usize);
+                let waves = parse_u64(&value()?, flag)? as usize;
+                if waves == 0 {
+                    return Err("`--stop-after-waves` must be at least 1".to_owned());
+                }
+                parsed.opts.stop_after_waves = Some(waves);
             }
             other => return Err(format!("unknown flag `{other}`\n\n{USAGE}")),
         }
@@ -648,12 +655,21 @@ fn parse_campaign_args(args: &[String], verb: &str) -> Result<CampaignArgs, Stri
     Ok(parsed)
 }
 
-fn campaign_paths(dir: &str) -> (String, String, String) {
-    (
-        format!("{dir}/spec.json"),
-        format!("{dir}/manifest.json"),
-        format!("{dir}/report.json"),
-    )
+/// The files of a campaign directory.
+struct CampaignPaths {
+    spec: String,
+    manifest: String,
+    log: String,
+    report: String,
+}
+
+fn campaign_paths(dir: &str) -> CampaignPaths {
+    CampaignPaths {
+        spec: format!("{dir}/spec.json"),
+        manifest: format!("{dir}/manifest.json"),
+        log: format!("{dir}/cells.log"),
+        report: format!("{dir}/report.json"),
+    }
 }
 
 fn read_campaign_spec(path: &str) -> Result<CampaignSpec, String> {
@@ -662,10 +678,26 @@ fn read_campaign_spec(path: &str) -> Result<CampaignSpec, String> {
     CampaignSpec::from_json(&text).map_err(|e| format!("`{path}`: {e}"))
 }
 
-fn read_campaign_manifest(path: &str) -> Result<CampaignManifest, String> {
+/// Loads a campaign's progress: `manifest.json` with the cells of
+/// `cells.log` replayed on top. Also returns whether the log exists.
+fn read_campaign_manifest(paths: &CampaignPaths) -> Result<(CampaignManifest, bool), String> {
+    let path = &paths.manifest;
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read campaign manifest `{path}`: {e}"))?;
-    CampaignManifest::from_json(&text).map_err(|e| format!("`{path}`: {e}"))
+    let mut manifest = CampaignManifest::from_json(&text).map_err(|e| format!("`{path}`: {e}"))?;
+    let path = &paths.log;
+    let log = match std::fs::read(path) {
+        Ok(log) => log,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok((manifest, false)),
+        Err(e) => return Err(format!("cannot read campaign log `{path}`: {e}")),
+    };
+    if manifest
+        .replay_log(&log)
+        .map_err(|e| format!("`{path}`: {e}"))?
+    {
+        eprintln!("warning: `{path}` ends in a torn line; its cell reruns on resume");
+    }
+    Ok((manifest, true))
 }
 
 /// Writes `contents` to `path` atomically: into `PATH.tmp`, fsynced,
@@ -681,30 +713,106 @@ fn write_file(path: &str, contents: String) -> Result<(), String> {
     file.write_all(contents.as_bytes()).map_err(error)?;
     file.sync_all().map_err(error)?;
     std::fs::rename(&tmp, path).map_err(error)?;
+    sync_parent(path)
+}
+
+/// Fsyncs the directory holding `path`, making a create, rename or
+/// removal of `path` durable.
+fn sync_parent(path: &str) -> Result<(), String> {
     let dir = match std::path::Path::new(path).parent() {
         Some(dir) if !dir.as_os_str().is_empty() => dir,
         _ => std::path::Path::new("."),
     };
     std::fs::File::open(dir)
         .and_then(|dir| dir.sync_all())
-        .map_err(error)
+        .map_err(|e| format!("cannot sync the directory of `{path}`: {e}"))
 }
 
-/// Runs (or resumes) the campaign in `dir`, persisting the manifest
-/// after every wave; on completion writes `report.json` and prints the
-/// summary matrix.
+/// Removes `path` durably; a missing file is already removed.
+fn remove_file(path: &str) -> Result<(), String> {
+    match std::fs::remove_file(path) {
+        Ok(()) => sync_parent(path),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
+        Err(e) => Err(format!("cannot remove `{path}`: {e}")),
+    }
+}
+
+/// Folds `cells.log` into `manifest.json`: writes `manifest` (base plus
+/// log) atomically, then removes the log. A kill in between leaves a log
+/// whose every cell the new base already holds with an equal result,
+/// which the next load skips.
+fn compact_campaign(manifest: &CampaignManifest, paths: &CampaignPaths) -> Result<(), String> {
+    write_file(&paths.manifest, manifest.to_json() + "\n")?;
+    remove_file(&paths.log)
+}
+
+/// The append side of `cells.log`: every wave's new cells, one
+/// [`CampaignManifest::log_line`] each, synced before the next wave.
+struct CellLog {
+    path: String,
+    /// Opened (and its directory entry synced) on the first append.
+    file: Option<std::fs::File>,
+    /// Which cells the base manifest or an earlier append already holds.
+    logged: Vec<bool>,
+}
+
+impl CellLog {
+    fn new(path: String, manifest: &CampaignManifest) -> Self {
+        let mut logged = vec![false; manifest.total_cells()];
+        for (cell, _) in manifest.cells.completed() {
+            logged[cell] = true;
+        }
+        CellLog {
+            path,
+            file: None,
+            logged,
+        }
+    }
+
+    /// Appends the cells of `manifest` not yet logged and syncs them.
+    fn append_new(&mut self, manifest: &CampaignManifest) -> Result<(), String> {
+        use std::io::Write as _;
+        let mut lines = String::new();
+        for (cell, results) in manifest.cells.completed() {
+            if !std::mem::replace(&mut self.logged[cell], true) {
+                lines += &CampaignManifest::log_line(&results[0]);
+            }
+        }
+        let path = &self.path;
+        let error = |e: std::io::Error| format!("cannot append to `{path}`: {e}");
+        let file = match &mut self.file {
+            Some(file) => file,
+            None => {
+                let file = std::fs::OpenOptions::new()
+                    .create(true)
+                    .append(true)
+                    .open(path)
+                    .map_err(error)?;
+                sync_parent(path)?;
+                self.file.insert(file)
+            }
+        };
+        file.write_all(lines.as_bytes()).map_err(error)?;
+        file.sync_data().map_err(error)
+    }
+}
+
+/// Runs (or resumes) the campaign in `dir`, appending every wave's
+/// cells to `cells.log`; on completion compacts the log into
+/// `manifest.json`, writes `report.json` and prints the summary matrix.
 fn drive_campaign(
     spec: &CampaignSpec,
     opts: &CampaignOptions,
     manifest: &mut CampaignManifest,
     dir: &str,
 ) -> Result<(), String> {
-    let (_, manifest_path, report_path) = campaign_paths(dir);
+    let paths = campaign_paths(dir);
     let registry = attacks::registry();
+    let mut log = CellLog::new(paths.log.clone(), manifest);
     let mut persist_error = None;
     let outcome = campaign::run_campaign(&registry, spec, opts, manifest, |m| {
         if persist_error.is_none() {
-            persist_error = write_file(&manifest_path, m.to_json() + "\n").err();
+            persist_error = log.append_new(m).err();
         }
     })
     .map_err(|e| e.to_string())?;
@@ -714,16 +822,20 @@ fn drive_campaign(
     match outcome {
         None => {
             println!(
-                "checkpointed: {}/{} cells complete -> {manifest_path} \
+                "checkpointed: {}/{} cells complete -> {} \
                  (resume with `segscope campaign resume --out {dir}`)",
                 manifest.completed_cells(),
                 manifest.total_cells(),
+                paths.log,
             );
         }
         Some(report) => {
-            write_file(&report_path, report.to_json() + "\n")?;
+            if log.file.is_some() {
+                compact_campaign(manifest, &paths)?;
+            }
+            write_file(&paths.report, report.to_json() + "\n")?;
             print_campaign_summary(&report);
-            println!("report -> {report_path}");
+            println!("report -> {}", paths.report);
         }
     }
     Ok(())
@@ -830,13 +942,15 @@ fn cmd_campaign_run(args: &[String]) -> Result<(), String> {
         spec.trials = Some(trials);
     }
     std::fs::create_dir_all(&dir).map_err(|e| format!("cannot create `{dir}`: {e}"))?;
-    let (spec_path, manifest_path, _) = campaign_paths(&dir);
+    let paths = campaign_paths(&dir);
     // The resolved spec (with any --seed/--trials overrides baked in) is
     // persisted first, so resume/status/report always see the grid the
-    // manifest was cut for.
-    write_file(&spec_path, spec.to_json() + "\n")?;
+    // manifest was cut for. A log left by an earlier campaign in `dir`
+    // goes before the empty manifest lands, so it never replays onto it.
+    write_file(&paths.spec, spec.to_json() + "\n")?;
+    remove_file(&paths.log)?;
     let mut manifest = CampaignManifest::new(&spec);
-    write_file(&manifest_path, manifest.to_json() + "\n")?;
+    write_file(&paths.manifest, manifest.to_json() + "\n")?;
     drive_campaign(&spec, &parsed.opts, &mut manifest, &dir)
 }
 
@@ -850,21 +964,24 @@ fn cmd_campaign_resume(args: &[String]) -> Result<(), String> {
         );
     }
     let dir = parsed.out.expect("checked by parse_campaign_args");
-    let (spec_path, manifest_path, _) = campaign_paths(&dir);
+    let paths = campaign_paths(&dir);
     let spec = match &parsed.spec_path {
         Some(path) => read_campaign_spec(path)?,
-        None => read_campaign_spec(&spec_path)?,
+        None => read_campaign_spec(&paths.spec)?,
     };
-    let mut manifest = read_campaign_manifest(&manifest_path)?;
+    let (mut manifest, logged) = read_campaign_manifest(&paths)?;
+    if logged {
+        compact_campaign(&manifest, &paths)?;
+    }
     drive_campaign(&spec, &parsed.opts, &mut manifest, &dir)
 }
 
 fn cmd_campaign_status(args: &[String]) -> Result<(), String> {
     let parsed = parse_campaign_args(args, "status")?;
     let dir = parsed.out.expect("checked by parse_campaign_args");
-    let (spec_path, manifest_path, _) = campaign_paths(&dir);
-    let spec = read_campaign_spec(&spec_path)?;
-    let manifest = read_campaign_manifest(&manifest_path)?;
+    let paths = campaign_paths(&dir);
+    let spec = read_campaign_spec(&paths.spec)?;
+    let (manifest, _) = read_campaign_manifest(&paths)?;
     if !manifest.matches(&spec) {
         return Err(campaign::CampaignError::SpecMismatch.to_string());
     }
@@ -885,13 +1002,13 @@ fn cmd_campaign_status(args: &[String]) -> Result<(), String> {
 fn cmd_campaign_report(args: &[String]) -> Result<(), String> {
     let parsed = parse_campaign_args(args, "report")?;
     let dir = parsed.out.expect("checked by parse_campaign_args");
-    let (spec_path, manifest_path, report_path) = campaign_paths(&dir);
-    let spec = read_campaign_spec(&spec_path)?;
-    let manifest = read_campaign_manifest(&manifest_path)?;
+    let paths = campaign_paths(&dir);
+    let spec = read_campaign_spec(&paths.spec)?;
+    let (manifest, _) = read_campaign_manifest(&paths)?;
     let report = campaign::report_from_manifest(&spec, &manifest).map_err(|e| e.to_string())?;
-    write_file(&report_path, report.to_json() + "\n")?;
+    write_file(&paths.report, report.to_json() + "\n")?;
     print_campaign_summary(&report);
-    println!("report -> {report_path}");
+    println!("report -> {}", paths.report);
     Ok(())
 }
 

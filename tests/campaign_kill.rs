@@ -1,7 +1,7 @@
 //! Real-kill crash consistency of `segscope campaign`: a campaign killed
 //! with `SIGKILL` at a random instant resumes — at another shard count —
 //! to a report byte-identical to an uninterrupted run, and a corrupted
-//! manifest makes `campaign resume` fail naming the bad chunk instead of
+//! cell log makes `campaign resume` fail naming the bad chunk instead of
 //! reporting a wrong result.
 
 use rand::rngs::SmallRng;
@@ -57,13 +57,23 @@ fn succeed(mut command: Command) -> Output {
     output
 }
 
+/// The report of the finished campaign in `dir/out`, whose cell log
+/// must have been compacted away.
+fn finished_report(dir: &Path, out: &str) -> Vec<u8> {
+    assert!(
+        !dir.join(out).join("cells.log").exists(),
+        "{out}: a finished campaign keeps no cells.log"
+    );
+    std::fs::read(dir.join(out).join("report.json")).expect("report")
+}
+
 #[test]
 fn sigkill_at_random_instants_resumes_to_the_identical_report() {
     let dir = scratch("campaign_kill");
     let started = Instant::now();
     succeed(campaign("run", &dir, "reference", 1));
     let wall = started.elapsed();
-    let reference = std::fs::read(dir.join("reference/report.json")).expect("report");
+    let reference = finished_report(&dir, "reference");
 
     let mut rng = SmallRng::seed_from_u64(0x5161_4B11);
     for attempt in 0..8 {
@@ -81,7 +91,7 @@ fn sigkill_at_random_instants_resumes_to_the_identical_report() {
             // Killed before the first manifest landed: nothing to resume.
             succeed(campaign("run", &dir, &out, 1));
         }
-        let report = std::fs::read(dir.join(&out).join("report.json")).expect("report");
+        let report = finished_report(&dir, &out);
         assert!(
             report == reference,
             "attempt {attempt}: report after a kill at {delay:?} differs from the reference"
@@ -89,7 +99,8 @@ fn sigkill_at_random_instants_resumes_to_the_identical_report() {
     }
 }
 
-/// The `[cell, [result]]` JSON entry of one manifest chunk.
+/// The `[cell, [result]]` JSON entry of one manifest chunk — one line of
+/// the cell log without its `\n`.
 fn entry(cell: usize, results: &[CellResult]) -> String {
     serde_json::to_string(&(cell, results.to_vec())).expect("serializable")
 }
@@ -97,18 +108,27 @@ fn entry(cell: usize, results: &[CellResult]) -> String {
 #[test]
 fn corrupted_manifests_make_resume_fail_naming_the_chunk() {
     let dir = scratch("campaign_corrupt");
+    succeed(campaign("run", &dir, "reference", 3));
+    let reference = finished_report(&dir, "reference");
     let mut first_wave = campaign("run", &dir, "cut", 3);
     first_wave.args(["--stop-after-waves", "1"]);
     succeed(first_wave);
-    let manifest_path = dir.join("cut/manifest.json");
-    let good = std::fs::read_to_string(&manifest_path).expect("manifest");
-    let manifest = CampaignManifest::from_json(&good).expect("valid manifest");
+    // The wave's results are in the log; the compacted base is empty.
+    let base = std::fs::read_to_string(dir.join("cut/manifest.json")).expect("manifest");
+    let mut manifest = CampaignManifest::from_json(&base).expect("valid manifest");
+    assert_eq!(manifest.completed_cells(), 0, "a cut run does not compact");
+    let log_path = dir.join("cut/cells.log");
+    let good = std::fs::read_to_string(&log_path).expect("cell log");
+    assert_eq!(manifest.replay_log(good.as_bytes()), Ok(false));
     let r: Vec<CellResult> = manifest
         .cells
         .completed()
         .map(|(_, results)| results[0].clone())
         .collect();
     assert_eq!(r.len(), 3, "one wave of three shards");
+    let mut conflicting = r[1].clone();
+    conflicting.replicate += 1;
+    let last = entry(2, &r[2..]);
     let cases = [
         (entry(0, &r[..1]), entry(0, &[]), "chunk 0 holds 0 outputs"),
         (
@@ -116,16 +136,17 @@ fn corrupted_manifests_make_resume_fail_naming_the_chunk() {
             entry(1, &[r[1].clone(), r[1].clone()]),
             "chunk 1 holds 2 outputs",
         ),
+        (last.clone(), entry(8, &r[2..]), "chunk 8 is out of range"),
         (
-            entry(2, &r[2..]),
-            entry(8, &r[2..]),
-            "chunk 8 is out of range",
+            last.clone(),
+            format!("{last}\n{}", entry(1, &[conflicting])),
+            "line 4: chunk 1 is recorded twice with different results",
         ),
     ];
     for (from, to, expected) in cases {
         let corrupted = good.replace(&from, &to);
         assert_ne!(corrupted, good, "the corruption must apply");
-        std::fs::write(&manifest_path, corrupted).expect("manifest written");
+        std::fs::write(&log_path, corrupted).expect("log written");
         let output = campaign("resume", &dir, "cut", 2)
             .output()
             .expect("segscope runs");
@@ -133,4 +154,17 @@ fn corrupted_manifests_make_resume_fail_naming_the_chunk() {
         assert!(!output.status.success(), "resume accepted `{expected}`");
         assert!(stderr.contains(expected), "`{stderr}` lacks `{expected}`");
     }
+    // An append cut mid-line is dropped, and its cell reruns.
+    let torn = &good[..good.len() - last.len() / 2];
+    std::fs::write(&log_path, torn).expect("log written");
+    let status = succeed(campaign("status", &dir, "cut", 1));
+    assert!(
+        String::from_utf8_lossy(&status.stdout).contains("2/8 cells complete"),
+        "status counts the whole lines only"
+    );
+    succeed(campaign("resume", &dir, "cut", 2));
+    assert!(
+        finished_report(&dir, "cut") == reference,
+        "a resume past a torn line differs from the reference"
+    );
 }
