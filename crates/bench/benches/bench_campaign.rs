@@ -3,76 +3,31 @@
 //! grid, with an FNV fold of each merged report proving the sweeps are
 //! bit-identical.
 //!
-//! Writes to the path in `SEGSCOPE_BENCH_JSON` (default
-//! `BENCH_campaign.json` in the current directory). Set
-//! `SEGSCOPE_BENCH_FULL=1` for the larger grid. The ≥2x
-//! sharded-vs-serial gate arms only on multi-core hosts; single-core
-//! hosts gate report identity alone (same policy as
-//! `BENCH_parallel.json`).
+//! Writes to `SEGSCOPE_BENCH_JSON` (default `BENCH_campaign.json` at the
+//! workspace root). Set `SEGSCOPE_BENCH_FULL=1` for the larger grid. The
+//! ≥2x sharded-vs-serial gate arms only on multi-core hosts.
 
-use segscope_bench::campaign_report::{
-    bench_spec, measure_campaign, write_report, CampaignBenchReport,
-};
+use segscope_bench::sweep::{bench_spec, measure_sweep};
+use segscope_bench::BenchRecord;
 
 fn main() {
-    segscope_bench::header("Campaign engine: sharded grid-sweep throughput");
     let full = segscope_bench::full_scale();
     let spec = bench_spec(full);
-    let cores = std::thread::available_parallelism().map_or(1, usize::from);
-    println!(
-        "grid `{}`: {} cells ({} scenarios x {} presets x {} faults x {} replicates), \
-         {} host cores",
-        spec.name,
-        spec.cell_count(),
-        spec.scenarios.len(),
-        spec.presets.len(),
-        spec.faults.len(),
-        spec.replicates,
-        cores,
+    let repeats = if full { 5 } else { 3 };
+    let mut record = BenchRecord::new(
+        "campaign",
+        format!(
+            "grid `{}`: {} cells ({} scenarios x {} presets x {} faults x {} replicates), \
+             {} trials per cell, 1 thread per cell, best of {repeats} sweeps per shard count",
+            spec.name,
+            spec.cell_count(),
+            spec.scenarios.len(),
+            spec.presets.len(),
+            spec.faults.len(),
+            spec.replicates,
+            spec.trials.unwrap_or(1),
+        ),
     );
-
-    // Warmup sweep (page-in, lane construction) before the timed arms.
-    let _ = measure_campaign(&spec, 2);
-
-    let mut arms = Vec::new();
-    for shards in [1usize, 4, 8] {
-        let arm = measure_campaign(&spec, shards);
-        println!(
-            "shards {:2}: {:6.1} cells/s ({:.3}s), report digest {:#018x}",
-            arm.shards, arm.cells_per_s, arm.wall_s, arm.report_digest,
-        );
-        arms.push(arm);
-    }
-    let identical = arms
-        .iter()
-        .all(|a| a.report_digest == arms[0].report_digest);
-    println!("reports identical across shard counts: {identical}");
-
-    let note = format!(
-        "{} scale on a {}-core host; wall-clock numbers are host-dependent, \
-         the identity invariant is not{}",
-        if full { "full" } else { "quick" },
-        cores,
-        if cores > 1 {
-            ""
-        } else {
-            "; single-core host, speedup gate disarmed"
-        },
-    );
-    let report = CampaignBenchReport {
-        spec: spec.name.clone(),
-        cells: spec.cell_count(),
-        trials_per_cell: spec.trials.unwrap_or(1),
-        arms,
-        identical,
-        multi_core: cores > 1,
-        full_scale: full,
-        note,
-    };
-    report.validate().expect("campaign-sweep invariants hold");
-
-    let path =
-        std::env::var("SEGSCOPE_BENCH_JSON").unwrap_or_else(|_| "BENCH_campaign.json".to_string());
-    write_report(&report, &path).expect("write report");
-    println!("\nwrote {path}");
+    measure_sweep(&mut record, &spec, repeats);
+    record.finish();
 }

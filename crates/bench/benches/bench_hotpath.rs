@@ -1,35 +1,33 @@
 //! Regenerates `BENCH_hotpath.json`: cached-head fabric dispatch
 //! throughput vs the naive linear-scan baseline on the shipped 3-source
 //! machine, allocation counts for the buffer-reuse probe API vs the
-//! allocating wrapper, recycled-machine vs fresh-machine trial
-//! throughput, and end-to-end scenario throughput.
+//! allocating wrapper, and recycled-machine vs fresh-machine trial
+//! throughput.
 //!
-//! Writes to the path in `SEGSCOPE_BENCH_JSON` (default
-//! `BENCH_hotpath.json` in the current directory). Set
-//! `SEGSCOPE_BENCH_FULL=1` for the larger scales, which also arms the
-//! ≥5x recycled-trials gate.
+//! Writes to `SEGSCOPE_BENCH_JSON` (default `BENCH_hotpath.json` at the
+//! workspace root). Set `SEGSCOPE_BENCH_FULL=1` for the larger scales,
+//! which also raise the recycled-trials bar to ≥5x.
 
 use segscope::SegProbe;
-use segscope_bench::hotpath_report::{
-    measure_fabric, measure_scenario, measure_trials, write_report, HotpathBenchReport, ProbeBench,
-};
-use segscope_bench::{fnv1a_fold, FNV1A_BASIS};
+use segscope_bench::hotpath::{measure_fabric, measure_trials, trials_machine, PEEKS_PER_POP};
+use segscope_bench::{fnv1a_fold, BenchRecord, FNV1A_BASIS};
 use segsim::{Machine, MachineConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-/// Wraps the system allocator with heap-traffic counters so the probe
+/// Wraps the system allocator with an allocation counter so the probe
 /// arms can report exact allocation counts rather than estimates.
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static BYTES: AtomicU64 = AtomicU64::new(0);
 
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the counter is a statistic
+// and publishes no other data, so `Relaxed` suffices.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         System.alloc(layout)
     }
 
@@ -39,7 +37,6 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -47,28 +44,26 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
-/// Runs `f` and returns `(wall_s, allocations, bytes, result)`.
-fn counted<T>(f: impl FnOnce() -> T) -> (f64, u64, u64, T) {
+/// Runs `f` once and returns `(wall_s, allocations, result)`.
+fn counted<T>(f: impl FnOnce() -> T) -> (f64, u64, T) {
     let allocs0 = ALLOCS.load(Ordering::Relaxed);
-    let bytes0 = BYTES.load(Ordering::Relaxed);
     let start = Instant::now();
     let out = f();
     let wall_s = start.elapsed().as_secs_f64();
-    let allocs = ALLOCS.load(Ordering::Relaxed) - allocs0;
-    let bytes = BYTES.load(Ordering::Relaxed) - bytes0;
-    (wall_s, allocs, bytes, out)
+    (wall_s, ALLOCS.load(Ordering::Relaxed) - allocs0, out)
 }
 
-/// Measures the probe loop twice from identical machine state: `batches`
-/// batches of `samples` through the allocating `probe_n`, then through
-/// `probe_n_into` with one reused buffer.
-fn measure_probe(samples: usize, batches: usize) -> ProbeBench {
+/// Measures the `probe` layer twice from identical machine state:
+/// `batches` batches of `samples` through the allocating `probe_n`, then
+/// through `probe_n_into` with one reused buffer, plus the
+/// `probe.allocs_saved` gate (`probe_n_into` allocates strictly less).
+fn measure_probe(record: &mut BenchRecord, samples: usize, batches: usize) {
     let cfg = MachineConfig::lenovo_yangtian();
     let seed = 0xB3CC_0004;
 
     let mut machine = Machine::new(cfg.clone(), seed);
     let mut probe = SegProbe::new();
-    let (fresh_s, allocs_fresh, alloc_bytes_fresh, fresh_hash) = counted(|| {
+    let (fresh_s, allocs_fresh, fresh_hash) = counted(|| {
         let mut h = FNV1A_BASIS;
         for _ in 0..batches {
             let batch = probe.probe_n(&mut machine, samples).expect("probe works");
@@ -80,7 +75,7 @@ fn measure_probe(samples: usize, batches: usize) -> ProbeBench {
     let mut machine = Machine::new(cfg, seed);
     let mut probe = SegProbe::new();
     let mut buf = Vec::new();
-    let (reused_s, allocs_reused, alloc_bytes_reused, reused_hash) = counted(|| {
+    let (reused_s, allocs_reused, reused_hash) = counted(|| {
         let mut h = FNV1A_BASIS;
         for _ in 0..batches {
             probe
@@ -92,103 +87,49 @@ fn measure_probe(samples: usize, batches: usize) -> ProbeBench {
     });
 
     let total = (samples * batches) as f64;
-    ProbeBench {
-        samples,
-        batches,
-        alloc_bytes_fresh,
-        alloc_bytes_reused,
-        allocs_fresh,
-        allocs_reused,
-        alloc_reduction: 1.0 - allocs_reused as f64 / allocs_fresh.max(1) as f64,
-        fresh_samples_per_s: total / fresh_s.max(1e-9),
-        reused_samples_per_s: total / reused_s.max(1e-9),
-        identical: fresh_hash == reused_hash,
-    }
+    let (fresh, reused) = (allocs_fresh as f64, allocs_reused as f64);
+    record.arm(
+        "probe",
+        "probe_n",
+        "samples/s",
+        total / fresh_s.max(1e-9),
+        Some(fresh_hash),
+    );
+    record.arm(
+        "probe",
+        "probe_n_into",
+        "samples/s",
+        total / reused_s.max(1e-9),
+        Some(reused_hash),
+    );
+    record.arm("probe", "probe_n allocs", "allocs", fresh, None);
+    record.arm("probe", "probe_n_into allocs", "allocs", reused, None);
+    record.gate("probe.allocs_saved", fresh - reused, 1.0, true, true);
 }
 
 fn main() {
-    segscope_bench::header("Hot-path performance: fabric dispatch, probe buffers, recycled trials");
     let full = segscope_bench::full_scale();
     // Short probe trials (a 32-slot burst, the per-candidate unit of the
     // scan-style attacks) are where per-trial machine construction
     // dominates — the regime the recycled machine exists for.
-    let (events, samples, batches, trials, scenario_trials) = if full {
-        (1_500_000, 1_000, 2_000, 2_000, 32)
+    let (events, samples, batches, trials) = if full {
+        (1_500_000, 1_000, 2_000, 2_000)
     } else {
-        (150_000, 1_000, 200, 256, 4)
+        (150_000, 1_000, 200, 256)
     };
-
     let cfg = MachineConfig::lenovo_yangtian();
-    // Warmup pass (page-in, branch training) before the timed one.
-    let _ = measure_fabric(&cfg, events / 10, 0xBA7C_0010);
-    let fabric = measure_fabric(&cfg, events, 0xBA7C_0010);
-    println!(
-        "fabric `{}` ({} sources, {} events, {} peeks/pop): naive {:.2}M irq/s, \
-         cached {:.2}M irq/s ({:.2}x), identical: {}",
-        fabric.machine,
-        fabric.sources,
-        fabric.events,
-        fabric.peeks_per_pop,
-        fabric.naive_events_per_s / 1e6,
-        fabric.cached_events_per_s / 1e6,
-        fabric.speedup,
-        fabric.identical,
+    let mut record = BenchRecord::new(
+        "hotpath",
+        format!(
+            "fabric: `{}` timer/PMI/resched sources, {events} events, {PEEKS_PER_POP} peeks per \
+             pop; probe: {batches} batches x {samples} samples; trials: {trials} trials x 32 \
+             slots on `{}` with a light fault plan",
+            cfg.name,
+            trials_machine().name,
+        ),
     );
-
-    let probe = measure_probe(samples, batches);
-    println!(
-        "probe ({} x {} samples): probe_n {:.2}M samples/s / {} allocs, \
-         probe_n_into {:.2}M samples/s / {} allocs ({:.1}% fewer), identical: {}",
-        probe.batches,
-        probe.samples,
-        probe.fresh_samples_per_s / 1e6,
-        probe.allocs_fresh,
-        probe.reused_samples_per_s / 1e6,
-        probe.allocs_reused,
-        probe.alloc_reduction * 100.0,
-        probe.identical,
-    );
-
-    let trials_arm = measure_trials(trials, 32, 3, 0xBA7C_0020);
-    println!(
-        "trials `{}` ({} trials x {} slots): fresh {:.0} trials/s, \
-         recycled {:.0} trials/s ({:.2}x), identical: {}",
-        trials_arm.machine,
-        trials_arm.trials,
-        trials_arm.slots_per_trial,
-        trials_arm.fresh_trials_per_s,
-        trials_arm.recycled_trials_per_s,
-        trials_arm.speedup,
-        trials_arm.identical,
-    );
-
-    let scenario = measure_scenario(scenario_trials);
-    println!(
-        "scenario `{}`: {} trials in {:.2} s ({:.2} trials/s)",
-        scenario.scenario, scenario.trials, scenario.wall_s, scenario.trials_per_s,
-    );
-
-    let note = if full {
-        "full scale (SEGSCOPE_BENCH_FULL=1); wall-clock numbers are \
-         host-dependent, the identity/speedup invariants are not"
-            .to_string()
-    } else {
-        "quick scale; wall-clock numbers are host-dependent, the \
-         identity/speedup invariants are not"
-            .to_string()
-    };
-    let report = HotpathBenchReport {
-        fabric,
-        probe,
-        trials: trials_arm,
-        scenario,
-        full_scale: full,
-        note,
-    };
-    report.validate().expect("hot-path invariants hold");
-
-    let path =
-        std::env::var("SEGSCOPE_BENCH_JSON").unwrap_or_else(|_| "BENCH_hotpath.json".to_string());
-    write_report(&report, &path).expect("write report");
-    println!("\nwrote {path}");
+    measure_fabric(&mut record, &cfg, events, 0xBA7C_0010);
+    measure_probe(&mut record, samples, batches);
+    measure_trials(&mut record, trials, 32, 3, 0xBA7C_0020);
+    record.finish();
 }

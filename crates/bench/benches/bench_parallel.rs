@@ -1,49 +1,27 @@
 //! Regenerates `BENCH_parallel.json`: engine throughput (serial vs
 //! parallel KASLR trials) and LSTM kernel timing (naive vs optimized).
 //!
-//! Writes to the path in `SEGSCOPE_BENCH_JSON` (default
-//! `BENCH_parallel.json` in the current directory).
+//! Writes to `SEGSCOPE_BENCH_JSON` (default `BENCH_parallel.json` at the
+//! workspace root).
 
-use segscope_bench::parallel_report::{measure, write_report};
+use segscope_bench::parallel::{measure_engine, measure_lstm};
+use segscope_bench::BenchRecord;
 
 fn main() {
-    segscope_bench::header("Parallel engine + LSTM kernel performance");
     let (trials, epochs) = if segscope_bench::full_scale() {
         (32, 400)
     } else {
         (8, 100)
     };
-    let report = measure(trials, epochs);
-    println!(
-        "engine: {} trials, {} threads: serial {:.2} trials/s, parallel {:.2} trials/s ({:.2}x), deterministic: {}",
-        report.kaslr_engine.trials,
-        report.kaslr_engine.parallel_threads,
-        report.kaslr_engine.serial_trials_per_s,
-        report.kaslr_engine.parallel_trials_per_s,
-        report.kaslr_engine.speedup,
-        report.kaslr_engine.deterministic,
+    let mut record = BenchRecord::new(
+        "parallel",
+        format!(
+            "engine: {trials} KASLR trials (c=2, k=32) serial and on {} engine threads; \
+             lstm: {epochs} training epochs, 64 steps x 8 inputs, 32 hidden",
+            exec::resolve_threads(None)
+        ),
     );
-    println!(
-        "lstm ({}x{} steps, {} hidden): naive {:.3} ms/epoch, optimized {:.3} ms/epoch ({:.2}x)",
-        report.lstm_kernels.steps,
-        report.lstm_kernels.input,
-        report.lstm_kernels.hidden,
-        report.lstm_kernels.naive_epoch_ms,
-        report.lstm_kernels.optimized_epoch_ms,
-        report.lstm_kernels.speedup,
-    );
-    println!("note: {}", report.note);
-    assert!(
-        report.kaslr_engine.deterministic,
-        "serial and parallel runs must produce identical results"
-    );
-    assert!(
-        report.lstm_kernels.speedup > 1.0,
-        "optimized LSTM must beat the naive reference: {:.2}x",
-        report.lstm_kernels.speedup
-    );
-    let path =
-        std::env::var("SEGSCOPE_BENCH_JSON").unwrap_or_else(|_| "BENCH_parallel.json".to_string());
-    write_report(&report, &path).expect("write report");
-    println!("\nwrote {path}");
+    measure_engine(&mut record, trials);
+    measure_lstm(&mut record, epochs);
+    record.finish();
 }

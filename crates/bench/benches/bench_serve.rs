@@ -4,55 +4,18 @@
 //! baseline, plus post-training quantization accuracy on a Table
 //! IV-style website-fingerprinting eval set.
 //!
-//! Writes to the path in `SEGSCOPE_BENCH_JSON` (default
-//! `BENCH_serve.json` in the current directory). Set
-//! `SEGSCOPE_BENCH_FULL=1` for the larger session count. The ≥3x
-//! batched-vs-sequential gate arms only on multi-core hosts;
-//! single-core hosts gate verdict identity and quantization accuracy
-//! alone (same policy as `BENCH_campaign.json`).
+//! Writes to `SEGSCOPE_BENCH_JSON` (default `BENCH_serve.json` at the
+//! workspace root). Set `SEGSCOPE_BENCH_FULL=1` for the larger session
+//! count. The ≥3x batched-vs-sequential gate arms only on multi-core
+//! hosts.
 
-use segscope_bench::serve_report::{
-    build_workload, measure_batched, measure_quant_accuracy, measure_sequential, write_report,
-    SequentialBaseline, ServeArm, ServeBenchReport, ServeWorkload,
+use segscope_bench::serving::{
+    build_workload, measure_precision, measure_quant, BATCHED_SERVE_MIN_SPEEDUP,
 };
-use serve::{QuantScheme, QuantizedSeqClassifier, StepModel};
-
-/// Runs the full arm set (sequential baseline + capacities 1/8/64) for
-/// one precision, printing as it goes.
-fn run_precision<M: StepModel + Sync>(
-    model: &M,
-    precision: &str,
-    workload: &ServeWorkload,
-    threads: usize,
-    repeats: usize,
-) -> (SequentialBaseline, Vec<ServeArm>) {
-    let baseline = measure_sequential(model, precision, &workload.traces, repeats);
-    println!(
-        "sequential `{precision}`: {:8.0} sessions/s ({:.4}s), fnv {}",
-        baseline.sessions_per_s, baseline.wall_s, baseline.verdict_fnv,
-    );
-    let mut arms = Vec::new();
-    for capacity in [1usize, 8, 64] {
-        let arm = measure_batched(
-            model,
-            precision,
-            workload,
-            capacity,
-            threads,
-            repeats,
-            baseline.wall_s,
-        );
-        println!(
-            "batched `{precision}` x{capacity:>2}: {:8.0} sessions/s ({:.4}s, {:.2}x), fnv {}",
-            arm.sessions_per_s, arm.wall_s, arm.speedup, arm.verdict_fnv,
-        );
-        arms.push(arm);
-    }
-    (baseline, arms)
-}
+use segscope_bench::BenchRecord;
+use serve::{QuantScheme, QuantizedSeqClassifier};
 
 fn main() {
-    segscope_bench::header("Streaming serving: cross-session batching, quantization");
     let full = segscope_bench::full_scale();
     let (sessions, repeats) = if full { (1024, 5) } else { (256, 3) };
     let threads = std::thread::available_parallelism().map_or(1, usize::from);
@@ -62,60 +25,33 @@ fn main() {
     // sequences on the quick 8-site scale).
     let workload = build_workload(sessions, 6, 13, 0x5EBE_CA4A);
     let i16_model = QuantizedSeqClassifier::quantize(&workload.model, QuantScheme::I16);
-    println!(
-        "workload: {} sessions x {} steps, {} eval sequences, {} host threads",
-        sessions,
-        workload.steps_per_session,
-        workload.eval.len(),
-        threads,
+    let mut record = BenchRecord::new(
+        "serve",
+        format!(
+            "{sessions} sessions x {} steps, batched arms sharded over {threads} threads, \
+             best of {repeats}; quantization accuracy on {} eval sequences",
+            workload.steps_per_session,
+            workload.eval.len(),
+        ),
     );
 
-    let (f64_baseline, f64_arms) =
-        run_precision(&workload.model, "f64", &workload, threads, repeats);
-    let (i16_baseline, i16_arms) = run_precision(&i16_model, "i16", &workload, threads, repeats);
-    let sequential = vec![f64_baseline, i16_baseline];
-    let arms: Vec<ServeArm> = f64_arms.into_iter().chain(i16_arms).collect();
-
-    let mut quant = Vec::new();
-    for scheme in [QuantScheme::I8, QuantScheme::I16] {
-        let arm = measure_quant_accuracy(&workload.model, scheme, &workload.eval);
-        println!(
-            "quant `{}`: f64 {:.1}% vs quantized {:.1}% (delta {:.3}) on {} sequences",
-            arm.scheme,
-            arm.f64_accuracy * 100.0,
-            arm.quant_accuracy * 100.0,
-            arm.accuracy_delta,
-            arm.eval_examples,
-        );
-        quant.push(arm);
-    }
-
-    let note = format!(
-        "{} scale on a {}-thread host; wall-clock numbers are host-dependent, \
-         the verdict-identity and accuracy invariants are not{}",
-        if full { "full" } else { "quick" },
+    let best = measure_precision(
+        &mut record,
+        &workload.model,
+        "f64",
+        &workload,
         threads,
-        if threads > 1 {
-            ""
-        } else {
-            "; single-core host, speedup gate disarmed"
-        },
+        repeats,
     );
-    let report = ServeBenchReport {
-        sessions,
-        steps_per_session: workload.steps_per_session,
-        arms,
-        sequential,
-        quant,
-        threads,
-        multi_core: threads > 1,
-        full_scale: full,
-        note,
-    };
-    report.validate().expect("serving invariants hold");
-
-    let path =
-        std::env::var("SEGSCOPE_BENCH_JSON").unwrap_or_else(|_| "BENCH_serve.json".to_string());
-    write_report(&report, &path).expect("write report");
-    println!("\nwrote {path}");
+    measure_precision(&mut record, &i16_model, "i16", &workload, threads, repeats);
+    let armed = record.multi_core();
+    record.gate(
+        "serve.f64.speedup",
+        best,
+        BATCHED_SERVE_MIN_SPEEDUP,
+        true,
+        armed,
+    );
+    measure_quant(&mut record, &workload.model, &workload.eval);
+    record.finish();
 }

@@ -9,14 +9,21 @@
 //!
 //! Set `SEGSCOPE_BENCH_FULL=1` to run the larger (slower) experiment
 //! scales.
+//!
+//! The four performance benches (`bench_hotpath`, `bench_parallel`,
+//! `bench_campaign`, `bench_serve`) each fill one [`BenchRecord`] from
+//! the measurement modules below and write it as `BENCH_<bench>.json`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod campaign_report;
-pub mod hotpath_report;
-pub mod parallel_report;
-pub mod serve_report;
+pub mod hotpath;
+pub mod parallel;
+pub mod record;
+pub mod serving;
+pub mod sweep;
+
+pub use record::BenchRecord;
 
 use std::fmt::Write as _;
 

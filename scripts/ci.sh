@@ -136,40 +136,21 @@ SEGSCOPE_BLESS=0 "$SEGSCOPE" serve-bench \
     --out target/serve.report.determinism.json >/dev/null
 cmp target/serve.report.determinism.json tests/golden/serve.report.json
 
-echo "==> bench_hotpath (quick) + BENCH_hotpath.json schema"
-# Absolute path: cargo bench runs the harness with the package dir as cwd.
-SEGSCOPE_BENCH_JSON="$PWD/target/BENCH_hotpath.json" \
-    cargo bench -q --offline -p segscope-bench --bench bench_hotpath >/dev/null
-# validate() inside the binary enforces the hard gates: cached fabric
-# bit-identical to the naive scan and >= 1.0x at 3 sources, fewer probe
-# allocations, recycled trials bit-identical to fresh ones and >= 2x
-# (>= 5x when SEGSCOPE_BENCH_FULL=1). Here we check the emitted file
-# carries the schema CI consumers read.
-require_keys target/BENCH_hotpath.json fabric probe trials scenario full_scale \
-    note peeks_per_pop naive_events_per_s cached_events_per_s speedup identical \
-    alloc_reduction slots_per_trial fresh_trials_per_s recycled_trials_per_s \
-    trials_per_s
-
-echo "==> bench_campaign (quick) + BENCH_campaign.json schema"
-# validate() inside the binary enforces the hard gates: merged reports
-# bit-identical at shard counts 1/4/8 (>= 2x sharded speedup on
-# multi-core hosts).
-SEGSCOPE_BENCH_JSON="$PWD/target/BENCH_campaign.json" \
-    cargo bench -q --offline -p segscope-bench --bench bench_campaign >/dev/null
-require_keys target/BENCH_campaign.json spec cells trials_per_cell arms shards \
-    wall_s cells_per_s report_digest identical multi_core full_scale note
-
-echo "==> bench_serve (quick) + BENCH_serve.json schema"
-# validate() inside the binary enforces the hard gates: every batched
-# arm's verdict stream bit-identical (FNV-folded) to the sequential
-# baseline at capacities 1/8/64 on both precisions, quantized accuracy
-# within budget of the f64 model (>= 3x batched session throughput on
-# multi-core hosts).
-SEGSCOPE_BENCH_JSON="$PWD/target/BENCH_serve.json" \
-    cargo bench -q --offline -p segscope-bench --bench bench_serve >/dev/null
-require_keys target/BENCH_serve.json sessions steps_per_session arms sequential \
-    quant precision capacity sessions_per_s speedup verdict_fnv scheme \
-    accuracy_delta eval_examples threads multi_core full_scale note
+echo "==> bench records (quick): BENCH_<bench>.json schema + validate()"
+# Each harness writes its record, then validates it and exits non-zero on
+# a violation: every digest-carrying arm of a layer agrees (cached vs
+# naive fabric, probe_n vs probe_n_into, recycled vs fresh trials,
+# serial vs parallel engine, campaign shards 1/4/8, batched vs sequential
+# serving per precision), every rate is positive, every armed gate meets
+# its bar. Multi-core gates (campaign >= 2x, serve >= 3x) arm on hosts
+# with more than one thread.
+for bench in bench_hotpath bench_parallel bench_campaign bench_serve; do
+    echo "--> $bench"
+    record="target/BENCH_${bench#bench_}.json"
+    SEGSCOPE_BENCH_JSON="$record" \
+        cargo bench -q --offline -p segscope-bench --bench "$bench" >/dev/null
+    require_keys "$record" bench host threads arms gates
+done
 
 echo "==> segscope campaign smoke: sweep, kill, resume, report"
 # A 2-scenario x 2-preset grid: run it whole, then stop a second copy
