@@ -527,12 +527,14 @@ impl Scenario for WebsiteScenario {
             for _ in 0..config.epochs {
                 model.train_epoch(&train, 16);
             }
-            let top1 = if config.streaming {
-                streaming_fold_top1(&model, &test)
+            // Top-1 and top-5 come from one set of logits per example;
+            // streaming runs take top-1 from the serving engine instead.
+            let (top1, top5) = model.accuracy_top_k(&test, 5);
+            if config.streaming {
+                (streaming_fold_top1(&model, &test), top5)
             } else {
-                model.accuracy(&test)
-            };
-            (top1, model.top_k_accuracy(&test, 5))
+                (top1, top5)
+            }
         });
         let top1s: Vec<f64> = fold_scores.iter().map(|s| s.0).collect();
         let top5s: Vec<f64> = fold_scores.iter().map(|s| s.1).collect();

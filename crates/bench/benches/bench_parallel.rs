@@ -1,5 +1,6 @@
 //! Regenerates `BENCH_parallel.json`: engine throughput (serial vs
-//! parallel KASLR trials) and LSTM kernel timing (naive vs optimized).
+//! parallel KASLR trials) and LSTM training timing (naive vs optimized
+//! one example at a time vs optimized in lane groups of eight).
 //!
 //! Writes to `SEGSCOPE_BENCH_JSON` (default `BENCH_parallel.json` at the
 //! workspace root).
@@ -17,8 +18,9 @@ fn main() {
         "parallel",
         format!(
             "engine: {trials} KASLR trials (c=2, k=32) serial and on {} engine threads; \
-             lstm: {epochs} training epochs, 64 steps x 8 inputs, 32 hidden",
-            exec::resolve_threads(None)
+             lstm: {epochs} minibatches of {} sequences, 64 steps x 8 inputs, 32 hidden",
+            exec::resolve_threads(None),
+            segscope_bench::parallel::LSTM_BATCH,
         ),
     );
     measure_engine(&mut record, trials);

@@ -114,8 +114,8 @@ fn bench_lstm_epoch(c: &mut Criterion) {
         let mut rng = SmallRng::seed_from_u64(0xE0);
         let mut lstm = Lstm::new(8, 32, &mut rng, AdamConfig::default());
         b.iter(|| {
-            let trace = lstm.forward(&xs);
-            lstm.backward_last(&trace, &dh_last);
+            let mut trace = lstm.forward(&xs);
+            lstm.backward_last(&mut trace, &dh_last);
             lstm.apply_grads(1);
             black_box(trace.len())
         });

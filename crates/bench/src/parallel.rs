@@ -3,13 +3,14 @@
 //!
 //! Serial and parallel engine runs must return bit-identical results
 //! regardless of the observed speedup (on a single-CPU host the speedup
-//! is ~1x), and the optimized LSTM kernels must be strictly faster than
-//! the naive reference.
+//! is ~1x). LSTM training one example at a time and in lane groups of
+//! eight must leave bit-identical weights, and the optimized kernels
+//! must be strictly faster than the naive reference.
 
-use crate::fnv1a;
 use crate::record::{best_of, BenchRecord};
+use crate::{fnv1a, fnv1a_fold, FNV1A_BASIS};
 use nnet::reference::NaiveLstm;
-use nnet::{AdamConfig, Lstm};
+use nnet::{AdamConfig, Lstm, LstmTrace};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use segscope_attacks::kaslr::{run_trials, KaslrConfig};
@@ -50,46 +51,87 @@ pub fn measure_engine(record: &mut BenchRecord, trials: usize) {
     );
 }
 
-/// Measures the `lstm` layer: mean training-epoch time (forward,
-/// backward, Adam step) of the naive reference and the optimized
-/// kernels at the paper's model size, plus the `lstm.speedup` gate.
+/// Sequences per `lstm` minibatch: two lane groups of eight.
+pub const LSTM_BATCH: usize = 16;
+
+/// Measures the `lstm` layer: mean time to train one minibatch of
+/// [`LSTM_BATCH`] sequences (forward, backward to a gradient at the last
+/// step, one Adam step) at the paper's model size, for three arms — the
+/// naive reference, the optimized layer one example at a time
+/// (`optimized`, one-lane groups) and the optimized layer in lane groups
+/// of eight (`lanes`) — plus the `lstm.speedup` gate. The `optimized`
+/// and `lanes` arms carry a digest of the trained weights, so the
+/// record's digest rule enforces that lanes change no bit; the naive
+/// arm matches only within float tolerance and carries none.
 pub fn measure_lstm(record: &mut BenchRecord, epochs: usize) {
     let (steps, input, hidden) = (64usize, 8usize, 32usize);
-    let xs: Vec<Vec<f32>> = (0..steps)
-        .map(|t| {
-            (0..input)
-                .map(|k| ((t * input + k) as f32 * 0.13).sin())
+    let seqs: Vec<Vec<Vec<f32>>> = (0..LSTM_BATCH)
+        .map(|s| {
+            (0..steps)
+                .map(|t| {
+                    (0..input)
+                        .map(|k| (((s * steps + t) * input + k) as f32 * 0.13).sin())
+                        .collect()
+                })
                 .collect()
         })
         .collect();
-    let dh_last = vec![1.0f32; hidden];
+    let seed = 0xB3CC_0002;
 
-    let mut rng = SmallRng::seed_from_u64(0xB3CC_0002);
+    let mut rng = SmallRng::seed_from_u64(seed);
     let mut naive = NaiveLstm::new(input, hidden, &mut rng, AdamConfig::default());
     let mut dh = vec![vec![0.0f32; hidden]; steps];
-    dh[steps - 1] = dh_last.clone();
-    let (naive_s, ()) = best_of(1, || {
+    dh[steps - 1] = vec![1.0f32; hidden];
+    // Best of three timed runs: the lstm arms are milliseconds long, so
+    // one run is at the mercy of host noise.
+    let (naive_s, ()) = best_of(3, || {
         for _ in 0..epochs {
-            let trace = naive.forward(&xs);
-            naive.backward(&trace, &dh);
-            naive.apply_grads(1);
+            for xs in &seqs {
+                let trace = naive.forward(xs);
+                naive.backward(&trace, &dh);
+            }
+            naive.apply_grads(LSTM_BATCH);
         }
     });
 
-    let mut rng = SmallRng::seed_from_u64(0xB3CC_0002);
-    let mut fast = Lstm::new(input, hidden, &mut rng, AdamConfig::default());
-    let (fast_s, ()) = best_of(1, || {
-        for _ in 0..epochs {
-            let trace = fast.forward(&xs);
-            fast.backward_last(&trace, &dh_last);
-            fast.apply_grads(1);
-        }
-    });
+    // Trains a fresh layer, `group` sequences per forward/backward pass.
+    let train = |group: usize| {
+        let dh_last = vec![1.0f32; hidden * group];
+        let groups: Vec<Vec<&[Vec<f32>]>> = seqs
+            .chunks(group)
+            .map(|g| g.iter().map(Vec::as_slice).collect())
+            .collect();
+        best_of(3, || {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut lstm = Lstm::new(input, hidden, &mut rng, AdamConfig::default());
+            let mut trace = LstmTrace::default();
+            for _ in 0..epochs {
+                for lanes in &groups {
+                    lstm.forward_lanes(lanes, &mut trace);
+                    lstm.backward_last(&mut trace, &dh_last[..hidden * lanes.len()]);
+                }
+                lstm.apply_grads(LSTM_BATCH);
+            }
+            lstm.weights()
+                .as_slice()
+                .iter()
+                .fold(FNV1A_BASIS, |h, w| fnv1a_fold(h, u64::from(w.to_bits())))
+        })
+    };
+    let (optimized_s, optimized) = train(1);
+    let (lanes_s, lanes) = train(8);
 
-    let naive_ms = naive_s * 1e3 / epochs as f64;
-    let optimized_ms = fast_s * 1e3 / epochs as f64;
+    let per_epoch = |s: f64| s * 1e3 / epochs as f64;
+    let (naive_ms, optimized_ms) = (per_epoch(naive_s), per_epoch(optimized_s));
     record.arm("lstm", "naive", "ms/epoch", naive_ms, None);
-    record.arm("lstm", "optimized", "ms/epoch", optimized_ms, None);
+    record.arm(
+        "lstm",
+        "optimized",
+        "ms/epoch",
+        optimized_ms,
+        Some(optimized),
+    );
+    record.arm("lstm", "lanes", "ms/epoch", per_epoch(lanes_s), Some(lanes));
     let speedup = naive_ms / optimized_ms.max(1e-9);
     record.gate("lstm.speedup", speedup, LSTM_MIN_SPEEDUP, true, true);
 }

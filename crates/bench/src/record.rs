@@ -104,6 +104,7 @@ fn required_arms(bench: &str) -> &'static [(&'static str, &'static str)] {
             ("engine", "parallel"),
             ("lstm", "naive"),
             ("lstm", "optimized"),
+            ("lstm", "lanes"),
         ],
         "campaign" => &[("campaign", "shards=1")],
         "serve" => &[
@@ -375,7 +376,8 @@ mod tests {
                 ("engine", "serial", "trials/s", 300.0, Some(0xE1)),
                 ("engine", "parallel", "trials/s", 550.0, Some(0xE1)),
                 ("lstm", "naive", "ms/epoch", 0.39, None),
-                ("lstm", "optimized", "ms/epoch", 0.31, None),
+                ("lstm", "optimized", "ms/epoch", 0.31, Some(0x15)),
+                ("lstm", "lanes", "ms/epoch", 0.25, Some(0x15)),
             ],
             &[("lstm.speedup", 1.25, LSTM_MIN_SPEEDUP, true)],
         )
@@ -491,6 +493,8 @@ mod tests {
             (parallel, Digest("engine", "parallel")),
             (parallel, Value("engine", "serial", 0.0)),
             (parallel, Gate("lstm.speedup", 1.0)),
+            (parallel, Drop("lstm/lanes")),
+            (parallel, Digest("lstm", "lanes")),
         ];
         for &(good, mutation) in table {
             let mut broken = good();

@@ -4,10 +4,22 @@
 
 use crate::dense::Dense;
 use crate::loss::{argmax, softmax_cross_entropy_into, top_k};
-use crate::lstm::{BiLstm, Lstm};
+use crate::lstm::{BiLstm, BiLstmTrace, Lstm, LstmTrace};
+use crate::mat::LANE_BLOCK;
 use crate::optim::AdamConfig;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+
+/// Lane-group width of [`SeqTagger`] training: one lane. A group's
+/// arena grows with its longest sequence times its width, and tagged
+/// traces are ragged and run several times longer than classifier
+/// sequences. On the paper grid's dnnsteal cells (12 hidden units,
+/// ~40–180 steps; 2-thread Xeon) groups of 4 or 8 trained no faster
+/// than one lane — the padded steps and a trace that outgrows the cache
+/// eat the matvec saving — while groups of 4 raised the grid sweep's
+/// peak RSS by about 6%. So the tagger runs the one-lane case of the
+/// same lane code.
+const TAGGER_LANES: usize = 1;
 
 /// A labeled sequence for many-to-one classification.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -85,60 +97,107 @@ impl SeqClassifier {
     }
 
     /// One SGD epoch over `examples` in the given order, with gradient
-    /// application every `batch` examples. Returns the mean loss.
+    /// application every `batch` examples (`batch == 0`: once, after the
+    /// whole epoch). Returns the mean loss.
+    ///
+    /// Each minibatch trains as lane groups of eight (see
+    /// [`Lstm::forward_lanes`]); the weights and Adam state come out bit
+    /// for bit as if every example were trained alone, in order.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an empty sequence.
     pub fn train_epoch(&mut self, examples: &[SeqExample], batch: usize) -> f32 {
+        self.train_epoch_grouped(examples, batch, LANE_BLOCK)
+    }
+
+    /// [`SeqClassifier::train_epoch`] with lane groups of `group`
+    /// examples (`group == 1` is per-example training).
+    fn train_epoch_grouped(&mut self, examples: &[SeqExample], batch: usize, group: usize) -> f32 {
+        let hidden = self.lstm.hidden_dim();
         let mut total = 0.0f32;
-        let mut in_batch = 0usize;
-        // Per-example scratch, allocated once per epoch.
+        // The trainer's arena, reused across minibatches.
+        let mut trace = LstmTrace::default();
+        let mut seqs: Vec<&[Vec<f32>]> = Vec::with_capacity(group);
+        let mut h_last = vec![0.0f32; hidden];
         let mut logits = vec![0.0f32; self.head.output_dim()];
         let mut dlogits = vec![0.0f32; self.head.output_dim()];
-        let mut dh_last = vec![0.0f32; self.lstm.hidden_dim()];
-        for ex in examples {
-            let trace = self.lstm.forward(&ex.xs);
-            let last = trace.len() - 1;
-            self.head.forward_into(trace.hidden(last), &mut logits);
-            total += softmax_cross_entropy_into(&logits, ex.label, &mut dlogits);
-            self.head
-                .backward_into(trace.hidden(last), &dlogits, &mut dh_last);
-            self.lstm.backward_last(&trace, &dh_last);
-            in_batch += 1;
-            if in_batch == batch {
-                self.lstm.apply_grads(batch);
-                self.head.apply_grads(batch);
-                in_batch = 0;
+        let mut dh_lane = vec![0.0f32; hidden];
+        let mut dh_last = vec![0.0f32; hidden * group];
+        let size = if batch == 0 { examples.len() } else { batch };
+        for minibatch in examples.chunks(size.max(1)) {
+            for lanes in minibatch.chunks(group) {
+                seqs.clear();
+                seqs.extend(lanes.iter().map(|ex| ex.xs.as_slice()));
+                self.lstm.forward_lanes(&seqs, &mut trace);
+                let width = lanes.len();
+                // The head is per example, in example order.
+                for (l, ex) in lanes.iter().enumerate() {
+                    assert!(!ex.xs.is_empty(), "cannot classify an empty sequence");
+                    trace.hidden_lane(ex.xs.len() - 1, l, &mut h_last);
+                    self.head.forward_into(&h_last, &mut logits);
+                    total += softmax_cross_entropy_into(&logits, ex.label, &mut dlogits);
+                    self.head.backward_into(&h_last, &dlogits, &mut dh_lane);
+                    for (j, &d) in dh_lane.iter().enumerate() {
+                        dh_last[j * width + l] = d;
+                    }
+                }
+                self.lstm
+                    .backward_last(&mut trace, &dh_last[..hidden * width]);
             }
-        }
-        if in_batch > 0 {
-            self.lstm.apply_grads(in_batch);
-            self.head.apply_grads(in_batch);
+            self.lstm.apply_grads(minibatch.len());
+            self.head.apply_grads(minibatch.len());
         }
         total / examples.len().max(1) as f32
+    }
+
+    /// Calls `visit(example, logits)` for every example in order, running
+    /// the LSTM over lane groups of eight (bit-identical per example to
+    /// [`SeqClassifier::logits`]).
+    fn visit_logits(&self, examples: &[SeqExample], mut visit: impl FnMut(&SeqExample, &[f32])) {
+        let mut trace = LstmTrace::default();
+        let mut seqs: Vec<&[Vec<f32>]> = Vec::with_capacity(LANE_BLOCK);
+        let mut h_last = vec![0.0f32; self.lstm.hidden_dim()];
+        let mut logits = vec![0.0f32; self.head.output_dim()];
+        for lanes in examples.chunks(LANE_BLOCK) {
+            seqs.clear();
+            seqs.extend(lanes.iter().map(|ex| ex.xs.as_slice()));
+            self.lstm.forward_lanes(&seqs, &mut trace);
+            for (l, ex) in lanes.iter().enumerate() {
+                assert!(!ex.xs.is_empty(), "cannot classify an empty sequence");
+                trace.hidden_lane(ex.xs.len() - 1, l, &mut h_last);
+                self.head.forward_into(&h_last, &mut logits);
+                visit(ex, &logits);
+            }
+        }
     }
 
     /// Top-1 accuracy over a labeled set.
     #[must_use]
     pub fn accuracy(&self, examples: &[SeqExample]) -> f64 {
-        if examples.is_empty() {
-            return 0.0;
-        }
-        let hits = examples
-            .iter()
-            .filter(|ex| self.predict(&ex.xs) == ex.label)
-            .count();
-        hits as f64 / examples.len() as f64
+        self.accuracy_top_k(examples, 1).0
     }
 
     /// Top-`k` accuracy over a labeled set.
     #[must_use]
     pub fn top_k_accuracy(&self, examples: &[SeqExample], k: usize) -> f64 {
+        self.accuracy_top_k(examples, k).1
+    }
+
+    /// Top-1 and top-`k` accuracy over a labeled set from one forward
+    /// pass per example.
+    #[must_use]
+    pub fn accuracy_top_k(&self, examples: &[SeqExample], k: usize) -> (f64, f64) {
         if examples.is_empty() {
-            return 0.0;
+            return (0.0, 0.0);
         }
-        let hits = examples
-            .iter()
-            .filter(|ex| self.predict_top_k(&ex.xs, k).contains(&ex.label))
-            .count();
-        hits as f64 / examples.len() as f64
+        let (mut top1, mut topk) = (0usize, 0usize);
+        self.visit_logits(examples, |ex, logits| {
+            top1 += usize::from(argmax(logits) == ex.label);
+            topk += usize::from(top_k(logits, k).contains(&ex.label));
+        });
+        let n = examples.len() as f64;
+        (top1 as f64 / n, topk as f64 / n)
     }
 }
 
@@ -189,56 +248,97 @@ impl SeqTagger {
         let mut logits = vec![0.0f32; self.head.output_dim()];
         (0..trace.len())
             .map(|t| {
-                trace.output_into(t, &mut features);
+                trace.output_into(0, t, &mut features);
                 self.head.forward_into(&features, &mut logits);
                 argmax(&logits)
             })
             .collect()
     }
 
-    /// One training epoch; returns the mean per-timestep loss.
+    /// One training epoch with gradient application every `batch`
+    /// examples (`batch == 0`: once, after the whole epoch); returns the
+    /// mean per-timestep loss.
+    ///
+    /// Each minibatch trains through the lane code (see
+    /// [`BiLstm::forward_lanes`]) in one-lane groups; any group width,
+    /// ragged lengths included, leaves the weights and Adam state bit for
+    /// bit where per-example training leaves them.
+    ///
+    /// The head's gradient divisor keeps a historical quirk: a full
+    /// minibatch divides by `batch × len(its last example)`, but the
+    /// short tail minibatch (and `batch == 0`) divides by its example
+    /// count. The trained dnnsteal model depends on it, so it stays.
     ///
     /// # Panics
     ///
     /// Panics if an example's `tags` length differs from its `xs` length.
     pub fn train_epoch(&mut self, examples: &[TaggedExample], batch: usize) -> f32 {
+        self.train_epoch_grouped(examples, batch, TAGGER_LANES)
+    }
+
+    /// [`SeqTagger::train_epoch`] with lane groups of `group` examples
+    /// (`group == 1` is per-example training).
+    fn train_epoch_grouped(
+        &mut self,
+        examples: &[TaggedExample],
+        batch: usize,
+        group: usize,
+    ) -> f32 {
         let mut total = 0.0f32;
         let mut steps = 0usize;
-        let mut in_batch = 0usize;
+        let hidden = self.bilstm.hidden_dim();
         let width = self.bilstm.output_dim();
-        // Per-timestep scratch, allocated once per epoch; the flat
-        // per-example gradient buffer is reused across examples too.
+        // The trainer's arena, reused across minibatches.
+        let mut trace = BiLstmTrace::default();
+        let mut seqs: Vec<&[Vec<f32>]> = Vec::with_capacity(group);
         let mut features = vec![0.0f32; width];
         let mut logits = vec![0.0f32; self.head.output_dim()];
         let mut dlogits = vec![0.0f32; self.head.output_dim()];
-        let mut d_out = Vec::new();
-        for ex in examples {
-            assert_eq!(ex.xs.len(), ex.tags.len(), "tags must align with inputs");
-            let trace = self.bilstm.forward(&ex.xs);
-            d_out.clear();
-            d_out.resize(trace.len() * width, 0.0f32);
-            for t in 0..trace.len() {
-                trace.output_into(t, &mut features);
-                self.head.forward_into(&features, &mut logits);
-                total += softmax_cross_entropy_into(&logits, ex.tags[t], &mut dlogits);
-                steps += 1;
-                self.head.backward_into(
-                    &features,
-                    &dlogits,
-                    &mut d_out[t * width..(t + 1) * width],
-                );
+        let mut d_out = vec![0.0f32; width];
+        let (mut d_fwd, mut d_bwd) = (Vec::new(), Vec::new());
+        let size = if batch == 0 { examples.len() } else { batch };
+        for minibatch in examples.chunks(size.max(1)) {
+            for lanes in minibatch.chunks(group) {
+                seqs.clear();
+                for ex in lanes {
+                    assert_eq!(ex.xs.len(), ex.tags.len(), "tags must align with inputs");
+                    seqs.push(&ex.xs);
+                }
+                self.bilstm.forward_lanes(&seqs, &mut trace);
+                let (w, cell) = (lanes.len(), hidden * lanes.len());
+                for d in [&mut d_fwd, &mut d_bwd] {
+                    d.clear();
+                    d.resize(trace.len() * cell, 0.0f32);
+                }
+                // The head is per example and timestep, in that order.
+                for (l, ex) in lanes.iter().enumerate() {
+                    let len = ex.xs.len();
+                    for t in 0..len {
+                        trace.output_into(l, t, &mut features);
+                        self.head.forward_into(&features, &mut logits);
+                        total += softmax_cross_entropy_into(&logits, ex.tags[t], &mut dlogits);
+                        steps += 1;
+                        self.head.backward_into(&features, &dlogits, &mut d_out);
+                        let (rt, (df, db)) = (len - 1 - t, d_out.split_at(hidden));
+                        for j in 0..hidden {
+                            d_fwd[t * cell + j * w + l] = df[j];
+                            d_bwd[rt * cell + j * w + l] = db[j];
+                        }
+                    }
+                }
+                self.bilstm.backward(&mut trace, &d_fwd, &d_bwd);
             }
-            self.bilstm.backward_flat(&trace, &d_out);
-            in_batch += 1;
-            if in_batch == batch {
-                self.bilstm.apply_grads(batch);
-                self.head.apply_grads(batch * trace.len().max(1));
-                in_batch = 0;
-            }
-        }
-        if in_batch > 0 {
-            self.bilstm.apply_grads(in_batch);
-            self.head.apply_grads(in_batch);
+            self.bilstm.apply_grads(minibatch.len());
+            // The head-divisor quirk (see `train_epoch`): a full minibatch
+            // divides by `batch × len(last example)`, the tail by its
+            // example count. Pinned by `tagger_head_divisor_quirk_is_pinned`.
+            let full = batch != 0 && minibatch.len() == batch;
+            let last_len = minibatch.last().map_or(0, |ex| ex.xs.len());
+            self.head.apply_grads(if full {
+                batch * last_len.max(1)
+            } else {
+                minibatch.len()
+            });
         }
         total / steps.max(1) as f32
     }
@@ -347,5 +447,240 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(14);
         let model = SeqClassifier::new(1, 4, 2, &mut rng, AdamConfig::default());
         let _ = model.logits(&[]);
+    }
+
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// Digest of every weight, gradient and Adam moment (and the step
+    /// count), through the derived `Debug`, which prints each `f32` in
+    /// its shortest round-trip form (`-0.0` distinct from `0.0`).
+    fn state_digest<T: std::fmt::Debug>(model: &T) -> u64 {
+        fnv1a(format!("{model:?}").as_bytes())
+    }
+
+    /// `n` ragged sequences of `input`-wide steps, lengths 3..=8.
+    fn ragged_examples(n: usize, input: usize, classes: usize) -> Vec<SeqExample> {
+        (0..n)
+            .map(|i| SeqExample {
+                xs: (0..3 + (i * 7) % 6)
+                    .map(|t| {
+                        (0..input)
+                            .map(|k| ((i * 13 + t * 5 + k * 3) as f32 * 0.37).sin())
+                            .collect()
+                    })
+                    .collect(),
+                label: i % classes,
+            })
+            .collect()
+    }
+
+    /// 37 equal-length (12-step) two-channel sequences over 8 classes:
+    /// the website shape, with a tail minibatch of 5 at batch 16.
+    fn equal_examples() -> Vec<SeqExample> {
+        (0..37)
+            .map(|i| SeqExample {
+                xs: (0..12)
+                    .map(|t| {
+                        vec![
+                            ((i * 3 + t) as f32 * 0.21).sin(),
+                            ((i + t * 7) as f32 * 0.13).cos(),
+                        ]
+                    })
+                    .collect(),
+                label: i % 8,
+            })
+            .collect()
+    }
+
+    /// `n` ragged one-channel tagged sequences, lengths 2..=11.
+    fn ragged_tagged(n: usize, classes: usize) -> Vec<TaggedExample> {
+        (0..n)
+            .map(|i| {
+                let len = 2 + (i * 5) % 10;
+                TaggedExample {
+                    xs: (0..len)
+                        .map(|t| vec![((i * 11 + t * 3) as f32 * 0.41).cos()])
+                        .collect(),
+                    tags: (0..len).map(|t| (i + t / 3) % classes).collect(),
+                }
+            })
+            .collect()
+    }
+
+    fn fresh_classifier(input: usize, hidden: usize, classes: usize) -> SeqClassifier {
+        let mut rng = SmallRng::seed_from_u64(0x1A7E);
+        SeqClassifier::new(input, hidden, classes, &mut rng, AdamConfig::default())
+    }
+
+    fn fresh_tagger() -> SeqTagger {
+        let mut rng = SmallRng::seed_from_u64(0x7A66);
+        SeqTagger::new(1, 4, 3, &mut rng, AdamConfig::default())
+    }
+
+    /// Trains `epochs` epochs with lane groups of `group` and returns
+    /// the model plus every epoch's loss bits.
+    fn train_classifier(
+        examples: &[SeqExample],
+        (hidden, classes): (usize, usize),
+        batch: usize,
+        epochs: usize,
+        group: usize,
+    ) -> (SeqClassifier, Vec<u32>) {
+        let mut model = fresh_classifier(examples[0].xs[0].len(), hidden, classes);
+        let losses = (0..epochs)
+            .map(|_| model.train_epoch_grouped(examples, batch, group).to_bits())
+            .collect();
+        (model, losses)
+    }
+
+    fn train_tagger(
+        examples: &[TaggedExample],
+        batch: usize,
+        epochs: usize,
+        group: usize,
+    ) -> (SeqTagger, Vec<u32>) {
+        let mut model = fresh_tagger();
+        let losses = (0..epochs)
+            .map(|_| model.train_epoch_grouped(examples, batch, group).to_bits())
+            .collect();
+        (model, losses)
+    }
+
+    /// Digests of the trained state produced by the per-example trainer
+    /// this lane trainer replaced (one example at a time through scalar
+    /// kernels), for the batch sizes the edge cases need: `0` (one
+    /// minibatch, applied after the epoch), `1`, `5` (does not divide
+    /// 21), `8`, and `16` (a last lane group narrower than eight). The
+    /// lane trainer must reproduce them exactly.
+    #[test]
+    fn lane_training_reproduces_pinned_per_example_state() {
+        let ragged = ragged_examples(21, 2, 3);
+        for (batch, want) in [
+            (0, 0x4958_6145_d9b5_9394u64),
+            (1, 0x734f_5e5f_d157_0b0c),
+            (5, 0x49fb_6309_de10_5bb3),
+            (8, 0xe877_2b61_b284_2fd8),
+            (16, 0xfec1_b636_a6b4_5def),
+        ] {
+            let (model, _) = train_classifier(&ragged, (5, 3), batch, 3, LANE_BLOCK);
+            assert_eq!(state_digest(&model), want, "classifier batch {batch}");
+        }
+        let (model, _) = train_classifier(&equal_examples(), (16, 8), 16, 2, LANE_BLOCK);
+        assert_eq!(state_digest(&model), 0x7596_6a0e_6822_b08d, "website shape");
+        let tagged = ragged_tagged(19, 3);
+        for (batch, want) in [
+            (0, 0xbba5_a342_74ab_175cu64),
+            (1, 0x82b0_eae8_3d7e_c6ea),
+            (3, 0x3c1f_0593_4953_6bef),
+            (8, 0xddec_54fb_c9b3_c671),
+            (16, 0x0087_b0c0_8774_4e5f),
+        ] {
+            let (model, _) = train_tagger(&tagged, batch, 2, TAGGER_LANES);
+            assert_eq!(state_digest(&model), want, "tagger batch {batch}");
+        }
+    }
+
+    /// Lane groups of 1 (per-example training), 3, 4 and 8 give the same
+    /// weights, gradients, Adam moments and losses, bit for bit, at
+    /// every edge-case batch size, for both models.
+    #[test]
+    fn lane_width_does_not_change_training() {
+        let ragged = ragged_examples(21, 2, 3);
+        let tagged = ragged_tagged(19, 3);
+        for batch in [0, 1, 5, 8, 16] {
+            let per_example = train_classifier(&ragged, (5, 3), batch, 2, 1);
+            let per_example_tagger = train_tagger(&tagged, batch, 2, 1);
+            for group in [3, 4, LANE_BLOCK] {
+                let lanes = train_classifier(&ragged, (5, 3), batch, 2, group);
+                assert_eq!(
+                    format!("{:?}", lanes),
+                    format!("{:?}", per_example),
+                    "classifier batch {batch} group {group}"
+                );
+                let lanes = train_tagger(&tagged, batch, 2, group);
+                assert_eq!(
+                    format!("{:?}", lanes),
+                    format!("{:?}", per_example_tagger),
+                    "tagger batch {batch} group {group}"
+                );
+            }
+        }
+    }
+
+    /// Pins the tagger's head-divisor quirk: a full minibatch divides the
+    /// head gradient by `batch × len(last example)`, the tail by its
+    /// example count. Replays one epoch by hand with those divisors and
+    /// checks the trainer matches, and that the even-handed divisor
+    /// (examples in the minibatch) would train a different head.
+    #[test]
+    fn tagger_head_divisor_quirk_is_pinned() {
+        let examples = ragged_tagged(5, 3);
+        let replay = |full_divisor: &dyn Fn(usize) -> usize| {
+            let mut model = fresh_tagger();
+            let width = model.bilstm.output_dim();
+            let hidden = model.bilstm.hidden_dim();
+            let mut features = vec![0.0f32; width];
+            let mut logits = vec![0.0f32; model.head.output_dim()];
+            let mut dlogits = logits.clone();
+            let mut d_out = vec![0.0f32; width];
+            for minibatch in examples.chunks(2) {
+                for ex in minibatch {
+                    let len = ex.xs.len();
+                    let mut trace = model.bilstm.forward(&ex.xs);
+                    let mut d_fwd = vec![0.0f32; len * hidden];
+                    let mut d_bwd = vec![0.0f32; len * hidden];
+                    for t in 0..len {
+                        trace.output_into(0, t, &mut features);
+                        model.head.forward_into(&features, &mut logits);
+                        softmax_cross_entropy_into(&logits, ex.tags[t], &mut dlogits);
+                        model.head.backward_into(&features, &dlogits, &mut d_out);
+                        d_fwd[t * hidden..(t + 1) * hidden].copy_from_slice(&d_out[..hidden]);
+                        let rt = len - 1 - t;
+                        d_bwd[rt * hidden..(rt + 1) * hidden].copy_from_slice(&d_out[hidden..]);
+                    }
+                    model.bilstm.backward(&mut trace, &d_fwd, &d_bwd);
+                }
+                model.bilstm.apply_grads(minibatch.len());
+                let last_len = minibatch.last().expect("non-empty").xs.len();
+                model.head.apply_grads(if minibatch.len() == 2 {
+                    full_divisor(last_len)
+                } else {
+                    minibatch.len()
+                });
+            }
+            model
+        };
+        let mut trained = fresh_tagger();
+        trained.train_epoch(&examples, 2);
+        let quirk = replay(&|last_len| 2 * last_len);
+        assert_eq!(state_digest(&trained), state_digest(&quirk));
+        let even = replay(&|_| 2);
+        assert_ne!(state_digest(&trained.head), state_digest(&even.head));
+    }
+
+    /// Top-1 and top-k from one logits pass equal the per-example
+    /// `predict` / `predict_top_k` tallies.
+    #[test]
+    fn accuracy_top_k_matches_per_example_predictions() {
+        let examples = ragged_examples(19, 2, 3);
+        let (model, _) = train_classifier(&examples, (5, 3), 4, 2, LANE_BLOCK);
+        let n = examples.len() as f64;
+        let top1 = examples
+            .iter()
+            .filter(|ex| model.predict(&ex.xs) == ex.label)
+            .count() as f64
+            / n;
+        let top2 = examples
+            .iter()
+            .filter(|ex| model.predict_top_k(&ex.xs, 2).contains(&ex.label))
+            .count() as f64
+            / n;
+        assert_eq!(model.accuracy_top_k(&examples, 2), (top1, top2));
+        assert_eq!(model.accuracy(&examples), top1);
+        assert_eq!(model.top_k_accuracy(&examples, 2), top2);
     }
 }

@@ -17,6 +17,13 @@
 //! (SA)). Gradients are verified against finite differences in the test
 //! suite.
 //!
+//! Training runs each minibatch as feature-major lane groups (an
+//! [`LstmTrace`] holds one group; [`gate_step`] is the one cell step
+//! training, inference and `crates/serve` share). Every lane keeps the
+//! scalar operation order and gradients fold in per-example order, so
+//! the trained weights are bit-identical to training one example at a
+//! time.
+//!
 //! # Example
 //!
 //! ```
@@ -50,7 +57,7 @@ pub use classifier::{SeqClassifier, SeqExample, SeqTagger, TaggedExample};
 pub use data::{average_pool, k_fold_indices, standardize, to_features, train_test_split};
 pub use dense::Dense;
 pub use loss::{argmax, softmax, softmax_cross_entropy, softmax_cross_entropy_into, top_k};
-pub use lstm::{BiLstm, BiLstmTrace, Lstm, LstmTrace};
+pub use lstm::{gate_step, BiLstm, BiLstmTrace, Lstm, LstmTrace};
 pub use mat::Mat;
 pub use metrics::{
     collapse_runs, levenshtein, levenshtein_accuracy, per_class_segment_accuracy, segment_accuracy,

@@ -25,24 +25,46 @@ pub struct Lstm {
     adam: Adam,
 }
 
-/// Cached activations of one forward pass (needed by BPTT).
+/// Cached activations of one lane group's forward pass — the state BPTT
+/// needs — plus the BPTT scratch. Reusing one trace across minibatches
+/// makes it the trainer's arena: buffers only grow to the longest group.
 ///
-/// All per-timestep state lives in flat stride-indexed buffers, so a
-/// forward pass performs a fixed number of allocations regardless of
-/// sequence length.
+/// A group is `lanes` sequences (ragged lengths allowed) laid out
+/// feature-major (SoA), so element `(feature f, lane l)` of a per-step
+/// block sits at `f * lanes + l`:
+///
+/// * `xh`: `steps + 1` blocks of `(input + hidden) × lanes`; block `t` is
+///   `[x_t, h_t]` — exactly step `t`'s matvec input — and step `t`
+///   writes `h_{t+1}` into block `t + 1` (`h_0 = 0`).
+/// * `cs`: `c_0 .. c_T`, `hidden × lanes` each; `tc`: `tanh(c_{t+1})`
+///   kept from the forward pass, so BPTT does not recompute it.
+/// * `gates`: per step `4·hidden × lanes` post-nonlinearity `[i, f, g,
+///   o]` rows; BPTT overwrites each step with its gate deltas.
+///
+/// A lane past its own length is padding: the gate step skips it, BPTT
+/// writes exact zero deltas there, and the gradient fold never reads
+/// them, so padding does not reach any result.
 #[derive(Debug, Clone, Default)]
 pub struct LstmTrace {
-    xs: Vec<f32>,    // T × input
-    hs: Vec<f32>,    // (T+1) × hidden: h_0 .. h_T (h_0 = zeros)
-    cs: Vec<f32>,    // (T+1) × hidden: c_0 .. c_T
-    gates: Vec<f32>, // T × 4·hidden, per step [i, f, g, o] post-nonlinearity
     input: usize,
     hidden: usize,
+    lanes: usize,
     steps: usize,
+    lens: Vec<usize>,
+    xh: Vec<f32>,
+    cs: Vec<f32>,
+    tc: Vec<f32>,
+    gates: Vec<f32>,
+    // Step scratch: which lanes are live, and BPTT's recurrent deltas.
+    live: Vec<bool>,
+    dh_next: Vec<f32>,
+    dc_next: Vec<f32>,
 }
 
 impl LstmTrace {
-    /// Hidden state after step `t` (0-based step index).
+    /// Hidden state after step `t` (0-based step index): a feature-major
+    /// `hidden × lanes` block, i.e. the plain hidden vector for a
+    /// one-lane trace.
     ///
     /// # Panics
     ///
@@ -50,10 +72,27 @@ impl LstmTrace {
     #[must_use]
     pub fn hidden(&self, t: usize) -> &[f32] {
         assert!(t < self.steps, "trace step out of range");
-        &self.hs[(t + 1) * self.hidden..(t + 2) * self.hidden]
+        let block = (self.input + self.hidden) * self.lanes;
+        &self.xh[(t + 1) * block + self.input * self.lanes..(t + 2) * block]
     }
 
-    /// Number of timesteps traced.
+    /// Copies lane `lane`'s hidden state after step `t` into `out`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `t` or `lane` is out of range or `out.len() != hidden`.
+    pub fn hidden_lane(&self, t: usize, lane: usize, out: &mut [f32]) {
+        assert!(lane < self.lanes, "trace lane out of range");
+        assert_eq!(out.len(), self.hidden, "hidden dimension");
+        for (o, &v) in out
+            .iter_mut()
+            .zip(self.hidden(t).iter().skip(lane).step_by(self.lanes))
+        {
+            *o = v;
+        }
+    }
+
+    /// Number of timesteps traced (the longest lane's length).
     #[must_use]
     pub fn len(&self) -> usize {
         self.steps
@@ -66,14 +105,59 @@ impl LstmTrace {
     }
 }
 
-/// Where [`Lstm::backward_impl`] reads each timestep's output gradient.
+/// One LSTM cell step over SoA lanes, shared by training, batch inference
+/// and the streaming server (`crates/serve`).
+///
+/// `c`, `tc` and `h` are feature-major `hidden × lanes` blocks with
+/// `lanes = live.len()`; `gates` stacks four such blocks, the `[i, f, g,
+/// o]` pre-activations, and receives the activations. `c` holds the
+/// previous cell state on entry and the new one on exit; `tc` receives
+/// `tanh(c)` and `h` the new hidden state. Every live lane runs
+/// `sigmoid`/`tanh` per gate, `f·c + i·g` into the cell and `o·tanh(c)`
+/// into the hidden state — one fixed operation order, so a lane's state
+/// does not depend on how many lanes run. Lanes with `live[l] == false`
+/// (past the end of a ragged sequence) are left untouched.
+///
+/// # Panics
+///
+/// Panics on length mismatch.
+pub fn gate_step(gates: &mut [f32], c: &mut [f32], tc: &mut [f32], h: &mut [f32], live: &[bool]) {
+    let (n, lanes) = (c.len(), live.len());
+    assert!(lanes > 0 && n % lanes == 0, "cell length");
+    assert_eq!(gates.len(), 4 * n, "gate rows");
+    assert_eq!(tc.len(), n, "tanh(c) length");
+    assert_eq!(h.len(), n, "hidden length");
+    let (gi, rest) = gates.split_at_mut(n);
+    let (gf, rest) = rest.split_at_mut(n);
+    let (gg, go) = rest.split_at_mut(n);
+    for j in (0..n).step_by(lanes) {
+        for (l, _) in live.iter().enumerate().filter(|&(_, &on)| on) {
+            let k = j + l;
+            let i_g = sigmoid(gi[k]);
+            let f_g = sigmoid(gf[k]);
+            let g_g = gg[k].tanh();
+            let o_g = sigmoid(go[k]);
+            gi[k] = i_g;
+            gf[k] = f_g;
+            gg[k] = g_g;
+            go[k] = o_g;
+            let cv = f_g * c[k] + i_g * g_g;
+            c[k] = cv;
+            let t = cv.tanh();
+            tc[k] = t;
+            h[k] = o_g * t;
+        }
+    }
+}
+
+/// Where [`Lstm::backward_impl`] reads each step's hidden-output
+/// gradient.
+#[derive(Clone, Copy)]
 enum DhSrc<'a> {
-    /// One gradient vector per timestep.
-    PerStep(&'a [Vec<f32>]),
-    /// Flat `T × hidden` buffer.
-    Flat(&'a [f32]),
-    /// Gradient only at the final timestep (many-to-one heads).
-    LastOnly(&'a [f32]),
+    /// `steps × hidden × lanes`, laid out like the trace.
+    Steps(&'a [f32]),
+    /// `hidden × lanes`, applied at each lane's last step only.
+    Last(&'a [f32]),
 }
 
 impl Lstm {
@@ -125,151 +209,184 @@ impl Lstm {
         &self.w
     }
 
-    /// Runs the layer over `xs`, returning the activation trace.
+    /// Runs the layer over `xs`, returning a one-lane activation trace.
     ///
     /// # Panics
     ///
     /// Panics if any input vector has the wrong dimensionality.
     #[must_use]
     pub fn forward(&self, xs: &[Vec<f32>]) -> LstmTrace {
-        self.forward_iter(xs.iter().map(Vec::as_slice))
-    }
-
-    /// Forward pass over an iterator of timestep slices (lets the reverse
-    /// direction of [`BiLstm`] run without materializing a reversed copy).
-    fn forward_iter<'a, I>(&self, xs: I) -> LstmTrace
-    where
-        I: ExactSizeIterator<Item = &'a [f32]>,
-    {
-        let h = self.hidden;
-        let n = self.input;
-        let steps = xs.len();
-        let mut trace = LstmTrace {
-            xs: Vec::with_capacity(steps * n),
-            hs: vec![0.0f32; (steps + 1) * h],
-            cs: vec![0.0f32; (steps + 1) * h],
-            gates: vec![0.0f32; steps * 4 * h],
-            input: n,
-            hidden: h,
-            steps,
-        };
-        // Step-to-step scratch, allocated once for the whole sequence.
-        let mut concat = vec![0.0f32; n + h];
-        let mut pre = vec![0.0f32; 4 * h];
-        for (t, x) in xs.enumerate() {
-            assert_eq!(x.len(), n, "lstm input dimension");
-            trace.xs.extend_from_slice(x);
-            concat[..n].copy_from_slice(x);
-            concat[n..].copy_from_slice(&trace.hs[t * h..(t + 1) * h]);
-            pre.fill(0.0);
-            self.w.matvec_bias_acc(&concat, &mut pre);
-            // One fused pass computes all four gates, the new cell state
-            // and the new hidden state, writing straight into the flat
-            // trace buffers.
-            let gates = &mut trace.gates[t * 4 * h..(t + 1) * 4 * h];
-            let (cs_head, cs_tail) = trace.cs.split_at_mut((t + 1) * h);
-            let c_prev = &cs_head[t * h..];
-            let c_new = &mut cs_tail[..h];
-            let h_new = &mut trace.hs[(t + 1) * h..(t + 2) * h];
-            for j in 0..h {
-                let i_g = sigmoid(pre[j]);
-                let f_g = sigmoid(pre[h + j]);
-                let g_g = pre[2 * h + j].tanh();
-                let o_g = sigmoid(pre[3 * h + j]);
-                gates[j] = i_g;
-                gates[h + j] = f_g;
-                gates[2 * h + j] = g_g;
-                gates[3 * h + j] = o_g;
-                let cv = f_g * c_prev[j] + i_g * g_g;
-                c_new[j] = cv;
-                h_new[j] = o_g * cv.tanh();
-            }
-        }
+        let mut trace = LstmTrace::default();
+        self.forward_lanes(&[xs], &mut trace);
         trace
     }
 
-    /// Backpropagates through the traced sequence.
-    ///
-    /// `dh` holds the loss gradient w.r.t. each timestep's hidden output
-    /// (zero vectors for unused steps). Gradients accumulate into the
-    /// layer's internal buffer until [`Lstm::apply_grads`].
+    /// Runs the layer over a group of sequences, one lane each, into
+    /// `trace` (reusing its buffers). Each lane's activations are
+    /// bit-identical to [`Lstm::forward`] on that sequence alone.
     ///
     /// # Panics
     ///
-    /// Panics if `dh` does not match the trace length or hidden size.
-    pub fn backward(&mut self, trace: &LstmTrace, dh: &[Vec<f32>]) {
-        assert_eq!(dh.len(), trace.len(), "dh length");
-        self.backward_impl(trace, DhSrc::PerStep(dh));
+    /// Panics if any input vector has the wrong dimensionality.
+    pub fn forward_lanes(&self, seqs: &[&[Vec<f32>]], trace: &mut LstmTrace) {
+        self.forward_group(seqs, false, trace);
     }
 
-    /// Backpropagates a gradient applied only at the final hidden state —
-    /// the many-to-one classifier case — without materializing per-step
-    /// zero gradient vectors.
+    /// [`Lstm::forward_lanes`], optionally feeding every lane its
+    /// sequence back to front (the reverse direction of [`BiLstm`]).
+    fn forward_group(&self, seqs: &[&[Vec<f32>]], reverse: bool, trace: &mut LstmTrace) {
+        let (n, h, lanes) = (self.input, self.hidden, seqs.len());
+        let steps = seqs.iter().map(|s| s.len()).max().unwrap_or(0);
+        let block = (n + h) * lanes;
+        let cell = h * lanes;
+        trace.input = n;
+        trace.hidden = h;
+        trace.lanes = lanes;
+        trace.steps = steps;
+        trace.lens.clear();
+        trace.lens.extend(seqs.iter().map(|s| s.len()));
+        // Zero inputs past each lane's end, h_0 and c_0; every other
+        // element is written below before it is read.
+        trace.xh.clear();
+        trace.xh.resize((steps + 1) * block, 0.0);
+        trace.cs.resize((steps + 1) * cell, 0.0);
+        trace.cs[..cell].fill(0.0);
+        trace.tc.resize(steps * cell, 0.0);
+        trace.gates.resize(steps * 4 * cell, 0.0);
+        for (l, seq) in seqs.iter().enumerate() {
+            let len = seq.len();
+            for (t, x) in seq.iter().enumerate() {
+                assert_eq!(x.len(), n, "lstm input dimension");
+                let step = if reverse { len - 1 - t } else { t };
+                let xs = &mut trace.xh[step * block..step * block + n * lanes];
+                for (f, &v) in x.iter().enumerate() {
+                    xs[f * lanes + l] = v;
+                }
+            }
+        }
+        for t in 0..steps {
+            let (done, next) = trace.xh.split_at_mut((t + 1) * block);
+            let gates = &mut trace.gates[t * 4 * cell..(t + 1) * 4 * cell];
+            gates.fill(0.0);
+            self.w.matvec_bias_acc_soa(&done[t * block..], lanes, gates);
+            let (c_prev, c_new) = trace.cs.split_at_mut((t + 1) * cell);
+            let c = &mut c_new[..cell];
+            c.copy_from_slice(&c_prev[t * cell..]);
+            trace.live.clear();
+            trace.live.extend(trace.lens.iter().map(|&len| t < len));
+            gate_step(
+                gates,
+                c,
+                &mut trace.tc[t * cell..(t + 1) * cell],
+                &mut next[n * lanes..block],
+                &trace.live,
+            );
+        }
+    }
+
+    /// Backpropagates through the traced group and accumulates the weight
+    /// gradient until [`Lstm::apply_grads`].
+    ///
+    /// `dh` is the loss gradient w.r.t. each step's hidden output, laid
+    /// out like the trace (`steps × hidden × lanes`, feature-major per
+    /// step; entries past a lane's length are ignored). The trace's gates
+    /// are overwritten with the gate deltas.
+    ///
+    /// Bit-identical to backpropagating each lane alone, in lane order:
+    /// the delta pass keeps each lane's scalar operation order, and the
+    /// gradient is folded lane ascending, step descending — the order a
+    /// one-lane-at-a-time loop accumulates in.
     ///
     /// # Panics
     ///
-    /// Panics if `dh_last` does not match the hidden size.
-    pub fn backward_last(&mut self, trace: &LstmTrace, dh_last: &[f32]) {
-        assert_eq!(dh_last.len(), self.hidden, "dh dimension");
-        self.backward_impl(trace, DhSrc::LastOnly(dh_last));
+    /// Panics if the trace came from a different layer shape or `dh`
+    /// has the wrong length.
+    pub fn backward(&mut self, trace: &mut LstmTrace, dh: &[f32]) {
+        assert_eq!(
+            dh.len(),
+            trace.steps * trace.hidden * trace.lanes,
+            "dh length"
+        );
+        self.backward_impl(trace, DhSrc::Steps(dh));
     }
 
-    /// Backpropagates per-timestep gradients given as one flat
-    /// `trace.len() × hidden` buffer.
+    /// [`Lstm::backward`] with a gradient only at each lane's final
+    /// hidden state — the many-to-one classifier case. `dh_last` is
+    /// `hidden × lanes`, feature-major.
     ///
     /// # Panics
     ///
-    /// Panics if `dh` does not match the trace length times hidden size.
-    pub fn backward_flat(&mut self, trace: &LstmTrace, dh: &[f32]) {
-        assert_eq!(dh.len(), trace.len() * self.hidden, "dh length");
-        self.backward_impl(trace, DhSrc::Flat(dh));
+    /// Panics if `dh_last` does not match the hidden size times lanes.
+    pub fn backward_last(&mut self, trace: &mut LstmTrace, dh_last: &[f32]) {
+        assert_eq!(dh_last.len(), trace.hidden * trace.lanes, "dh dimension");
+        self.backward_impl(trace, DhSrc::Last(dh_last));
     }
 
-    fn backward_impl(&mut self, trace: &LstmTrace, src: DhSrc<'_>) {
-        let h = self.hidden;
-        let n = self.input;
+    fn backward_impl(&mut self, trace: &mut LstmTrace, src: DhSrc<'_>) {
+        let (n, h) = (self.input, self.hidden);
         assert_eq!(trace.input, n, "trace from a different layer shape");
         assert_eq!(trace.hidden, h, "trace from a different layer shape");
-        let steps = trace.len();
-        // Scratch allocated once for the whole sequence.
-        let mut dh_next = vec![0.0f32; h];
-        let mut dc_next = vec![0.0f32; h];
-        let mut concat = vec![0.0f32; n + h];
-        let mut dpre = vec![0.0f32; 4 * h];
-        let mut dconcat = vec![0.0f32; n + h];
+        let (lanes, steps) = (trace.lanes, trace.steps);
+        let cell = h * lanes;
+        let block = (n + h) * lanes;
+        trace.dh_next.clear();
+        trace.dh_next.resize(cell, 0.0);
+        trace.dc_next.clear();
+        trace.dc_next.resize(cell, 0.0);
+        let dh_next = &mut trace.dh_next;
+        let dc_next = &mut trace.dc_next;
         for t in (0..steps).rev() {
-            let dh_t: Option<&[f32]> = match src {
-                DhSrc::PerStep(v) => {
-                    assert_eq!(v[t].len(), h, "dh dimension");
-                    Some(&v[t])
+            let c_prev = &trace.cs[t * cell..(t + 1) * cell];
+            let tcs = &trace.tc[t * cell..(t + 1) * cell];
+            let dpre = &mut trace.gates[t * 4 * cell..(t + 1) * 4 * cell];
+            let (gi, rest) = dpre.split_at_mut(cell);
+            let (gf, rest) = rest.split_at_mut(cell);
+            let (gg, go) = rest.split_at_mut(cell);
+            for (l, &len) in trace.lens.iter().enumerate() {
+                for k in (l..cell).step_by(lanes) {
+                    if t >= len {
+                        // Past the lane's end: exact zeros, so its delta
+                        // pass starts from the state a one-lane run has.
+                        gi[k] = 0.0;
+                        gf[k] = 0.0;
+                        gg[k] = 0.0;
+                        go[k] = 0.0;
+                        dc_next[k] = 0.0;
+                        continue;
+                    }
+                    let dh_t = match src {
+                        DhSrc::Steps(d) => d[t * cell + k],
+                        DhSrc::Last(d) if t + 1 == len => d[k],
+                        DhSrc::Last(_) => 0.0,
+                    };
+                    let dh_total = dh_t + dh_next[k];
+                    let i_g = gi[k];
+                    let f_g = gf[k];
+                    let g_g = gg[k];
+                    let o_g = go[k];
+                    let tc = tcs[k];
+                    let dc = dh_total * o_g * (1.0 - tc * tc) + dc_next[k];
+                    // Gate pre-activation gradients, written over the gates.
+                    gi[k] = dc * g_g * i_g * (1.0 - i_g);
+                    gf[k] = dc * c_prev[k] * f_g * (1.0 - f_g);
+                    gg[k] = dc * i_g * (1.0 - g_g * g_g);
+                    go[k] = dh_total * tc * o_g * (1.0 - o_g);
+                    dc_next[k] = dc * f_g;
                 }
-                DhSrc::Flat(d) => Some(&d[t * h..(t + 1) * h]),
-                DhSrc::LastOnly(d) => (t + 1 == steps).then_some(d),
-            };
-            let c = &trace.cs[(t + 1) * h..(t + 2) * h];
-            let c_prev = &trace.cs[t * h..(t + 1) * h];
-            let gates = &trace.gates[t * 4 * h..(t + 1) * 4 * h];
-            for j in 0..h {
-                let dh_total = dh_t.map_or(0.0, |d| d[j]) + dh_next[j];
-                let i_g = gates[j];
-                let f_g = gates[h + j];
-                let g_g = gates[2 * h + j];
-                let o_g = gates[3 * h + j];
-                let tc = c[j].tanh();
-                let dc = dh_total * o_g * (1.0 - tc * tc) + dc_next[j];
-                // Gate pre-activation gradients.
-                dpre[j] = dc * g_g * i_g * (1.0 - i_g);
-                dpre[h + j] = dc * c_prev[j] * f_g * (1.0 - f_g);
-                dpre[2 * h + j] = dc * i_g * (1.0 - g_g * g_g);
-                dpre[3 * h + j] = dh_total * tc * o_g * (1.0 - o_g);
-                dc_next[j] = dc * f_g;
             }
-            concat[..n].copy_from_slice(&trace.xs[t * n..(t + 1) * n]);
-            concat[n..].copy_from_slice(&trace.hs[t * h..(t + 1) * h]);
-            self.grad.outer_acc_bias(&dpre, &concat, 1.0);
-            dconcat.fill(0.0);
-            self.w.matvec_t_narrow(&dpre, &mut dconcat);
-            dh_next.copy_from_slice(&dconcat[n..]);
+            dh_next.fill(0.0);
+            self.w.matvec_t_acc_soa(dpre, lanes, n, dh_next);
+        }
+        // The ordered gradient fold: lane ascending, step descending.
+        for (l, &len) in trace.lens.iter().enumerate() {
+            for t in (0..len).rev() {
+                self.grad.outer_acc_bias_lane(
+                    &trace.gates[t * 4 * cell..(t + 1) * 4 * cell],
+                    &trace.xh[t * block..(t + 1) * block],
+                    lanes,
+                    l,
+                );
+            }
         }
     }
 
@@ -296,46 +413,41 @@ pub struct BiLstm {
     bwd: Lstm,
 }
 
-/// Cached activations of a bidirectional pass.
+/// Cached activations of a bidirectional pass over a lane group: the
+/// forward direction's trace and the reverse direction's, whose step `s`
+/// of lane `l` saw input `len_l - 1 - s`.
 #[derive(Debug, Clone, Default)]
 pub struct BiLstmTrace {
     fwd: LstmTrace,
     bwd: LstmTrace,
-    len: usize,
 }
 
 impl BiLstmTrace {
-    /// Concatenated `[h_fwd(t), h_bwd(t)]` output at timestep `t`.
-    #[must_use]
-    pub fn output(&self, t: usize) -> Vec<f32> {
-        let mut out = self.fwd.hidden(t).to_vec();
-        out.extend_from_slice(self.bwd.hidden(self.len - 1 - t));
-        out
-    }
-
-    /// Writes the concatenated output at timestep `t` into `out`
-    /// (allocation-free variant of [`BiLstmTrace::output`]).
+    /// Writes lane `lane`'s concatenated `[h_fwd(t), h_bwd(t)]` output at
+    /// timestep `t` into `out` (`2 × hidden` long).
     ///
     /// # Panics
     ///
-    /// Panics if `out.len()` is not `2 × hidden` or `t` is out of range.
-    pub fn output_into(&self, t: usize, out: &mut [f32]) {
-        let f = self.fwd.hidden(t);
-        let b = self.bwd.hidden(self.len - 1 - t);
-        out[..f.len()].copy_from_slice(f);
-        out[f.len()..].copy_from_slice(b);
+    /// Panics if `out.len()` is not `2 × hidden` or `t` is past the
+    /// lane's length.
+    pub fn output_into(&self, lane: usize, t: usize, out: &mut [f32]) {
+        let len = self.fwd.lens[lane];
+        assert!(t < len, "trace step out of range");
+        let (f, b) = out.split_at_mut(self.fwd.hidden);
+        self.fwd.hidden_lane(t, lane, f);
+        self.bwd.hidden_lane(len - 1 - t, lane, b);
     }
 
-    /// Number of timesteps.
+    /// Number of timesteps (the longest lane's length).
     #[must_use]
     pub fn len(&self) -> usize {
-        self.len
+        self.fwd.len()
     }
 
     /// Whether the trace is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.fwd.is_empty()
     }
 }
 
@@ -354,63 +466,45 @@ impl BiLstm {
         }
     }
 
+    /// Hidden dimensionality of each direction.
+    #[must_use]
+    pub fn hidden_dim(&self) -> usize {
+        self.fwd.hidden_dim()
+    }
+
     /// Output dimensionality (`2 × hidden`).
     #[must_use]
     pub fn output_dim(&self) -> usize {
         2 * self.fwd.hidden_dim()
     }
 
-    /// Runs both directions over `xs`.
+    /// Runs both directions over `xs` (a one-lane trace).
     #[must_use]
     pub fn forward(&self, xs: &[Vec<f32>]) -> BiLstmTrace {
-        BiLstmTrace {
-            fwd: self.fwd.forward_iter(xs.iter().map(Vec::as_slice)),
-            bwd: self.bwd.forward_iter(xs.iter().rev().map(Vec::as_slice)),
-            len: xs.len(),
-        }
+        let mut trace = BiLstmTrace::default();
+        self.forward_lanes(&[xs], &mut trace);
+        trace
     }
 
-    /// Backpropagates per-timestep output gradients (`d_out[t]` has
-    /// dimension `2 × hidden`).
+    /// Runs both directions over a group of sequences, one lane each,
+    /// into `trace` (reusing its buffers).
+    pub fn forward_lanes(&self, seqs: &[&[Vec<f32>]], trace: &mut BiLstmTrace) {
+        self.fwd.forward_group(seqs, false, &mut trace.fwd);
+        self.bwd.forward_group(seqs, true, &mut trace.bwd);
+    }
+
+    /// Backpropagates per-direction output gradients, each laid out like
+    /// its direction's trace (see [`Lstm::backward`]): `d_fwd` at
+    /// forward step `t` is the gradient of output `t`'s first half, and
+    /// `d_bwd` at reverse step `s` that of output `len - 1 - s`'s second
+    /// half.
     ///
     /// # Panics
     ///
     /// Panics on dimension mismatch.
-    pub fn backward(&mut self, trace: &BiLstmTrace, d_out: &[Vec<f32>]) {
-        let h = self.fwd.hidden_dim();
-        let steps = trace.len();
-        assert_eq!(d_out.len(), steps, "d_out length");
-        let mut dh_fwd = vec![0.0f32; steps * h];
-        let mut dh_bwd = vec![0.0f32; steps * h];
-        for (t, d) in d_out.iter().enumerate() {
-            assert_eq!(d.len(), 2 * h, "d_out dimension");
-            dh_fwd[t * h..(t + 1) * h].copy_from_slice(&d[..h]);
-            let rt = steps - 1 - t;
-            dh_bwd[rt * h..(rt + 1) * h].copy_from_slice(&d[h..]);
-        }
-        self.fwd.backward_flat(&trace.fwd, &dh_fwd);
-        self.bwd.backward_flat(&trace.bwd, &dh_bwd);
-    }
-
-    /// Like [`BiLstm::backward`] with the output gradients in one flat
-    /// `trace.len() × 2·hidden` buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics on dimension mismatch.
-    pub fn backward_flat(&mut self, trace: &BiLstmTrace, d_out: &[f32]) {
-        let h = self.fwd.hidden_dim();
-        let steps = trace.len();
-        assert_eq!(d_out.len(), steps * 2 * h, "d_out length");
-        let mut dh_fwd = vec![0.0f32; steps * h];
-        let mut dh_bwd = vec![0.0f32; steps * h];
-        for (t, d) in d_out.chunks_exact(2 * h).enumerate() {
-            dh_fwd[t * h..(t + 1) * h].copy_from_slice(&d[..h]);
-            let rt = steps - 1 - t;
-            dh_bwd[rt * h..(rt + 1) * h].copy_from_slice(&d[h..]);
-        }
-        self.fwd.backward_flat(&trace.fwd, &dh_fwd);
-        self.bwd.backward_flat(&trace.bwd, &dh_bwd);
+    pub fn backward(&mut self, trace: &mut BiLstmTrace, d_fwd: &[f32], d_bwd: &[f32]) {
+        self.fwd.backward(&mut trace.fwd, d_fwd);
+        self.bwd.backward(&mut trace.bwd, d_bwd);
     }
 
     /// Applies accumulated gradients in both directions.
@@ -459,10 +553,8 @@ mod tests {
         let xs = vec![vec![0.5, -0.3], vec![0.1, 0.9], vec![-0.7, 0.2]];
         // Loss = sum of final hidden state.
         let loss = |l: &Lstm| -> f32 { l.forward(&xs).hidden(2).iter().sum() };
-        let trace = lstm.forward(&xs);
-        let mut dh = vec![vec![0.0; 3]; 3];
-        dh[2] = vec![1.0; 3];
-        lstm.backward(&trace, &dh);
+        let mut trace = lstm.forward(&xs);
+        lstm.backward_last(&mut trace, &[1.0; 3]);
         // Compare a few analytic gradient entries to finite differences.
         let eps = 1e-3f32;
         for idx in [0usize, 7, 20, 41] {
@@ -487,13 +579,57 @@ mod tests {
         let xs = vec![vec![1.0, 0.0], vec![0.0, 1.0], vec![1.0, 1.0]];
         let trace = bi.forward(&xs);
         assert_eq!(trace.len(), 3);
-        assert_eq!(trace.output(0).len(), 6);
         assert_eq!(bi.output_dim(), 6);
+        let mut out = [0.0f32; 6];
+        trace.output_into(0, 0, &mut out);
         // The backward direction at t=0 saw the whole reversed sequence.
         let full_bwd = bi
             .bwd
             .forward(&[xs[2].clone(), xs[1].clone(), xs[0].clone()]);
-        assert_eq!(&trace.output(0)[3..], full_bwd.hidden(2));
+        assert_eq!(&out[3..], full_bwd.hidden(2));
+        assert_eq!(&out[..3], bi.fwd.forward(&xs).hidden(0));
+    }
+
+    /// Every lane of a ragged group (and of the reverse direction) holds
+    /// bit for bit the hidden states a one-lane pass over its sequence
+    /// computes.
+    #[test]
+    fn lane_forward_matches_one_lane_forward() {
+        let mut rng = SmallRng::seed_from_u64(10);
+        let bi = BiLstm::new(3, 5, &mut rng, AdamConfig::default());
+        let seqs: Vec<Vec<Vec<f32>>> = [4usize, 9, 1, 6, 9, 2, 7, 3, 5]
+            .iter()
+            .enumerate()
+            .map(|(i, &len)| {
+                (0..len)
+                    .map(|t| {
+                        (0..3)
+                            .map(|k| ((i * 17 + t * 3 + k) as f32 * 0.29).sin())
+                            .collect()
+                    })
+                    .collect()
+            })
+            .collect();
+        let group: Vec<&[Vec<f32>]> = seqs.iter().map(Vec::as_slice).collect();
+        let mut lanes = BiLstmTrace::default();
+        bi.forward_lanes(&group, &mut lanes);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let (mut got, mut want) = ([0.0f32; 10], [0.0f32; 10]);
+        for (l, seq) in seqs.iter().enumerate() {
+            let alone = bi.forward(seq);
+            let mut h = [0.0f32; 5];
+            for t in 0..seq.len() {
+                lanes.fwd.hidden_lane(t, l, &mut h);
+                assert_eq!(
+                    bits(&h),
+                    bits(bi.fwd.forward(seq).hidden(t)),
+                    "lane {l} step {t}"
+                );
+                lanes.output_into(l, t, &mut got);
+                alone.output_into(0, t, &mut want);
+                assert_eq!(bits(&got), bits(&want), "lane {l} output {t}");
+            }
+        }
     }
 
     /// The optimized forward/backward must agree with the naive reference
@@ -508,7 +644,7 @@ mod tests {
         let xs: Vec<Vec<f32>> = (0..12)
             .map(|t| (0..3).map(|k| ((t * 3 + k) as f32 * 0.37).sin()).collect())
             .collect();
-        let ft = fast.forward(&xs);
+        let mut ft = fast.forward(&xs);
         let nt = naive.forward(&xs);
         for t in 0..xs.len() {
             for (a, b) in ft.hidden(t).iter().zip(nt.hidden(t)) {
@@ -517,7 +653,7 @@ mod tests {
         }
         let mut dh = vec![vec![0.0f32; 6]; xs.len()];
         dh[xs.len() - 1] = vec![1.0; 6];
-        fast.backward(&ft, &dh);
+        fast.backward(&mut ft, &dh.concat());
         naive.backward(&nt, &dh);
         for (i, (a, b)) in fast
             .grad
@@ -534,8 +670,8 @@ mod tests {
             let mut rng = SmallRng::seed_from_u64(9);
             Lstm::new(3, 6, &mut rng, AdamConfig::default())
         };
-        let ft2 = fast2.forward(&xs);
-        fast2.backward_last(&ft2, &[1.0; 6]);
+        let mut ft2 = fast2.forward(&xs);
+        fast2.backward_last(&mut ft2, &[1.0; 6]);
         assert_eq!(fast2.grad.as_slice(), fast.grad.as_slice());
     }
 
@@ -569,11 +705,11 @@ mod tests {
         let initial = loss_of(&lstm);
         for _ in 0..150 {
             for (xs, target) in [(make(true), 1.0f32), (make(false), -1.0f32)] {
-                let trace = lstm.forward(&xs);
+                let mut trace = lstm.forward(&xs);
                 let out = trace.hidden(5)[0];
-                let mut dh = vec![vec![0.0; 4]; 6];
-                dh[5][0] = 2.0 * (out - target);
-                lstm.backward(&trace, &dh);
+                let mut dh = vec![0.0; 4];
+                dh[0] = 2.0 * (out - target);
+                lstm.backward_last(&mut trace, &dh);
             }
             lstm.apply_grads(2);
         }

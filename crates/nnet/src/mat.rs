@@ -150,12 +150,20 @@ impl Mat {
     ///
     /// Panics on dimension mismatch.
     pub fn matvec_t_narrow(&self, g: &[f32], out: &mut [f32]) {
+        self.matvec_t_window(g, 0, out);
+    }
+
+    /// [`Mat::matvec_t_narrow`] over the columns `col0..col0 +
+    /// out.len()`; each column is accumulated independently.
+    fn matvec_t_window(&self, g: &[f32], col0: usize, out: &mut [f32]) {
         assert_eq!(g.len(), self.rows, "matvec_t input length");
-        assert!(out.len() <= self.cols, "matvec_t output length");
+        assert!(col0 + out.len() <= self.cols, "matvec_t output length");
         let cols = self.cols;
         if cols == 0 {
             return;
         }
+        let width = out.len();
+        let window = |r: usize| &self.data[r * cols + col0..r * cols + col0 + width];
         let blocks = self.rows / 4;
         for b in 0..blocks {
             let r = b * 4;
@@ -163,10 +171,7 @@ impl Mat {
             if g0 == 0.0 && g1 == 0.0 && g2 == 0.0 && g3 == 0.0 {
                 continue;
             }
-            let block = &self.data[r * cols..(r + 4) * cols];
-            let (r0, rest) = block.split_at(cols);
-            let (r1, rest) = rest.split_at(cols);
-            let (r2, r3) = rest.split_at(cols);
+            let (r0, r1, r2, r3) = (window(r), window(r + 1), window(r + 2), window(r + 3));
             for ((((o, w0), w1), w2), w3) in out.iter_mut().zip(r0).zip(r1).zip(r2).zip(r3) {
                 *o += g0 * w0 + g1 * w1 + g2 * w2 + g3 * w3;
             }
@@ -175,8 +180,7 @@ impl Mat {
             if gr == 0.0 {
                 continue;
             }
-            let row = &self.data[r * cols..r * cols + out.len()];
-            for (o, w) in out.iter_mut().zip(row) {
+            for (o, w) in out.iter_mut().zip(window(r)) {
                 *o += gr * w;
             }
         }
@@ -238,12 +242,13 @@ impl Mat {
     /// lane `l`, `xs.len() == (cols - 1) * lanes`).
     ///
     /// Each lane's result is **bit-identical** to the scalar
-    /// `matvec_bias_acc` on that lane's input: the kernel keeps four
-    /// per-lane accumulators over feature chunks of four plus a per-lane
-    /// scalar tail, combined as `(a0 + a1) + (a2 + a3) + tail + bias` —
-    /// the same operation order as the scalar `dot` — so the per-lane
-    /// floating-point result does not depend on `lanes` or on which
-    /// block of eight a lane lands in.
+    /// `matvec_bias_acc` on that lane's input. Lanes run in fixed blocks
+    /// of [`LANE_BLOCK`], then at most one half block of four, both
+    /// keeping four per-lane accumulators over feature chunks of four
+    /// plus a per-lane scalar tail, combined as `(a0 + a1) + (a2 + a3) +
+    /// tail + bias` — the scalar `dot`'s order. Leftover single lanes run
+    /// `dot` itself. So a lane's result does not depend on `lanes` or on
+    /// which block it lands in.
     ///
     /// # Panics
     ///
@@ -258,46 +263,228 @@ impl Mat {
             self.rows * lanes,
             "matvec_bias_soa output length"
         );
+        let mut lane0 = 0;
+        // A block's inputs are contiguous when it is the whole group;
+        // otherwise they are gathered once per block.
+        let mut gathered = Vec::new();
+        while lane0 < lanes {
+            let width = block_width(lanes - lane0);
+            let block: &[f32] = if width == lanes {
+                xs
+            } else {
+                gathered.clear();
+                for f in 0..feat {
+                    let at = f * lanes + lane0;
+                    gathered.extend_from_slice(&xs[at..at + width]);
+                }
+                &gathered
+            };
+            match width {
+                LANE_BLOCK => self.bias_block::<LANE_BLOCK>(block, lanes, lane0, out),
+                4 => self.bias_block::<4>(block, lanes, lane0, out),
+                // A single lane's inputs are one contiguous vector: the
+                // scalar kernel itself.
+                _ => {
+                    for (r, row) in self.data.chunks_exact(self.cols).enumerate() {
+                        let (w, bias) = row.split_at(feat);
+                        out[r * lanes + lane0] += dot(w, block) + bias[0];
+                    }
+                }
+            }
+            lane0 += width;
+        }
+    }
+
+    /// One `B`-lane block of [`Mat::matvec_bias_acc_soa`]: `xb` holds the
+    /// block's inputs contiguously (`feat × B`), results go to lanes
+    /// `lane0..lane0 + B` of `out`.
+    fn bias_block<const B: usize>(&self, xb: &[f32], lanes: usize, lane0: usize, out: &mut [f32]) {
+        let feat = self.cols - 1;
+        let x = |f: usize| -> &[f32; B] { xb[f * B..(f + 1) * B].try_into().expect("block") };
+        for (r, row) in self.data.chunks_exact(self.cols).enumerate() {
+            let (w, bias) = row.split_at(feat);
+            let mut acc = [[0.0f32; B]; 4];
+            let mut tail = [0.0f32; B];
+            let chunks = w.chunks_exact(4);
+            let rem = chunks.remainder();
+            for (c, cw) in chunks.enumerate() {
+                for (a, (acc_a, &wv)) in acc.iter_mut().zip(cw).enumerate() {
+                    for (al, &xl) in acc_a.iter_mut().zip(x(4 * c + a)) {
+                        *al += wv * xl;
+                    }
+                }
+            }
+            for (k, &wv) in rem.iter().enumerate() {
+                for (tl, &xl) in tail.iter_mut().zip(x(feat - rem.len() + k)) {
+                    *tl += wv * xl;
+                }
+            }
+            let o = &mut out[r * lanes + lane0..r * lanes + lane0 + B];
+            for (l, ol) in o.iter_mut().enumerate() {
+                *ol += (acc[0][l] + acc[1][l]) + (acc[2][l] + acc[3][l]) + tail[l] + bias[0];
+            }
+        }
+    }
+
+    /// Lane-batched twin of [`Mat::matvec_t_narrow`] over the column
+    /// window `col0..col0 + out.len() / lanes`: `out[c * lanes + l] +=
+    /// Σ_r g[r * lanes + l] * self[r][col0 + c]`, with `g` row-major by
+    /// lane (`rows × lanes`) and `out` feature-major.
+    ///
+    /// Each lane's result is **bit-identical** to `matvec_t_narrow` on
+    /// that lane's `g` (restricted to the window): rows run in blocks of
+    /// four summed as `g0·w0 + g1·w1 + g2·w2 + g3·w3` and skipped when
+    /// all four of the lane's `g` are zero, then the leftover rows one at
+    /// a time, skipped when zero. Lanes run in blocks of [`LANE_BLOCK`],
+    /// then at most one half block of four, then single lanes.
+    ///
+    /// # Panics
+    ///
+    /// Panics on dimension mismatch or a window past the last column.
+    pub fn matvec_t_acc_soa(&self, g: &[f32], lanes: usize, col0: usize, out: &mut [f32]) {
+        assert_eq!(g.len(), self.rows * lanes, "matvec_t_soa input length");
+        if lanes == 1 {
+            self.matvec_t_window(g, col0, out);
+            return;
+        }
         if lanes == 0 {
             return;
         }
-        const LANE_BLOCK: usize = 8;
-        for (out_row, row) in out
-            .chunks_exact_mut(lanes)
-            .zip(self.data.chunks_exact(self.cols))
-        {
-            let (w, bias) = row.split_at(feat);
-            let mut lane0 = 0;
-            while lane0 < lanes {
-                let width = (lanes - lane0).min(LANE_BLOCK);
-                let mut acc = [[0.0f32; LANE_BLOCK]; 4];
-                let mut tail = [0.0f32; LANE_BLOCK];
-                let chunks = w.chunks_exact(4);
-                let rem = chunks.remainder();
-                let mut f = 0;
-                for cw in chunks {
-                    for (a, &wv) in cw.iter().enumerate() {
-                        let base = (f + a) * lanes + lane0;
-                        let xrow = &xs[base..base + width];
-                        for (al, &xl) in acc[a][..width].iter_mut().zip(xrow) {
-                            *al += wv * xl;
-                        }
+        assert_eq!(out.len() % lanes, 0, "matvec_t_soa output length");
+        let width = out.len() / lanes;
+        assert!(col0 + width <= self.cols, "matvec_t_soa column window");
+        let mut lane0 = 0;
+        while lane0 < lanes {
+            let block = block_width(lanes - lane0);
+            match block {
+                LANE_BLOCK => self.t_block::<LANE_BLOCK>(g, lanes, lane0, col0, out),
+                4 => self.t_block::<4>(g, lanes, lane0, col0, out),
+                _ => self.t_block::<1>(g, lanes, lane0, col0, out),
+            }
+            lane0 += block;
+        }
+    }
+
+    /// One `B`-lane block (lanes `lane0..lane0 + B`) of
+    /// [`Mat::matvec_t_acc_soa`].
+    fn t_block<const B: usize>(
+        &self,
+        g: &[f32],
+        lanes: usize,
+        lane0: usize,
+        col0: usize,
+        out: &mut [f32],
+    ) {
+        let cols = self.cols;
+        let width = out.len() / lanes;
+        let window = |r: usize| &self.data[r * cols + col0..r * cols + col0 + width];
+        let gblock = |r: usize| -> [f32; B] {
+            g[r * lanes + lane0..r * lanes + lane0 + B]
+                .try_into()
+                .expect("block")
+        };
+        let live_of = |a: &[[f32; B]; 4]| -> [bool; B] {
+            std::array::from_fn(|l| {
+                !(a[0][l] == 0.0 && a[1][l] == 0.0 && a[2][l] == 0.0 && a[3][l] == 0.0)
+            })
+        };
+        for r in (0..self.rows / 4).map(|b| 4 * b) {
+            let a = [gblock(r), gblock(r + 1), gblock(r + 2), gblock(r + 3)];
+            let live = live_of(&a);
+            if !live.contains(&true) {
+                continue;
+            }
+            let all_live = !live.contains(&false);
+            let (w0, w1, w2, w3) = (window(r), window(r + 1), window(r + 2), window(r + 3));
+            for (c, out_c) in out.chunks_exact_mut(lanes).enumerate() {
+                let (v0, v1, v2, v3) = (w0[c], w1[c], w2[c], w3[c]);
+                let o = &mut out_c[lane0..lane0 + B];
+                let v = |l: usize| a[0][l] * v0 + a[1][l] * v1 + a[2][l] * v2 + a[3][l] * v3;
+                if all_live {
+                    for (l, ol) in o.iter_mut().enumerate() {
+                        *ol += v(l);
                     }
-                    f += 4;
-                }
-                for (a, &wv) in rem.iter().enumerate() {
-                    let base = (f + a) * lanes + lane0;
-                    let xrow = &xs[base..base + width];
-                    for (tl, &xl) in tail[..width].iter_mut().zip(xrow) {
-                        *tl += wv * xl;
+                } else {
+                    for (l, ol) in o.iter_mut().enumerate().filter(|&(l, _)| live[l]) {
+                        *ol += v(l);
                     }
                 }
-                for (l, o) in out_row[lane0..lane0 + width].iter_mut().enumerate() {
-                    *o += (acc[0][l] + acc[1][l]) + (acc[2][l] + acc[3][l]) + tail[l] + bias[0];
-                }
-                lane0 += width;
             }
         }
+        for r in self.rows / 4 * 4..self.rows {
+            let gr = gblock(r);
+            for (out_c, &wv) in out.chunks_exact_mut(lanes).zip(window(r)) {
+                for (ol, &gl) in out_c[lane0..lane0 + B].iter_mut().zip(&gr) {
+                    if gl != 0.0 {
+                        *ol += gl * wv;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Folds one lane's rank-1 gradient into `self`: `self += g_l ⊗ [x_l,
+    /// 1]`, where `g` is row-major by lane (`rows × lanes`) and `x` is
+    /// feature-major (`(cols - 1) × lanes`).
+    ///
+    /// Bit-identical to `outer_acc_bias(g_l, x_l, 1.0)` on the lane's
+    /// gathered vectors, zero-row skip included: every element receives
+    /// the same single add. Calling it lane by lane in a fixed order
+    /// therefore reproduces the scalar per-example accumulation order.
+    /// The lane's inputs are gathered in chunks of 64 so the inner loop
+    /// runs over contiguous memory.
+    ///
+    /// # Panics
+    ///
+    /// Panics on dimension mismatch or `lane >= lanes`.
+    pub fn outer_acc_bias_lane(&mut self, g: &[f32], x: &[f32], lanes: usize, lane: usize) {
+        const CHUNK: usize = 64;
+        assert!(lane < lanes, "outer_lane lane out of range");
+        assert_eq!(g.len(), self.rows * lanes, "outer_lane rows");
+        assert_eq!(x.len() + lanes, self.cols * lanes, "outer_lane cols");
+        let cols = self.cols;
+        let feat = cols - 1;
+        let mut buf = [0.0f32; CHUNK];
+        let mut c0 = 0;
+        while c0 < feat {
+            let k = (feat - c0).min(CHUNK);
+            for (i, b) in buf[..k].iter_mut().enumerate() {
+                *b = x[(c0 + i) * lanes + lane];
+            }
+            for (r, row) in self.data.chunks_exact_mut(cols).enumerate() {
+                let gr = g[r * lanes + lane];
+                if gr == 0.0 {
+                    continue;
+                }
+                for (wi, xi) in row[c0..c0 + k].iter_mut().zip(&buf[..k]) {
+                    *wi += gr * xi;
+                }
+            }
+            c0 += k;
+        }
+        for (r, row) in self.data.chunks_exact_mut(cols).enumerate() {
+            let gr = g[r * lanes + lane];
+            if gr != 0.0 {
+                row[feat] += gr;
+            }
+        }
+    }
+}
+
+/// Lane-block width of the SoA kernels: two SSE or one AVX register of
+/// `f32`s, and the lane-group size of [`crate::SeqClassifier`] training
+/// and evaluation.
+pub(crate) const LANE_BLOCK: usize = 8;
+
+/// The widest lane block (eight, four or one) that fits `remaining`
+/// lanes.
+fn block_width(remaining: usize) -> usize {
+    if remaining >= LANE_BLOCK {
+        LANE_BLOCK
+    } else if remaining >= 4 {
+        4
+    } else {
+        1
     }
 }
 
@@ -444,37 +631,53 @@ mod tests {
         z.outer_acc(&[], &[], 1.0);
     }
 
+    /// Lane counts every SoA kernel is pinned at: one lane, a half
+    /// block, a half block plus a leftover lane (5 = 4+1), one and two
+    /// exact blocks, a block, a half block and a leftover lane (13 =
+    /// 8+4+1), two blocks plus a leftover lane (17 = 8+8+1), and many
+    /// blocks.
+    const WIDTHS: [usize; 8] = [1, 4, 5, 8, 13, 16, 17, 64];
+
+    /// Feature-major SoA block of `lanes` distinct `feat`-long vectors,
+    /// with every third (lane, feature) entry zero when `zeros` is set.
+    fn soa(feat: usize, lanes: usize, zeros: bool) -> Vec<f32> {
+        let mut xs = vec![0.0f32; feat * lanes];
+        for l in 0..lanes {
+            for f in 0..feat {
+                if !(zeros && (l + f) % 3 == 0) {
+                    xs[f * lanes + l] = ((l * 31 + f * 7) as f32 * 0.13).sin();
+                }
+            }
+        }
+        xs
+    }
+
+    /// Lane `l` of a feature-major block.
+    fn lane(xs: &[f32], lanes: usize, l: usize) -> Vec<f32> {
+        xs.iter().skip(l).step_by(lanes).copied().collect()
+    }
+
     /// The lane-batched SoA kernel must be **bit-identical** per lane to
     /// the scalar `matvec_bias_acc` — this is the contract the streaming
-    /// engine's batch-parity guarantee rests on. Lane counts cover a
-    /// single lane, an exact block, a partial last block (17 = 8+8+1),
-    /// and many blocks; shapes cover non-multiple-of-4 rows and feature
-    /// counts with and without a chunk remainder.
+    /// engine's batch-parity guarantee and lane training rest on. Shapes
+    /// cover non-multiple-of-4 rows and feature counts with and without
+    /// a chunk remainder.
     #[test]
     fn soa_matvec_bias_is_bit_identical_per_lane() {
         let mut rng = SmallRng::seed_from_u64(11);
         for (rows, cols) in [(1, 2), (3, 5), (5, 9), (8, 12), (13, 6)] {
             let m = Mat::xavier(rows, cols, &mut rng);
             let feat = cols - 1;
-            for lanes in [1usize, 4, 17, 64] {
-                // Feature-major SoA inputs, one distinct vector per lane.
-                let mut xs = vec![0.0f32; feat * lanes];
+            for lanes in WIDTHS {
+                let xs = soa(feat, lanes, false);
+                let mut out = vec![0.1f32; rows * lanes];
+                m.matvec_bias_acc_soa(&xs, lanes, &mut out);
                 for l in 0..lanes {
-                    for f in 0..feat {
-                        xs[f * lanes + l] = ((l * 31 + f * 7) as f32 * 0.13).sin();
-                    }
-                }
-                let mut soa = vec![0.1f32; rows * lanes];
-                m.matvec_bias_acc_soa(&xs, lanes, &mut soa);
-                let mut x = vec![0.0f32; feat];
-                for l in 0..lanes {
-                    for (f, xi) in x.iter_mut().enumerate() {
-                        *xi = xs[f * lanes + l];
-                    }
+                    let x = lane(&xs, lanes, l);
                     let mut scalar = vec![0.1f32; rows];
                     m.matvec_bias_acc(&x, &mut scalar);
                     for (r, &want) in scalar.iter().enumerate() {
-                        let got = soa[r * lanes + l];
+                        let got = out[r * lanes + l];
                         assert_eq!(
                             got.to_bits(),
                             want.to_bits(),
@@ -482,6 +685,62 @@ mod tests {
                         );
                     }
                 }
+            }
+        }
+    }
+
+    /// The lane twin of `matvec_t_narrow` is bit-identical per lane to
+    /// the scalar kernel on every column window, including lanes whose
+    /// four-row blocks are all zero (skipped) next to live ones, and
+    /// leftover rows past the last block.
+    #[test]
+    fn soa_matvec_t_is_bit_identical_per_lane() {
+        let mut rng = SmallRng::seed_from_u64(12);
+        for (rows, cols) in [(4, 3), (7, 5), (8, 12), (13, 6), (64, 19)] {
+            let m = Mat::xavier(rows, cols, &mut rng);
+            for lanes in WIDTHS {
+                let g = soa(rows, lanes, true);
+                for (col0, width) in [(0, cols), (0, cols - 1), (cols / 2, cols - cols / 2)] {
+                    let mut out = vec![0.25f32; width * lanes];
+                    m.matvec_t_acc_soa(&g, lanes, col0, &mut out);
+                    for l in 0..lanes {
+                        let mut scalar = vec![0.0f32; col0 + width];
+                        scalar[col0..].fill(0.25);
+                        m.matvec_t_narrow(&lane(&g, lanes, l), &mut scalar);
+                        for (c, &want) in scalar[col0..].iter().enumerate() {
+                            let got = out[c * lanes + l];
+                            assert_eq!(
+                                got.to_bits(),
+                                want.to_bits(),
+                                "lane {l}/{lanes} col {} ({rows}x{cols}): {got} vs {want}",
+                                col0 + c
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Folding lanes one by one, in order, leaves the gradient bit for
+    /// bit where the scalar `outer_acc_bias` on each lane's gathered
+    /// vectors leaves it — zero-row skip included, and across the
+    /// 64-column gather chunks.
+    #[test]
+    fn lane_fold_matches_scalar_outer_acc_bias() {
+        let mut rng = SmallRng::seed_from_u64(13);
+        for (rows, cols) in [(1, 2), (5, 9), (64, 19), (8, 40), (3, 140)] {
+            for lanes in WIDTHS {
+                let g = soa(rows, lanes, true);
+                let x = soa(cols - 1, lanes, false);
+                let mut fold = Mat::xavier(rows, cols, &mut rng);
+                let mut scalar = fold.clone();
+                for l in 0..lanes {
+                    fold.outer_acc_bias_lane(&g, &x, lanes, l);
+                    scalar.outer_acc_bias(&lane(&g, lanes, l), &lane(&x, lanes, l), 1.0);
+                }
+                let bits = |m: &Mat| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&fold), bits(&scalar), "{rows}x{cols} at {lanes} lanes");
             }
         }
     }

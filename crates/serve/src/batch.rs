@@ -1,6 +1,6 @@
 //! The cross-session batcher: SoA lockstep lanes with recycling.
 
-use crate::model::{advance_cells, StepModel};
+use crate::model::StepModel;
 use crate::session::Verdict;
 
 /// A generation-checked handle to one attached session.
@@ -61,6 +61,9 @@ pub struct SessionBatch {
     pre: Vec<f32>,
     cpack: Vec<f32>,
     hpack: Vec<f32>,
+    tcpack: Vec<f32>,
+    /// All `true`: every packed lane steps.
+    packed_live: Vec<bool>,
     active: Vec<usize>,
     logits: Vec<f32>,
     hlane: Vec<f32>,
@@ -93,6 +96,8 @@ impl SessionBatch {
             pre: vec![0.0; 4 * hidden * capacity],
             cpack: vec![0.0; hidden * capacity],
             hpack: vec![0.0; hidden * capacity],
+            tcpack: vec![0.0; hidden * capacity],
+            packed_live: vec![true; capacity],
             active: Vec::with_capacity(capacity),
             logits: vec![0.0; model.classes()],
             hlane: vec![0.0; hidden],
@@ -206,12 +211,12 @@ impl SessionBatch {
             m,
             &mut self.pre[..4 * self.hidden * m],
         );
-        advance_cells(
-            &self.pre[..4 * self.hidden * m],
-            self.hidden,
-            m,
+        nnet::gate_step(
+            &mut self.pre[..4 * self.hidden * m],
             &mut self.cpack[..self.hidden * m],
+            &mut self.tcpack[..self.hidden * m],
             &mut self.hpack[..self.hidden * m],
+            &self.packed_live[..m],
         );
         // Scatter the new state back to the lanes.
         for f in 0..self.hidden {

@@ -1,5 +1,7 @@
-//! The model face the streaming engine serves, and the shared gate
-//! arithmetic whose operation order the bit-parity guarantee rests on.
+//! The model face the streaming engine serves. The cell arithmetic after
+//! the gate pre-activations is [`nnet::gate_step`], the one gate step
+//! training and batch inference run too, so its operation order — which
+//! the bit-parity guarantee rests on — has a single definition.
 
 use nnet::SeqClassifier;
 
@@ -64,53 +66,5 @@ impl StepModel for SeqClassifier {
 
     fn head_logits(&self, hidden: &[f32], out: &mut [f32]) {
         self.head().forward_into(hidden, out);
-    }
-}
-
-/// Same expression as the private sigmoid in `nnet::lstm` — the exact
-/// operation sequence matters for bit parity with the batch classifier.
-#[inline]
-pub(crate) fn sigmoid(x: f32) -> f32 {
-    1.0 / (1.0 + (-x).exp())
-}
-
-/// Advances `lanes` lockstep sessions one LSTM timestep from the gate
-/// pre-activations: `pre` is row-major `4·hidden × lanes` in `[i, f, g,
-/// o]` order, `c` and `h_out` are feature-major `hidden × lanes` (`c`
-/// holds the previous cell state on entry and the new one on exit).
-///
-/// The per-lane operation sequence — sigmoid/tanh per gate, `f·c + i·g`
-/// into the cell, `o·tanh(c)` into the hidden state — is copied verbatim
-/// from the fused loop in `nnet::Lstm::forward`, so each lane's new
-/// state is bit-identical to a scalar forward step on that lane alone.
-pub(crate) fn advance_cells(
-    pre: &[f32],
-    hidden: usize,
-    lanes: usize,
-    c: &mut [f32],
-    h_out: &mut [f32],
-) {
-    debug_assert_eq!(pre.len(), 4 * hidden * lanes);
-    debug_assert_eq!(c.len(), hidden * lanes);
-    debug_assert_eq!(h_out.len(), hidden * lanes);
-    for j in 0..hidden {
-        let i_row = &pre[j * lanes..(j + 1) * lanes];
-        let f_row = &pre[(hidden + j) * lanes..(hidden + j + 1) * lanes];
-        let g_row = &pre[(2 * hidden + j) * lanes..(2 * hidden + j + 1) * lanes];
-        let o_row = &pre[(3 * hidden + j) * lanes..(3 * hidden + j + 1) * lanes];
-        let c_row = &mut c[j * lanes..(j + 1) * lanes];
-        let h_row = &mut h_out[j * lanes..(j + 1) * lanes];
-        let gates = i_row.iter().zip(f_row).zip(g_row).zip(o_row);
-        for ((((&pi, &pf), &pg), &po), (cl, hl)) in
-            gates.zip(c_row.iter_mut().zip(h_row.iter_mut()))
-        {
-            let i_g = sigmoid(pi);
-            let f_g = sigmoid(pf);
-            let g_g = pg.tanh();
-            let o_g = sigmoid(po);
-            let cv = f_g * *cl + i_g * g_g;
-            *cl = cv;
-            *hl = o_g * cv.tanh();
-        }
     }
 }

@@ -1,7 +1,7 @@
 //! A single streaming session: incremental timesteps in, one verdict
 //! out, bit-identical to the batch classifier on the same trace.
 
-use crate::model::{advance_cells, StepModel};
+use crate::model::StepModel;
 use serde::{Deserialize, Serialize};
 
 /// The engine's classification result for one finished session.
@@ -29,13 +29,13 @@ pub struct Verdict {
 #[derive(Debug, Clone)]
 pub struct StreamSession {
     input: usize,
-    hidden: usize,
     expected: usize,
     seen: usize,
     h: Vec<f32>,
     c: Vec<f32>,
     concat: Vec<f32>,
     pre: Vec<f32>,
+    tc: Vec<f32>,
     logits: Vec<f32>,
 }
 
@@ -53,13 +53,13 @@ impl StreamSession {
         let (input, hidden) = (model.input_dim(), model.hidden_dim());
         StreamSession {
             input,
-            hidden,
             expected: expected_steps,
             seen: 0,
             h: vec![0.0; hidden],
             c: vec![0.0; hidden],
             concat: vec![0.0; input + hidden],
             pre: vec![0.0; 4 * hidden],
+            tc: vec![0.0; hidden],
             logits: vec![0.0; model.classes()],
         }
     }
@@ -96,7 +96,13 @@ impl StreamSession {
         self.concat[..self.input].copy_from_slice(x);
         self.concat[self.input..].copy_from_slice(&self.h);
         model.gate_pre_soa(&self.concat, 1, &mut self.pre);
-        advance_cells(&self.pre, self.hidden, 1, &mut self.c, &mut self.h);
+        nnet::gate_step(
+            &mut self.pre,
+            &mut self.c,
+            &mut self.tc,
+            &mut self.h,
+            &[true],
+        );
         self.seen += 1;
         if self.seen < self.expected {
             return None;

@@ -1,10 +1,13 @@
-//! Golden scenario-report snapshots for the two enclave studies
-//! (`aexcount`, `heckler`), pinned at the CLI-visible report layer:
-//! the exact JSON `segscope run <name>` prints for a fixed seed and
-//! trial count is blessed into `tests/golden/<name>.report.json`.
+//! Golden scenario-report snapshots, pinned at the CLI-visible report
+//! layer: the exact JSON `segscope run <name>` prints for a fixed seed
+//! and trial count is blessed into `tests/golden/<name>.report.json`.
 //!
-//! Any drift in the kernel-exit model, the defense layer, the enclave
-//! lifecycle, or the scenario driver shows up as a byte diff here.
+//! The two enclave studies (`aexcount`, `heckler`) pin the kernel-exit
+//! model, the defense layer and the enclave lifecycle. The two model-
+//! training scenarios (`website`, `dnnsteal`) run their default trial
+//! count, so the report pins the trained `SeqClassifier` / `SeqTagger`
+//! numerics bit for bit. Any drift in those layers or in the scenario
+//! driver shows up as a byte diff here.
 //! Regenerate intentionally with:
 //!
 //! ```text
@@ -28,11 +31,13 @@ fn golden_path(name: &str) -> PathBuf {
         .join(format!("{name}.report.json"))
 }
 
-fn check_golden_report(name: &str) {
+/// Checks `name`'s report at `trials` trials (`None`: the scenario's
+/// default count) against its blessed golden.
+fn check_golden_report(name: &str, trials: Option<usize>) {
     let entry = attacks::registry().get(name).expect("scenario registered");
     let opts = RunOptions {
         seed: Some(GOLDEN_SEED),
-        trials: Some(GOLDEN_TRIALS),
+        trials,
         ..RunOptions::default()
     };
     let run = entry.run_dyn(None, &opts).expect("default params valid");
@@ -58,10 +63,24 @@ fn check_golden_report(name: &str) {
 
 #[test]
 fn golden_aexcount_report() {
-    check_golden_report("aexcount");
+    check_golden_report("aexcount", Some(GOLDEN_TRIALS));
 }
 
 #[test]
 fn golden_heckler_report() {
-    check_golden_report("heckler");
+    check_golden_report("heckler", Some(GOLDEN_TRIALS));
+}
+
+/// Website fingerprinting at its default dataset: four folds of
+/// `SeqClassifier` training, top-1 and top-5 per fold.
+#[test]
+fn golden_website_report() {
+    check_golden_report("website", None);
+}
+
+/// DNN layer segmentation at its default dataset: `SeqTagger` training
+/// on ragged sequences, segment and Levenshtein accuracy.
+#[test]
+fn golden_dnnsteal_report() {
+    check_golden_report("dnnsteal", None);
 }
