@@ -500,12 +500,23 @@ impl Scenario for WebsiteScenario {
     }
 
     fn summarize(&self, config: &Self::Config, outputs: &[SeqExample]) -> FingerprintResult {
+        self.summarize_with_threads(config, outputs, exec::resolve_threads(None))
+    }
+
+    /// Trains the cross-validation folds on up to `threads` workers;
+    /// each fold is a pure function of its index, so the result is the
+    /// same at any budget.
+    fn summarize_with_threads(
+        &self,
+        config: &Self::Config,
+        outputs: &[SeqExample],
+        threads: usize,
+    ) -> FingerprintResult {
         // The fold split and each fold's model init draw from their own
         // auxiliary streams so folds are independent of each other.
         let mut fold_rng =
             SmallRng::seed_from_u64(exec::derive_seed(config.seed, exec::AUX_STREAM));
         let folds = nnet::k_fold_indices(outputs.len(), config.folds, &mut fold_rng);
-        let threads = exec::resolve_threads(None);
         let fold_scores: Vec<(f64, f64)> = exec::parallel_map(folds.len(), threads, |f| {
             let (train_idx, test_idx) = &folds[f];
             let train: Vec<SeqExample> = train_idx.iter().map(|&i| outputs[i].clone()).collect();
@@ -623,6 +634,32 @@ mod tests {
             result.chance
         );
         assert!(result.top5 >= result.top1);
+    }
+
+    /// The run's thread budget reaches the fold fan-out in `summarize`
+    /// and, like the trial fan-out, cannot change a byte of the report.
+    #[test]
+    fn quick_reports_are_byte_identical_at_any_thread_budget() {
+        use scenario::DynScenario;
+        use serde::Serialize;
+        let mut config = WebsiteFpConfig::quick(Browser::Chrome, Setting::DifferentCores);
+        config.n_sites = 4;
+        config.traces_per_site = 6;
+        config.epochs = 4;
+        config.folds = 3;
+        let report_at = |threads| {
+            let run = WebsiteScenario
+                .run_dyn(
+                    Some(&config.to_value()),
+                    &RunOptions {
+                        threads: Some(threads),
+                        ..RunOptions::default()
+                    },
+                )
+                .expect("quick config runs");
+            serde_json::to_string(&run.report).expect("reports serialize")
+        };
+        assert_eq!(report_at(1), report_at(3));
     }
 
     #[test]

@@ -50,7 +50,7 @@ pub fn bench_spec(full: bool) -> CampaignSpec {
     }
 }
 
-/// Sweeps the grid at `shards` cells per wave, best of `repeats`, and
+/// Sweeps the grid on `shards` cell workers, best of `repeats`, and
 /// returns `(wall_s, report digest)`.
 fn measure_campaign(spec: &CampaignSpec, shards: usize, repeats: usize) -> (f64, u64) {
     let registry = segscope_attacks::registry();

@@ -11,9 +11,9 @@
 //! * **Across cells** — cell `i`'s experiment seed is
 //!   `exec::derive_seed(campaign_seed, i)`, a pure function of the spec,
 //!   and progress is tracked by an [`exec::ChunkManifest`] over the cell
-//!   axis with chunk size 1 (one chunk = one cell). Shards are wave
-//!   width only: they decide how many cells run concurrently, never
-//!   which seed a cell gets or where its result lands.
+//!   axis with chunk size 1 (one chunk = one cell). Shards are the
+//!   worker count only: they decide how many cells run concurrently,
+//!   never which seed a cell gets or where its result lands.
 //! * **Within a cell** — the scenario driver's own chunked fan-out,
 //!   whose outputs are thread-count invariant by the
 //!   [`scenario::Scenario::run_batch`] chunk-geometry contract.
@@ -21,19 +21,25 @@
 //! Results fold through [`MergeReport`](scenario::MergeReport) fragments
 //! ([`CellSet`], [`scenario::RunTotals`], [`segsim::FaultLog`]), so the
 //! final report is a function of the *set* of cell results — not of the
-//! shard count, thread count, wave order, or how many times the run was
-//! killed and resumed. The workspace determinism battery
+//! shard count, thread count, completion order, or how many times the
+//! run was killed and resumed. The workspace determinism battery
 //! (`tests/campaign_determinism.rs`) pins exactly that: bit-identical
 //! report JSON at any shard count × thread count × kill point.
 //!
-//! Resumability: [`run_campaign`] records each wave into a
-//! [`CampaignManifest`] and hands it to a persist callback; a killed
-//! campaign resumes by reloading the manifest and calling
-//! [`run_campaign`] again, which executes only the missing cells. The
-//! manifest carries the spec's FNV digest so it can never be resumed
-//! under a different grid. A caller that persists a wave by appending
-//! only its new cells writes them with [`CampaignManifest::log_line`]
-//! and loads them back with [`CampaignManifest::replay_log`].
+//! Scheduling: [`run_campaign`] runs the missing cells on `shards`
+//! long-lived workers that claim cells one at a time from a shared
+//! cursor, so a slow cell holds up only its own worker. The calling
+//! thread is the one persister: it records every batch of finished
+//! cells into a [`CampaignManifest`] and hands it to a persist callback
+//! once per batch (group commit), while the workers keep computing.
+//!
+//! Resumability: a killed campaign resumes by reloading the manifest
+//! and calling [`run_campaign`] again, which executes only the missing
+//! cells. The manifest carries the spec's FNV digest so it can never be
+//! resumed under a different grid. A caller that persists a batch by
+//! appending only its new cells writes them with
+//! [`CampaignManifest::log_line`] and loads them back with
+//! [`CampaignManifest::replay_log`].
 
 mod report;
 mod spec;
@@ -47,6 +53,8 @@ pub use spec::{
 use scenario::{Registry, RunOptions};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc;
 
 /// Errors of the campaign layer.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -116,15 +124,16 @@ impl std::error::Error for CampaignError {}
 /// by the determinism contract, must never change the report.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CampaignOptions {
-    /// Cells run concurrently per wave (clamped to ≥ 1).
+    /// Cells run concurrently: the number of workers (clamped to ≥ 1).
     pub shards: usize,
     /// Worker threads *within* each cell's scenario run (`None` = the
     /// driver's `SEGSCOPE_THREADS`-or-all-cores default).
     pub threads: Option<usize>,
-    /// Stop (returning `Ok(None)`) after this many waves have been
-    /// recorded and persisted — the deterministic kill switch the
-    /// resume battery uses to cut a campaign at an arbitrary
-    /// checkpoint.
+    /// Run at most the first `N × shards` missing cells, persist them,
+    /// and return `Ok(None)` if the campaign is still incomplete — the
+    /// deterministic kill switch the resume battery uses to cut a
+    /// campaign at an arbitrary checkpoint. `N` counts groups of
+    /// `shards` cells.
     pub stop_after_waves: Option<usize>,
 }
 
@@ -231,7 +240,8 @@ impl CampaignManifest {
     }
 
     /// Records the cells of a log of [`log_line`](Self::log_line)s, as
-    /// appended after every wave, on top of this (compacted) manifest.
+    /// appended after every persisted batch, on top of this (compacted)
+    /// manifest.
     ///
     /// Every line passes the checks of [`from_json`](Self::from_json). A
     /// final line without its `\n` is an append the writer did not
@@ -291,7 +301,7 @@ fn check_index(cell: usize, results: &[CellResult]) -> Result<(), String> {
 /// The cell's params and scenario name were validated by
 /// [`CampaignSpec::expand`] before any cell ran, so a failure here is a
 /// registry/spec drift bug, not a user error — it panics rather than
-/// poisoning the manifest with a half-recorded wave.
+/// recording a result the spec does not describe.
 #[must_use]
 pub fn run_cell(registry: &Registry, cell: &CampaignCell, threads: Option<usize>) -> CellResult {
     let entry = registry
@@ -321,7 +331,15 @@ pub fn run_cell(registry: &Registry, cell: &CampaignCell, threads: Option<usize>
 }
 
 /// Executes (or resumes) a campaign: runs the manifest's missing cells
-/// in shard-wide waves, persisting after every wave.
+/// on `shards` workers and persists them in group commits.
+///
+/// Each worker claims the next missing cell from a shared cursor, runs
+/// it, and hands the result to the calling thread, the one persister.
+/// The persister blocks for one result, drains every other result
+/// already queued, records the batch and calls `persist` once for it:
+/// one append and one sync per batch, overlapping the workers' compute
+/// instead of stalling it. An already-complete manifest starts no
+/// worker and never calls `persist`.
 ///
 /// Returns `Ok(Some(report))` when the campaign completed,
 /// `Ok(None)` when `opts.stop_after_waves` cut it short (the manifest
@@ -331,7 +349,7 @@ pub fn run_cell(registry: &Registry, cell: &CampaignCell, threads: Option<usize>
 /// cell's run is thread-count invariant, and the final fold is a
 /// [`MergeReport`](scenario::MergeReport) over the completed cell set —
 /// so the report is bit-identical at any `shards` × `threads` × kill
-/// schedule.
+/// schedule, whatever order the cells finish in.
 ///
 /// # Errors
 ///
@@ -339,6 +357,12 @@ pub fn run_cell(registry: &Registry, cell: &CampaignCell, threads: Option<usize>
 /// [`CampaignError::UnknownPreset`] / [`CampaignError::Params`] /
 /// [`CampaignError::EmptyAxis`]) and [`CampaignError::SpecMismatch`]
 /// when `manifest` does not belong to `spec`.
+///
+/// # Panics
+///
+/// A panicking cell stops the other workers from claiming cells. The
+/// cells that finish meanwhile are still recorded and persisted, then
+/// the cell's original panic payload resumes on the calling thread.
 pub fn run_campaign<P>(
     registry: &Registry,
     spec: &CampaignSpec,
@@ -354,28 +378,71 @@ where
         return Err(CampaignError::SpecMismatch);
     }
     let shards = opts.shards.max(1);
-    let missing = manifest.remaining_cells();
-    for (wave_index, wave) in missing.chunks(shards).enumerate() {
-        let results = exec::parallel_map(wave.len(), shards, |k| {
-            let cell = &cells[wave[k]];
-            debug_assert_eq!(
-                manifest.cells.chunk_seeds(cell.index),
-                vec![cell.seed],
-                "cell seed must agree between spec expansion and manifest geometry"
-            );
-            run_cell(registry, cell, opts.threads)
-        });
-        for (k, result) in results.into_iter().enumerate() {
-            manifest.cells.record_chunk(wave[k], vec![result]);
+    let mut missing = manifest.remaining_cells();
+    if let Some(waves) = opts.stop_after_waves {
+        missing.truncate(waves.saturating_mul(shards));
+    }
+    // Neither atomic publishes data: the cursor only hands out indices
+    // into `missing`, and results travel over the channel. So `Relaxed`.
+    let cursor = AtomicUsize::new(0);
+    let stop = AtomicBool::new(false);
+    let (cells, missing, cursor, stop) = (&cells, &missing, &cursor, &stop);
+    std::thread::scope(|scope| {
+        let (sender, results) = mpsc::channel::<CellResult>();
+        let workers: Vec<_> = (0..shards.min(missing.len()))
+            .map(|_| {
+                let sender = sender.clone();
+                scope.spawn(move || {
+                    let _stop_on_panic = StopOnPanic(stop);
+                    while !stop.load(Ordering::Relaxed) {
+                        let Some(&cell) = missing.get(cursor.fetch_add(1, Ordering::Relaxed))
+                        else {
+                            break;
+                        };
+                        let result = run_cell(registry, &cells[cell], opts.threads);
+                        if sender.send(result).is_err() {
+                            break; // the persister panicked
+                        }
+                    }
+                })
+            })
+            .collect();
+        drop(sender);
+        // The loop ends once every worker has exited and dropped its
+        // sender; until then, each wake-up commits everything queued.
+        while let Ok(first) = results.recv() {
+            for result in std::iter::once(first).chain(results.try_iter()) {
+                debug_assert_eq!(
+                    manifest.cells.chunk_seeds(result.index),
+                    vec![cells[result.index].seed],
+                    "cell seed must agree between spec expansion and manifest geometry"
+                );
+                manifest.cells.record_chunk(result.index, vec![result]);
+            }
+            persist(manifest);
         }
-        persist(manifest);
-        if let Some(stop) = opts.stop_after_waves {
-            if wave_index + 1 >= stop && !manifest.is_complete() {
-                return Ok(None);
+        for worker in workers {
+            if let Err(payload) = worker.join() {
+                std::panic::resume_unwind(payload);
             }
         }
+    });
+    if !manifest.is_complete() {
+        return Ok(None);
     }
     report_from_manifest(spec, manifest).map(Some)
+}
+
+/// Raises the campaign's stop flag if the worker holding it unwinds, so
+/// no other worker claims a cell after a panic.
+struct StopOnPanic<'a>(&'a AtomicBool);
+
+impl Drop for StopOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.store(true, Ordering::Relaxed);
+        }
+    }
 }
 
 /// Folds a complete manifest into the final [`CampaignReport`].
@@ -619,8 +686,8 @@ mod tests {
         let spec = small_spec();
         let registry = probe_registry();
         let reference = run_at(1, 1);
-        // With 8 cells in waves of 3 shards, waves 1 and 2 leave work
-        // behind; a stop bound past the last wave must complete instead.
+        // With 8 cells and 3 shards, cutting after 3 or 6 cells leaves
+        // work behind; a cut past the last cell must complete instead.
         for kill_after in 1..3 {
             let mut manifest = CampaignManifest::new(&spec);
             let mut persisted = String::new();

@@ -152,6 +152,19 @@ pub trait Scenario: Sync {
     /// Reduces the ordered trial outputs into the report body.
     fn summarize(&self, config: &Self::Config, outputs: &[Self::TrialOutput]) -> Self::Summary;
 
+    /// [`summarize`](Scenario::summarize) within a thread budget:
+    /// [`run_scenario`] passes the run's [`RunGeometry::threads`], so a
+    /// summary that fans out keeps to the run's `threads`. The budget
+    /// must not change the summary. The default ignores it.
+    fn summarize_with_threads(
+        &self,
+        config: &Self::Config,
+        outputs: &[Self::TrialOutput],
+        _threads: usize,
+    ) -> Self::Summary {
+        self.summarize(config, outputs)
+    }
+
     /// Runs a *chunk* of consecutive trials untraced, returning one
     /// `(output, [`TrialStats`])` pair per trial, in order: the driver's
     /// chunk body, exposed for callers that fan chunks out themselves.
@@ -411,7 +424,7 @@ pub fn run_scenario<S: Scenario>(
         totals.merge(&RunTotals::from_trial(stats.gt_deliveries));
         fault_log.merge(&stats.fault_log);
     }
-    let summary = scenario.summarize(config, &outputs);
+    let summary = scenario.summarize_with_threads(config, &outputs, threads);
     ScenarioRun {
         seed,
         trials,

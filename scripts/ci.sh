@@ -153,11 +153,11 @@ for bench in bench_hotpath bench_parallel bench_campaign bench_serve; do
 done
 
 echo "==> segscope campaign smoke: sweep, kill, resume, report"
-# A 2-scenario x 2-preset grid: run it whole, then stop a second copy
-# mid-run, resume it at a different shard count, and require the two
-# report files byte-identical. Also gates the report JSON schema. (The
-# real-SIGKILL and corrupted-cell-log evidence is tests/campaign_kill.rs,
-# run by `cargo test` above.)
+# A 2-scenario x 2-preset grid: run it whole at shards 2, 1 and 8, then
+# stop a second copy mid-run, resume it at a different shard count, and
+# require every report file byte-identical. Also gates the report JSON
+# schema. (The real-SIGKILL and corrupted-cell-log evidence is
+# tests/campaign_kill.rs, run by `cargo test` above.)
 CAMP_SPEC='{"name":"ci-smoke","seed":193,
   "scenarios":[{"scenario":"kaslr","params":null},{"scenario":"covert","params":null}],
   "presets":["lenovo_yangtian","amazon_t2_large"],
@@ -175,10 +175,21 @@ grep -q "8/8 cells complete" target/ci.camp-status.txt || {
     echo "campaign status does not report completion" >&2
     exit 1
 }
+# One worker, and more workers than cells: the same report bytes.
+for shards in 1 8; do
+    rm -rf "target/ci-campaign-$shards"
+    "$SEGSCOPE" campaign run --spec target/ci-campaign.spec.json --trials 2 \
+        --out "target/ci-campaign-$shards" --shards "$shards" >/dev/null
+    cmp target/ci-campaign/report.json "target/ci-campaign-$shards/report.json" || {
+        echo "campaign report at --shards $shards differs from --shards 2" >&2
+        exit 1
+    }
+done
 "$SEGSCOPE" campaign run --spec target/ci-campaign.spec.json --trials 2 \
     --out target/ci-campaign-killed --shards 3 --stop-after-waves 1 >/dev/null
-# A cut run leaves its wave in cells.log, uncompacted: the 3/8 count can
-# only come from reading the log on top of the empty manifest.json.
+# A cut run (at most 1 x 3 cells) leaves its cells in cells.log,
+# uncompacted: the 3/8 count can only come from reading the log on top
+# of the empty manifest.json.
 [[ -f target/ci-campaign-killed/cells.log ]] || {
     echo "a cut campaign left no cells.log" >&2
     exit 1

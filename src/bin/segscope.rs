@@ -68,19 +68,22 @@ CAMPAIGN OPTIONS (run, resume):
                        11-scenario x 6-preset x 3-fault grid)
     --seed N           Override the spec's campaign seed (run only)
     --trials N         Override the spec's per-cell trial count (run only)
-    --shards N         Cells run concurrently per wave (default 1)
-    --threads N        Worker threads within each cell's run
-    --stop-after-waves N  Checkpoint and exit after N waves (resume later)
+    --shards N         Cells run concurrently: one worker each (default 1)
+    --threads N        Worker threads within each cell's run, summarize
+                       included
+    --stop-after-waves N  Run at most N x shards cells, checkpoint and
+                       exit (resume later)
 
 A campaign directory holds spec.json (the resolved grid), manifest.json
-(the compacted per-cell progress), cells.log (the cells of every wave
-since, one JSON line each, appended and synced after every wave), and
-report.json (the merged result, written on completion). Completion and
-resume fold cells.log into manifest.json and remove it. Every other
-write goes through a temporary file renamed into place, so a kill
-never truncates a file; a kill mid-append leaves a torn last line in
-cells.log, which resume drops and reruns. Reports are bit-identical at
-any --shards/--threads value and across any kill/resume schedule.
+(the compacted per-cell progress), cells.log (every cell finished
+since, one JSON line each, appended and synced in batches while the
+other cells run), and report.json (the merged result, written on
+completion). Completion and resume fold cells.log into manifest.json
+and remove it. Every other write goes through a temporary file renamed
+into place, so a kill never truncates a file; a kill mid-append leaves
+a torn last line in cells.log, which resume drops and reruns. Reports
+are bit-identical at any --shards/--threads value and across any
+kill/resume schedule.
 
 RUN OPTIONS:
     --seed N           Experiment seed override (default: the scenario's)
@@ -746,8 +749,9 @@ fn compact_campaign(manifest: &CampaignManifest, paths: &CampaignPaths) -> Resul
     remove_file(&paths.log)
 }
 
-/// The append side of `cells.log`: every wave's new cells, one
-/// [`CampaignManifest::log_line`] each, synced before the next wave.
+/// The append side of `cells.log`: the new cells of every persisted
+/// batch, one [`CampaignManifest::log_line`] each, written in one append
+/// and synced once (group commit).
 struct CellLog {
     path: String,
     /// Opened (and its directory entry synced) on the first append.
@@ -797,9 +801,10 @@ impl CellLog {
     }
 }
 
-/// Runs (or resumes) the campaign in `dir`, appending every wave's
-/// cells to `cells.log`; on completion compacts the log into
-/// `manifest.json`, writes `report.json` and prints the summary matrix.
+/// Runs (or resumes) the campaign in `dir`, appending each batch of
+/// finished cells to `cells.log` while the workers run on; on completion
+/// compacts the log into `manifest.json`, writes `report.json` and
+/// prints the summary matrix.
 fn drive_campaign(
     spec: &CampaignSpec,
     opts: &CampaignOptions,
