@@ -293,27 +293,15 @@ pub fn extract_on(machine: &mut Machine, config: &CirclConfig, victim_seed: u64)
         differs.push(decided_anomalous);
         observations.push(obs);
     }
-    // Reconstruct: bit_i = bit_{i-1} XOR differs_i, trying both first-bit
-    // hypotheses (the search space of 2 the paper describes).
-    let reconstruct = |first: bool| -> Vec<bool> {
-        let mut key = Vec::with_capacity(config.key_bits);
-        let mut prev = false;
-        for (i, &d) in differs.iter().enumerate() {
-            let bit = if i == 0 {
-                // differs[0] compares against the implicit leading 0.
-                let b = d;
-                let _ = first;
-                b
-            } else {
-                prev ^ d
-            };
-            key.push(bit);
-            prev = bit;
-        }
-        key
-    };
-    let candidate = reconstruct(false);
-    let recovered = candidate == victim.key;
+    // Reconstruct: bit_i = bit_{i-1} XOR differs_i, where differs_0
+    // compares against an implicit leading 0 bit.
+    let mut key = Vec::with_capacity(config.key_bits);
+    let mut prev = false;
+    for d in differs {
+        prev ^= d;
+        key.push(prev);
+    }
+    let recovered = key == victim.key;
     CirclResult {
         recovered,
         bit_accuracy: correct as f64 / config.key_bits as f64,

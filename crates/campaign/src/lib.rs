@@ -71,6 +71,14 @@ pub enum CampaignError {
         /// The underlying deserialization message.
         message: String,
     },
+    /// A fault variant's plan is out of range
+    /// ([`FaultPlan::validate`](segsim::FaultPlan::validate)).
+    FaultPlan {
+        /// The fault variant whose plan was rejected.
+        fault: String,
+        /// The validation message.
+        message: String,
+    },
     /// A grid axis is empty, so the spec expands to zero cells.
     EmptyAxis(&'static str),
     /// A manifest does not belong to the spec it was resumed under
@@ -101,6 +109,9 @@ impl fmt::Display for CampaignError {
             }
             CampaignError::Params { scenario, message } => {
                 write!(f, "invalid params for scenario `{scenario}`: {message}")
+            }
+            CampaignError::FaultPlan { fault, message } => {
+                write!(f, "invalid plan for fault variant `{fault}`: {message}")
             }
             CampaignError::EmptyAxis(axis) => {
                 write!(f, "campaign axis `{axis}` is empty — the grid has no cells")
@@ -355,8 +366,9 @@ pub fn run_cell(registry: &Registry, cell: &CampaignCell, threads: Option<usize>
 ///
 /// Expansion errors ([`CampaignError::UnknownScenario`] /
 /// [`CampaignError::UnknownPreset`] / [`CampaignError::Params`] /
-/// [`CampaignError::EmptyAxis`]) and [`CampaignError::SpecMismatch`]
-/// when `manifest` does not belong to `spec`.
+/// [`CampaignError::FaultPlan`] / [`CampaignError::EmptyAxis`]) and
+/// [`CampaignError::SpecMismatch`] when `manifest` does not belong to
+/// `spec`.
 ///
 /// # Panics
 ///
@@ -646,6 +658,18 @@ mod tests {
             params.expand(&registry),
             Err(CampaignError::Params { .. })
         ));
+        let mut fault = small_spec();
+        fault.faults.push(FaultVariant {
+            name: "ghost_storm".to_owned(),
+            plan: Some(FaultPlan::none().with_duplicate_prob(1.0)),
+        });
+        match fault.expand(&registry) {
+            Err(CampaignError::FaultPlan { fault, message }) => {
+                assert_eq!(fault, "ghost_storm");
+                assert!(message.contains("`duplicate_prob`"), "{message}");
+            }
+            other => panic!("expected a fault-plan error, got {other:?}"),
+        }
     }
 
     fn run_at(shards: usize, threads: usize) -> CampaignReport {

@@ -293,10 +293,11 @@ impl CampaignSpec {
     ///
     /// [`CampaignError::EmptyAxis`] on an empty axis,
     /// [`CampaignError::UnknownScenario`] / `UnknownPreset` on a name
-    /// that does not resolve, and [`CampaignError::Params`] when a
-    /// params override (with the preset's machine and the variant's
-    /// defense injected) does not deserialize into the scenario's
-    /// config.
+    /// that does not resolve, [`CampaignError::FaultPlan`] when a fault
+    /// variant's plan fails [`FaultPlan::validate`], and
+    /// [`CampaignError::Params`] when a params override (with the
+    /// preset's machine and the variant's defense injected) does not
+    /// deserialize into the scenario's config.
     pub fn expand(&self, registry: &Registry) -> Result<Vec<CampaignCell>, CampaignError> {
         for (axis, empty) in [
             ("scenarios", self.scenarios.is_empty()),
@@ -306,6 +307,15 @@ impl CampaignSpec {
         ] {
             if empty {
                 return Err(CampaignError::EmptyAxis(axis));
+            }
+        }
+        for fault in &self.faults {
+            if let Some(plan) = fault.plan {
+                plan.validate()
+                    .map_err(|message| CampaignError::FaultPlan {
+                        fault: fault.name.clone(),
+                        message,
+                    })?;
             }
         }
         let mut cells = Vec::with_capacity(self.cell_count());

@@ -169,6 +169,34 @@ impl FaultPlan {
     pub fn is_timing_only(&self) -> bool {
         self.has_timing_faults() && !self.has_delivery_faults()
     }
+
+    /// Checks that every probability is one a run can finish under.
+    ///
+    /// `drop_prob` and `smt_burst_prob` must lie in `[0, 1]`, and
+    /// `duplicate_prob` in `[0, 1)`: a ghost re-delivery may duplicate
+    /// again, so at 1 every interrupt spawns ghosts forever.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the first out-of-range field.
+    pub fn validate(&self) -> Result<(), String> {
+        let probability = |field: &str, p: f64| {
+            if (0.0..=1.0).contains(&p) {
+                Ok(())
+            } else {
+                Err(format!("`{field}` must be in [0, 1], got {p}"))
+            }
+        };
+        probability("drop_prob", self.drop_prob)?;
+        probability("smt_burst_prob", self.smt_burst_prob)?;
+        if !(0.0..1.0).contains(&self.duplicate_prob) {
+            return Err(format!(
+                "`duplicate_prob` must be in [0, 1), got {}",
+                self.duplicate_prob
+            ));
+        }
+        Ok(())
+    }
 }
 
 impl Default for FaultPlan {
@@ -270,6 +298,39 @@ mod tests {
         assert_eq!(p.coalesce_window, Ps::from_us(200));
         assert_eq!(p.freq_step_clamp_khz, Some(50_000));
         assert!(p.has_delivery_faults() && p.has_timing_faults());
+    }
+
+    #[test]
+    fn validate_bounds_each_probability() {
+        assert_eq!(FaultPlan::none().validate(), Ok(()));
+        assert_eq!(FaultPlan::delivery_storm().validate(), Ok(()));
+        assert_eq!(FaultPlan::timing_storm().validate(), Ok(()));
+        let accepted = [
+            FaultPlan::none().with_drop_prob(1.0),
+            FaultPlan::none().with_duplicate_prob(0.999),
+            FaultPlan::none().with_smt_bursts(1.0, 2.0, 4),
+        ];
+        for plan in accepted {
+            assert_eq!(plan.validate(), Ok(()), "{plan:?}");
+        }
+        let rejected = [
+            (FaultPlan::none().with_drop_prob(1.5), "drop_prob"),
+            (FaultPlan::none().with_drop_prob(-0.1), "drop_prob"),
+            (FaultPlan::none().with_drop_prob(f64::NAN), "drop_prob"),
+            (FaultPlan::none().with_duplicate_prob(1.0), "duplicate_prob"),
+            (
+                FaultPlan::none().with_duplicate_prob(-1.0),
+                "duplicate_prob",
+            ),
+            (
+                FaultPlan::none().with_smt_bursts(1.01, 2.0, 4),
+                "smt_burst_prob",
+            ),
+        ];
+        for (plan, field) in rejected {
+            let err = plan.validate().expect_err("out-of-range plan");
+            assert!(err.contains(&format!("`{field}`")), "{err}");
+        }
     }
 
     #[test]

@@ -41,46 +41,28 @@ impl IrqRecord {
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct GroundTruth {
     records: Vec<IrqRecord>,
-    enabled: bool,
 }
 
 impl GroundTruth {
-    /// A recorder that starts enabled.
+    /// An empty recorder.
     #[must_use]
     pub fn new() -> Self {
-        GroundTruth {
-            records: Vec::new(),
-            enabled: true,
-        }
+        GroundTruth::default()
     }
 
-    /// Pauses or resumes recording (long experiments that do not need the
-    /// trace can disable it to save memory).
-    pub fn set_enabled(&mut self, enabled: bool) {
-        self.enabled = enabled;
-    }
-
-    /// Whether the recorder is currently capturing.
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Records one ordinary IRQ delivery (no-op while disabled).
+    /// Records one ordinary IRQ delivery.
     pub fn record(&mut self, at: Ps, kind: InterruptKind, handler_cost: Ps) {
         self.record_exit(at, KernelExit::irq(kind), handler_cost);
     }
 
-    /// Records one classified kernel exit (no-op while disabled).
+    /// Records one classified kernel exit.
     pub fn record_exit(&mut self, at: Ps, exit: KernelExit, handler_cost: Ps) {
-        if self.enabled {
-            self.records.push(IrqRecord {
-                at,
-                kind: exit.kind,
-                handler_cost,
-                class: exit.class,
-            });
-        }
+        self.records.push(IrqRecord {
+            at,
+            kind: exit.kind,
+            handler_cost,
+            class: exit.class,
+        });
     }
 
     /// All records, in delivery order.
@@ -191,18 +173,6 @@ mod tests {
         assert_eq!(counts[&InterruptKind::Timer], 3);
         assert_eq!(counts[&InterruptKind::Resched], 1);
         assert_eq!(gt.of_kind(InterruptKind::Timer).count(), 3);
-    }
-
-    #[test]
-    fn disabling_pauses_capture() {
-        let mut gt = GroundTruth::new();
-        gt.record(Ps::from_ms(1), InterruptKind::Timer, Ps::ZERO);
-        gt.set_enabled(false);
-        gt.record(Ps::from_ms(2), InterruptKind::Timer, Ps::ZERO);
-        assert_eq!(gt.len(), 1);
-        gt.set_enabled(true);
-        gt.record(Ps::from_ms(3), InterruptKind::Timer, Ps::ZERO);
-        assert_eq!(gt.len(), 2);
     }
 
     #[test]

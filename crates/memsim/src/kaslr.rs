@@ -115,13 +115,6 @@ impl KaslrLayout {
         }
     }
 
-    /// Overrides the timing model (builder style).
-    #[must_use]
-    pub fn with_timing(mut self, timing: KaslrTiming) -> Self {
-        self.timing = timing;
-        self
-    }
-
     /// The slot index the kernel base was randomized to — the secret the
     /// attack recovers.
     #[must_use]

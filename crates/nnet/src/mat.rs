@@ -243,7 +243,7 @@ impl Mat {
     ///
     /// Each lane's result is **bit-identical** to the scalar
     /// `matvec_bias_acc` on that lane's input. Lanes run in fixed blocks
-    /// of [`LANE_BLOCK`], then at most one half block of four, both
+    /// of `LANE_BLOCK` (eight), then at most one half block of four, both
     /// keeping four per-lane accumulators over feature chunks of four
     /// plus a per-lane scalar tail, combined as `(a0 + a1) + (a2 + a3) +
     /// tail + bias` — the scalar `dot`'s order. Leftover single lanes run
@@ -335,8 +335,8 @@ impl Mat {
     /// that lane's `g` (restricted to the window): rows run in blocks of
     /// four summed as `g0·w0 + g1·w1 + g2·w2 + g3·w3` and skipped when
     /// all four of the lane's `g` are zero, then the leftover rows one at
-    /// a time, skipped when zero. Lanes run in blocks of [`LANE_BLOCK`],
-    /// then at most one half block of four, then single lanes.
+    /// a time, skipped when zero. Lanes run in blocks of `LANE_BLOCK`
+    /// (eight), then at most one half block of four, then single lanes.
     ///
     /// # Panics
     ///

@@ -2,10 +2,10 @@
 //!
 //! [`NaiveLstm`] is the straightforward implementation the optimized
 //! [`crate::Lstm`] replaced: naive scalar kernels, a `Vec<Vec<f32>>`
-//! activation trace, and fresh allocations every timestep. It is kept so
-//! the `perf_sim` benchmark can measure the optimization (old vs new
-//! epoch time) and so tests can cross-check the fast kernels against a
-//! simple oracle.
+//! activation trace, and fresh allocations every timestep. It has two
+//! users: `lstm.rs`'s parity test checks the fast kernels against it to
+//! float tolerance, and the `naive` arm of `BENCH_parallel.json` times it
+//! as the baseline of the `lstm.speedup` gate.
 //!
 //! Initialization draws the RNG in the same order as [`crate::Lstm::new`],
 //! so a `NaiveLstm` and an `Lstm` built from equally-seeded RNGs start

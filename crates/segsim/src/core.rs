@@ -273,7 +273,6 @@ impl Machine {
             .set_step_clamp(config.fault_plan.and_then(|p| p.freq_step_clamp_khz));
         self.now = Ps::ZERO;
         self.ground_truth.clear();
-        self.ground_truth.set_enabled(true);
         self.regs = SegmentRegisterFile::flat_user();
         self.tables = DescriptorTables::linux_flat();
         self.mem.clear();
@@ -332,7 +331,7 @@ impl Machine {
         &self.ground_truth
     }
 
-    /// Mutable access to the ground-truth trace (to clear or disable it).
+    /// Mutable access to the ground-truth trace (to clear it).
     pub fn ground_truth_mut(&mut self) -> &mut GroundTruth {
         &mut self.ground_truth
     }
@@ -1804,13 +1803,12 @@ mod tests {
             .unwrap()
             .with_fault_plan(plan);
         // Dirty the machine thoroughly under a *different* config first:
-        // kaslr layout, co-resident victim, trace sink, disabled ground
+        // kaslr layout, co-resident victim, trace sink, recorded ground
         // truth, cache contents, fault accounting, advanced time.
         let mut reused = Machine::new(MachineConfig::default(), 0xDEAD);
         reused.set_kaslr(memsim::KaslrLayout::with_slot(3));
         reused.set_co_resident(Some(CoResident::browser()));
         reused.install_trace_sink(obs::TraceSink::with_capacity(64));
-        reused.ground_truth_mut().set_enabled(false);
         for _ in 0..20 {
             let deadline = reused.now() + Ps::from_ms(1);
             let _ = reused.run_user_until(deadline);

@@ -99,13 +99,6 @@ impl Snapshot {
     pub fn kernel_entries(&self) -> u64 {
         self.kernel_entries
     }
-
-    /// Number of ground-truth interrupt records at capture time (the
-    /// "cursor" a replay driver aligns event indices against).
-    #[must_use]
-    pub fn ground_truth_len(&self) -> usize {
-        self.ground_truth.len()
-    }
 }
 
 impl Machine {

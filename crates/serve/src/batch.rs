@@ -146,16 +146,6 @@ impl SessionBatch {
         })
     }
 
-    /// Detaches a session before its verdict, freeing the lane.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a stale or foreign handle.
-    pub fn detach(&mut self, id: SessionId) {
-        self.check(id);
-        self.release(id.lane);
-    }
-
     /// Stages `x` as session `id`'s next timestep; the step happens at
     /// the next [`SessionBatch::step`].
     ///

@@ -140,11 +140,6 @@ impl SegmentRegisterFile {
         self.cs_rpl
     }
 
-    /// Sets the CS RPL (used when modeling kernel contexts).
-    pub fn set_cs_rpl(&mut self, rpl: PrivilegeLevel) {
-        self.cs_rpl = rpl;
-    }
-
     /// Immutable access to one data-segment register.
     #[must_use]
     pub fn register(&self, reg: DataSegReg) -> &SegmentRegister {

@@ -136,6 +136,15 @@ SEGSCOPE_BLESS=0 "$SEGSCOPE" serve-bench \
     --out target/serve.report.determinism.json >/dev/null
 cmp target/serve.report.determinism.json tests/golden/serve.report.json
 
+echo "==> paper harnesses (quick): every table/figure shape check"
+# Each harness prints one paper table or figure and asserts its shape
+# (orderings, ratios, crossovers); a failed assertion exits non-zero.
+for path in crates/bench/benches/{table,fig,ext}*.rs; do
+    bench="$(basename "$path" .rs)"
+    echo "--> $bench"
+    cargo bench -q --offline -p segscope-bench --bench "$bench" >/dev/null
+done
+
 echo "==> bench records (quick): BENCH_<bench>.json schema + validate()"
 # Each harness writes its record, then validates it and exits non-zero on
 # a violation: every digest-carrying arm of a layer agrees (cached vs
@@ -274,7 +283,7 @@ echo "==> cargo doc -D warnings"
 # gate covers every crate we write.
 RUSTDOCFLAGS="-D warnings" cargo doc -q --offline --workspace --no-deps \
     --exclude rand --exclude serde --exclude serde_derive \
-    --exclude serde_json --exclude proptest --exclude criterion >/dev/null
+    --exclude serde_json --exclude proptest >/dev/null
 
 echo "==> cargo clippy -D warnings"
 cargo clippy -q --offline --workspace --all-targets -- -D warnings

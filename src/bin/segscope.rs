@@ -328,10 +328,7 @@ fn parse_run_args(args: &[String]) -> Result<RunArgs, String> {
                 parsed.defense = Some(value()?);
             }
             "--fault-plan" => {
-                let text = value()?;
-                let plan: segsim::FaultPlan = serde_json::from_str(&text)
-                    .map_err(|e| format!("`--fault-plan` is not a valid fault plan: {e}"))?;
-                parsed.opts.fault_plan = Some(plan);
+                parsed.opts.fault_plan = Some(parse_fault_plan(&value()?, flag)?);
             }
             "--trace-out" => {
                 parsed.trace_out = Some(value()?);
@@ -456,7 +453,10 @@ fn parse_inject(text: &str, flag: &str) -> Result<InjectedIrq, String> {
 }
 
 fn parse_fault_plan(text: &str, flag: &str) -> Result<segsim::FaultPlan, String> {
-    serde_json::from_str(text).map_err(|e| format!("`{flag}` is not a valid fault plan: {e}"))
+    serde_json::from_str(text)
+        .map_err(|e| e.to_string())
+        .and_then(|plan: segsim::FaultPlan| plan.validate().map(|()| plan))
+        .map_err(|e| format!("`{flag}` is not a valid fault plan: {e}"))
 }
 
 /// Applies one shared spec flag to `spec`; `Ok(false)` means the flag is

@@ -475,3 +475,50 @@ fn quanshield_composes_with_a_delivery_storm() {
         "destruction point must be deterministic"
     );
 }
+
+// ---------------------------------------------------------------------------
+// Plans that never finish are rejected at the CLI boundary
+// ---------------------------------------------------------------------------
+
+/// A ghost re-delivery may duplicate again, so at `duplicate_prob: 1`
+/// every interrupt spawns ghosts forever. `segscope run` and
+/// `segscope campaign run` must refuse the plan up front, naming the
+/// field, before any trial or cell runs.
+#[test]
+fn cli_rejects_a_plan_that_never_finishes() {
+    use std::process::Command;
+
+    let plan = r#"{"drop_prob":0,"duplicate_prob":1,"duplicate_delay":0,
+        "coalesce_window":0,"handler_jitter_std":0,"freq_step_clamp_khz":null,
+        "smt_burst_prob":0,"smt_burst_factor":1,"smt_burst_ops":0}"#;
+    let segscope = env!("CARGO_BIN_EXE_segscope");
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("endless_plan");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let spec = dir.join("spec.json");
+    let spec_json = format!(
+        r#"{{"name":"endless","seed":1,"scenarios":[{{"scenario":"covert","params":null}}],
+        "presets":["lenovo_yangtian"],"faults":[{{"name":"ghosts","plan":{plan}}}],
+        "replicates":1,"trials":1}}"#
+    );
+    std::fs::write(&spec, spec_json).expect("spec written");
+    let out = dir.join("out");
+
+    let run = Command::new(segscope)
+        .args(["run", "covert", "--trials", "1", "--fault-plan", plan])
+        .output()
+        .expect("segscope runs");
+    let campaign = Command::new(segscope)
+        .args(["campaign", "run", "--spec"])
+        .arg(&spec)
+        .arg("--out")
+        .arg(&out)
+        .output()
+        .expect("segscope runs");
+    for output in [run, campaign] {
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(!output.status.success(), "accepted an endless plan");
+        assert!(stderr.contains("`duplicate_prob`"), "{stderr}");
+    }
+    assert!(!out.join("cells.log").exists(), "a cell ran");
+}
