@@ -751,10 +751,7 @@ impl Machine {
         let mut cycles = 0.0f64;
         loop {
             // Governor updates due now?
-            while self.freq.next_update_at() <= self.now {
-                let at = self.freq.next_update_at();
-                self.governor_tick(at);
-            }
+            self.catch_up_governor(self.now);
             // Span batching: the fabric cannot change until a delivery, so
             // one O(1) peek pins the stopping point for the whole batch of
             // governor intervals between here and the next interrupt (or
@@ -788,39 +785,26 @@ impl Machine {
                     break;
                 }
                 // Governor boundary: tick and keep integrating.
-                while self.freq.next_update_at() <= self.now {
-                    let at = self.freq.next_update_at();
-                    self.governor_tick(at);
-                }
+                self.catch_up_governor(self.now);
             }
-            if stop == irq_at && next_irq.is_some() {
+            let ended_by = if stop == irq_at && next_irq.is_some() {
                 // A real interrupt wins a tie against a pad instant.
-                if let Some(delivered) = self.deliver_interrupt() {
-                    return UserSpan {
-                        start,
-                        end: self.now,
-                        cycles,
-                        ended_by: SpanEnd::Interrupt(delivered),
-                    };
+                match self.deliver_interrupt() {
+                    Some(delivered) => SpanEnd::Interrupt(delivered),
+                    // The fault plan dropped the interrupt: user execution
+                    // continues, unaware anything was pending.
+                    None => continue,
                 }
-                // The fault plan dropped the interrupt: user execution
-                // continues, unaware anything was pending.
-                continue;
-            }
-            if stop == pad_at && self.next_pad_at.is_some() {
-                let delivered = self.deliver_pad_exit();
-                return UserSpan {
-                    start,
-                    end: self.now,
-                    cycles,
-                    ended_by: SpanEnd::Interrupt(delivered),
-                };
-            }
+            } else if stop == pad_at && self.next_pad_at.is_some() {
+                SpanEnd::Interrupt(self.deliver_pad_exit())
+            } else {
+                SpanEnd::Deadline
+            };
             return UserSpan {
                 start,
                 end: self.now,
                 cycles,
-                ended_by: SpanEnd::Deadline,
+                ended_by,
             };
         }
     }
@@ -831,6 +815,14 @@ impl Machine {
 
     fn tsc_value(&self) -> u64 {
         self.now.cycles_at(self.config.tsc_khz())
+    }
+
+    /// Runs every governor update due at or before `t`, in order.
+    fn catch_up_governor(&mut self, t: Ps) {
+        while self.freq.next_update_at() <= t {
+            let at = self.freq.next_update_at();
+            self.governor_tick(at);
+        }
     }
 
     /// Runs one governor update, tracking fault-injection step clamps.
@@ -907,10 +899,7 @@ impl Machine {
     fn advance_cycles(&mut self, cycles: f64) {
         let mut remaining = cycles;
         while remaining > 0.0 {
-            while self.freq.next_update_at() <= self.now {
-                let at = self.freq.next_update_at();
-                self.governor_tick(at);
-            }
+            self.catch_up_governor(self.now);
             // As in `run_user_until`, one peek covers every governor
             // interval up to the next delivery (nothing else mutates the
             // fabric), so the inner loop crosses tick boundaries without
@@ -953,10 +942,7 @@ impl Machine {
                     break;
                 }
                 // Governor boundary: tick and keep integrating.
-                while self.freq.next_update_at() <= self.now {
-                    let at = self.freq.next_update_at();
-                    self.governor_tick(at);
-                }
+                self.catch_up_governor(self.now);
             }
         }
     }
@@ -1017,24 +1003,9 @@ impl Machine {
     /// record — exactly like a lost wakeup on real hardware).
     fn deliver_interrupt(&mut self) -> Option<DeliveredIrq> {
         let pending = self.pop_due_interrupt()?;
-        self.kernel_entries += 1;
-        let first_kind = pending.kind;
-        let first_at = pending.at;
-        let handler_cost = self.sample_handler_cost(first_kind);
-        let first_class = self.classify_delivery(pending.class, first_at);
-        self.ground_truth.record_exit(
-            first_at,
-            KernelExit {
-                kind: first_kind,
-                class: first_class,
-            },
-            handler_cost,
-        );
-        self.emit_delivery(first_at, first_kind, first_class, handler_cost);
+        let (first_kind, first_at) = (pending.kind, pending.at);
+        let (first_class, handler_cost) = self.enter_handler(first_kind, pending.class, first_at);
         let mut kernel_span = handler_cost;
-        if first_kind == InterruptKind::Timer {
-            self.timer_ticks_seen = self.timer_ticks_seen.wrapping_add(1);
-        }
         // Scheduler preemption by a co-resident task.
         let mut gs_reload: Option<Selector> = None;
         if let Some(co) = self.co_resident {
@@ -1087,43 +1058,14 @@ impl Machine {
                     sink.metrics.incr("irq.coalesced", 1);
                 }
             }
-            self.kernel_entries += 1;
-            let w = self.sample_handler_cost(p.kind);
-            let cascade_at = due.at.max(self.now);
-            let cascade_class = self.classify_delivery(p.class, cascade_at);
-            self.ground_truth.record_exit(
-                cascade_at,
-                KernelExit {
-                    kind: p.kind,
-                    class: cascade_class,
-                },
-                w,
-            );
-            self.emit_delivery(cascade_at, p.kind, cascade_class, w);
-            if p.kind == InterruptKind::Timer {
-                self.timer_ticks_seen = self.timer_ticks_seen.wrapping_add(1);
-            }
+            let (_, w) = self.enter_handler(p.kind, p.class, due.at.max(self.now));
             kernel_span = kernel_span.max(due.at.saturating_sub(self.now)) + w;
         }
-        // Kernel time elapses at the domain frequency too.
-        let kernel_end = self.now + kernel_span;
-        while self.freq.next_update_at() <= kernel_end {
-            let at = self.freq.next_update_at();
-            self.governor_tick(at);
-        }
-        self.domain_cycles += kernel_span.as_ps() as f64 * self.freq.current_khz() as f64 / 1e9;
-        self.now = kernel_end;
+        let footprint = self.return_to_user(kernel_span, false);
         // Resuming user code pays a pipeline/cache refill penalty.
         let noise = self.config.noise;
         self.pending_refill +=
             irq::dist::normal(&mut self.rng, noise.refill_mean, noise.refill_std).max(0.0);
-        // The return to user space: Algorithm 1 (unless the
-        // future-architecture mitigation preserves selectors).
-        let footprint = if self.config.preserve_selectors {
-            ReturnFootprint::default()
-        } else {
-            protected_mode_return(&mut self.regs, PrivilegeLevel::Ring3, PrivilegeLevel::Ring0)
-        };
         // The co-resident may have reloaded GS with a *valid* selector the
         // scrub keeps (the paper's "still observable as a change" note).
         if let Some(sel) = gs_reload {
@@ -1135,6 +1077,80 @@ impl Machine {
                 PrivilegeLevel::Ring3,
             );
         }
+        Some(DeliveredIrq {
+            kind: first_kind,
+            class: first_class,
+            at: first_at,
+            handler_cost,
+            kernel_span,
+            footprint,
+        })
+    }
+
+    /// Enters the kernel for one delivery at `at` (the first of a stint or
+    /// a cascade): counts the entry, samples the handler cost, classifies
+    /// the exit, records it in the ground truth and the trace (its kind
+    /// depends on the class), and counts timer ticks. Returns the
+    /// exit class and the handler cost.
+    fn enter_handler(
+        &mut self,
+        kind: InterruptKind,
+        pending_class: ExitClass,
+        at: Ps,
+    ) -> (ExitClass, Ps) {
+        self.kernel_entries += 1;
+        let cost = self.sample_handler_cost(kind);
+        let class = self.classify_delivery(pending_class, at);
+        let exit = KernelExit { kind, class };
+        self.ground_truth.record_exit(at, exit, cost);
+        if let Some(sink) = self.sink.as_deref_mut() {
+            let (irq, handler_cost_ps) = (kind.into(), cost.as_ps());
+            let (event, counter) = if class == ExitClass::EnclaveAex {
+                (
+                    obs::EventKind::AexExit {
+                        irq,
+                        handler_cost_ps,
+                    },
+                    "irq.aex",
+                )
+            } else {
+                (
+                    obs::EventKind::IrqDelivered {
+                        irq,
+                        handler_cost_ps,
+                    },
+                    "irq.delivered",
+                )
+            };
+            sink.emit(at.as_ps(), event);
+            sink.metrics.incr(counter, 1);
+            sink.metrics.observe("irq.handler_cost_ps", handler_cost_ps);
+        }
+        if kind == InterruptKind::Timer {
+            self.timer_ticks_seen = self.timer_ticks_seen.wrapping_add(1);
+        }
+        (class, cost)
+    }
+
+    /// Ends a kernel stint of `kernel_span` that began at `now`, for real
+    /// interrupts and padding exits alike. Kernel time elapses at the
+    /// domain frequency (governor ticks fire at the same absolute instants
+    /// they would have anyway), then the return to user space applies
+    /// Algorithm 1 (unless the future-architecture mitigation preserves
+    /// selectors) and traces its footprint. A padding exit (`pad`) adds
+    /// its `DefensePad` event just before the `KernelReturn`.
+    ///
+    /// No RNG draws: each caller adds its own refill afterwards.
+    fn return_to_user(&mut self, kernel_span: Ps, pad: bool) -> ReturnFootprint {
+        let kernel_end = self.now + kernel_span;
+        self.catch_up_governor(kernel_end);
+        self.domain_cycles += kernel_span.as_ps() as f64 * self.freq.current_khz() as f64 / 1e9;
+        self.now = kernel_end;
+        let footprint = if self.config.preserve_selectors {
+            ReturnFootprint::default()
+        } else {
+            protected_mode_return(&mut self.regs, PrivilegeLevel::Ring3, PrivilegeLevel::Ring0)
+        };
         if let Some(sink) = self.sink.as_deref_mut() {
             let at_ps = self.now.as_ps();
             for reg in DataSegReg::ALL {
@@ -1148,6 +1164,15 @@ impl Machine {
                     );
                 }
             }
+            if pad {
+                sink.emit(
+                    at_ps,
+                    obs::EventKind::DefensePad {
+                        kernel_span_ps: kernel_span.as_ps(),
+                    },
+                );
+                sink.metrics.incr("defense.pads", 1);
+            }
             sink.emit(
                 at_ps,
                 obs::EventKind::KernelReturn {
@@ -1158,14 +1183,7 @@ impl Machine {
             sink.metrics.incr("kernel.returns", 1);
             sink.metrics.observe("kernel.span_ps", kernel_span.as_ps());
         }
-        Some(DeliveredIrq {
-            kind: first_kind,
-            class: first_class,
-            at: first_at,
-            handler_cost,
-            kernel_span,
-            footprint,
-        })
+        footprint
     }
 
     /// Classifies one delivery against the enclave state and applies
@@ -1193,37 +1211,10 @@ impl Machine {
         ExitClass::EnclaveAex
     }
 
-    /// Emits the per-delivery trace event (class-dependent kind).
-    fn emit_delivery(&mut self, at: Ps, kind: InterruptKind, class: ExitClass, cost: Ps) {
-        let Some(sink) = self.sink.as_deref_mut() else {
-            return;
-        };
-        if class == ExitClass::EnclaveAex {
-            sink.emit(
-                at.as_ps(),
-                obs::EventKind::AexExit {
-                    irq: kind.into(),
-                    handler_cost_ps: cost.as_ps(),
-                },
-            );
-            sink.metrics.incr("irq.aex", 1);
-        } else {
-            sink.emit(
-                at.as_ps(),
-                obs::EventKind::IrqDelivered {
-                    irq: kind.into(),
-                    handler_cost_ps: cost.as_ps(),
-                },
-            );
-            sink.metrics.incr("irq.delivered", 1);
-        }
-        sink.metrics.observe("irq.handler_cost_ps", cost.as_ps());
-    }
-
-    /// Inserts one synthetic padding exit: kernel entry, fixed cost,
-    /// Algorithm 1 scrub on return — everything the probe observes from
-    /// a real interrupt, with **zero RNG draws** (the padding defense
-    /// must never perturb the machine's RNG stream).
+    /// Inserts one synthetic padding exit: kernel entry, fixed cost, and
+    /// the same return to user space a real interrupt takes — everything
+    /// the probe observes from a real interrupt, with **zero RNG draws**
+    /// (the padding defense must never perturb the machine's RNG stream).
     fn deliver_pad_exit(&mut self) -> DeliveredIrq {
         let Defense::Padding { quantum, exit_cost } = self.config.defense else {
             unreachable!("pad scheduled without the padding defense");
@@ -1235,61 +1226,17 @@ impl Machine {
         self.next_pad_at = Some(pad_at + quantum);
         self.kernel_entries += 1;
         self.padded_exits += 1;
-        let kernel_span = exit_cost;
         self.ground_truth
             .record_exit(pad_at, KernelExit::pad(), exit_cost);
-        // Kernel time elapses at the domain frequency (governor ticks
-        // fire at the same absolute instants they would have anyway).
-        let kernel_end = self.now + kernel_span;
-        while self.freq.next_update_at() <= kernel_end {
-            let at = self.freq.next_update_at();
-            self.governor_tick(at);
-        }
-        self.domain_cycles += kernel_span.as_ps() as f64 * self.freq.current_khz() as f64 / 1e9;
-        self.now = kernel_end;
+        let footprint = self.return_to_user(exit_cost, true);
         // Deterministic refill: the mean, no noise draw.
         self.pending_refill += self.config.noise.refill_mean.max(0.0);
-        let footprint = if self.config.preserve_selectors {
-            ReturnFootprint::default()
-        } else {
-            protected_mode_return(&mut self.regs, PrivilegeLevel::Ring3, PrivilegeLevel::Ring0)
-        };
-        if let Some(sink) = self.sink.as_deref_mut() {
-            let at_ps = self.now.as_ps();
-            for reg in DataSegReg::ALL {
-                if footprint.was_cleared(reg) {
-                    sink.emit(
-                        at_ps,
-                        obs::EventKind::SegClear {
-                            reg: seg_reg_id(reg),
-                            null: footprint.cleared_as_null(reg),
-                        },
-                    );
-                }
-            }
-            sink.emit(
-                at_ps,
-                obs::EventKind::DefensePad {
-                    kernel_span_ps: kernel_span.as_ps(),
-                },
-            );
-            sink.emit(
-                at_ps,
-                obs::EventKind::KernelReturn {
-                    cleared: footprint.cleared_count() as u8,
-                    kernel_span_ps: kernel_span.as_ps(),
-                },
-            );
-            sink.metrics.incr("defense.pads", 1);
-            sink.metrics.incr("kernel.returns", 1);
-            sink.metrics.observe("kernel.span_ps", kernel_span.as_ps());
-        }
         DeliveredIrq {
             kind: InterruptKind::Other,
             class: ExitClass::DefensePad,
             at: pad_at,
             handler_cost: exit_cost,
-            kernel_span,
+            kernel_span: exit_cost,
             footprint,
         }
     }
