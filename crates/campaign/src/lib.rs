@@ -101,12 +101,11 @@ impl fmt::Display for CampaignError {
             CampaignError::UnknownScenario(name) => {
                 write!(f, "unknown scenario `{name}` (see `segscope list`)")
             }
-            CampaignError::UnknownPreset(name) => {
-                write!(
-                    f,
-                    "unknown machine preset `{name}` (see `segscope machines`)"
-                )
-            }
+            CampaignError::UnknownPreset(name) => write!(
+                f,
+                "unknown machine preset `{name}` (choose from: {})",
+                segsim::presets::NAMES.join(", ")
+            ),
             CampaignError::Params { scenario, message } => {
                 write!(f, "invalid params for scenario `{scenario}`: {message}")
             }

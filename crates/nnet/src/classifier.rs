@@ -178,12 +178,6 @@ impl SeqClassifier {
         self.accuracy_top_k(examples, 1).0
     }
 
-    /// Top-`k` accuracy over a labeled set.
-    #[must_use]
-    pub fn top_k_accuracy(&self, examples: &[SeqExample], k: usize) -> f64 {
-        self.accuracy_top_k(examples, k).1
-    }
-
     /// Top-1 and top-`k` accuracy over a labeled set from one forward
     /// pass per example.
     #[must_use]
@@ -385,7 +379,7 @@ mod tests {
         }
         let trained = model.accuracy(&test);
         assert!(trained > 0.9, "accuracy {initial} -> {trained}");
-        assert!(model.top_k_accuracy(&test, 2) >= trained);
+        assert!(model.accuracy_top_k(&test, 2).1 >= trained);
         assert_eq!(model.classes(), 3);
     }
 
@@ -681,6 +675,6 @@ mod tests {
             / n;
         assert_eq!(model.accuracy_top_k(&examples, 2), (top1, top2));
         assert_eq!(model.accuracy(&examples), top1);
-        assert_eq!(model.top_k_accuracy(&examples, 2), top2);
+        assert_eq!(model.accuracy_top_k(&examples, 2).1, top2);
     }
 }

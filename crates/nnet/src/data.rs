@@ -74,22 +74,6 @@ pub fn k_fold_indices<R: Rng + ?Sized>(
         .collect()
 }
 
-/// A seeded shuffled train/test split: `test_fraction` of items go to the
-/// test set.
-#[must_use]
-pub fn train_test_split<R: Rng + ?Sized>(
-    n: usize,
-    test_fraction: f64,
-    rng: &mut R,
-) -> (Vec<usize>, Vec<usize>) {
-    let mut idx: Vec<usize> = (0..n).collect();
-    idx.shuffle(rng);
-    let test_n = ((n as f64 * test_fraction).round() as usize).min(n);
-    let test = idx[..test_n].to_vec();
-    let train = idx[test_n..].to_vec();
-    (train, test)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -137,14 +121,6 @@ mod tests {
             assert_eq!(train.len() + test.len(), 103);
             assert!(test.iter().all(|i| !train.contains(i)));
         }
-    }
-
-    #[test]
-    fn split_fractions() {
-        let mut rng = SmallRng::seed_from_u64(2);
-        let (train, test) = train_test_split(100, 0.2, &mut rng);
-        assert_eq!(test.len(), 20);
-        assert_eq!(train.len(), 80);
     }
 
     #[test]

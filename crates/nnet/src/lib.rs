@@ -54,7 +54,7 @@ mod optim;
 pub mod reference;
 
 pub use classifier::{SeqClassifier, SeqExample, SeqTagger, TaggedExample};
-pub use data::{average_pool, k_fold_indices, standardize, to_features, train_test_split};
+pub use data::{average_pool, k_fold_indices, standardize, to_features};
 pub use dense::Dense;
 pub use loss::{argmax, softmax, softmax_cross_entropy, softmax_cross_entropy_into, top_k};
 pub use lstm::{gate_step, BiLstm, BiLstmTrace, Lstm, LstmTrace};

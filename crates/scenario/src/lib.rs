@@ -515,14 +515,16 @@ pub trait DynScenario: Sync {
     /// # Errors
     ///
     /// [`ScenarioError::Params`] when `params` does not deserialize into
-    /// the scenario's config type.
+    /// the scenario's config type, or a `fault_plan` anywhere in it fails
+    /// [`FaultPlan::validate`].
     fn check_params(&self, params: &Value) -> Result<(), ScenarioError>;
     /// Runs the scenario from serialized params (`None` = defaults).
     ///
     /// # Errors
     ///
     /// [`ScenarioError::Params`] when `params` does not deserialize into
-    /// the scenario's config type.
+    /// the scenario's config type, or a `fault_plan` anywhere in it fails
+    /// [`FaultPlan::validate`].
     fn run_dyn(&self, params: Option<&Value>, opts: &RunOptions) -> Result<DynRun, ScenarioError>;
 }
 
@@ -540,16 +542,12 @@ impl<S: Scenario> DynScenario for S {
     }
 
     fn check_params(&self, params: &Value) -> Result<(), ScenarioError> {
-        S::Config::from_value(params)
-            .map(|_| ())
-            .map_err(|e| ScenarioError::Params(e.to_string()))
+        parse_config::<S::Config>(params).map(|_| ())
     }
 
     fn run_dyn(&self, params: Option<&Value>, opts: &RunOptions) -> Result<DynRun, ScenarioError> {
         let config = match params {
-            Some(value) => {
-                S::Config::from_value(value).map_err(|e| ScenarioError::Params(e.to_string()))?
-            }
+            Some(value) => parse_config::<S::Config>(value)?,
             None => S::Config::default(),
         };
         let run = run_scenario(self, &config, opts);
@@ -568,6 +566,44 @@ impl<S: Scenario> DynScenario for S {
             fault_log: run.fault_log,
         })
     }
+}
+
+/// Deserializes a scenario config from params, first running
+/// [`FaultPlan::validate`] on every non-null `fault_plan` anywhere in the
+/// tree — a plan nested in params (a channel's, a `machine`'s) gets the
+/// same check as a top-level `--fault-plan`, so an unfinishable plan is
+/// refused before anything runs.
+fn parse_config<C: Deserialize>(params: &Value) -> Result<C, ScenarioError> {
+    check_fault_plans(params, &mut Vec::new())?;
+    C::from_value(params).map_err(|e| ScenarioError::Params(e.to_string()))
+}
+
+/// Validates every non-null `fault_plan` under `value`. `path` holds the
+/// keys leading to `value` and is joined only for the error message, so
+/// the walk allocates nothing on valid params.
+fn check_fault_plans<'a>(value: &'a Value, path: &mut Vec<&'a str>) -> Result<(), ScenarioError> {
+    match value {
+        Value::Map(fields) => {
+            for (key, field) in fields {
+                path.push(key);
+                if key == "fault_plan" && !matches!(field, Value::Null) {
+                    FaultPlan::from_value(field)
+                        .map_err(|e| e.to_string())
+                        .and_then(|plan| plan.validate())
+                        .map_err(|e| ScenarioError::Params(format!("`{}`: {e}", path.join("."))))?;
+                }
+                check_fault_plans(field, path)?;
+                path.pop();
+            }
+        }
+        Value::Seq(items) => {
+            for item in items {
+                check_fault_plans(item, path)?;
+            }
+        }
+        _ => {}
+    }
+    Ok(())
 }
 
 /// A static table of scenarios, addressable by name.

@@ -277,8 +277,7 @@ struct RunArgs {
 }
 
 fn parse_run_args(args: &[String]) -> Result<RunArgs, String> {
-    let mut it = args.iter();
-    let Some(name) = it.next() else {
+    let Some((name, rest)) = args.split_first() else {
         return Err(format!("usage: segscope run <name> [OPTIONS]\n\n{USAGE}"));
     };
     let mut parsed = RunArgs {
@@ -291,55 +290,79 @@ fn parse_run_args(args: &[String]) -> Result<RunArgs, String> {
         trace_out: None,
         report_out: None,
     };
-    while let Some(flag) = it.next() {
-        let mut value = || {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("`{flag}` needs a value"))
-        };
-        match flag.as_str() {
-            "--seed" => {
-                parsed.opts.seed = Some(parse_u64(&value()?, flag)?);
-            }
-            "--trials" => {
-                parsed.opts.trials = Some(parse_u64(&value()?, flag)? as usize);
-            }
-            "--threads" => {
-                let threads = parse_u64(&value()?, flag)? as usize;
-                if threads == 0 {
-                    return Err("`--threads` must be at least 1".to_owned());
-                }
-                parsed.opts.threads = Some(threads);
-            }
+    let mut flags = Flags::new(rest);
+    while let Some(flag) = flags.next() {
+        match flag {
+            "--seed" => parsed.opts.seed = Some(flags.u64()?),
+            "--trials" => parsed.opts.trials = Some(flags.u64()? as usize),
+            "--threads" => parsed.opts.threads = Some(flags.nonzero()?),
             "--capacity" => {
-                parsed.opts.capacity = parse_u64(&value()?, flag)? as usize;
+                parsed.opts.capacity = flags.u64()? as usize;
                 parsed.capacity_set = true;
             }
             "--params" => {
-                let text = value()?;
+                let text = flags.value()?;
                 let json: Value = serde_json::from_str(&text)
                     .map_err(|e| format!("`--params` is not valid JSON: {e}"))?;
                 parsed.params = Some(json);
             }
-            "--machine" => {
-                parsed.machine = Some(value()?);
-            }
-            "--defense" => {
-                parsed.defense = Some(value()?);
-            }
+            "--machine" => parsed.machine = Some(flags.value()?),
+            "--defense" => parsed.defense = Some(flags.value()?),
             "--fault-plan" => {
-                parsed.opts.fault_plan = Some(parse_fault_plan(&value()?, flag)?);
+                parsed.opts.fault_plan = Some(parse_fault_plan(&flags.value()?, flag)?)
             }
-            "--trace-out" => {
-                parsed.trace_out = Some(value()?);
-            }
-            "--report" => {
-                parsed.report_out = Some(value()?);
-            }
+            "--trace-out" => parsed.trace_out = Some(flags.value()?),
+            "--report" => parsed.report_out = Some(flags.value()?),
             other => return Err(format!("unknown flag `{other}`\n\n{USAGE}")),
         }
     }
     Ok(parsed)
+}
+
+/// A cursor over `--flag value` arguments: yields each flag, and reads
+/// the current flag's value as text, an integer, or a nonzero count.
+struct Flags<'a> {
+    args: std::slice::Iter<'a, String>,
+    flag: &'a str,
+}
+
+impl<'a> Flags<'a> {
+    fn new(args: &'a [String]) -> Self {
+        Flags {
+            args: args.iter(),
+            flag: "",
+        }
+    }
+
+    /// The current flag's value.
+    fn value(&mut self) -> Result<String, String> {
+        self.args
+            .next()
+            .cloned()
+            .ok_or_else(|| format!("`{}` needs a value", self.flag))
+    }
+
+    /// The current flag's value as an unsigned integer.
+    fn u64(&mut self) -> Result<u64, String> {
+        parse_u64(&self.value()?, self.flag)
+    }
+
+    /// The current flag's value as a count of at least 1.
+    fn nonzero(&mut self) -> Result<usize, String> {
+        match self.u64()? as usize {
+            0 => Err(format!("`{}` must be at least 1", self.flag)),
+            n => Ok(n),
+        }
+    }
+}
+
+impl<'a> Iterator for Flags<'a> {
+    type Item = &'a str;
+
+    fn next(&mut self) -> Option<&'a str> {
+        self.flag = self.args.next()?;
+        Some(self.flag)
+    }
 }
 
 fn parse_u64(text: &str, flag: &str) -> Result<u64, String> {
@@ -351,17 +374,12 @@ fn parse_u64(text: &str, flag: &str) -> Result<u64, String> {
     .map_err(|_| format!("`{flag}` needs an unsigned integer, got `{text}`"))
 }
 
-/// [`campaign::inject_machine`] with the CLI's diagnostics: a warning
+/// [`campaign::inject_machine`] with the CLI's diagnostic: a warning
 /// when `params` had no `machine` key (scenarios whose config has no
-/// `machine` field ignore unknown keys, so the preset has no effect), and
-/// the preset list when the name is unknown.
+/// `machine` field ignore unknown keys, so the preset has no effect).
 fn inject_machine(params: &mut Value, preset: &str) -> Result<(), String> {
     let had_machine = has_machine_field(params);
     campaign::inject_machine(params, preset).map_err(|e| match e {
-        campaign::CampaignError::UnknownPreset(_) => format!(
-            "unknown machine preset `{preset}` (choose from: {})",
-            segsim::presets::NAMES.join(", ")
-        ),
         campaign::CampaignError::Parse(msg) => msg,
         other => other.to_string(),
     })?;
@@ -461,17 +479,13 @@ fn parse_fault_plan(text: &str, flag: &str) -> Result<segsim::FaultPlan, String>
 
 /// Applies one shared spec flag to `spec`; `Ok(false)` means the flag is
 /// not a spec flag and belongs to the caller.
-fn apply_spec_flag(
-    spec: &mut RunSpec,
-    flag: &str,
-    value: &mut dyn FnMut() -> Result<String, String>,
-) -> Result<bool, String> {
+fn apply_spec_flag(spec: &mut RunSpec, flag: &str, flags: &mut Flags) -> Result<bool, String> {
     match flag {
-        "--machine" => spec.machine = value()?,
-        "--seed" => spec.seed = parse_u64(&value()?, flag)?,
-        "--spans" => spec.spans = parse_u64(&value()?, flag)? as usize,
-        "--fault-plan" => spec.fault_plan = Some(parse_fault_plan(&value()?, flag)?),
-        "--inject" => spec.inject.push(parse_inject(&value()?, flag)?),
+        "--machine" => spec.machine = flags.value()?,
+        "--seed" => spec.seed = flags.u64()?,
+        "--spans" => spec.spans = flags.u64()? as usize,
+        "--fault-plan" => spec.fault_plan = Some(parse_fault_plan(&flags.value()?, flag)?),
+        "--inject" => spec.inject.push(parse_inject(&flags.value()?, flag)?),
         _ => return Ok(false),
     }
     Ok(true)
@@ -481,19 +495,14 @@ fn cmd_snapshot(args: &[String]) -> Result<(), String> {
     let mut spec = RunSpec::default();
     let mut every = 8usize;
     let mut out = None;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = || {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("`{flag}` needs a value"))
-        };
-        if apply_spec_flag(&mut spec, flag, &mut value)? {
+    let mut flags = Flags::new(args);
+    while let Some(flag) = flags.next() {
+        if apply_spec_flag(&mut spec, flag, &mut flags)? {
             continue;
         }
-        match flag.as_str() {
-            "--every" => every = parse_u64(&value()?, flag)?.max(1) as usize,
-            "--out" => out = Some(value()?),
+        match flag {
+            "--every" => every = flags.u64()?.max(1) as usize,
+            "--out" => out = Some(flags.value()?),
             other => return Err(format!("unknown flag `{other}`\n\n{USAGE}")),
         }
     }
@@ -514,16 +523,11 @@ fn cmd_snapshot(args: &[String]) -> Result<(), String> {
 fn cmd_replay(args: &[String]) -> Result<(), String> {
     let mut input = None;
     let mut from = 0usize;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = || {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("`{flag}` needs a value"))
-        };
-        match flag.as_str() {
-            "--in" => input = Some(value()?),
-            "--from" => from = parse_u64(&value()?, flag)? as usize,
+    let mut flags = Flags::new(args);
+    while let Some(flag) = flags.next() {
+        match flag {
+            "--in" => input = Some(flags.value()?),
+            "--from" => from = flags.u64()? as usize,
             other => return Err(format!("unknown flag `{other}`\n\n{USAGE}")),
         }
     }
@@ -560,24 +564,19 @@ fn cmd_bisect(args: &[String]) -> Result<(), String> {
     let mut seed = [None, None];
     let mut fault = [None, None];
     let mut inject: [Vec<InjectedIrq>; 2] = [Vec::new(), Vec::new()];
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = || {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("`{flag}` needs a value"))
-        };
-        if apply_spec_flag(&mut base, flag, &mut value)? {
+    let mut flags = Flags::new(args);
+    while let Some(flag) = flags.next() {
+        if apply_spec_flag(&mut base, flag, &mut flags)? {
             continue;
         }
-        match flag.as_str() {
-            "--every" => every = parse_u64(&value()?, flag)?.max(1) as usize,
-            "--seed-a" => seed[0] = Some(parse_u64(&value()?, flag)?),
-            "--seed-b" => seed[1] = Some(parse_u64(&value()?, flag)?),
-            "--fault-plan-a" => fault[0] = Some(parse_fault_plan(&value()?, flag)?),
-            "--fault-plan-b" => fault[1] = Some(parse_fault_plan(&value()?, flag)?),
-            "--inject-a" => inject[0].push(parse_inject(&value()?, flag)?),
-            "--inject-b" => inject[1].push(parse_inject(&value()?, flag)?),
+        match flag {
+            "--every" => every = flags.u64()?.max(1) as usize,
+            "--seed-a" => seed[0] = Some(flags.u64()?),
+            "--seed-b" => seed[1] = Some(flags.u64()?),
+            "--fault-plan-a" => fault[0] = Some(parse_fault_plan(&flags.value()?, flag)?),
+            "--fault-plan-b" => fault[1] = Some(parse_fault_plan(&flags.value()?, flag)?),
+            "--inject-a" => inject[0].push(parse_inject(&flags.value()?, flag)?),
+            "--inject-b" => inject[1].push(parse_inject(&flags.value()?, flag)?),
             other => return Err(format!("unknown flag `{other}`\n\n{USAGE}")),
         }
     }
@@ -616,39 +615,16 @@ fn parse_campaign_args(args: &[String], verb: &str) -> Result<CampaignArgs, Stri
         trials: None,
         opts: CampaignOptions::default(),
     };
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = || {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("`{flag}` needs a value"))
-        };
-        match flag.as_str() {
-            "--spec" => parsed.spec_path = Some(value()?),
-            "--out" => parsed.out = Some(value()?),
-            "--seed" => parsed.seed = Some(parse_u64(&value()?, flag)?),
-            "--trials" => parsed.trials = Some(parse_u64(&value()?, flag)? as usize),
-            "--shards" => {
-                let shards = parse_u64(&value()?, flag)? as usize;
-                if shards == 0 {
-                    return Err("`--shards` must be at least 1".to_owned());
-                }
-                parsed.opts.shards = shards;
-            }
-            "--threads" => {
-                let threads = parse_u64(&value()?, flag)? as usize;
-                if threads == 0 {
-                    return Err("`--threads` must be at least 1".to_owned());
-                }
-                parsed.opts.threads = Some(threads);
-            }
-            "--stop-after-waves" => {
-                let waves = parse_u64(&value()?, flag)? as usize;
-                if waves == 0 {
-                    return Err("`--stop-after-waves` must be at least 1".to_owned());
-                }
-                parsed.opts.stop_after_waves = Some(waves);
-            }
+    let mut flags = Flags::new(args);
+    while let Some(flag) = flags.next() {
+        match flag {
+            "--spec" => parsed.spec_path = Some(flags.value()?),
+            "--out" => parsed.out = Some(flags.value()?),
+            "--seed" => parsed.seed = Some(flags.u64()?),
+            "--trials" => parsed.trials = Some(flags.u64()? as usize),
+            "--shards" => parsed.opts.shards = flags.nonzero()?,
+            "--threads" => parsed.opts.threads = Some(flags.nonzero()?),
+            "--stop-after-waves" => parsed.opts.stop_after_waves = Some(flags.nonzero()?),
             other => return Err(format!("unknown flag `{other}`\n\n{USAGE}")),
         }
     }
@@ -903,16 +879,11 @@ fn cmd_campaign_spec(args: &[String]) -> Result<(), String> {
     let mut seed = 0x5E65_C09Eu64;
     let mut out = None;
     let mut matrix = false;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = || {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("`{flag}` needs a value"))
-        };
-        match flag.as_str() {
-            "--seed" => seed = parse_u64(&value()?, flag)?,
-            "--out" => out = Some(value()?),
+    let mut flags = Flags::new(args);
+    while let Some(flag) = flags.next() {
+        match flag {
+            "--seed" => seed = flags.u64()?,
+            "--out" => out = Some(flags.value()?),
             "--defense-matrix" => matrix = true,
             other => return Err(format!("unknown flag `{other}`\n\n{USAGE}")),
         }
@@ -946,6 +917,10 @@ fn cmd_campaign_run(args: &[String]) -> Result<(), String> {
     if let Some(trials) = parsed.trials {
         spec.trials = Some(trials);
     }
+    // Expanding validates every axis entry and cell params, so a spec
+    // that cannot run is refused before anything lands in `dir`.
+    spec.expand(&attacks::registry())
+        .map_err(|e| e.to_string())?;
     std::fs::create_dir_all(&dir).map_err(|e| format!("cannot create `{dir}`: {e}"))?;
     let paths = campaign_paths(&dir);
     // The resolved spec (with any --seed/--trials overrides baked in) is
@@ -1048,34 +1023,19 @@ fn cmd_serve_bench(args: &[String]) -> Result<(), String> {
     let mut capacity = 8usize;
     let mut scheme = serve::QuantScheme::I16;
     let mut out: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = || {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("`{flag}` needs a value"))
-        };
-        match flag.as_str() {
-            "--sessions" => {
-                sessions = parse_u64(&value()?, flag)? as usize;
-                if sessions == 0 {
-                    return Err("`--sessions` must be at least 1".to_owned());
-                }
-            }
-            "--capacity" => {
-                capacity = parse_u64(&value()?, flag)? as usize;
-                if capacity == 0 {
-                    return Err("`--capacity` must be at least 1".to_owned());
-                }
-            }
+    let mut flags = Flags::new(args);
+    while let Some(flag) = flags.next() {
+        match flag {
+            "--sessions" => sessions = flags.nonzero()?,
+            "--capacity" => capacity = flags.nonzero()?,
             "--quant" => {
-                scheme = match value()?.as_str() {
+                scheme = match flags.value()?.as_str() {
                     "i8" => serve::QuantScheme::I8,
                     "i16" => serve::QuantScheme::I16,
                     other => return Err(format!("`--quant` must be i8 or i16, got `{other}`")),
                 };
             }
-            "--out" => out = Some(value()?),
+            "--out" => out = Some(flags.value()?),
             other => return Err(format!("unknown flag `{other}`\n\n{USAGE}")),
         }
     }
