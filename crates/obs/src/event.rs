@@ -234,7 +234,7 @@ pub enum EventKind {
 }
 
 impl EventKind {
-    /// The filterable class of this event.
+    /// The payload-free class of this event.
     #[must_use]
     pub fn class(&self) -> EventClass {
         match self {
@@ -281,15 +281,15 @@ impl Event {
         }
     }
 
-    /// The filterable class of this event.
+    /// The payload-free class of this event.
     #[must_use]
     pub fn class(&self) -> EventClass {
         self.kind.class()
     }
 }
 
-/// The class tag of an [`EventKind`] variant (payload-free), used for
-/// filtering.
+/// The class tag of an [`EventKind`] variant (payload-free): the
+/// exporter's event name and the key of [`TraceSink::count_class`](crate::TraceSink::count_class).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum EventClass {
     /// [`EventKind::IrqDelivered`].
@@ -344,14 +344,6 @@ impl EventClass {
         EventClass::ServeVerdict,
     ];
 
-    fn bit(self) -> u16 {
-        let index = EventClass::ALL
-            .iter()
-            .position(|&c| c == self)
-            .expect("every class is in ALL");
-        1 << index
-    }
-
     /// A short stable label (the Chrome exporter's event name prefix).
     #[must_use]
     pub fn label(self) -> &'static str {
@@ -375,74 +367,9 @@ impl EventClass {
     }
 }
 
-/// A set of [`EventClass`]es (a filter predicate over event kinds).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ClassSet(u16);
-
-impl ClassSet {
-    /// The empty set.
-    pub const EMPTY: ClassSet = ClassSet(0);
-
-    /// The set of every class.
-    pub const ALL: ClassSet = ClassSet((1 << 15) - 1);
-
-    /// The set containing exactly `class`.
-    #[must_use]
-    pub fn of(class: EventClass) -> Self {
-        ClassSet(class.bit())
-    }
-
-    /// This set plus `class` (builder style).
-    #[must_use]
-    pub fn with(self, class: EventClass) -> Self {
-        ClassSet(self.0 | class.bit())
-    }
-
-    /// Whether `class` is in the set.
-    #[must_use]
-    pub fn contains(self, class: EventClass) -> bool {
-        self.0 & class.bit() != 0
-    }
-
-    /// Whether the set is empty.
-    #[must_use]
-    pub fn is_empty(self) -> bool {
-        self.0 == 0
-    }
-}
-
-impl FromIterator<EventClass> for ClassSet {
-    fn from_iter<I: IntoIterator<Item = EventClass>>(iter: I) -> Self {
-        iter.into_iter().fold(ClassSet::EMPTY, ClassSet::with)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn class_set_membership() {
-        let set = ClassSet::of(EventClass::IrqDelivered).with(EventClass::ProbeSample);
-        assert!(set.contains(EventClass::IrqDelivered));
-        assert!(set.contains(EventClass::ProbeSample));
-        assert!(!set.contains(EventClass::SegClear));
-        assert!(!set.is_empty());
-        assert!(ClassSet::EMPTY.is_empty());
-        for class in EventClass::ALL {
-            assert!(ClassSet::ALL.contains(class));
-        }
-    }
-
-    #[test]
-    fn class_set_from_iterator() {
-        let set: ClassSet = [EventClass::TrialStart, EventClass::TrialEnd]
-            .into_iter()
-            .collect();
-        assert!(set.contains(EventClass::TrialStart));
-        assert!(set.contains(EventClass::TrialEnd));
-        assert!(!set.contains(EventClass::IrqDelivered));
-    }
 
     #[test]
     fn every_kind_maps_to_its_class() {

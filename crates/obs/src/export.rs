@@ -1,6 +1,6 @@
-//! Trace exporters: Chrome `trace_event` JSON and compact JSON-lines.
+//! The Chrome `trace_event` exporter.
 //!
-//! Both exporters are pure functions of the sink's contents and emit
+//! The exporter is a pure function of the sink's contents and emits
 //! deterministic bytes — field order is fixed, numbers are formatted
 //! with integer math (no float printing), and map iteration follows
 //! `BTreeMap` order. A trace exported twice from the same run is
@@ -78,201 +78,81 @@ fn quoted(s: &str) -> String {
     out
 }
 
-/// Renders one trace event as a Chrome `trace_event` object.
+/// Renders one trace event as a Chrome `trace_event` object: instants
+/// ("i") for point events, complete ("X") spans for handler and kernel
+/// stints, and a counter ("C") for the frequency curve.
 fn chrome_event(out: &mut String, event: &Event) {
-    let name = event.class().label();
-    let track = event.track;
-    match event.kind {
+    type Args = Vec<(&'static str, String)>;
+    let label = event.class().label();
+    let at = event.at_ps;
+    let instant = |args: Args| (label, 'i', at, None, args);
+    let span = |start_ps: u64, dur_ps: u64, args: Args| (label, 'X', start_ps, Some(dur_ps), args);
+    let (name, phase, start_ps, dur_ps, args) = match event.kind {
+        // The handler routine. An AEX still runs the handler but keeps
+        // its own name, so enclave exits stand out on the timeline.
         EventKind::IrqDelivered {
             irq,
             handler_cost_ps,
-        } => {
-            // Complete ("X") span covering the handler routine.
-            push_chrome_event(
-                out,
-                name,
-                'X',
-                event.at_ps,
-                Some(handler_cost_ps),
-                track,
-                &[("irq", quoted(irq.label()))],
-            );
         }
+        | EventKind::AexExit {
+            irq,
+            handler_cost_ps,
+        } => span(at, handler_cost_ps, vec![("irq", quoted(irq.label()))]),
+        // The whole kernel stint, ending at the IRET edge the probe
+        // observes.
         EventKind::KernelReturn {
             cleared,
             kernel_span_ps,
-        } => {
-            // Complete span for the whole kernel stint, ending at the
-            // IRET edge the probe observes.
-            push_chrome_event(
-                out,
-                name,
-                'X',
-                event.at_ps.saturating_sub(kernel_span_ps),
-                Some(kernel_span_ps),
-                track,
-                &[("cleared", cleared.to_string())],
-            );
+        } => span(
+            at.saturating_sub(kernel_span_ps),
+            kernel_span_ps,
+            vec![("cleared", cleared.to_string())],
+        ),
+        EventKind::DefensePad { kernel_span_ps } => {
+            span(at.saturating_sub(kernel_span_ps), kernel_span_ps, vec![])
         }
-        EventKind::FreqTransition { from_khz, to_khz } => {
-            // Counter ("C") event so Chrome draws the frequency curve.
-            push_chrome_event(
-                out,
-                "freq_khz",
-                'C',
-                event.at_ps,
-                None,
-                track,
-                &[
-                    ("khz", to_khz.to_string()),
-                    ("from_khz", from_khz.to_string()),
-                ],
-            );
-        }
-        EventKind::ProbeSample { segcnt, irq } => {
-            push_chrome_event(
-                out,
-                name,
-                'i',
-                event.at_ps,
-                None,
-                track,
-                &[("segcnt", segcnt.to_string()), ("irq", quoted(irq.label()))],
-            );
-        }
-        EventKind::IrqDropped { irq } => {
-            push_chrome_event(
-                out,
-                name,
-                'i',
-                event.at_ps,
-                None,
-                track,
-                &[("irq", quoted(irq.label()))],
-            );
-        }
-        EventKind::IrqCoalesced { irq } => {
-            push_chrome_event(
-                out,
-                name,
-                'i',
-                event.at_ps,
-                None,
-                track,
-                &[("irq", quoted(irq.label()))],
-            );
+        EventKind::FreqTransition { from_khz, to_khz } => (
+            "freq_khz",
+            'C',
+            at,
+            None,
+            vec![
+                ("khz", to_khz.to_string()),
+                ("from_khz", from_khz.to_string()),
+            ],
+        ),
+        EventKind::ProbeSample { segcnt, irq } => instant(vec![
+            ("segcnt", segcnt.to_string()),
+            ("irq", quoted(irq.label())),
+        ]),
+        EventKind::IrqDropped { irq } | EventKind::IrqCoalesced { irq } => {
+            instant(vec![("irq", quoted(irq.label()))])
         }
         EventKind::IrqDuplicated { irq, ghost_at_ps } => {
             let mut ghost = String::new();
             push_us(&mut ghost, ghost_at_ps);
-            push_chrome_event(
-                out,
-                name,
-                'i',
-                event.at_ps,
-                None,
-                track,
-                &[("irq", quoted(irq.label())), ("ghost_ts", ghost)],
-            );
+            instant(vec![("irq", quoted(irq.label())), ("ghost_ts", ghost)])
         }
-        EventKind::SegClear { reg, null } => {
-            push_chrome_event(
-                out,
-                name,
-                'i',
-                event.at_ps,
-                None,
-                track,
-                &[
-                    ("reg", quoted(reg.label())),
-                    ("null", if null { "true".into() } else { "false".into() }),
-                ],
-            );
+        EventKind::SegClear { reg, null } => instant(vec![
+            ("reg", quoted(reg.label())),
+            ("null", null.to_string()),
+        ]),
+        EventKind::FaultInjected { fault } => instant(vec![("fault", quoted(fault.label()))]),
+        EventKind::TrialStart { index } | EventKind::TrialEnd { index } => {
+            instant(vec![("index", index.to_string())])
         }
-        EventKind::FaultInjected { fault } => {
-            push_chrome_event(
-                out,
-                name,
-                'i',
-                event.at_ps,
-                None,
-                track,
-                &[("fault", quoted(fault.label()))],
-            );
-        }
-        EventKind::TrialStart { index } => {
-            push_chrome_event(
-                out,
-                name,
-                'i',
-                event.at_ps,
-                None,
-                track,
-                &[("index", index.to_string())],
-            );
-        }
-        EventKind::TrialEnd { index } => {
-            push_chrome_event(
-                out,
-                name,
-                'i',
-                event.at_ps,
-                None,
-                track,
-                &[("index", index.to_string())],
-            );
-        }
-        EventKind::AexExit {
-            irq,
-            handler_cost_ps,
-        } => {
-            // Complete span like IrqDelivered — an AEX still runs the
-            // handler — but under its own name so enclave exits stand
-            // out on the timeline.
-            push_chrome_event(
-                out,
-                name,
-                'X',
-                event.at_ps,
-                Some(handler_cost_ps),
-                track,
-                &[("irq", quoted(irq.label()))],
-            );
-        }
-        EventKind::DefensePad { kernel_span_ps } => {
-            push_chrome_event(
-                out,
-                name,
-                'X',
-                event.at_ps.saturating_sub(kernel_span_ps),
-                Some(kernel_span_ps),
-                track,
-                &[],
-            );
-        }
-        EventKind::EnclaveDestroyed => {
-            push_chrome_event(out, name, 'i', event.at_ps, None, track, &[]);
-        }
+        EventKind::EnclaveDestroyed => instant(vec![]),
         EventKind::ServeVerdict {
             session,
             class,
             steps,
-        } => {
-            push_chrome_event(
-                out,
-                name,
-                'i',
-                event.at_ps,
-                None,
-                track,
-                &[
-                    ("session", session.to_string()),
-                    ("class", class.to_string()),
-                    ("steps", steps.to_string()),
-                ],
-            );
-        }
-    }
+        } => instant(vec![
+            ("session", session.to_string()),
+            ("class", class.to_string()),
+            ("steps", steps.to_string()),
+        ]),
+    };
+    push_chrome_event(out, name, phase, start_ps, dur_ps, event.track, &args);
 }
 
 /// Exports the sink as a Chrome `trace_event` JSON document loadable in
@@ -312,26 +192,6 @@ pub fn chrome_trace(sink: &TraceSink) -> String {
     }
     out.push_str("}}\n");
     out
-}
-
-/// Exports the retained events as compact JSON-lines (one serialized
-/// [`Event`] per line).
-#[must_use]
-pub fn jsonl(sink: &TraceSink) -> String {
-    let mut out = String::new();
-    for event in sink.events() {
-        out.push_str(&serde_json::to_string(&event).expect("events serialize"));
-        out.push('\n');
-    }
-    out
-}
-
-/// Parses a JSON-lines dump back into events (the inverse of [`jsonl`]).
-pub fn from_jsonl(text: &str) -> Result<Vec<Event>, serde_json::Error> {
-    text.lines()
-        .filter(|line| !line.trim().is_empty())
-        .map(serde_json::from_str)
-        .collect()
 }
 
 /// Number of interrupt-delivery events in the rendered Chrome trace
@@ -391,15 +251,6 @@ mod tests {
         assert!(a.contains("\"counter.probe.samples\":1"));
         assert!(a.contains("\"phase.probing.calls\":1"));
         assert_eq!(chrome_delivery_count(&a), 1);
-    }
-
-    #[test]
-    fn jsonl_round_trips() {
-        let sink = sample_sink();
-        let dump = jsonl(&sink);
-        assert_eq!(dump.lines().count(), 3);
-        let back = from_jsonl(&dump).expect("jsonl parses");
-        assert_eq!(back, sink.events());
     }
 
     #[test]

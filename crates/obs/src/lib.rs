@@ -2,8 +2,9 @@
 //!
 //! Every simulation crate can stream typed [`Event`]s into a
 //! [`TraceSink`] — a fixed-capacity ring buffer with an embedded
-//! [`Metrics`] registry — and export the result as a Chrome
-//! `trace_event` JSON document or a compact JSON-lines dump.
+//! [`Metrics`] registry of counters and phases — and export the result
+//! as a Chrome `trace_event` JSON document. Replay and bisection compare
+//! runs through an [`EventDigest`] of the same events.
 //!
 //! # Determinism rules
 //!
@@ -23,7 +24,7 @@
 //! # Example
 //!
 //! ```
-//! use obs::{ClassSet, Event, EventClass, EventKind, IrqClass, TraceSink};
+//! use obs::{EventClass, EventKind, IrqClass, TraceSink};
 //!
 //! let mut sink = TraceSink::with_capacity(1024);
 //! sink.emit(1_000, EventKind::IrqDelivered {
@@ -33,8 +34,7 @@
 //! sink.emit(2_000, EventKind::ProbeSample { segcnt: 1, irq: IrqClass::Timer });
 //! sink.metrics.incr("probe.samples", 1);
 //!
-//! let irqs = sink.filtered(ClassSet::of(EventClass::IrqDelivered), 0, u64::MAX);
-//! assert_eq!(irqs.len(), 1);
+//! assert_eq!(sink.count_class(EventClass::IrqDelivered), 1);
 //! let json = obs::export::chrome_trace(&sink);
 //! assert!(json.contains("\"irq_delivered\""));
 //! ```
@@ -49,6 +49,6 @@ pub mod metrics;
 mod ring;
 
 pub use digest::{digest_events, EventDigest};
-pub use event::{ClassSet, Event, EventClass, EventKind, FaultKind, IrqClass, SegRegId};
-pub use metrics::{Histogram, Metrics, PhaseStats};
+pub use event::{Event, EventClass, EventKind, FaultKind, IrqClass, SegRegId};
+pub use metrics::{Metrics, PhaseStats};
 pub use ring::{TraceSink, DEFAULT_CAPACITY};

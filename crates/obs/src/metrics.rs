@@ -1,114 +1,16 @@
-//! Counter / histogram / phase-scope registry.
+//! Counter / phase-scope registry.
 //!
 //! Everything here is keyed by `&'static str`-style names stored as
-//! `String`s in `BTreeMap`s, so iteration order — and therefore every
+//! `String`s in `BTreeMap`s, so iteration order — and therefore the
 //! exporter's output — is deterministic. Phase durations are measured
 //! in **simulated** picoseconds supplied by the caller; the registry
 //! never consults a clock of its own.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-
-/// Number of log2 buckets in a [`Histogram`] (covers the full `u64`
-/// range: bucket `i` holds values `v` with `bit_width(v) == i`).
-pub const HISTOGRAM_BUCKETS: usize = 65;
-
-/// A power-of-two histogram over `u64` samples.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Histogram {
-    /// `buckets[i]` counts samples whose bit width is `i`
-    /// (`buckets[0]` counts zeros).
-    buckets: Vec<u64>,
-    /// Total samples observed.
-    count: u64,
-    /// Sum of all samples (saturating).
-    sum: u64,
-    /// Smallest sample observed (`u64::MAX` when empty).
-    min: u64,
-    /// Largest sample observed (0 when empty).
-    max: u64,
-}
-
-impl Histogram {
-    /// An empty histogram.
-    #[must_use]
-    pub fn new() -> Self {
-        Histogram {
-            buckets: vec![0; HISTOGRAM_BUCKETS],
-            count: 0,
-            sum: 0,
-            min: u64::MAX,
-            max: 0,
-        }
-    }
-
-    /// Records one sample.
-    pub fn observe(&mut self, value: u64) {
-        let bucket = (u64::BITS - value.leading_zeros()) as usize;
-        self.buckets[bucket] += 1;
-        self.count += 1;
-        self.sum = self.sum.saturating_add(value);
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-    }
-
-    /// Total samples observed.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of all samples (saturating).
-    #[must_use]
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
-    /// Smallest sample, or `None` when empty.
-    #[must_use]
-    pub fn min(&self) -> Option<u64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Largest sample, or `None` when empty.
-    #[must_use]
-    pub fn max(&self) -> Option<u64> {
-        (self.count > 0).then_some(self.max)
-    }
-
-    /// Integer mean, or `None` when empty.
-    #[must_use]
-    pub fn mean(&self) -> Option<u64> {
-        (self.count > 0).then(|| self.sum / self.count)
-    }
-
-    /// The raw bucket counts (`bucket[i]` = samples of bit width `i`).
-    #[must_use]
-    pub fn buckets(&self) -> &[u64] {
-        &self.buckets
-    }
-
-    /// Folds `other` into this histogram.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (mine, theirs) in self.buckets.iter_mut().zip(&other.buckets) {
-            *mine += theirs;
-        }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram::new()
-    }
-}
 
 /// Aggregate timing of one named phase (calibration, probing,
 /// classification, …) across all its scopes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PhaseStats {
     /// Times the phase ran.
     pub calls: u64,
@@ -116,11 +18,10 @@ pub struct PhaseStats {
     pub total_ps: u64,
 }
 
-/// The registry: named counters, histograms, and phase stats.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// The registry: named counters and phase stats.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Metrics {
     counters: BTreeMap<String, u64>,
-    histograms: BTreeMap<String, Histogram>,
     phases: BTreeMap<String, PhaseStats>,
 }
 
@@ -130,7 +31,6 @@ impl Metrics {
     pub fn new() -> Self {
         Metrics {
             counters: BTreeMap::new(),
-            histograms: BTreeMap::new(),
             phases: BTreeMap::new(),
         }
     }
@@ -144,20 +44,6 @@ impl Metrics {
     #[must_use]
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Records `value` into histogram `name` (creating it empty).
-    pub fn observe(&mut self, name: &str, value: u64) {
-        self.histograms
-            .entry(name.to_owned())
-            .or_default()
-            .observe(value);
-    }
-
-    /// Histogram `name`, if any sample was ever observed.
-    #[must_use]
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
     }
 
     /// Records one completed scope of phase `name` spanning
@@ -185,12 +71,6 @@ impl Metrics {
         &self.counters
     }
 
-    /// All histograms, name-ordered.
-    #[must_use]
-    pub fn histograms(&self) -> &BTreeMap<String, Histogram> {
-        &self.histograms
-    }
-
     /// All phases, name-ordered.
     #[must_use]
     pub fn phases(&self) -> &BTreeMap<String, PhaseStats> {
@@ -200,17 +80,14 @@ impl Metrics {
     /// Whether nothing has been recorded.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.histograms.is_empty() && self.phases.is_empty()
+        self.counters.is_empty() && self.phases.is_empty()
     }
 
-    /// Folds `other` into this registry (counters add, histograms and
-    /// phases merge element-wise).
+    /// Folds `other` into this registry (counters add, phases merge
+    /// element-wise).
     pub fn merge(&mut self, other: &Metrics) {
         for (name, delta) in &other.counters {
             *self.counters.entry(name.clone()).or_insert(0) += delta;
-        }
-        for (name, hist) in &other.histograms {
-            self.histograms.entry(name.clone()).or_default().merge(hist);
         }
         for (name, stats) in &other.phases {
             let entry = self.phases.entry(name.clone()).or_insert(PhaseStats {
@@ -232,32 +109,6 @@ impl Default for Metrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn histogram_buckets_by_bit_width() {
-        let mut h = Histogram::new();
-        h.observe(0); // bucket 0
-        h.observe(1); // bucket 1
-        h.observe(2); // bucket 2
-        h.observe(3); // bucket 2
-        h.observe(u64::MAX); // bucket 64
-        assert_eq!(h.buckets()[0], 1);
-        assert_eq!(h.buckets()[1], 1);
-        assert_eq!(h.buckets()[2], 2);
-        assert_eq!(h.buckets()[64], 1);
-        assert_eq!(h.count(), 5);
-        assert_eq!(h.min(), Some(0));
-        assert_eq!(h.max(), Some(u64::MAX));
-        assert_eq!(h.sum(), u64::MAX); // saturated
-    }
-
-    #[test]
-    fn empty_histogram_has_no_extremes() {
-        let h = Histogram::new();
-        assert_eq!(h.min(), None);
-        assert_eq!(h.max(), None);
-        assert_eq!(h.mean(), None);
-    }
 
     #[test]
     fn counters_and_phases_accumulate() {
@@ -283,16 +134,11 @@ mod tests {
         a.incr("c", 1);
         b.incr("c", 2);
         b.incr("only_b", 4);
-        a.observe("h", 8);
-        b.observe("h", 16);
         a.phase("p", 0, 10);
         b.phase("p", 0, 30);
         a.merge(&b);
         assert_eq!(a.counter("c"), 3);
         assert_eq!(a.counter("only_b"), 4);
-        let h = a.histogram("h").unwrap();
-        assert_eq!(h.count(), 2);
-        assert_eq!(h.sum(), 24);
         let p = a.phase_stats("p").unwrap();
         assert_eq!(p.calls, 2);
         assert_eq!(p.total_ps, 40);

@@ -6,9 +6,8 @@
 //! `SEGSCOPE_OBS_FULL=1` stress pass records 16M events into a much
 //! smaller ring and asserts exactly this).
 
-use crate::event::{ClassSet, Event, EventKind};
+use crate::event::{Event, EventClass, EventKind};
 use crate::metrics::Metrics;
-use serde::{Deserialize, Serialize};
 
 /// Default ring capacity when none is given (events).
 pub const DEFAULT_CAPACITY: usize = 1 << 16;
@@ -19,7 +18,7 @@ pub const DEFAULT_CAPACITY: usize = 1 << 16;
 /// Sinks never read wall-clock time; every timestamp comes from the
 /// caller's simulated clock, so two runs with the same `(config, seed)`
 /// fill a sink with identical bytes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceSink {
     capacity: usize,
     /// Ring storage; grows up to `capacity` then wraps.
@@ -30,7 +29,7 @@ pub struct TraceSink {
     dropped: u64,
     /// Total events ever offered to `record`.
     recorded: u64,
-    /// Embedded counter/histogram/phase registry.
+    /// Embedded counter/phase registry.
     pub metrics: Metrics,
 }
 
@@ -112,29 +111,10 @@ impl TraceSink {
         out
     }
 
-    /// Retained events whose class is in `classes` and whose timestamp
-    /// lies in `[from_ps, to_ps]`, oldest first.
-    #[must_use]
-    pub fn filtered(&self, classes: ClassSet, from_ps: u64, to_ps: u64) -> Vec<Event> {
-        self.events()
-            .into_iter()
-            .filter(|e| classes.contains(e.class()) && e.at_ps >= from_ps && e.at_ps <= to_ps)
-            .collect()
-    }
-
     /// Number of retained events of exactly `class`.
     #[must_use]
-    pub fn count_class(&self, class: crate::event::EventClass) -> usize {
+    pub fn count_class(&self, class: EventClass) -> usize {
         self.buf.iter().filter(|e| e.class() == class).count()
-    }
-
-    /// Drops every retained event and resets the drop counter; the
-    /// metrics registry is left untouched.
-    pub fn clear_events(&mut self) {
-        self.buf.clear();
-        self.head = 0;
-        self.dropped = 0;
-        self.recorded = 0;
     }
 
     /// Appends every retained event of `other` (oldest first) onto this
@@ -160,7 +140,7 @@ impl Default for TraceSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{EventClass, IrqClass};
+    use crate::event::IrqClass;
 
     fn tick(at: u64) -> Event {
         Event::new(
@@ -196,38 +176,6 @@ mod tests {
     }
 
     #[test]
-    fn filtering_respects_class_and_window() {
-        let mut sink = TraceSink::with_capacity(16);
-        sink.emit(
-            5,
-            EventKind::IrqDelivered {
-                irq: IrqClass::Timer,
-                handler_cost_ps: 1,
-            },
-        );
-        sink.emit(
-            10,
-            EventKind::ProbeSample {
-                segcnt: 3,
-                irq: IrqClass::Timer,
-            },
-        );
-        sink.emit(
-            15,
-            EventKind::IrqDropped {
-                irq: IrqClass::Network,
-            },
-        );
-        let only_irq = sink.filtered(ClassSet::of(EventClass::IrqDelivered), 0, u64::MAX);
-        assert_eq!(only_irq.len(), 1);
-        assert_eq!(only_irq[0].at_ps, 5);
-        let window = sink.filtered(ClassSet::ALL, 6, 14);
-        assert_eq!(window.len(), 1);
-        assert_eq!(window[0].at_ps, 10);
-        assert!(sink.filtered(ClassSet::EMPTY, 0, u64::MAX).is_empty());
-    }
-
-    #[test]
     fn absorb_retags_and_accumulates_drops() {
         let mut a = TraceSink::with_capacity(8);
         let mut b = TraceSink::with_capacity(2);
@@ -240,16 +188,5 @@ mod tests {
         assert!(a.events().iter().all(|e| e.track == 7));
         assert_eq!(a.dropped(), 2);
         assert_eq!(a.metrics.counter("x"), 2);
-    }
-
-    #[test]
-    fn clear_events_keeps_metrics() {
-        let mut sink = TraceSink::with_capacity(4);
-        sink.record(tick(1));
-        sink.metrics.incr("kept", 1);
-        sink.clear_events();
-        assert!(sink.is_empty());
-        assert_eq!(sink.dropped(), 0);
-        assert_eq!(sink.metrics.counter("kept"), 1);
     }
 }

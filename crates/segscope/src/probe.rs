@@ -128,7 +128,6 @@ impl SegProbe {
                                 },
                             );
                             sink.metrics.incr("probe.samples", 1);
-                            sink.metrics.observe("probe.segcnt", segcnt);
                             sink.metrics.phase(
                                 "probe.interval",
                                 started_at.as_ps(),

@@ -1124,7 +1124,6 @@ impl Machine {
             };
             sink.emit(at.as_ps(), event);
             sink.metrics.incr(counter, 1);
-            sink.metrics.observe("irq.handler_cost_ps", handler_cost_ps);
         }
         if kind == InterruptKind::Timer {
             self.timer_ticks_seen = self.timer_ticks_seen.wrapping_add(1);
@@ -1181,7 +1180,6 @@ impl Machine {
                 },
             );
             sink.metrics.incr("kernel.returns", 1);
-            sink.metrics.observe("kernel.span_ps", kernel_span.as_ps());
         }
         footprint
     }
@@ -1628,11 +1626,11 @@ mod tests {
             let _ = m.run_user_until(Ps::MAX);
         }
         let sink = m.take_trace_sink().unwrap();
-        let delivered = sink.filtered(
-            obs::ClassSet::of(obs::EventClass::IrqDelivered),
-            0,
-            u64::MAX,
-        );
+        let delivered: Vec<_> = sink
+            .events()
+            .into_iter()
+            .filter(|e| e.class() == obs::EventClass::IrqDelivered)
+            .collect();
         assert_eq!(delivered.len(), m.ground_truth().len());
         for (event, record) in delivered.iter().zip(m.ground_truth().records()) {
             let obs::EventKind::IrqDelivered {
@@ -1663,9 +1661,8 @@ mod tests {
         let span = m.run_user_until(Ps::MAX);
         assert!(matches!(span.ended_by, SpanEnd::Interrupt(_)));
         let sink = m.take_trace_sink().unwrap();
-        let clears = sink.filtered(obs::ClassSet::of(obs::EventClass::SegClear), 0, u64::MAX);
         assert!(
-            clears.iter().any(|e| matches!(
+            sink.events().iter().any(|e| matches!(
                 e.kind,
                 obs::EventKind::SegClear {
                     reg: obs::SegRegId::Gs,
