@@ -27,6 +27,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
+
 pub mod aexcount;
 pub mod circl;
 pub mod covert;
@@ -55,6 +58,56 @@ static SCENARIOS: [&'static dyn scenario::DynScenario; 11] = [
     &aexcount::AexCountScenario,
     &heckler::HecklerScenario,
 ];
+
+/// Auxiliary stream of the streaming-eval serving classifier. Distinct
+/// from every other auxiliary stream a scenario draws (the website
+/// fold-split stream `AUX_STREAM`, each fold's model stream
+/// `AUX_STREAM + 1 + fold`, the keystroke typing stream), and never
+/// mixed into machine streams.
+const SERVE_STREAM: u64 = exec::AUX_STREAM + 0x5E57;
+
+/// Streams one trial's input sequence through an untrained serving
+/// classifier of shape `(input_dim, hidden, classes)`, seeded from
+/// `seed` on [`SERVE_STREAM`], and emits the verdict as session `index`
+/// into the machine's trace sink. Does nothing without a sink or an
+/// input. The classifier draws only from its own stream and serving is
+/// RNG-free, so the trial's other events stay byte-identical.
+fn emit_serve_verdict(
+    machine: &mut segsim::Machine,
+    seed: u64,
+    (input_dim, hidden, classes): (usize, usize, usize),
+    index: usize,
+    xs: &[Vec<f32>],
+) {
+    if machine.trace_sink().is_none() || xs.is_empty() {
+        return;
+    }
+    let mut rng = SmallRng::seed_from_u64(exec::derive_seed(seed, SERVE_STREAM));
+    let model = nnet::SeqClassifier::new(
+        input_dim,
+        hidden,
+        classes,
+        &mut rng,
+        nnet::AdamConfig::default(),
+    );
+    let mut session = serve::StreamSession::new(&model, xs.len());
+    let mut verdict = None;
+    for x in xs {
+        verdict = session.push(&model, x);
+    }
+    let verdict = verdict.expect("input is non-empty");
+    let at_ps = machine.now().as_ps();
+    if let Some(sink) = machine.trace_sink_mut() {
+        sink.emit(
+            at_ps,
+            obs::EventKind::ServeVerdict {
+                session: index as u32,
+                class: verdict.class as u32,
+                steps: verdict.steps as u32,
+            },
+        );
+    }
+}
 
 /// The attack registry: every case study and extension study behind one
 /// uniform [`scenario::DynScenario`] face.

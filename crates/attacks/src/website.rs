@@ -385,52 +385,6 @@ pub fn trace_to_example(trace: &[f64], pooled_len: usize, label: usize) -> SeqEx
     SeqExample { xs, label }
 }
 
-/// Auxiliary stream of the streaming-eval serving classifier. Distinct
-/// from the fold-split stream (`AUX_STREAM`) and every fold's model
-/// stream (`AUX_STREAM + 1 + fold`), and never mixed into machine or
-/// visit streams.
-const SERVE_STREAM: u64 = exec::AUX_STREAM + 0x5E57;
-
-/// Streams a pooled trial example through a config-seeded serving
-/// classifier and emits the verdict into the machine's trace sink, when
-/// one is installed. The classifier draws only from [`SERVE_STREAM`]
-/// and the serving path is RNG-free, so traces stay byte-identical.
-fn emit_serve_verdict(
-    config: &WebsiteFpConfig,
-    machine: &mut Machine,
-    index: usize,
-    example: &SeqExample,
-) {
-    if machine.trace_sink().is_none() {
-        return;
-    }
-    let mut rng = SmallRng::seed_from_u64(exec::derive_seed(config.seed, SERVE_STREAM));
-    let model = SeqClassifier::new(
-        2,
-        config.hidden,
-        config.n_sites,
-        &mut rng,
-        AdamConfig::default(),
-    );
-    let mut session = serve::StreamSession::new(&model, example.xs.len());
-    let mut verdict = None;
-    for x in &example.xs {
-        verdict = session.push(&model, x);
-    }
-    let verdict = verdict.expect("pooled example is non-empty");
-    let at_ps = machine.now().as_ps();
-    if let Some(sink) = machine.trace_sink_mut() {
-        sink.emit(
-            at_ps,
-            obs::EventKind::ServeVerdict {
-                session: index as u32,
-                class: verdict.class as u32,
-                steps: verdict.steps as u32,
-            },
-        );
-    }
-}
-
 /// Fold evaluation through the streaming engine: serves the test set
 /// through the cross-session batcher and tallies per-chunk
 /// [`nnet::ConfusionMatrix`] fragments folded with [`MergeReport`].
@@ -494,7 +448,13 @@ impl Scenario for WebsiteScenario {
         let trace = collect_trace_on(machine, config, site, ctx.seed);
         let example = trace_to_example(&trace, config.pooled_len, site);
         if config.streaming {
-            emit_serve_verdict(config, machine, ctx.index, &example);
+            crate::emit_serve_verdict(
+                machine,
+                config.seed,
+                (2, config.hidden, config.n_sites),
+                ctx.index,
+                &example.xs,
+            );
         }
         example
     }

@@ -1,4 +1,4 @@
-//! Observability demo: run the keystroke-monitoring attack with the
+//! Observability demo: run the registered keystroke scenario with the
 //! trace sink installed and export a Chrome-loadable trace.
 //!
 //! ```sh
@@ -18,49 +18,59 @@
 //! 2. **Determinism** — the merged trace is byte-identical at 1, 2 and
 //!    4 worker threads (per-session sinks merged in session order).
 
-use segscope_repro::attacks::keystroke::{monitor_sessions_traced, KeystrokeConfig};
+use segscope_repro::attacks::keystroke::{KeystrokeConfig, KeystrokeScenario};
 use segscope_repro::obs::export;
+use segscope_repro::scenario::{run_scenario, RunOptions};
 
-const SESSIONS: usize = 2;
 const RING_CAPACITY: usize = 1 << 15;
 
 fn main() {
     println!("== SegScope observability: tracing the keystroke attack ==");
-    // A compact run — two sessions, ten keys each — keeps the emitted
-    // trace (and the golden CI diffs it against) small while exercising
-    // the full attack path: calibration, injection, monitoring.
+    // A compact run of the registered scenario — two users, one
+    // ten-key enrollment session each, no test sessions — keeps the
+    // emitted trace (and the golden CI diffs it against) small while
+    // exercising the full attack path: calibration, injection,
+    // monitoring.
     let config = KeystrokeConfig {
+        users: 2,
+        enroll_sessions: 1,
+        test_sessions: 0,
         keys_per_session: 10,
         ..KeystrokeConfig::quick()
     };
 
-    let run = |threads| monitor_sessions_traced(&config, SESSIONS, Some(threads), RING_CAPACITY);
-    let reference = run(1);
-    assert_eq!(
-        reference.sink.dropped(),
-        0,
-        "ring overflowed; raise RING_CAPACITY"
-    );
+    let run = |threads| {
+        let opts = RunOptions {
+            threads: Some(threads),
+            capacity: RING_CAPACITY,
+            ..RunOptions::default()
+        };
+        let run = run_scenario(&KeystrokeScenario, &config, &opts);
+        let sink = run.sink.expect("tracing enabled");
+        (sink, run.totals.ground_truth_deliveries, run.trials)
+    };
+    let (sink, ground_truth, sessions) = run(1);
+    assert_eq!(sink.dropped(), 0, "ring overflowed; raise RING_CAPACITY");
 
     // Guarantee 1: the trace reconciles with the ground truth exactly.
-    let json = export::chrome_trace(&reference.sink);
+    let json = export::chrome_trace(&sink);
     let delivered = export::chrome_delivery_count(&json);
     assert_eq!(
-        delivered as u64, reference.ground_truth_deliveries,
+        delivered as u64, ground_truth,
         "trace deliveries must equal ground-truth deliveries"
     );
     println!(
         "{} sessions, {} events recorded, {} interrupt deliveries (== ground truth)",
-        SESSIONS,
-        reference.sink.len(),
+        sessions,
+        sink.len(),
         delivered
     );
 
     // Guarantee 2: byte-identical trace at any worker count.
     for threads in [2usize, 4] {
-        let traced = run(threads);
+        let (traced, _, _) = run(threads);
         assert_eq!(
-            export::chrome_trace(&traced.sink),
+            export::chrome_trace(&traced),
             json,
             "trace differs at {threads} threads"
         );
