@@ -18,8 +18,9 @@
 //!   whose outputs are thread-count invariant by the
 //!   [`scenario::Scenario::run_batch`] chunk-geometry contract.
 //!
-//! Results fold through [`MergeReport`](scenario::MergeReport) fragments
-//! ([`CellSet`], [`scenario::RunTotals`], [`segsim::FaultLog`]), so the
+//! Each cell's result lands in the manifest under its own flat index,
+//! and its accounting folds through [`MergeReport`](scenario::MergeReport)
+//! fragments ([`scenario::RunTotals`], [`segsim::FaultLog`]), so the
 //! final report is a function of the *set* of cell results — not of the
 //! shard count, thread count, completion order, or how many times the
 //! run was killed and resumed. The workspace determinism battery
@@ -44,7 +45,7 @@
 mod report;
 mod spec;
 
-pub use report::{CampaignReport, CellResult, CellSet, MatrixRow};
+pub use report::{CampaignReport, CellResult, MatrixRow};
 pub use spec::{
     inject_defense, inject_machine, CampaignCell, CampaignSpec, DefenseVariant, FaultVariant,
     ScenarioSel,
@@ -458,10 +459,11 @@ impl Drop for StopOnPanic<'_> {
 
 /// Folds a complete manifest into the final [`CampaignReport`].
 ///
-/// The fold goes through [`CellSet`] singletons — the same commutative
-/// merge any shard grouping produces — so this function is the single
-/// reporting path for fresh runs, resumes, and `campaign report` on a
-/// previously persisted manifest.
+/// The manifest holds each cell under its own flat index, so its
+/// ordered outputs are the report's cell list whatever order the cells
+/// finished in. This function is the single reporting path for fresh
+/// runs, resumes, and `campaign report` on a previously persisted
+/// manifest.
 ///
 /// # Errors
 ///
@@ -471,7 +473,6 @@ pub fn report_from_manifest(
     spec: &CampaignSpec,
     manifest: &CampaignManifest,
 ) -> Result<CampaignReport, CampaignError> {
-    use scenario::MergeReport;
     if !manifest.matches(spec) {
         return Err(CampaignError::SpecMismatch);
     }
@@ -481,19 +482,11 @@ pub fn report_from_manifest(
             total: manifest.total_cells(),
         });
     }
-    let set = CellSet::merged(
-        manifest
-            .cells
-            .clone()
-            .into_outputs()
-            .into_iter()
-            .map(CellSet::singleton),
-    );
     Ok(CampaignReport::from_cells(
         &spec.name,
         spec.seed,
         manifest.spec_digest,
-        set.into_ordered(),
+        manifest.cells.clone().into_outputs(),
     ))
 }
 

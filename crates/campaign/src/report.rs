@@ -1,21 +1,17 @@
-//! Campaign results: per-cell records, the commutative cell-set fold,
-//! and the merged [`CampaignReport`].
+//! Campaign results: per-cell records and the merged
+//! [`CampaignReport`].
 //!
 //! Shards produce [`CellResult`]s in whatever order the scheduler
-//! dictates; the fold into a final report must not care. [`CellSet`]
-//! makes the fold a [`MergeReport`]: each result becomes a singleton
-//! fragment keyed by its flat cell index, fragments merge by disjoint
-//! map union (commutative and associative, with the empty set as
-//! identity), and the ordered cell list — hence the serialized report —
-//! falls out of the `BTreeMap`'s ascending-key iteration no matter how
-//! the fragments were grouped or folded. That is the entire
+//! dictates; the report must not care. Each result is recorded in the
+//! campaign manifest under its own flat cell index, and the report folds
+//! the manifest's cells in ascending index order. That is the entire
 //! merge-order-independence argument: *the report is a function of the
-//! set of cell results, and set union does not remember arrival order.*
+//! set of cell results, keyed by index, and the keyed set does not
+//! remember arrival order.*
 
 use scenario::{MergeReport, RunReport, RunTotals};
 use segsim::FaultLog;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// The outcome of one campaign cell: its grid coordinate plus the full
 /// scenario-level run report and the foldable accounting fragments.
@@ -40,62 +36,6 @@ pub struct CellResult {
     pub totals: RunTotals,
     /// Fault-injection audit counters merged across the cell's trials.
     pub fault_log: FaultLog,
-}
-
-/// A mergeable set of cell results keyed by flat cell index — the
-/// [`MergeReport`] fragment one shard (or one cell) contributes.
-///
-/// Merging is map union. For fragments with disjoint keys — the only
-/// kind a correctly sharded campaign produces, since every cell index
-/// is computed exactly once — union is commutative and associative with
-/// [`CellSet::empty`] as identity, so any partition of the cells into
-/// shards, folded in any order, yields the same set. On a key collision
-/// the first-merged value wins; colliding fragments that disagree
-/// indicate a resume against the wrong manifest, which the
-/// spec-digest check rejects before any fold happens.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct CellSet {
-    cells: BTreeMap<usize, CellResult>,
-}
-
-impl CellSet {
-    /// The fragment one cell contributes.
-    #[must_use]
-    pub fn singleton(cell: CellResult) -> Self {
-        let mut cells = BTreeMap::new();
-        cells.insert(cell.index, cell);
-        CellSet { cells }
-    }
-
-    /// Number of distinct cells in the set.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// Whether the set is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
-    }
-
-    /// The cells in ascending flat-index order.
-    #[must_use]
-    pub fn into_ordered(self) -> Vec<CellResult> {
-        self.cells.into_values().collect()
-    }
-}
-
-impl MergeReport for CellSet {
-    fn empty() -> Self {
-        CellSet::default()
-    }
-
-    fn merge(&mut self, other: &Self) {
-        for (index, cell) in &other.cells {
-            self.cells.entry(*index).or_insert_with(|| cell.clone());
-        }
-    }
 }
 
 /// One row of the campaign's summary matrix: the fold of every cell at
