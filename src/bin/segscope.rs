@@ -536,7 +536,7 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
         .map_err(|e| format!("cannot read recording `{input}`: {e}"))?;
     let recording: replay::Recording = serde_json::from_str(&text)
         .map_err(|e| format!("`{input}` is not a valid recording: {e}"))?;
-    let slice = replay::replay_from(&recording, from);
+    let slice = replay::replay_from(&recording, from)?;
     if slice.matches(&recording) {
         println!(
             "replayed {} events from span {} (event {}): bit-identical to the recording",
