@@ -7,7 +7,7 @@
 //! in O(1) and the first disagreeing digest brackets where to replay.
 //!
 //! The digest is FNV-1a over each event's canonical JSON encoding — the
-//! same encoding the exporters and golden traces use, so equal digests
+//! same encoding a recording stores its events in, so equal digests
 //! mean the serialized streams are byte-identical. FNV is *not*
 //! cryptographic; this is a debugging aid, and any collision is caught
 //! downstream by the event-by-event comparison the bisector finishes
