@@ -218,23 +218,10 @@ fn measure_challenge(
     }
 }
 
-/// Runs the end-to-end key extraction on a fresh machine seeded from
-/// `config.seed`'s auxiliary stream.
-#[must_use]
-pub fn run_extraction(config: &CirclConfig) -> CirclResult {
-    let mut machine = Machine::new(
-        MachineConfig::lenovo_yangtian(),
-        exec::derive_seed(config.seed, exec::AUX_STREAM),
-    );
-    machine.set_fault_plan(config.fault_plan);
-    extract_on(&mut machine, config, config.seed)
-}
-
-/// Runs the key extraction on a caller-provided `machine` (fault plan
-/// and any trace sink already installed); `victim_seed` draws the
-/// victim's random key.
-#[must_use]
-pub fn extract_on(machine: &mut Machine, config: &CirclConfig, victim_seed: u64) -> CirclResult {
+/// Runs the key extraction on the trial's `machine` (fault plan and any
+/// trace sink already installed); `victim_seed` draws the victim's
+/// random key.
+fn extract_on(machine: &mut Machine, config: &CirclConfig, victim_seed: u64) -> CirclResult {
     let mut rng = SmallRng::seed_from_u64(victim_seed);
     let victim = CirclVictim::random_key(config.key_bits, &mut rng);
     machine.spin(100_000_000); // warm-up
@@ -355,6 +342,11 @@ impl Scenario for CirclScenario {
         machine.set_fault_plan(config.fault_plan);
     }
 
+    fn check_config(&self, config: &Self::Config) -> Result<(), String> {
+        crate::at_least_one("key_bits", config.key_bits)?;
+        crate::at_least_one("samples_per_challenge", config.samples_per_challenge)
+    }
+
     fn run_trial(
         &self,
         config: &Self::Config,
@@ -427,7 +419,8 @@ mod tests {
 
     #[test]
     fn quick_extraction_recovers_the_key() {
-        let result = run_extraction(&CirclConfig::quick());
+        let config = CirclConfig::quick();
+        let result = CirclScenario.run_one(&config, config.seed);
         assert!(
             result.bit_accuracy > 0.95,
             "bit accuracy {}",

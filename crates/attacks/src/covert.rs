@@ -11,7 +11,7 @@
 //! No timer, no shared memory, no syscalls beyond scheduling.
 
 use irq::time::Ps;
-use scenario::{RunOptions, Scenario, TrialCtx};
+use scenario::{Scenario, TrialCtx};
 use segscope::SegProbe;
 use segsim::{FaultPlan, Machine, MachineConfig, StepFn};
 use serde::{Deserialize, Serialize};
@@ -133,26 +133,13 @@ pub struct CovertResult {
     pub threshold: f64,
 }
 
-/// Runs one full transmission over a fresh machine and decodes it.
+/// Runs one full transmission on the trial's `machine` (fault plan and
+/// any trace sink already installed) and decodes it.
 ///
 /// # Panics
 ///
 /// Panics if `message` is empty.
-#[must_use]
-pub fn transmit(config: &CovertConfig, message: &[bool], seed: u64) -> CovertResult {
-    let mut machine = Machine::new(MachineConfig::lenovo_yangtian(), seed);
-    machine.set_fault_plan(config.fault_plan);
-    transmit_on(&mut machine, config, message)
-}
-
-/// Runs one full transmission on a caller-provided `machine` (fault plan
-/// and any trace sink already installed) and decodes it.
-///
-/// # Panics
-///
-/// Panics if `message` is empty.
-#[must_use]
-pub fn transmit_on(machine: &mut Machine, config: &CovertConfig, message: &[bool]) -> CovertResult {
+fn transmit_on(machine: &mut Machine, config: &CovertConfig, message: &[bool]) -> CovertResult {
     assert!(!message.is_empty(), "need a payload");
     machine.spin(200_000_000); // governor steady state
     let t0 = machine.now() + Ps::from_ms(2);
@@ -241,41 +228,10 @@ pub fn transmit_on(machine: &mut Machine, config: &CovertConfig, message: &[bool
     }
 }
 
-/// Runs `trials` independent transmissions of `message` in parallel —
-/// fresh machine per trial, per-trial seeds derived from
-/// `experiment_seed` — and returns the outcomes in trial order
-/// (bit-identical at any worker count).
-///
-/// Thin wrapper over the generic [`scenario`] driver and
-/// [`CovertScenario`].
-///
-/// # Panics
-///
-/// Panics if `message` is empty.
-#[must_use]
-pub fn transmit_trials(
-    config: &CovertConfig,
-    message: &[bool],
-    experiment_seed: u64,
-    trials: usize,
-    threads: Option<usize>,
-) -> Vec<CovertResult> {
-    let cfg = CovertScenarioConfig {
-        channel: *config,
-        payload: bits_to_bitstring(message),
-    };
-    let opts = RunOptions {
-        seed: Some(experiment_seed),
-        trials: Some(trials),
-        threads,
-        ..RunOptions::default()
-    };
-    scenario::run_scenario(&CovertScenario, &cfg, &opts).outputs
-}
-
 /// Transmits with an `r`-fold repetition code and majority-vote decode:
 /// the standard fix for the channel's ~1 % residual bit errors, trading
-/// rate for reliability.
+/// rate for reliability. The coded bits go out as one
+/// [`CovertScenario`] trial at `seed`.
 ///
 /// # Panics
 ///
@@ -295,7 +251,8 @@ pub fn transmit_reliable(
         .iter()
         .flat_map(|&b| std::iter::repeat_n(b, repetition))
         .collect();
-    let raw = transmit(config, &coded, seed);
+    let (channel, payload) = (*config, bits_to_bitstring(&coded));
+    let raw = CovertScenario.run_one(&CovertScenarioConfig { channel, payload }, seed);
     let slot_medians = raw.slot_medians.clone();
     let threshold = raw.threshold;
     let decoded: Vec<bool> = raw
@@ -400,6 +357,13 @@ impl Scenario for CovertScenario {
         machine.set_fault_plan(config.channel.fault_plan);
     }
 
+    fn check_config(&self, config: &Self::Config) -> Result<(), String> {
+        if bitstring_to_bits(&config.payload).is_empty() {
+            return Err("`payload` must carry at least one `0`/`1` bit".to_owned());
+        }
+        Ok(())
+    }
+
     fn run_trial(
         &self,
         config: &Self::Config,
@@ -450,6 +414,12 @@ pub fn bits_to_bytes(bits: &[bool]) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use scenario::RunOptions;
+
+    fn send(channel: CovertConfig, message: &[bool], seed: u64) -> CovertResult {
+        let payload = bits_to_bitstring(message);
+        CovertScenario.run_one(&CovertScenarioConfig { channel, payload }, seed)
+    }
 
     #[test]
     fn bit_byte_round_trip() {
@@ -462,7 +432,7 @@ mod tests {
     #[test]
     fn slow_channel_has_low_raw_error() {
         let message = bytes_to_bits(b"COVERT CHANNEL TEST MESSAGE");
-        let result = transmit(&CovertConfig::slow(), &message, 0xC07E);
+        let result = send(CovertConfig::slow(), &message, 0xC07E);
         assert!(
             result.error_rate <= 0.05,
             "raw error rate {} too high",
@@ -498,8 +468,8 @@ mod tests {
     #[test]
     fn faster_slots_trade_errors_for_rate() {
         let message: Vec<bool> = (0..96).map(|i| (i * 7) % 3 == 0).collect();
-        let slow = transmit(&CovertConfig::slow(), &message, 0x51);
-        let fast = transmit(&CovertConfig::fast(), &message, 0x51);
+        let slow = send(CovertConfig::slow(), &message, 0x51);
+        let fast = send(CovertConfig::fast(), &message, 0x51);
         assert!(fast.goodput_bps > slow.goodput_bps * 1.5);
         assert!(
             fast.error_rate <= 0.25,
@@ -546,17 +516,6 @@ mod tests {
         let bits = bytes_to_bits(b"SegScope");
         assert_eq!(bitstring_to_bits(&bits_to_bitstring(&bits)), bits);
         assert_eq!(bitstring_to_bits("10 1x1"), vec![true, false, true, true]);
-    }
-
-    #[test]
-    fn trial_helper_matches_direct_transmissions() {
-        let message = bytes_to_bits(b"AB");
-        let config = CovertConfig::slow();
-        let trials = transmit_trials(&config, &message, 0xC081, 2, Some(2));
-        for (i, trial) in trials.iter().enumerate() {
-            let direct = transmit(&config, &message, exec::derive_seed(0xC081, i as u64));
-            assert_eq!(trial, &direct);
-        }
     }
 
     #[test]

@@ -13,7 +13,7 @@ use irq::time::Ps;
 use nnet::{AdamConfig, SeqTagger, TaggedExample};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use scenario::{RunOptions, Scenario, TrialCtx};
+use scenario::{Scenario, TrialCtx};
 use segscope::SegProbe;
 use segsim::{FaultPlan, Machine, MachineConfig, StepFn};
 use serde::{Deserialize, Serialize};
@@ -259,31 +259,14 @@ pub struct DnnStealResult {
     pub lda: f64,
 }
 
-/// Collects one layer-annotated SegCnt trace of an inference run.
+/// Collects one layer-annotated SegCnt trace of an inference run of
+/// `arch` on an already-built victim machine (a [`DnnStealScenario`]
+/// trial's, or [`Scenario::build_machine`]'s for a hand-picked
+/// architecture). `trace_seed` only derives the inference-schedule RNG;
+/// the machine's own stream was fixed at construction.
 ///
 /// Returns `None` when the run produced no usable samples (never happens
 /// at HZ = 250 with realistic layer durations).
-#[must_use]
-pub fn collect_annotated_trace(arch: &Architecture, seed: u64) -> Option<TaggedExample> {
-    collect_annotated_trace_with(arch, seed, None)
-}
-
-/// [`collect_annotated_trace`] with an optional fault plan installed on
-/// the victim machine.
-#[must_use]
-pub fn collect_annotated_trace_with(
-    arch: &Architecture,
-    seed: u64,
-    fault_plan: Option<FaultPlan>,
-) -> Option<TaggedExample> {
-    let mut machine = Machine::new(MachineConfig::lenovo_yangtian(), seed);
-    machine.set_fault_plan(fault_plan);
-    collect_annotated_on(&mut machine, arch, seed)
-}
-
-/// [`collect_annotated_trace`] against an already-built victim machine.
-/// `trace_seed` only derives the inference-schedule RNG; the machine's
-/// own stream was fixed at construction.
 #[must_use]
 pub fn collect_annotated_on(
     machine: &mut Machine,
@@ -316,17 +299,6 @@ pub fn collect_annotated_on(
         xs: nnet::to_features(&std),
         tags: raw.iter().map(|&(_, t)| t).collect(),
     })
-}
-
-/// Runs the full offline-train / online-classify pipeline.
-///
-/// Trace collection fans out one task per model: each task derives its
-/// own seed (used for both the architecture draw and the inference
-/// trace) from `config.seed`, so the dataset is bit-identical at any
-/// worker count.
-#[must_use]
-pub fn run_experiment(config: &DnnStealConfig) -> DnnStealResult {
-    scenario::run_scenario(&DnnStealScenario, config, &RunOptions::default()).summary
 }
 
 /// [`Scenario`] face of the architecture-stealing experiment. One task
@@ -492,7 +464,13 @@ mod tests {
                 LayerType::Conv,
             ],
         };
-        let ex = collect_annotated_trace(&arch, 33).expect("trace collected");
+        let ctx = TrialCtx {
+            index: 0,
+            seed: 33,
+            experiment_seed: 33,
+        };
+        let mut machine = DnnStealScenario.build_machine(&DnnStealConfig::quick(), &ctx);
+        let ex = collect_annotated_on(&mut machine, &arch, 33).expect("trace collected");
         let mut conv = Vec::new();
         let mut relu = Vec::new();
         for (x, &t) in ex.xs.iter().zip(&ex.tags) {
@@ -518,7 +496,9 @@ mod tests {
 
     #[test]
     fn quick_experiment_beats_chance() {
-        let result = run_experiment(&DnnStealConfig::quick());
+        let opts = scenario::RunOptions::default();
+        let result = scenario::run_scenario(&DnnStealScenario, &DnnStealConfig::quick(), &opts);
+        let result = result.summary;
         // 6 classes: chance SA ~ largest class share; demand well above.
         assert!(result.overall_sa > 0.5, "overall SA {}", result.overall_sa);
         assert!(result.lda > 0.4, "LDA {}", result.lda);

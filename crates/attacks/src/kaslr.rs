@@ -8,7 +8,7 @@
 
 use irq::time::Ps;
 use memsim::{KaslrLayout, KASLR_SLOTS};
-use scenario::{RunOptions, Scenario, TrialCtx};
+use scenario::{Scenario, TrialCtx};
 use segscope::{CountingThreadTimer, Denoise, ProbeError, SegTimer};
 use segsim::{Machine, MachineConfig, SimError};
 use serde::{Deserialize, Serialize};
@@ -174,17 +174,14 @@ fn probe_k(machine: &mut Machine, method: ProbeMethod, addr: u64, k: usize) {
 }
 
 /// Runs one KASLR break on `machine` (which must have a KASLR layout
-/// installed).
-///
-/// # Errors
-///
-/// [`KaslrError::TimerUnavailable`] when the configured timer cannot be
-/// read; [`KaslrError::Probe`] when the SegScope probe is mitigated.
+/// installed). Fails with [`KaslrError::TimerUnavailable`] when the
+/// configured timer cannot be read and [`KaslrError::Probe`] when the
+/// SegScope probe is mitigated.
 ///
 /// # Panics
 ///
 /// Panics if no KASLR layout is installed.
-pub fn break_kaslr(machine: &mut Machine, config: &KaslrConfig) -> Result<KaslrResult, KaslrError> {
+fn break_kaslr(machine: &mut Machine, config: &KaslrConfig) -> Result<KaslrResult, KaslrError> {
     let secret_slot = machine
         .kaslr()
         .expect("KASLR layout installed")
@@ -271,27 +268,6 @@ pub fn break_kaslr(machine: &mut Machine, config: &KaslrConfig) -> Result<KaslrR
         secret_slot,
         elapsed_s: (machine.now() - start).as_secs_f64(),
     })
-}
-
-/// Convenience: builds a fresh machine with a randomized layout and runs
-/// one break.
-///
-/// # Errors
-///
-/// See [`break_kaslr`].
-pub fn break_kaslr_fresh(
-    machine_cfg: MachineConfig,
-    config: &KaslrConfig,
-    seed: u64,
-) -> Result<KaslrResult, KaslrError> {
-    let mut machine = Machine::new(machine_cfg, seed);
-    let layout = {
-        let rng = machine.rng_mut();
-        KaslrLayout::randomize(rng)
-    };
-    machine.set_kaslr(layout);
-    machine.spin(50_000_000); // warm-up
-    break_kaslr(&mut machine, config)
 }
 
 /// The registered KASLR scenario: each trial is one fresh-machine break
@@ -388,37 +364,8 @@ impl Scenario for KaslrScenario {
     }
 }
 
-/// Runs `trials` independent fresh-machine KASLR breaks in parallel and
-/// returns the per-trial outcomes in trial order.
-///
-/// Thin wrapper over the generic [`scenario`] driver and
-/// [`KaslrScenario`]: each trial derives its own seed from
-/// `(experiment_seed, trial index)`, so the result vector is
-/// bit-identical at any worker count (`threads`: explicit override, else
-/// the `SEGSCOPE_THREADS` environment variable, else all cores).
-#[must_use]
-pub fn run_trials(
-    machine_cfg: &MachineConfig,
-    config: &KaslrConfig,
-    experiment_seed: u64,
-    trials: usize,
-    threads: Option<usize>,
-) -> Vec<Result<KaslrResult, KaslrError>> {
-    let cfg = KaslrScenarioConfig {
-        machine: machine_cfg.clone(),
-        attack: *config,
-    };
-    let opts = RunOptions {
-        seed: Some(experiment_seed),
-        trials: Some(trials),
-        threads,
-        ..RunOptions::default()
-    };
-    scenario::run_scenario(&KaslrScenario, &cfg, &opts).outputs
-}
-
-/// Top-1 and top-`n` hit rates over a batch of [`run_trials`] outcomes
-/// (failed trials count as misses).
+/// Top-1 and top-`n` hit rates over a batch of [`KaslrScenario`] trial
+/// outcomes (failed trials count as misses).
 #[must_use]
 pub fn hit_rates(results: &[Result<KaslrResult, KaslrError>], n: usize) -> (f64, f64) {
     let total = results.len().max(1) as f64;
@@ -471,11 +418,21 @@ pub fn k_sweep_distributions(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use scenario::RunOptions;
+
+    fn break_fresh(
+        machine: MachineConfig,
+        attack: &KaslrConfig,
+        seed: u64,
+    ) -> Result<KaslrResult, KaslrError> {
+        let attack = *attack;
+        KaslrScenario.run_one(&KaslrScenarioConfig { machine, attack }, seed)
+    }
 
     #[test]
     fn quick_break_ranks_secret_highly() {
         let config = KaslrConfig::quick();
-        let result = break_kaslr_fresh(MachineConfig::xiaomi_air13(), &config, 0x6A51).unwrap();
+        let result = break_fresh(MachineConfig::xiaomi_air13(), &config, 0x6A51).unwrap();
         assert!(
             result.top_n_hit(5),
             "secret slot {} not in top-5 of {:?}",
@@ -492,7 +449,7 @@ mod tests {
             slots: 64,
             ..KaslrConfig::paper_default()
         };
-        let result = break_kaslr_fresh(MachineConfig::xiaomi_air13(), &config, 0x6A52).unwrap();
+        let result = break_fresh(MachineConfig::xiaomi_air13(), &config, 0x6A52).unwrap();
         assert!(
             result.top1_hit(),
             "rdtsc should nail it: {:?}",
@@ -511,7 +468,7 @@ mod tests {
             slots: 64,
             ..KaslrConfig::paper_default()
         };
-        let result = break_kaslr_fresh(MachineConfig::xiaomi_air13(), &config, 0x6A53).unwrap();
+        let result = break_fresh(MachineConfig::xiaomi_air13(), &config, 0x6A53).unwrap();
         assert!(
             !result.top1_hit(),
             "a 1 ms timer should not reliably find the slot"
@@ -527,14 +484,14 @@ mod tests {
             ..KaslrConfig::quick()
         };
         assert_eq!(
-            break_kaslr_fresh(machine_cfg.clone(), &rdtsc_cfg, 1).unwrap_err(),
+            break_fresh(machine_cfg.clone(), &rdtsc_cfg, 1).unwrap_err(),
             KaslrError::TimerUnavailable
         );
         let seg_cfg = KaslrConfig {
             slots: 16,
             ..KaslrConfig::quick()
         };
-        let result = break_kaslr_fresh(machine_cfg, &seg_cfg, 1).unwrap();
+        let result = break_fresh(machine_cfg, &seg_cfg, 1).unwrap();
         assert!(result.top_n_hit(5), "SegScope must work under CR4.TSD");
     }
 
@@ -571,14 +528,6 @@ mod tests {
             ..RunOptions::default()
         };
         let plain = scenario::run_scenario(&KaslrScenario, &cfg, &opts);
-        // The driver's per-trial seed matches what the direct API derives.
-        let direct = break_kaslr_fresh(
-            MachineConfig::xiaomi_air13(),
-            &cfg.attack,
-            exec::derive_seed(0x6A54, 0),
-        )
-        .unwrap();
-        assert_eq!(plain.outputs[0].as_ref().unwrap(), &direct);
         let traced = scenario::run_scenario(
             &KaslrScenario,
             &cfg,

@@ -18,7 +18,7 @@ use irq::time::Ps;
 use irq::InterruptKind;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use scenario::{RunOptions, Scenario, TrialCtx};
+use scenario::{Scenario, TrialCtx};
 use segscope::{SegProbe, TimerEdgeClassifier};
 use segsim::{FaultPlan, Machine, MachineConfig};
 use serde::{Deserialize, Serialize};
@@ -260,22 +260,6 @@ impl KeystrokeConfig {
     }
 }
 
-#[cfg(test)]
-fn collect_trace(
-    profile: &TypistProfile,
-    seed: u64,
-    keys: usize,
-    fault_plan: Option<FaultPlan>,
-) -> KeystrokeTrace {
-    let mut machine = Machine::new(MachineConfig::xiaomi_air13(), seed);
-    machine.set_fault_plan(fault_plan);
-    machine.spin(100_000_000);
-    let mut rng = SmallRng::seed_from_u64(exec::derive_seed(seed, exec::AUX_STREAM));
-    let start = machine.now() + Ps::from_ms(1_600); // calibration quiet time
-    let session = profile.type_session(start, keys, &mut rng);
-    KeystrokeMonitor::new().monitor(&mut machine, &session)
-}
-
 /// The keystroke trial body: spin to governor steady state, draw the
 /// victim's typing session, and monitor it.
 fn monitor_session_on(
@@ -329,6 +313,11 @@ impl Scenario for KeystrokeScenario {
         if config.fault_plan.is_some() {
             machine.set_fault_plan(config.fault_plan);
         }
+    }
+
+    fn check_config(&self, config: &Self::Config) -> Result<(), String> {
+        crate::at_least_one("keys_per_session", config.keys_per_session)?;
+        crate::at_least_one("enroll_sessions", config.enroll_sessions)
     }
 
     fn run_trial(
@@ -393,19 +382,22 @@ impl Scenario for KeystrokeScenario {
     }
 }
 
-/// Runs the identification experiment: enroll per-user log-stat
-/// centroids, then attribute test sessions by nearest centroid.
-///
-/// Thin wrapper over the generic [`scenario`] driver and
-/// [`KeystrokeScenario`]; bit-identical at any worker count.
-#[must_use]
-pub fn identify_users(config: &KeystrokeConfig) -> IdentifyResult {
-    scenario::run_scenario(&KeystrokeScenario, config, &RunOptions::default()).summary
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use scenario::RunOptions;
+
+    /// Monitors one `keys`-keystroke session of `profile` on a fresh
+    /// quick-config monitoring machine booted at `seed`.
+    fn session_trace(profile: &TypistProfile, seed: u64, keys: usize) -> KeystrokeTrace {
+        let ctx = TrialCtx {
+            index: 0,
+            seed,
+            experiment_seed: seed,
+        };
+        let mut machine = KeystrokeScenario.build_machine(&KeystrokeConfig::quick(), &ctx);
+        monitor_session_on(&mut machine, profile, keys, seed)
+    }
 
     /// A compact traced run: two users, one enrollment and one test
     /// session of eight keys each.
@@ -456,7 +448,7 @@ mod tests {
     #[test]
     fn monitor_recovers_keystroke_count() {
         let profile = TypistProfile::for_user(0);
-        let trace = collect_trace(&profile, 0xAB, 30, None);
+        let trace = session_trace(&profile, 0xAB, 30);
         // Detected count within a small tolerance of the truth (PMIs add
         // the occasional extra edge; overlapping keys may merge).
         let detected = trace.detected_keys() as i64;
@@ -473,7 +465,7 @@ mod tests {
             mu: -1.6,
             sigma: 0.4,
         };
-        let trace = collect_trace(&profile, 0xC21, 35, None);
+        let trace = session_trace(&profile, 0xC21, 35);
         // Compare normalized signatures where counts line up.
         let recovered = trace.signature();
         let truth: Vec<f64> = trace
@@ -507,7 +499,9 @@ mod tests {
 
     #[test]
     fn users_are_identifiable_from_rhythm() {
-        let result = identify_users(&KeystrokeConfig::quick());
+        let config = KeystrokeConfig::quick();
+        let result = scenario::run_scenario(&KeystrokeScenario, &config, &RunOptions::default());
+        let result = result.summary;
         let chance = 1.0 / result.users as f64;
         assert!(
             result.accuracy > 2.0 * chance,

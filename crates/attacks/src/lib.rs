@@ -23,6 +23,17 @@
 //! are deterministic given a seed. All eleven implement the
 //! [`scenario::Scenario`] trait and register with [`registry`], which
 //! backs the `segscope` CLI driver.
+//!
+//! Every caller runs an attack through its scenario, whose
+//! [`machine`](scenario::Scenario::machine) and
+//! [`wire`](scenario::Scenario::wire) are the only recipe for its
+//! Table I machine: [`run_one`](scenario::Scenario::run_one)`(&config, s)`
+//! runs one trial at seed `s`, and [`scenario::run_scenario`] runs a
+//! seeded batch of trials or a whole structured experiment (read its
+//! `.outputs` or `.summary`). [`website::collect_trace`] and
+//! [`procfp::observe`] boot from
+//! [`build_machine`](scenario::Scenario::build_machine); only
+//! [`kaslr::k_sweep_distributions`] builds a machine of its own.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -107,6 +118,14 @@ fn emit_serve_verdict(
             },
         );
     }
+}
+
+/// The range check most [`scenario::Scenario::check_config`] impls share:
+/// `Err` naming `field` when its `value` is zero.
+fn at_least_one(field: &str, value: usize) -> Result<(), String> {
+    (value > 0)
+        .then_some(())
+        .ok_or_else(|| format!("`{field}` must be at least 1"))
 }
 
 /// The attack registry: every case study and extension study behind one

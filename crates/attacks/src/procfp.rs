@@ -12,7 +12,7 @@ use irq::time::Ps;
 use irq::InterruptKind;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use scenario::{RunOptions, Scenario, TrialCtx};
+use scenario::{Scenario, TrialCtx};
 use segscope::SegProbe;
 use segsim::{FaultPlan, Machine, MachineConfig, StepFn};
 use serde::{Deserialize, Serialize};
@@ -134,32 +134,24 @@ impl ProcFeatures {
     }
 }
 
-/// Extracts features from one observation window on a fresh machine.
+/// Extracts features from one observation window of `app` on a fresh
+/// [`ProcFpScenario`] machine booted at `seed` (`config.enroll` and
+/// `config.test` play no part).
 #[must_use]
-pub fn observe(app: AppClass, seed: u64, window: Ps, probes: usize) -> ProcFeatures {
-    observe_with(app, seed, window, probes, None)
-}
-
-/// [`observe`] with an optional fault plan installed on the machine.
-#[must_use]
-pub fn observe_with(
-    app: AppClass,
-    seed: u64,
-    window: Ps,
-    probes: usize,
-    fault_plan: Option<FaultPlan>,
-) -> ProcFeatures {
-    let mut machine = Machine::new(MachineConfig::xiaomi_air13(), seed);
-    machine.set_fault_plan(fault_plan);
-    machine.set_local_load(0.3); // the spy keeps a low profile
-    observe_on(&mut machine, app, seed, window, probes)
+pub fn observe(config: &ProcFpConfig, app: AppClass, seed: u64) -> ProcFeatures {
+    let ctx = TrialCtx {
+        index: 0,
+        seed,
+        experiment_seed: seed,
+    };
+    let mut machine = ProcFpScenario.build_machine(config, &ctx);
+    observe_on(&mut machine, app, seed, config.window, config.probes)
 }
 
 /// Extracts features from one observation window on an already-built spy
 /// machine. `seed` only drives the victim's activity schedule; the
 /// machine's own RNG stream was fixed at construction.
-#[must_use]
-pub fn observe_on(
+fn observe_on(
     machine: &mut Machine,
     app: AppClass,
     seed: u64,
@@ -268,17 +260,6 @@ impl ProcFpConfig {
     }
 }
 
-/// Runs enrollment + nearest-centroid identification.
-///
-/// Windows are observed in parallel — one task per `(class, window)`
-/// pair with a seed derived from `config.seed`, so the result is
-/// bit-identical at any worker count. Enrollment windows occupy task
-/// indices `0..classes * enroll`; test windows continue from there.
-#[must_use]
-pub fn run_experiment(config: &ProcFpConfig) -> ProcFpResult {
-    scenario::run_scenario(&ProcFpScenario, config, &RunOptions::default()).summary
-}
-
 /// [`Scenario`] face of the process-fingerprinting experiment. Each task
 /// observes one `(class, window)` pair — enrollment windows occupy task
 /// indices `0..classes * enroll`, test windows continue from there — and
@@ -330,6 +311,10 @@ impl Scenario for ProcFpScenario {
     fn wire(&self, config: &ProcFpConfig, machine: &mut Machine, _ctx: &TrialCtx) {
         machine.set_fault_plan(config.fault_plan);
         machine.set_local_load(0.3); // the spy keeps a low profile
+    }
+
+    fn check_config(&self, config: &ProcFpConfig) -> Result<(), String> {
+        crate::at_least_one("enroll", config.enroll)
     }
 
     fn run_trial(
@@ -410,8 +395,9 @@ mod tests {
     fn downloader_shortens_intervals() {
         // A dense NIC train cuts timer periods into short pieces: the
         // median normalized SegCnt collapses well below idle's.
-        let dl = observe(AppClass::Downloader, 7, Ps::from_ms(400), 300);
-        let idle = observe(AppClass::Idle, 7, Ps::from_ms(400), 300);
+        let config = ProcFpConfig::quick();
+        let dl = observe(&config, AppClass::Downloader, 7);
+        let idle = observe(&config, AppClass::Idle, 7);
         assert!(
             dl.q50 < idle.q50 * 0.6,
             "downloader q50 {} vs idle {}",
@@ -424,8 +410,9 @@ mod tests {
     fn compiler_raises_the_level() {
         // Heavy victim CPU load raises the shared-domain frequency, so
         // intervals hold more iterations than the quiet calibration.
-        let compiler = observe(AppClass::Compiler, 8, Ps::from_ms(400), 300);
-        let idle = observe(AppClass::Idle, 8, Ps::from_ms(400), 300);
+        let config = ProcFpConfig::quick();
+        let compiler = observe(&config, AppClass::Compiler, 8);
+        let idle = observe(&config, AppClass::Idle, 8);
         assert!(
             compiler.q90 > idle.q90 * 1.2,
             "compiler q90 {} vs idle {}",
@@ -436,7 +423,8 @@ mod tests {
 
     #[test]
     fn quick_experiment_identifies_apps() {
-        let result = run_experiment(&ProcFpConfig::quick());
+        let opts = scenario::RunOptions::default();
+        let result = scenario::run_scenario(&ProcFpScenario, &ProcFpConfig::quick(), &opts).summary;
         assert_eq!(result.windows, 12);
         assert!(
             result.accuracy >= 0.75,

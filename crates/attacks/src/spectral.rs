@@ -166,25 +166,10 @@ fn leak_bit<R: Rng + ?Sized>(
     }
 }
 
-/// Leaks `bits` random secret bits and reports the error statistics.
-#[must_use]
-pub fn run_attack(
-    config: &SpectralConfig,
-    mode: SpectralMode,
-    bits: usize,
-    seed: u64,
-) -> SpectralResult {
-    // The i9-12900H is the only Table I machine with umonitor/umwait.
-    let mut machine = Machine::new(MachineConfig::lenovo_savior(), seed);
-    machine.set_fault_plan(config.fault_plan);
-    run_attack_on(&mut machine, config, mode, bits, seed)
-}
-
-/// [`run_attack`] against an already-built monitoring machine. `seed`
-/// only derives the secret/victim RNG stream; the machine's own stream
-/// was fixed at construction.
-#[must_use]
-pub fn run_attack_on(
+/// Leaks `bits` random secret bits on the trial's monitoring machine and
+/// reports the error statistics. `seed` only derives the secret/victim
+/// RNG stream; the machine's own stream was fixed at construction.
+fn run_attack_on(
     machine: &mut Machine,
     config: &SpectralConfig,
     mode: SpectralMode,
@@ -217,8 +202,8 @@ pub fn run_attack_on(
     }
 }
 
-/// Parameters of the registered [`SpectralScenario`]: the channel itself
-/// plus the knobs that the direct API takes positionally.
+/// Parameters of the registered [`SpectralScenario`]: the channel itself,
+/// the filtering mode and the secret length.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SpectralScenarioConfig {
     /// Channel configuration.
@@ -277,6 +262,7 @@ impl Scenario for SpectralScenario {
     }
 
     fn machine(&self, _config: &SpectralScenarioConfig, ctx: &TrialCtx) -> (MachineConfig, u64) {
+        // The i9-12900H is the only Table I machine with umonitor/umwait.
         (MachineConfig::lenovo_savior(), ctx.seed)
     }
 
@@ -311,11 +297,15 @@ impl Scenario for SpectralScenario {
 mod tests {
     use super::*;
 
+    fn leak(attack: SpectralConfig, mode: SpectralMode, bits: usize, seed: u64) -> SpectralResult {
+        SpectralScenario.run_one(&SpectralScenarioConfig { attack, mode, bits }, seed)
+    }
+
     #[test]
     fn enhanced_mode_reduces_error_rate() {
         let config = SpectralConfig::paper_default();
-        let original = run_attack(&config, SpectralMode::Original, 12_000, 0xA);
-        let enhanced = run_attack(&config, SpectralMode::Enhanced, 12_000, 0xA);
+        let original = leak(config, SpectralMode::Original, 12_000, 0xA);
+        let enhanced = leak(config, SpectralMode::Enhanced, 12_000, 0xA);
         assert!(
             original.error_rate > 0.001,
             "original should show interrupt noise: {}",
@@ -335,18 +325,11 @@ mod tests {
 
     #[test]
     fn longer_timeouts_mean_more_interrupt_errors() {
-        let short = run_attack(
-            &SpectralConfig::paper_default().with_timeout(20_000),
-            SpectralMode::Original,
-            8_000,
-            0xB,
-        );
-        let long = run_attack(
-            &SpectralConfig::paper_default().with_timeout(200_000),
-            SpectralMode::Original,
-            8_000,
-            0xB,
-        );
+        let leak_at = |timeout| {
+            let attack = SpectralConfig::paper_default().with_timeout(timeout);
+            leak(attack, SpectralMode::Original, 8_000, 0xB)
+        };
+        let (short, long) = (leak_at(20_000), leak_at(200_000));
         assert!(
             long.error_rate > short.error_rate,
             "short {} vs long {}",
@@ -358,34 +341,13 @@ mod tests {
     #[test]
     fn leak_rate_is_tens_of_kbps() {
         let config = SpectralConfig::paper_default();
-        let result = run_attack(&config, SpectralMode::Enhanced, 4_000, 0xC);
+        let result = leak(config, SpectralMode::Enhanced, 4_000, 0xC);
         // Paper: ~53 kbit/s. Demand the right order of magnitude.
         assert!(
             (5_000.0..500_000.0).contains(&result.leak_rate_bps),
             "leak rate {} b/s",
             result.leak_rate_bps
         );
-    }
-
-    #[test]
-    fn scenario_run_matches_direct_attack() {
-        let cfg = SpectralScenarioConfig {
-            bits: 500,
-            ..SpectralScenarioConfig::default()
-        };
-        let opts = scenario::RunOptions {
-            seed: Some(0x57A2),
-            trials: Some(1),
-            ..scenario::RunOptions::default()
-        };
-        let run = scenario::run_scenario(&SpectralScenario, &cfg, &opts);
-        let direct = run_attack(
-            &cfg.attack,
-            cfg.mode,
-            cfg.bits,
-            exec::derive_seed(0x57A2, 0),
-        );
-        assert_eq!(run.outputs, vec![direct]);
     }
 
     #[test]

@@ -219,7 +219,8 @@ pub struct SpectreResult {
     pub rate_bps: f64,
 }
 
-/// Leaks `secret` end to end with the SegScope timer.
+/// Leaks `secret` on the trial's `machine` (fault plan and any trace
+/// sink already installed).
 ///
 /// # Errors
 ///
@@ -229,28 +230,7 @@ pub struct SpectreResult {
 ///
 /// Panics if `secret` is empty or a secret byte is outside the candidate
 /// alphabet.
-pub fn leak_secret(
-    secret: &[u8],
-    config: &SpectreConfig,
-    seed: u64,
-) -> Result<SpectreResult, ProbeError> {
-    let mut machine = Machine::new(MachineConfig::xiaomi_air13(), seed);
-    machine.set_fault_plan(config.fault_plan);
-    leak_secret_on(&mut machine, secret, config)
-}
-
-/// Leaks `secret` on a caller-provided `machine` (fault plan and any
-/// trace sink already installed).
-///
-/// # Errors
-///
-/// Propagates SegScope probe/calibration errors.
-///
-/// # Panics
-///
-/// Panics if `secret` is empty or a secret byte is outside the candidate
-/// alphabet.
-pub fn leak_secret_on(
+fn leak_secret_on(
     machine: &mut Machine,
     secret: &[u8],
     config: &SpectreConfig,
@@ -363,6 +343,19 @@ impl Scenario for SpectreScenario {
         machine.set_fault_plan(config.attack.fault_plan);
     }
 
+    fn check_config(&self, config: &Self::Config) -> Result<(), String> {
+        if config.secret.is_empty() {
+            return Err("`secret` must not be empty".to_owned());
+        }
+        let alphabet = config.attack.candidates;
+        if config.secret.bytes().any(|b| usize::from(b) >= alphabet) {
+            return Err(format!(
+                "`attack.candidates` ({alphabet}) must exceed every `secret` byte"
+            ));
+        }
+        Ok(())
+    }
+
     fn run_trial(
         &self,
         config: &Self::Config,
@@ -387,9 +380,16 @@ impl Scenario for SpectreScenario {
 mod tests {
     use super::*;
 
+    fn leak(secret: &str, attack: SpectreConfig, seed: u64) -> SpectreResult {
+        let secret = secret.to_owned();
+        SpectreScenario
+            .run_one(&SpectreScenarioConfig { attack, secret }, seed)
+            .unwrap()
+    }
+
     #[test]
     fn quick_leak_recovers_a_short_secret() {
-        let result = leak_secret(b"SEG", &SpectreConfig::quick(), 0x15EC).unwrap();
+        let result = leak("SEG", SpectreConfig::quick(), 0x15EC);
         assert_eq!(result.bytes.len(), 3);
         assert!(
             result.success_rate >= 2.0 / 3.0,
@@ -402,7 +402,7 @@ mod tests {
 
     #[test]
     fn secret_candidate_is_fastest_by_a_wide_margin() {
-        let result = leak_secret(b"S", &SpectreConfig::quick(), 0x5ED).unwrap();
+        let result = leak("S", SpectreConfig::quick(), 0x5ED);
         let leak = &result.bytes[0];
         let secret_ticks = leak.ticks[b'S' as usize];
         let mut others: Vec<f64> = leak
@@ -423,7 +423,7 @@ mod tests {
 
     #[test]
     fn fig12_series_peaks_at_secret() {
-        let result = leak_secret(b"Z", &SpectreConfig::quick(), 0x5EE).unwrap();
+        let result = leak("Z", SpectreConfig::quick(), 0x5EE);
         let leak = &result.bytes[0];
         let series = leak.fig12_series(1.0e7);
         let max_idx = series
@@ -448,6 +448,6 @@ mod tests {
     fn secret_outside_alphabet_panics() {
         let mut config = SpectreConfig::quick();
         config.candidates = 64;
-        let _ = leak_secret(b"Z", &config, 1);
+        let _ = leak("Z", config, 1);
     }
 }

@@ -14,7 +14,7 @@ use irq::InterruptKind;
 use nnet::{AdamConfig, SeqClassifier, SeqExample};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use scenario::{MergeReport, RunOptions, Scenario, TrialCtx};
+use scenario::{MergeReport, Scenario, TrialCtx};
 use segscope::SegProbe;
 use segsim::{CoResident, FaultPlan, Machine, MachineConfig, StepFn};
 use serde::{Deserialize, Serialize};
@@ -275,48 +275,6 @@ pub struct FingerprintResult {
     pub chance: f64,
 }
 
-/// Builds the attacker machine of one visit: the setting's machine
-/// config, then its post-boot wiring — the recipe [`WebsiteScenario`]
-/// boots every trial from.
-#[must_use]
-pub fn build_visit_machine(config: &WebsiteFpConfig, visit_seed: u64) -> Machine {
-    let mut machine = Machine::new(visit_machine_config(config), visit_seed);
-    wire_visit_machine(config, &mut machine);
-    machine
-}
-
-/// The attacker machine config of one visit: the Table IV setting's
-/// noise/SMT adjustments and the config's fault plan.
-#[must_use]
-fn visit_machine_config(config: &WebsiteFpConfig) -> MachineConfig {
-    let mut machine_cfg = MachineConfig::xiaomi_air13();
-    if config.setting == Setting::HyperThreadingDisabled {
-        machine_cfg.noise.smt_factor = 1.0;
-        machine_cfg.noise.op_jitter_std *= 0.6;
-    } else {
-        machine_cfg.noise.smt_factor = 1.04;
-    }
-    machine_cfg.fault_plan = config.fault_plan;
-    machine_cfg
-}
-
-/// The post-boot wiring of a visit machine: the setting's co-resident
-/// browser or pinned frequency.
-fn wire_visit_machine(config: &WebsiteFpConfig, machine: &mut Machine) {
-    match config.setting {
-        Setting::Default => {
-            machine.set_co_resident(Some(CoResident::browser()));
-        }
-        Setting::DifferentCores => {}
-        Setting::FrequencyScalingDisabled => {
-            machine.pin_frequency(Some(2_500_000));
-        }
-        Setting::HyperThreadingDisabled => {
-            machine.set_co_resident(Some(CoResident::browser()));
-        }
-    }
-}
-
 /// Runs one visit to `site` on a prepared machine and collects the
 /// SegCnt trace. `visit_seed` seeds the visit's jitter stream (the same
 /// value that seeded the machine).
@@ -324,8 +282,7 @@ fn wire_visit_machine(config: &WebsiteFpConfig, machine: &mut Machine) {
 /// # Panics
 ///
 /// Panics if the probe fails (the default machines never mitigate it).
-#[must_use]
-pub fn collect_trace_on(
+fn collect_trace_on(
     machine: &mut Machine,
     config: &WebsiteFpConfig,
     site: usize,
@@ -347,14 +304,20 @@ pub fn collect_trace_on(
     samples.iter().map(|s| s.segcnt as f64).collect()
 }
 
-/// Collects one SegCnt trace of a visit to `site` on a fresh machine.
+/// Collects one SegCnt trace of a visit to `site` on a fresh
+/// [`WebsiteScenario`] machine booted at `visit_seed`.
 ///
 /// # Panics
 ///
 /// Panics if the probe fails (the default machines never mitigate it).
 #[must_use]
 pub fn collect_trace(config: &WebsiteFpConfig, site: usize, visit_seed: u64) -> Vec<f64> {
-    let mut machine = build_visit_machine(config, visit_seed);
+    let ctx = TrialCtx {
+        index: 0,
+        seed: visit_seed,
+        experiment_seed: visit_seed,
+    };
+    let mut machine = WebsiteScenario.build_machine(config, &ctx);
     collect_trace_on(&mut machine, config, site, visit_seed)
 }
 
@@ -430,12 +393,44 @@ impl Scenario for WebsiteScenario {
         config.n_sites * config.traces_per_site
     }
 
+    /// The attacker machine of one visit: the Table IV setting's
+    /// noise/SMT adjustments and the config's fault plan.
     fn machine(&self, config: &Self::Config, ctx: &TrialCtx) -> (MachineConfig, u64) {
-        (visit_machine_config(config), ctx.seed)
+        let mut machine_cfg = MachineConfig::xiaomi_air13();
+        if config.setting == Setting::HyperThreadingDisabled {
+            machine_cfg.noise.smt_factor = 1.0;
+            machine_cfg.noise.op_jitter_std *= 0.6;
+        } else {
+            machine_cfg.noise.smt_factor = 1.04;
+        }
+        machine_cfg.fault_plan = config.fault_plan;
+        (machine_cfg, ctx.seed)
     }
 
+    /// The setting's co-resident browser or pinned frequency.
     fn wire(&self, config: &Self::Config, machine: &mut Machine, _ctx: &TrialCtx) {
-        wire_visit_machine(config, machine);
+        match config.setting {
+            Setting::Default | Setting::HyperThreadingDisabled => {
+                machine.set_co_resident(Some(CoResident::browser()));
+            }
+            Setting::DifferentCores => {}
+            Setting::FrequencyScalingDisabled => {
+                machine.pin_frequency(Some(2_500_000));
+            }
+        }
+    }
+
+    fn check_config(&self, config: &Self::Config) -> Result<(), String> {
+        crate::at_least_one("trace_len", config.trace_len)?;
+        crate::at_least_one("pooled_len", config.pooled_len)?;
+        let visits = config.n_sites * config.traces_per_site;
+        if !(1..=visits).contains(&config.folds) {
+            return Err(format!(
+                "`folds` ({}) must be in 1..={visits} (n_sites × traces_per_site)",
+                config.folds
+            ));
+        }
+        Ok(())
     }
 
     fn run_trial(
@@ -519,22 +514,14 @@ impl Scenario for WebsiteScenario {
     }
 }
 
-/// Runs the full fingerprinting experiment: trace collection, k-fold CV,
-/// LSTM training, and evaluation.
-///
-/// Thin wrapper over the generic [`scenario`] driver and
-/// [`WebsiteScenario`]: trace collection fans out one task per
-/// `(site, visit)` pair and the CV folds train concurrently; every task
-/// derives its own seed from `config.seed`, so the result is
-/// bit-identical at any worker count (`SEGSCOPE_THREADS` selects it).
-#[must_use]
-pub fn run_experiment(config: &WebsiteFpConfig) -> FingerprintResult {
-    scenario::run_scenario(&WebsiteScenario, config, &RunOptions::default()).summary
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use scenario::RunOptions;
+
+    fn run_experiment(config: &WebsiteFpConfig) -> FingerprintResult {
+        scenario::run_scenario(&WebsiteScenario, config, &RunOptions::default()).summary
+    }
 
     #[test]
     fn profiles_are_deterministic_and_distinct() {

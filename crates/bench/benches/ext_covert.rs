@@ -2,7 +2,8 @@
 //! frequency-based covert channels). Sweeps the slot duration to map the
 //! rate/error trade-off.
 
-use segscope_attacks::covert::{bytes_to_bits, transmit, transmit_reliable, CovertConfig};
+use scenario::Scenario;
+use segscope_attacks::covert::{self, bytes_to_bits, transmit_reliable, CovertConfig};
 use segsim::Ps;
 
 fn main() {
@@ -31,7 +32,9 @@ fn main() {
             slot: Ps::from_ms(slots[i]),
             ..CovertConfig::slow()
         };
-        let result = transmit(&config, &bits, exec::derive_seed(0xC0, i as u64));
+        let (channel, payload) = (config, covert::bits_to_bitstring(&bits));
+        let cfg = covert::CovertScenarioConfig { channel, payload };
+        let result = covert::CovertScenario.run_one(&cfg, exec::derive_seed(0xC0, i as u64));
         (config, result)
     });
     let mut best_clean_rate = 0.0f64;

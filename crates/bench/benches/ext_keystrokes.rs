@@ -4,8 +4,9 @@
 //! evaluating it; this harness quantifies what the probe delivers.
 
 use rand::SeedableRng;
+use scenario::{run_scenario, RunOptions};
 use segscope_attacks::keystroke::{
-    identify_users, KeystrokeConfig, KeystrokeMonitor, TypistProfile,
+    KeystrokeConfig, KeystrokeMonitor, KeystrokeScenario, TypistProfile,
 };
 use segsim::{Machine, MachineConfig, Ps};
 
@@ -39,7 +40,8 @@ fn main() {
     );
 
     // Typist identification from rhythm alone.
-    let result = identify_users(&KeystrokeConfig::quick());
+    let config = KeystrokeConfig::quick();
+    let result = run_scenario(&KeystrokeScenario, &config, &RunOptions::default()).summary;
     println!(
         "typist identification: {} over {} sessions from {} users (chance {})",
         segscope_bench::pct(result.accuracy),

@@ -2,8 +2,8 @@
 //! lists it among the interrupt side channels SegScope re-enables in
 //! timer-constrained environments).
 
-use segscope_attacks::procfp::{observe, run_experiment, AppClass, ProcFpConfig};
-use segsim::Ps;
+use scenario::{run_scenario, RunOptions};
+use segscope_attacks::procfp::{observe, AppClass, ProcFpConfig, ProcFpScenario};
 
 fn main() {
     segscope_bench::header("Extension: process fingerprinting via SegScope");
@@ -14,7 +14,7 @@ fn main() {
         &widths,
     );
     for app in AppClass::ALL {
-        let f = observe(app, 0x9F10, Ps::from_ms(400), 300);
+        let f = observe(&ProcFpConfig::quick(), app, 0x9F10);
         segscope_bench::print_row(
             &[
                 app.label().into(),
@@ -35,7 +35,7 @@ fn main() {
     } else {
         ProcFpConfig::quick()
     };
-    let result = run_experiment(&config);
+    let result = run_scenario(&ProcFpScenario, &config, &RunOptions::default()).summary;
     println!(
         "\nidentification accuracy: {} over {} windows (chance 25%)",
         segscope_bench::pct(result.accuracy),

@@ -6,22 +6,23 @@
 //! SegCnt (fastest reload) is the secret, recovered with ~100 % success
 //! at ~0.15 B/s.
 
-use segscope_attacks::spectre::{leak_secret, SpectreConfig};
+use scenario::Scenario;
+use segscope_attacks::spectre::{SpectreConfig, SpectreScenario, SpectreScenarioConfig};
 
 fn main() {
     segscope_bench::header("Fig. 12: Spectre-V1 + Flush+Reload via the SegScope timer");
-    let (secret, config): (&[u8], SpectreConfig) = if segscope_bench::full_scale() {
-        (b"SEGSCOPE", SpectreConfig::paper_default())
+    let (secret, attack) = if segscope_bench::full_scale() {
+        ("SEGSCOPE".to_owned(), SpectreConfig::paper_default())
     } else {
-        (b"SEG", SpectreConfig::quick())
+        ("SEG".to_owned(), SpectreConfig::quick())
     };
     println!(
-        "secret: {:?}; {} gadget replicas; {} candidates\n",
-        String::from_utf8_lossy(secret),
-        config.gadgets,
-        config.candidates
+        "secret: {secret:?}; {} gadget replicas; {} candidates\n",
+        attack.gadgets, attack.candidates
     );
-    let result = leak_secret(secret, &config, 0xF16F).expect("probe works");
+    let config = SpectreScenarioConfig { attack, secret };
+    let result = SpectreScenario.run_one(&config, 0xF16F);
+    let result = result.expect("probe works");
 
     let recovered: String = result
         .bytes

@@ -5,7 +5,8 @@
 //! (less power drawn), so its SegCnt distribution sits clearly above the
 //! other class — the separation that drives the key extraction.
 
-use segscope_attacks::circl::{run_extraction, CirclConfig};
+use scenario::Scenario;
+use segscope_attacks::circl::{CirclConfig, CirclScenario};
 
 fn main() {
     segscope_bench::header("Fig. 8: CIRCL SegCnt distributions + key extraction");
@@ -18,7 +19,7 @@ fn main() {
         "key: {} bits; {} SegCnt samples per challenge\n",
         config.key_bits, config.samples_per_challenge
     );
-    let result = run_extraction(&config);
+    let result = CirclScenario.run_one(&config, config.seed);
 
     let hi: Vec<f64> = result
         .observations

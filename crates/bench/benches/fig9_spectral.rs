@@ -6,7 +6,8 @@
 //! even on an idle system; SegScope filtering removes the interrupt
 //! errors almost entirely (56× reduction at the default timeout).
 
-use segscope_attacks::spectral::{run_attack, SpectralConfig, SpectralMode};
+use scenario::Scenario;
+use segscope_attacks::spectral::{self, SpectralConfig, SpectralMode, SpectralScenario};
 use specsim::{ArchState, WakeCause};
 
 fn main() {
@@ -37,6 +38,10 @@ fn main() {
     }
 
     segscope_bench::header("Fig. 9: Spectral error rate vs umwait timeout");
+    let run_attack = |attack, mode, bits, seed| {
+        let config = spectral::SpectralScenarioConfig { attack, mode, bits };
+        SpectralScenario.run_one(&config, seed)
+    };
     let bits = if segscope_bench::full_scale() {
         60_000
     } else {
@@ -56,8 +61,8 @@ fn main() {
     let mut default_pair = (0.0, 0.0);
     for timeout in [20_000u64, 60_000, 100_000, 140_000, 200_000] {
         let cfg = SpectralConfig::paper_default().with_timeout(timeout);
-        let orig = run_attack(&cfg, SpectralMode::Original, bits, 0xF169);
-        let enh = run_attack(&cfg, SpectralMode::Enhanced, bits, 0xF169);
+        let orig = run_attack(cfg, SpectralMode::Original, bits, 0xF169);
+        let enh = run_attack(cfg, SpectralMode::Enhanced, bits, 0xF169);
         segscope_bench::print_row(
             &[
                 timeout.to_string(),
@@ -72,7 +77,7 @@ fn main() {
         }
     }
     let orig100 = run_attack(
-        &SpectralConfig::paper_default(),
+        SpectralConfig::paper_default(),
         SpectralMode::Original,
         bits,
         0xF16A,

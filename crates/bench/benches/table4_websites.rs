@@ -8,7 +8,8 @@
 //! chance level is printed so the margin over chance remains
 //! comparable.)
 
-use segscope_attacks::website::{run_experiment, Browser, Setting, WebsiteFpConfig};
+use scenario::{run_scenario, RunOptions};
+use segscope_attacks::website::{Browser, Setting, WebsiteFpConfig, WebsiteScenario};
 
 fn main() {
     segscope_bench::header("Table IV: website fingerprinting (10-fold CV in the paper)");
@@ -37,7 +38,7 @@ fn main() {
             } else {
                 WebsiteFpConfig::quick(browser, setting)
             };
-            let result = run_experiment(&config);
+            let result = run_scenario(&WebsiteScenario, &config, &RunOptions::default()).summary;
             cells.push(segscope_bench::pct(result.top1));
             cells.push(segscope_bench::pct(result.top5));
             if browser == Browser::Tor {
@@ -59,11 +60,12 @@ fn main() {
     );
 
     // Headline shape check on the default setting.
-    let chrome = run_experiment(&if full {
+    let config = if full {
         WebsiteFpConfig::bench(Browser::Chrome, Setting::Default)
     } else {
         WebsiteFpConfig::quick(Browser::Chrome, Setting::Default)
-    });
+    };
+    let chrome = run_scenario(&WebsiteScenario, &config, &RunOptions::default()).summary;
     assert!(
         chrome.top1 > 4.0 * chance,
         "Chrome top-1 {} should dwarf chance {}",

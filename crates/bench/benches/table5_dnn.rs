@@ -7,7 +7,8 @@
 //! test architectures reduced to dozens; the quick run's BiLSTM is
 //! smaller, so absolute SA is lower while the class ordering holds.)
 
-use segscope_attacks::dnnsteal::{run_experiment, DnnStealConfig, LayerType};
+use scenario::{run_scenario, RunOptions};
+use segscope_attacks::dnnsteal::{DnnStealConfig, DnnStealScenario, LayerType};
 
 fn main() {
     segscope_bench::header("Table V: DNN layer classification (SA per class, LDA)");
@@ -20,7 +21,7 @@ fn main() {
         "train models: {}, test models: {}, BiLSTM hidden: {}\n",
         config.train_models, config.test_models, config.hidden
     );
-    let result = run_experiment(&config);
+    let result = run_scenario(&DnnStealScenario, &config, &RunOptions::default()).summary;
 
     let widths = [10, 12, 14];
     segscope_bench::print_row(&["layer".into(), "SA".into(), "paper SA".into()], &widths);

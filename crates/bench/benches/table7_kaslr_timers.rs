@@ -7,26 +7,30 @@
 //! cannot do it at all.
 
 use irq::time::Ps;
+use scenario::{run_scenario, RunOptions};
 use segscope::Denoise;
-use segscope_attacks::kaslr::{hit_rates, run_trials, KaslrConfig, ProbeMethod, TimerKind};
+use segscope_attacks::kaslr::{
+    hit_rates, KaslrConfig, KaslrScenario, KaslrScenarioConfig, ProbeMethod, TimerKind,
+};
 use segsim::MachineConfig;
 
 fn run_cell(timer: TimerKind, c: usize, trials: usize, seed0: u64) -> Option<(f64, f64, f64)> {
-    let config = KaslrConfig {
+    let attack = KaslrConfig {
         method: ProbeMethod::Access,
         timer,
         c,
         k: 64,
         ..KaslrConfig::paper_default()
     };
+    let machine = MachineConfig::lenovo_yangtian();
+    let config = KaslrScenarioConfig { machine, attack };
     // Parallel fan-out over independent trials (SEGSCOPE_THREADS workers).
-    let results = run_trials(
-        &MachineConfig::lenovo_yangtian(),
-        &config,
-        seed0,
-        trials,
-        None,
-    );
+    let opts = RunOptions {
+        seed: Some(seed0),
+        trials: Some(trials),
+        ..RunOptions::default()
+    };
+    let results = run_scenario(&KaslrScenario, &config, &opts).outputs;
     if results.iter().any(Result::is_err) {
         return None;
     }

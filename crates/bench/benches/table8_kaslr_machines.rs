@@ -4,7 +4,8 @@
 //! Paper shape: C = 1 gives good-but-imperfect top-1 with near-perfect
 //! top-5 in ~2 s; C = 5 reaches 100 % / 100 % in ~10 s on every machine.
 
-use segscope_attacks::kaslr::{hit_rates, run_trials, KaslrConfig};
+use scenario::{run_scenario, RunOptions};
+use segscope_attacks::kaslr::{hit_rates, KaslrConfig, KaslrScenario, KaslrScenarioConfig};
 use segsim::MachineConfig;
 
 fn main() {
@@ -32,18 +33,19 @@ fn main() {
     let mut cells = 0usize;
     for (i, machine_cfg) in machines.into_iter().enumerate() {
         for c in [1usize, 5] {
-            let config = KaslrConfig {
+            let attack = KaslrConfig {
                 c,
                 ..KaslrConfig::paper_default()
             };
+            let machine = machine_cfg.clone();
+            let config = KaslrScenarioConfig { machine, attack };
             // Parallel fan-out over independent trials.
-            let results = run_trials(
-                &machine_cfg,
-                &config,
-                0xF16E_0000 + ((i as u64) << 8),
-                trials,
-                None,
-            );
+            let opts = RunOptions {
+                seed: Some(0xF16E_0000 + ((i as u64) << 8)),
+                trials: Some(trials),
+                ..RunOptions::default()
+            };
+            let results = run_scenario(&KaslrScenario, &config, &opts).outputs;
             let (top1, top5) = hit_rates(&results, 5);
             let secs: f64 = results
                 .iter()

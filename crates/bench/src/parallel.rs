@@ -13,7 +13,8 @@ use nnet::reference::NaiveLstm;
 use nnet::{AdamConfig, Lstm, LstmTrace};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use segscope_attacks::kaslr::{run_trials, KaslrConfig};
+use scenario::{run_scenario, RunOptions};
+use segscope_attacks::kaslr::{KaslrConfig, KaslrScenario, KaslrScenarioConfig};
 use segsim::MachineConfig;
 
 /// Minimum accepted naive/optimized LSTM epoch-time ratio: the smallest
@@ -25,15 +26,24 @@ pub const LSTM_MIN_SPEEDUP: f64 = 1.0 + f64::EPSILON;
 /// resolved worker count. The digest folds each run's results.
 pub fn measure_engine(record: &mut BenchRecord, trials: usize) {
     let machine = MachineConfig::lenovo_yangtian();
-    let config = KaslrConfig {
+    let attack = KaslrConfig {
         c: 2,
         k: 32,
         ..KaslrConfig::paper_default()
     };
-    let seed = 0xB3CC_0001;
+    let config = KaslrScenarioConfig { machine, attack };
     let digest = |results: &[_]| fnv1a(format!("{results:?}").as_bytes());
-    let (serial_s, serial) = best_of(1, || run_trials(&machine, &config, seed, trials, Some(1)));
-    let (parallel_s, parallel) = best_of(1, || run_trials(&machine, &config, seed, trials, None));
+    let run = |threads| {
+        let opts = RunOptions {
+            seed: Some(0xB3CC_0001),
+            trials: Some(trials),
+            threads,
+            ..RunOptions::default()
+        };
+        run_scenario(&KaslrScenario, &config, &opts).outputs
+    };
+    let (serial_s, serial) = best_of(1, || run(Some(1)));
+    let (parallel_s, parallel) = best_of(1, || run(None));
     let n = trials as f64;
     record.arm(
         "engine",

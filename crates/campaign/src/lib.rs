@@ -65,7 +65,8 @@ pub enum CampaignError {
     /// A spec names a machine preset outside the Table I set.
     UnknownPreset(String),
     /// A cell's params (with the preset's machine injected) do not
-    /// deserialize into the scenario's config type.
+    /// deserialize into the scenario's config type, or fall outside its
+    /// ranges.
     Params {
         /// The scenario whose config rejected the params.
         scenario: String,
@@ -310,7 +311,10 @@ fn check_index(cell: usize, results: &[CellResult]) -> Result<(), String> {
 /// Runs one expanded cell through the generic scenario driver.
 ///
 /// The cell's params and scenario name were validated by
-/// [`CampaignSpec::expand`] before any cell ran, so a failure here is a
+/// [`CampaignSpec::expand`] before any cell ran — params down to the
+/// value ranges [`Scenario::check_config`](scenario::Scenario::check_config)
+/// refuses, so no trial body
+/// meets a config it asserts against. A failure here is therefore a
 /// registry/spec drift bug, not a user error — it panics rather than
 /// recording a result the spec does not describe.
 #[must_use]

@@ -11,6 +11,8 @@
 //!   (config and seed);
 //! * [`Scenario::wire`] applies the post-boot, config-level wiring
 //!   (layout draws, fault plans, load and frequency settings);
+//! * [`Scenario::check_config`] refuses out-of-range configs before
+//!   anything runs;
 //! * [`Scenario::run_trial`] runs the attack on that machine;
 //! * [`Scenario::summarize`] reduces the ordered trial outputs into a
 //!   JSON-able report.
@@ -20,7 +22,8 @@
 //! machine lane ([`with_recycled_machine`]), the fault-plan override,
 //! the optional per-trial trace sink, and the deterministic fan-out
 //! through [`exec::parallel_trial_chunks`]. Traced and untraced runs go
-//! through the same body, so they produce the same outputs. The
+//! through the same body, so they produce the same outputs, and so does
+//! [`Scenario::run_one`], the single-trial entry point. The
 //! determinism contract is inherited wholesale:
 //!
 //! > **Bit-identical outputs, summaries, and merged traces at any
@@ -133,12 +136,26 @@ pub trait Scenario: Sync {
     /// [`machine`](Scenario::machine), then [`wire`](Scenario::wire).
     /// The driver never calls this — it recycles one lane per worker —
     /// but the recycled lane must match it bit for bit, so it stays the
-    /// fresh-machine oracle for parity tests.
+    /// fresh-machine oracle for parity tests and the machine of callers
+    /// that drive the attack themselves.
     fn build_machine(&self, config: &Self::Config, ctx: &TrialCtx) -> Machine {
         let (machine_config, seed) = self.machine(config, ctx);
         let mut machine = Machine::new(machine_config, seed);
         self.wire(config, &mut machine, ctx);
         machine
+    }
+
+    /// Checks the config's value ranges before anything runs: the
+    /// trial bodies assert them, so a config this refuses would panic
+    /// mid-run. [`DynScenario::check_params`] and
+    /// [`DynScenario::run_dyn`] call it after deserializing. The default
+    /// accepts every config.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the offending field.
+    fn check_config(&self, _config: &Self::Config) -> Result<(), String> {
+        Ok(())
     }
 
     /// Runs one trial on the prepared machine.
@@ -163,6 +180,19 @@ pub trait Scenario: Sync {
         _threads: usize,
     ) -> Self::Summary {
         self.summarize(config, outputs)
+    }
+
+    /// Runs the single trial `TrialCtx { index: 0, seed,
+    /// experiment_seed: seed }` on the driver's trial body, untraced and
+    /// without a fault override: one attack at one seed, from the same
+    /// machine recipe every run uses.
+    fn run_one(&self, config: &Self::Config, seed: u64) -> Self::TrialOutput {
+        let ctx = TrialCtx {
+            index: 0,
+            seed,
+            experiment_seed: seed,
+        };
+        run_on_lane(self, config, &ctx, None, 0).0
     }
 
     /// Runs a *chunk* of consecutive trials untraced, returning one
@@ -508,23 +538,24 @@ pub trait DynScenario: Sync {
     /// overrides).
     fn default_params(&self) -> Value;
     /// Checks that `params` deserializes into the scenario's config
-    /// type without running anything — the upfront validation a
+    /// type and passes [`Scenario::check_config`], without running
+    /// anything — the upfront validation a
     /// campaign performs over every grid cell before committing to a
     /// long sweep.
     ///
     /// # Errors
     ///
     /// [`ScenarioError::Params`] when `params` does not deserialize into
-    /// the scenario's config type, or a `fault_plan` anywhere in it fails
-    /// [`FaultPlan::validate`].
+    /// the scenario's config type, a `fault_plan` anywhere in it fails
+    /// [`FaultPlan::validate`], or the config fails
+    /// [`Scenario::check_config`].
     fn check_params(&self, params: &Value) -> Result<(), ScenarioError>;
     /// Runs the scenario from serialized params (`None` = defaults).
     ///
     /// # Errors
     ///
-    /// [`ScenarioError::Params`] when `params` does not deserialize into
-    /// the scenario's config type, or a `fault_plan` anywhere in it fails
-    /// [`FaultPlan::validate`].
+    /// [`ScenarioError::Params`] as for
+    /// [`check_params`](DynScenario::check_params).
     fn run_dyn(&self, params: Option<&Value>, opts: &RunOptions) -> Result<DynRun, ScenarioError>;
 }
 
@@ -542,12 +573,12 @@ impl<S: Scenario> DynScenario for S {
     }
 
     fn check_params(&self, params: &Value) -> Result<(), ScenarioError> {
-        parse_config::<S::Config>(params).map(|_| ())
+        parse_config(self, params).map(|_| ())
     }
 
     fn run_dyn(&self, params: Option<&Value>, opts: &RunOptions) -> Result<DynRun, ScenarioError> {
         let config = match params {
-            Some(value) => parse_config::<S::Config>(value)?,
+            Some(value) => parse_config(self, value)?,
             None => S::Config::default(),
         };
         let run = run_scenario(self, &config, opts);
@@ -572,10 +603,15 @@ impl<S: Scenario> DynScenario for S {
 /// [`FaultPlan::validate`] on every non-null `fault_plan` anywhere in the
 /// tree — a plan nested in params (a channel's, a `machine`'s) gets the
 /// same check as a top-level `--fault-plan`, so an unfinishable plan is
-/// refused before anything runs.
-fn parse_config<C: Deserialize>(params: &Value) -> Result<C, ScenarioError> {
+/// refused before anything runs — then [`Scenario::check_config`] on the
+/// result.
+fn parse_config<S: Scenario>(scenario: &S, params: &Value) -> Result<S::Config, ScenarioError> {
     check_fault_plans(params, &mut Vec::new())?;
-    C::from_value(params).map_err(|e| ScenarioError::Params(e.to_string()))
+    let config = S::Config::from_value(params).map_err(|e| ScenarioError::Params(e.to_string()))?;
+    scenario
+        .check_config(&config)
+        .map_err(ScenarioError::Params)?;
+    Ok(config)
 }
 
 /// Validates every non-null `fault_plan` under `value`. `path` holds the
@@ -900,6 +936,25 @@ mod tests {
                 assert_eq!(run.totals.trials, 12);
                 assert_eq!(run.total_gt_deliveries(), run.gt_deliveries.iter().sum());
             }
+        }
+    }
+
+    #[test]
+    fn run_one_is_the_driver_trial_at_that_seed() {
+        let config = ProbeConfig { spins: 30_000_000 };
+        let run = run_scenario(&RecycledProbe, &config, &RunOptions::default());
+        for (i, output) in run.outputs.iter().enumerate() {
+            let seed = exec::derive_seed(0x5CE0, i as u64);
+            let ctx = TrialCtx {
+                index: 0,
+                seed,
+                experiment_seed: seed,
+            };
+            let mut machine = RecycledProbe.build_machine(&config, &ctx);
+            let fresh = RecycledProbe.run_trial(&config, &mut machine, &ctx);
+            let one = RecycledProbe.run_one(&config, seed);
+            assert_eq!(one, *output, "trial {i}");
+            assert_eq!(one, fresh, "trial {i}");
         }
     }
 

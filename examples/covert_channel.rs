@@ -7,8 +7,9 @@
 //! ```
 
 use segscope_repro::attacks::covert::{
-    bits_to_bytes, bytes_to_bits, transmit, transmit_reliable, CovertConfig,
+    self, bits_to_bytes, bytes_to_bits, transmit_reliable, CovertConfig, CovertScenario,
 };
+use segscope_repro::scenario::Scenario;
 
 fn main() {
     println!("== SegScope covert channel ==");
@@ -24,7 +25,9 @@ fn main() {
         ("slow (20 ms slots)", CovertConfig::slow()),
         ("fast (8 ms slots)", CovertConfig::fast()),
     ] {
-        let result = transmit(&config, &bits, 0xC0DE);
+        let (channel, payload) = (config, covert::bits_to_bitstring(&bits));
+        let result =
+            CovertScenario.run_one(&covert::CovertScenarioConfig { channel, payload }, 0xC0DE);
         let decoded = bits_to_bytes(&result.decoded);
         println!("{label}:");
         println!(

@@ -6,7 +6,10 @@
 //! cargo run --release --example kaslr_break
 //! ```
 
-use segscope_repro::attacks::kaslr::{break_kaslr_fresh, KaslrConfig, ProbeMethod, TimerKind};
+use segscope_repro::attacks::kaslr::{
+    KaslrConfig, KaslrScenario, KaslrScenarioConfig, ProbeMethod, TimerKind,
+};
+use segscope_repro::scenario::Scenario;
 use segscope_repro::segscope::Denoise;
 use segscope_repro::segsim::MachineConfig;
 
@@ -18,7 +21,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         machine_cfg.name
     );
 
-    for (label, config) in [
+    for (label, attack) in [
         (
             "prefetch method, C=1",
             KaslrConfig {
@@ -35,10 +38,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             },
         ),
     ] {
-        let result = break_kaslr_fresh(machine_cfg.clone(), &config, 0xA51A)?;
+        let machine = machine_cfg.clone();
+        let result = KaslrScenario.run_one(&KaslrScenarioConfig { machine, attack }, 0xA51A)?;
         println!(
             "\n{label}: scanned {} slots in {:.2} simulated seconds",
-            config.slots, result.elapsed_s
+            attack.slots, result.elapsed_s
         );
         println!(
             "secret slot {} -> predicted {} ({}), top-5 {:?} {}",
@@ -56,12 +60,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // For contrast: the timer the threat model forbids.
     println!("\nfor contrast, rdtsc on an unrestricted machine:");
-    let config = KaslrConfig {
+    let attack = KaslrConfig {
         timer: TimerKind::HighRes,
         c: 3, // median-of-3 absorbs the odd mid-measurement interrupt
         ..KaslrConfig::paper_default()
     };
-    let result = break_kaslr_fresh(MachineConfig::xiaomi_air13(), &config, 0xA51B)?;
+    let machine = MachineConfig::xiaomi_air13();
+    let result = KaslrScenario.run_one(&KaslrScenarioConfig { machine, attack }, 0xA51B)?;
     println!(
         "secret {} -> predicted {} in {:.2}s ({})",
         result.secret_slot,

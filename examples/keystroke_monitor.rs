@@ -7,9 +7,10 @@
 //! ```
 
 use segscope_repro::attacks::keystroke::{
-    identify_users, IdentifyResult, KeystrokeConfig, KeystrokeMonitor, TypistProfile,
+    IdentifyResult, KeystrokeConfig, KeystrokeMonitor, KeystrokeScenario, TypistProfile,
 };
 use segscope_repro::irq::Ps;
+use segscope_repro::scenario::{run_scenario, RunOptions};
 use segscope_repro::segsim::{presets, Machine};
 
 fn main() {
@@ -47,7 +48,7 @@ fn main() {
         accuracy,
         users,
         sessions,
-    } = identify_users(&config);
+    } = run_scenario(&KeystrokeScenario, &config, &RunOptions::default()).summary;
     println!(
         "\ntypist identification: {:.0}% over {} sessions from {} users (chance {:.0}%)",
         accuracy * 100.0,

@@ -6,10 +6,15 @@
 //! cargo run --release --example spectral_enhance
 //! ```
 
-use segscope_repro::attacks::spectral::{run_attack, SpectralConfig, SpectralMode};
+use segscope_repro::attacks::spectral::{self, SpectralConfig, SpectralMode, SpectralScenario};
+use segscope_repro::scenario::Scenario;
 
 fn main() {
     println!("== SegScope-enhanced Spectral ==");
+    let run_attack = |attack, mode, bits, seed| {
+        let config = spectral::SpectralScenarioConfig { attack, mode, bits };
+        SpectralScenario.run_one(&config, seed)
+    };
     let bits = 20_000;
     let config = SpectralConfig::paper_default();
     println!(
@@ -17,8 +22,8 @@ fn main() {
         config.timeout_cycles
     );
 
-    let original = run_attack(&config, SpectralMode::Original, bits, 0x57EC);
-    let enhanced = run_attack(&config, SpectralMode::Enhanced, bits, 0x57EC);
+    let original = run_attack(config, SpectralMode::Original, bits, 0x57EC);
+    let enhanced = run_attack(config, SpectralMode::Enhanced, bits, 0x57EC);
 
     println!(
         "original Spectral: {:>8.0} bit/s, error rate {:.4}% ({} errors)",
@@ -46,8 +51,8 @@ fn main() {
     println!("{:>10} {:>12} {:>12}", "timeout", "original", "enhanced");
     for timeout in [20_000u64, 60_000, 100_000, 140_000, 200_000] {
         let cfg = SpectralConfig::paper_default().with_timeout(timeout);
-        let orig = run_attack(&cfg, SpectralMode::Original, 6_000, 0x57ED);
-        let enh = run_attack(&cfg, SpectralMode::Enhanced, 6_000, 0x57ED);
+        let orig = run_attack(cfg, SpectralMode::Original, 6_000, 0x57ED);
+        let enh = run_attack(cfg, SpectralMode::Enhanced, 6_000, 0x57ED);
         println!(
             "{:>10} {:>11.4}% {:>11.4}%",
             timeout,

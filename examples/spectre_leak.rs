@@ -5,19 +5,22 @@
 //! cargo run --release --example spectre_leak
 //! ```
 
-use segscope_repro::attacks::spectre::{leak_secret, SpectreConfig};
+use segscope_repro::attacks::spectre::{SpectreConfig, SpectreScenario, SpectreScenarioConfig};
+use segscope_repro::scenario::Scenario;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("== Spectre-V1 + Flush+Reload via the SegScope timer ==");
-    let secret = b"SEGSCOPE SECRET";
-    let config = SpectreConfig::quick();
+    let config = SpectreScenarioConfig {
+        attack: SpectreConfig::quick(),
+        secret: "SEGSCOPE SECRET".to_owned(),
+    };
     println!(
         "leaking {} bytes with {} gadget replicas, {} candidates...",
-        secret.len(),
-        config.gadgets,
-        config.candidates
+        config.secret.len(),
+        config.attack.gadgets,
+        config.attack.candidates
     );
-    let result = leak_secret(secret, &config, 0x1EA4)?;
+    let result = SpectreScenario.run_one(&config, 0x1EA4)?;
     let recovered: String = result
         .bytes
         .iter()

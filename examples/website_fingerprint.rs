@@ -6,7 +6,8 @@
 //! cargo run --release --example website_fingerprint
 //! ```
 
-use segscope_repro::attacks::website::{run_experiment, Browser, Setting, WebsiteFpConfig};
+use segscope_repro::attacks::website::{Browser, Setting, WebsiteFpConfig, WebsiteScenario};
+use segscope_repro::scenario::{run_scenario, RunOptions};
 
 fn main() {
     println!("== Website fingerprinting with SegScope traces ==");
@@ -16,7 +17,7 @@ fn main() {
             "\n{browser:?}: {} sites x {} traces, {}-sample traces pooled to {}",
             config.n_sites, config.traces_per_site, config.trace_len, config.pooled_len
         );
-        let result = run_experiment(&config);
+        let result = run_scenario(&WebsiteScenario, &config, &RunOptions::default()).summary;
         println!(
             "top-1 accuracy: {:5.1}% +- {:.1}  (chance {:.1}%)",
             result.top1 * 100.0,

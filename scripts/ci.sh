@@ -55,6 +55,23 @@ grep -q "nesting too deep" target/ci.deep.err || {
     echo "segscope did not reject the deep spec with a parse error" >&2
     exit 1
 }
+
+echo "==> out-of-range scenario params are an error, not a panic"
+# The spectre defaults with an empty secret: the trial body asserts a
+# non-empty secret, so the params check must refuse it first (exit 1, not
+# a panic's 101) and name the field.
+EMPTY_SECRET='{"attack":{"gadgets":60,"mistrain_calls":5,"oob_attempts":12,
+  "rounds_per_candidate":1,"calibration":80,"candidates":128,"fault_plan":null},"secret":""}'
+status=0
+"$SEGSCOPE" run spectre --params "$EMPTY_SECRET" 2> target/ci.range.err >/dev/null || status=$?
+if [[ "$status" != 1 ]]; then
+    echo "segscope run spectre with an empty secret exited $status, not 1" >&2
+    exit 1
+fi
+grep -q '`secret`' target/ci.range.err || {
+    echo "segscope did not name the out-of-range field" >&2
+    exit 1
+}
 "$SEGSCOPE" list >/dev/null
 for name in $("$SEGSCOPE" list --names); do
     echo "--> segscope run $name (untraced, then traced on 2 threads)"

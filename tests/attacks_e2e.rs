@@ -1,19 +1,35 @@
 //! End-to-end case-study integration tests (reduced scales of the
 //! paper's Section IV experiments).
 
-use segscope_repro::attacks::kaslr::{break_kaslr_fresh, KaslrConfig, ProbeMethod};
-use segscope_repro::attacks::spectral::{run_attack, SpectralConfig, SpectralMode};
-use segscope_repro::attacks::spectre::{leak_secret, SpectreConfig};
+use segscope_repro::attacks::kaslr::{
+    KaslrConfig, KaslrError, KaslrResult, KaslrScenario, KaslrScenarioConfig, ProbeMethod,
+};
+use segscope_repro::attacks::spectral::{
+    SpectralConfig, SpectralMode, SpectralScenario, SpectralScenarioConfig,
+};
+use segscope_repro::attacks::spectre::{SpectreConfig, SpectreScenario, SpectreScenarioConfig};
 use segscope_repro::attacks::website::{collect_trace, Browser, Setting, WebsiteFpConfig};
+use segscope_repro::scenario::Scenario;
 use segscope_repro::segsim::MachineConfig;
+
+/// One KASLR break of `attack` on `machine` at `seed`.
+fn break_kaslr(
+    machine: MachineConfig,
+    attack: KaslrConfig,
+    seed: u64,
+) -> Result<KaslrResult, KaslrError> {
+    KaslrScenario.run_one(&KaslrScenarioConfig { machine, attack }, seed)
+}
 
 /// Paper C2: SegScope filtering cuts Spectral's interrupt-induced error
 /// rate by well over an order of magnitude.
 #[test]
 fn spectral_error_reduction_holds() {
-    let config = SpectralConfig::paper_default();
-    let original = run_attack(&config, SpectralMode::Original, 20_000, 0xE2E1);
-    let enhanced = run_attack(&config, SpectralMode::Enhanced, 20_000, 0xE2E1);
+    let (attack, bits) = (SpectralConfig::paper_default(), 20_000);
+    let run_attack =
+        |mode| SpectralScenario.run_one(&SpectralScenarioConfig { attack, mode, bits }, 0xE2E1);
+    let original = run_attack(SpectralMode::Original);
+    let enhanced = run_attack(SpectralMode::Enhanced);
     assert!(
         original.error_rate > 0.001,
         "original error {}",
@@ -37,7 +53,7 @@ fn kaslr_breaks_under_timer_constraints() {
         ..KaslrConfig::paper_default()
     };
     let machine = MachineConfig::xiaomi_air13().with_cr4_tsd(true);
-    let result = break_kaslr_fresh(machine, &config, 0xE2E2).expect("segscope timer works");
+    let result = break_kaslr(machine, config, 0xE2E2).expect("segscope timer works");
     assert!(result.top_n_hit(5), "secret not in top-5");
     assert!(
         result.elapsed_s < 60.0,
@@ -57,8 +73,7 @@ fn both_kaslr_methods_work() {
             slots: 128,
             ..KaslrConfig::paper_default()
         };
-        let result =
-            break_kaslr_fresh(MachineConfig::lenovo_yangtian(), &config, 0xE2E3).expect("works");
+        let result = break_kaslr(MachineConfig::lenovo_yangtian(), config, 0xE2E3).expect("works");
         assert!(result.top_n_hit(5), "{method:?}: secret missed");
     }
 }
@@ -67,7 +82,9 @@ fn both_kaslr_methods_work() {
 /// the SegScope timer, majority-correct.
 #[test]
 fn spectre_leaks_bytes() {
-    let result = leak_secret(b"OK", &SpectreConfig::quick(), 0xE2E4).expect("leak runs");
+    let (attack, secret) = (SpectreConfig::quick(), "OK".to_owned());
+    let result = SpectreScenario.run_one(&SpectreScenarioConfig { attack, secret }, 0xE2E4);
+    let result = result.expect("leak runs");
     assert!(
         result.success_rate >= 0.5,
         "success {}",

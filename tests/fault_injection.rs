@@ -13,16 +13,17 @@
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use segscope_repro::attacks::circl::{run_extraction, CirclConfig};
-use segscope_repro::attacks::covert::{transmit, CovertConfig};
-use segscope_repro::attacks::dnnsteal::{collect_annotated_trace_with, Architecture};
-use segscope_repro::attacks::kaslr::{break_kaslr_fresh, KaslrConfig};
-use segscope_repro::attacks::keystroke::{identify_users, KeystrokeConfig};
-use segscope_repro::attacks::procfp::{observe_with, AppClass};
-use segscope_repro::attacks::spectral::{run_attack, SpectralConfig, SpectralMode};
-use segscope_repro::attacks::spectre::{leak_secret, SpectreConfig};
+use segscope_repro::attacks::circl::{CirclConfig, CirclScenario};
+use segscope_repro::attacks::covert::{self, CovertConfig, CovertScenario};
+use segscope_repro::attacks::dnnsteal::{self, Architecture, DnnStealScenario};
+use segscope_repro::attacks::kaslr::{KaslrConfig, KaslrScenario, KaslrScenarioConfig};
+use segscope_repro::attacks::keystroke::{KeystrokeConfig, KeystrokeScenario};
+use segscope_repro::attacks::procfp::{observe, AppClass, ProcFpConfig};
+use segscope_repro::attacks::spectral::{self, SpectralConfig, SpectralMode, SpectralScenario};
+use segscope_repro::attacks::spectre::{self, SpectreConfig, SpectreScenario};
 use segscope_repro::attacks::website::{collect_trace, Browser, Setting, WebsiteFpConfig};
 use segscope_repro::irq::Ps;
+use segscope_repro::scenario::{run_scenario, RunOptions, Scenario, TrialCtx};
 use segscope_repro::segscope::{AuditVerdict, DeliveryAudit, SegProbe};
 use segscope_repro::segsim::{FaultPlan, Machine, MachineConfig};
 
@@ -108,18 +109,18 @@ fn inert_plan_preserves_the_rng_stream() {
 /// delivery storm visibly corrupts the observation stream.
 #[test]
 fn circl_fault_injection() {
-    let clean = run_extraction(&CirclConfig::quick());
+    let extract = |config: CirclConfig| CirclScenario.run_one(&config, config.seed);
+    let clean = extract(CirclConfig::quick());
     assert!(clean.recovered, "clean baseline must recover the key");
 
-    let jittered = run_extraction(&CirclConfig::quick().with_fault_plan(jitter_only()));
+    let jittered = extract(CirclConfig::quick().with_fault_plan(jitter_only()));
     assert!(
         jittered.recovered,
         "timing-only faults broke CIRCL extraction (bit accuracy {})",
         jittered.bit_accuracy
     );
 
-    let stormed =
-        run_extraction(&CirclConfig::quick().with_fault_plan(FaultPlan::delivery_storm()));
+    let stormed = extract(CirclConfig::quick().with_fault_plan(FaultPlan::delivery_storm()));
     assert_ne!(
         stormed.observations, clean.observations,
         "delivery faults must visibly alter the observations"
@@ -137,13 +138,14 @@ fn circl_fault_injection() {
 #[test]
 fn covert_fault_injection() {
     let message: Vec<bool> = (0..24).map(|i| i % 3 == 0).collect();
-    let clean = transmit(&CovertConfig::slow(), &message, 0xFA04);
+    let payload = covert::bits_to_bitstring(&message);
+    let transmit = |channel| {
+        let payload = payload.clone();
+        CovertScenario.run_one(&covert::CovertScenarioConfig { channel, payload }, 0xFA04)
+    };
+    let clean = transmit(CovertConfig::slow());
 
-    let jittered = transmit(
-        &CovertConfig::slow().with_fault_plan(jitter_only()),
-        &message,
-        0xFA04,
-    );
+    let jittered = transmit(CovertConfig::slow().with_fault_plan(jitter_only()));
     assert!(
         jittered.error_rate <= clean.error_rate + 0.15,
         "jitter alone should not wreck the slow channel: {} vs {}",
@@ -151,11 +153,7 @@ fn covert_fault_injection() {
         clean.error_rate
     );
 
-    let stormed = transmit(
-        &CovertConfig::slow().with_fault_plan(FaultPlan::delivery_storm()),
-        &message,
-        0xFA04,
-    );
+    let stormed = transmit(CovertConfig::slow().with_fault_plan(FaultPlan::delivery_storm()));
     assert_ne!(
         stormed.slot_medians, clean.slot_medians,
         "delivery faults must perturb the decoded medians"
@@ -170,9 +168,20 @@ fn dnnsteal_fault_injection() {
     let mut rng = SmallRng::seed_from_u64(0xFA05);
     let arch = Architecture::alexnet_like(&mut rng);
 
-    let clean = collect_annotated_trace_with(&arch, 0xFA06, None).expect("clean trace");
-    let jittered =
-        collect_annotated_trace_with(&arch, 0xFA06, Some(jitter_only())).expect("jittered trace");
+    // The scenario's victim machine for trial seed 0xFA06.
+    let ctx = TrialCtx {
+        index: 0,
+        seed: 0xFA06,
+        experiment_seed: 0xFA06,
+    };
+    let collect = |fault_plan| {
+        let mut config = dnnsteal::DnnStealConfig::quick();
+        config.fault_plan = fault_plan;
+        let mut machine = DnnStealScenario.build_machine(&config, &ctx);
+        dnnsteal::collect_annotated_on(&mut machine, &arch, 0xFA06)
+    };
+    let clean = collect(None).expect("clean trace");
+    let jittered = collect(Some(jitter_only())).expect("jittered trace");
     assert_eq!(
         clean.tags.len(),
         clean.xs.len(),
@@ -181,8 +190,7 @@ fn dnnsteal_fault_injection() {
     // Timing faults change feature values, never the count invariant.
     assert_eq!(jittered.tags.len(), jittered.xs.len());
 
-    let stormed = collect_annotated_trace_with(&arch, 0xFA06, Some(FaultPlan::delivery_storm()))
-        .expect("stormed trace");
+    let stormed = collect(Some(FaultPlan::delivery_storm())).expect("stormed trace");
     assert!(
         stormed.xs != clean.xs || stormed.tags != clean.tags,
         "delivery faults must alter the annotated trace"
@@ -193,30 +201,25 @@ fn dnnsteal_fault_injection() {
 /// storm visibly reshuffles the measured ranking.
 #[test]
 fn kaslr_fault_injection() {
-    let config = KaslrConfig {
+    let attack = KaslrConfig {
         c: 5,
         ..KaslrConfig::quick()
     };
-    let clean = break_kaslr_fresh(MachineConfig::xiaomi_air13(), &config, 0xFA07).expect("clean");
+    let break_kaslr = |fault_plan| {
+        let mut machine = MachineConfig::xiaomi_air13();
+        machine.fault_plan = fault_plan;
+        KaslrScenario.run_one(&KaslrScenarioConfig { machine, attack }, 0xFA07)
+    };
+    let clean = break_kaslr(None).expect("clean");
     assert!(clean.top_n_hit(5), "clean baseline must rank the secret");
 
-    let jittered = break_kaslr_fresh(
-        MachineConfig::xiaomi_air13().with_fault_plan(jitter_only()),
-        &config,
-        0xFA07,
-    )
-    .expect("jittered");
+    let jittered = break_kaslr(Some(jitter_only())).expect("jittered");
     assert!(
         jittered.top_n_hit(5),
         "timing-only faults must not hide the secret slot"
     );
 
-    let stormed = break_kaslr_fresh(
-        MachineConfig::xiaomi_air13().with_fault_plan(FaultPlan::delivery_storm()),
-        &config,
-        0xFA07,
-    )
-    .expect("stormed run still completes");
+    let stormed = break_kaslr(Some(FaultPlan::delivery_storm())).expect("stormed run completes");
     assert_ne!(
         stormed.ranking, clean.ranking,
         "delivery faults must visibly perturb the ranking"
@@ -227,8 +230,10 @@ fn kaslr_fault_injection() {
 /// degrades (never improves) under a delivery storm.
 #[test]
 fn keystroke_fault_injection() {
-    let clean = identify_users(&KeystrokeConfig::quick());
-    let jittered = identify_users(&KeystrokeConfig::quick().with_fault_plan(jitter_only()));
+    let identify_users =
+        |config| run_scenario(&KeystrokeScenario, &config, &RunOptions::default()).summary;
+    let clean = identify_users(KeystrokeConfig::quick());
+    let jittered = identify_users(KeystrokeConfig::quick().with_fault_plan(jitter_only()));
     assert!(
         jittered.accuracy + 0.2 >= clean.accuracy,
         "jitter should not collapse keystroke accuracy: {} vs {}",
@@ -236,7 +241,7 @@ fn keystroke_fault_injection() {
         clean.accuracy
     );
     let stormed =
-        identify_users(&KeystrokeConfig::quick().with_fault_plan(FaultPlan::delivery_storm()));
+        identify_users(KeystrokeConfig::quick().with_fault_plan(FaultPlan::delivery_storm()));
     assert!(
         stormed.accuracy <= clean.accuracy,
         "dropped keystroke interrupts cannot improve identification: {} > {}",
@@ -249,16 +254,18 @@ fn keystroke_fault_injection() {
 /// delivery storm (detectable), and stay well-formed under jitter.
 #[test]
 fn procfp_fault_injection() {
-    let window = Ps::from_ms(300);
-    let clean = observe_with(AppClass::Compiler, 0xFA08, window, 64, None);
-    let jittered = observe_with(AppClass::Compiler, 0xFA08, window, 64, Some(jitter_only()));
-    let stormed = observe_with(
-        AppClass::Compiler,
-        0xFA08,
-        window,
-        64,
-        Some(FaultPlan::delivery_storm()),
-    );
+    let observe_under = |fault_plan: Option<FaultPlan>| {
+        let config = ProcFpConfig {
+            window: Ps::from_ms(300),
+            probes: 64,
+            fault_plan,
+            ..ProcFpConfig::quick()
+        };
+        observe(&config, AppClass::Compiler, 0xFA08)
+    };
+    let clean = observe_under(None);
+    let jittered = observe_under(Some(jitter_only()));
+    let stormed = observe_under(Some(FaultPlan::delivery_storm()));
     assert_ne!(
         clean, stormed,
         "delivery faults must alter the observed features"
@@ -275,36 +282,24 @@ fn procfp_fault_injection() {
 #[test]
 fn spectral_fault_injection() {
     let bits = 20_000;
-    let clean = run_attack(
-        &SpectralConfig::paper_default(),
-        SpectralMode::Enhanced,
-        bits,
-        0xFA09,
-    );
-    let jittered = run_attack(
-        &SpectralConfig::paper_default().with_fault_plan(jitter_only()),
-        SpectralMode::Enhanced,
-        bits,
-        0xFA09,
-    );
-    let original = run_attack(
-        &SpectralConfig::paper_default().with_fault_plan(jitter_only()),
-        SpectralMode::Original,
-        bits,
-        0xFA09,
-    );
+    let run_attack = |fault_plan, mode| {
+        let mut attack = SpectralConfig::paper_default();
+        attack.fault_plan = fault_plan;
+        SpectralScenario.run_one(
+            &spectral::SpectralScenarioConfig { attack, mode, bits },
+            0xFA09,
+        )
+    };
+    let clean = run_attack(None, SpectralMode::Enhanced);
+    let jittered = run_attack(Some(jitter_only()), SpectralMode::Enhanced);
+    let original = run_attack(Some(jitter_only()), SpectralMode::Original);
     assert!(
         jittered.error_rate < original.error_rate,
         "enhanced mode must keep its edge under jitter: {} vs {}",
         jittered.error_rate,
         original.error_rate
     );
-    let stormed = run_attack(
-        &SpectralConfig::paper_default().with_fault_plan(FaultPlan::delivery_storm()),
-        SpectralMode::Enhanced,
-        bits,
-        0xFA09,
-    );
+    let stormed = run_attack(Some(FaultPlan::delivery_storm()), SpectralMode::Enhanced);
     assert!(
         stormed.error_rate >= clean.error_rate,
         "dropped interrupts blind the guard; error cannot improve: {} < {}",
@@ -317,24 +312,20 @@ fn spectral_fault_injection() {
 /// storm visibly changes the recovered bytes or degrades the rate.
 #[test]
 fn spectre_fault_injection() {
-    let clean = leak_secret(b"OK", &SpectreConfig::quick(), 0xFA0A).expect("clean leak");
-    let jittered = leak_secret(
-        b"OK",
-        &SpectreConfig::quick().with_fault_plan(jitter_only()),
-        0xFA0A,
-    )
-    .expect("jittered leak");
+    let leak_secret = |attack| {
+        let secret = "OK".to_owned();
+        SpectreScenario.run_one(&spectre::SpectreScenarioConfig { attack, secret }, 0xFA0A)
+    };
+    let clean = leak_secret(SpectreConfig::quick()).expect("clean leak");
+    let jittered =
+        leak_secret(SpectreConfig::quick().with_fault_plan(jitter_only())).expect("jittered leak");
     assert!(
         jittered.success_rate >= 0.5,
         "timing-only faults broke the leak: {}",
         jittered.success_rate
     );
-    let stormed = leak_secret(
-        b"OK",
-        &SpectreConfig::quick().with_fault_plan(FaultPlan::delivery_storm()),
-        0xFA0A,
-    )
-    .expect("stormed leak still completes");
+    let stormed = leak_secret(SpectreConfig::quick().with_fault_plan(FaultPlan::delivery_storm()))
+        .expect("stormed leak still completes");
     assert!(
         stormed.success_rate <= clean.success_rate,
         "delivery faults cannot improve the leak: {} > {}",
@@ -618,8 +609,9 @@ fn campaign_expansion_rejects_a_plan_nested_in_params() {
 }
 
 /// `campaign run` validates the spec before writing anything: an unknown
-/// preset or a bad nested plan exits non-zero and leaves no `spec.json`
-/// or `manifest.json` that `campaign status` would report as resumable.
+/// preset, a bad nested plan or an out-of-range param exits non-zero and
+/// leaves no `spec.json` or `manifest.json` that `campaign status` would
+/// report as resumable.
 #[test]
 fn campaign_run_writes_nothing_for_an_unrunnable_spec() {
     use std::process::Command;
@@ -639,6 +631,12 @@ fn campaign_run_writes_nothing_for_an_unrunnable_spec() {
             covert_params_with(ENDLESS_PLAN),
             "lenovo_yangtian",
             "`duplicate_prob`",
+        ),
+        (
+            "payload",
+            covert_params_with("null").replace(r#""payload":"1100""#, r#""payload":"""#),
+            "lenovo_yangtian",
+            "`payload`",
         ),
     ];
     for (name, params, preset, expected) in cases {
@@ -669,6 +667,55 @@ fn campaign_run_writes_nothing_for_an_unrunnable_spec() {
             !out.join("manifest.json").exists(),
             "{name}: manifest.json written"
         );
+    }
+}
+
+/// Params that deserialize but lie outside the range a trial body
+/// asserts: `segscope run` refuses each — a scenario's default params
+/// with one field changed — with exit status 1 and a message naming the
+/// field, instead of panicking mid-run.
+#[test]
+fn cli_rejects_out_of_range_params_naming_the_field() {
+    use serde::Value;
+    use std::process::Command;
+
+    let quick = WebsiteFpConfig::default();
+    let too_many_folds = (quick.n_sites * quick.traces_per_site + 1).to_string();
+    let cases = [
+        ("spectre", "secret", r#""""#),
+        ("spectre", "attack.candidates", "0"),
+        ("covert", "payload", r#""""#),
+        ("circl", "samples_per_challenge", "0"),
+        ("circl", "key_bits", "0"),
+        ("procfp", "enroll", "0"),
+        ("keystroke", "keys_per_session", "0"),
+        ("keystroke", "enroll_sessions", "0"),
+        ("website", "trace_len", "0"),
+        ("website", "pooled_len", "0"),
+        ("website", "folds", "0"),
+        ("website", "folds", &too_many_folds),
+    ];
+    for (name, path, value) in cases {
+        let mut params = segscope_repro::attacks::registry()
+            .get(name)
+            .expect("registered")
+            .default_params();
+        let mut field = &mut params;
+        for key in path.split('.') {
+            let Value::Map(fields) = field else {
+                panic!("{name}: `{path}` is not a field path");
+            };
+            field = &mut fields.iter_mut().find(|(k, _)| k == key).expect("field").1;
+        }
+        *field = serde_json::from_str(value).expect("value parses");
+        let output = Command::new(env!("CARGO_BIN_EXE_segscope"))
+            .args(["run", name, "--params"])
+            .arg(serde_json::to_string(&params).expect("params serialize"))
+            .output()
+            .expect("segscope runs");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{name} {path}: {stderr}");
+        assert!(stderr.contains(&format!("`{path}`")), "{name}: {stderr}");
     }
 }
 

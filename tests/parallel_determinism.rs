@@ -2,9 +2,33 @@
 //! experiment results: a Table VII cell run at 1, 2, 4, and 8 workers
 //! returns bit-identical trial results, and its shape check still holds.
 
-use segscope_repro::attacks::kaslr::{hit_rates, run_trials, KaslrConfig, ProbeMethod, TimerKind};
+use segscope_repro::attacks::kaslr::{
+    hit_rates, KaslrConfig, KaslrError, KaslrResult, KaslrScenario, KaslrScenarioConfig,
+    ProbeMethod, TimerKind,
+};
+use segscope_repro::scenario::{run_scenario, RunOptions};
 use segscope_repro::segscope::Denoise;
 use segscope_repro::segsim::MachineConfig;
+
+/// `trials` KASLR breaks of `attack` on `machine`, seeded from `seed`, on
+/// `threads` workers (`None`: the environment's default).
+fn run_trials(
+    machine: &MachineConfig,
+    attack: &KaslrConfig,
+    seed: u64,
+    trials: usize,
+    threads: Option<usize>,
+) -> Vec<Result<KaslrResult, KaslrError>> {
+    let (machine, attack) = (machine.clone(), *attack);
+    let config = KaslrScenarioConfig { machine, attack };
+    let opts = RunOptions {
+        seed: Some(seed),
+        trials: Some(trials),
+        threads,
+        ..RunOptions::default()
+    };
+    run_scenario(&KaslrScenario, &config, &opts).outputs
+}
 
 /// Table VII, row "SegScope + Z-score denoising", C = 10 (reduced trial
 /// count): the row that carries the paper's headline claim.
