@@ -185,18 +185,18 @@ pub fn count_aex_on(
 pub fn summarize_aex(config: &AexCountConfig, outputs: &[AexCountTrial]) -> AexCountSummary {
     let n = outputs.len().max(1) as f64;
     let exact = outputs.iter().filter(|t| t.exact()).count() as f64;
-    let abs_err: f64 = outputs
-        .iter()
-        .map(|t| (t.estimate as f64 - t.secret as f64).abs())
-        .sum();
-    let per_unit: f64 = outputs
-        .iter()
-        .map(|t| t.calibration_exits as f64 / config.calibration_units.max(1) as f64)
-        .sum();
     AexCountSummary {
         accuracy: exact / n,
-        mean_abs_error: abs_err / n,
-        mean_exits_per_unit: per_unit / n,
+        mean_abs_error: crate::mean_of(
+            outputs
+                .iter()
+                .map(|t| (t.estimate as f64 - t.secret as f64).abs()),
+        ),
+        mean_exits_per_unit: crate::mean_of(
+            outputs
+                .iter()
+                .map(|t| t.calibration_exits as f64 / config.calibration_units.max(1) as f64),
+        ),
         destroyed_frac: outputs.iter().filter(|t| t.destroyed).count() as f64 / n,
         trials: outputs.len(),
     }

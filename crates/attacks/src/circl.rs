@@ -360,7 +360,7 @@ impl Scenario for CirclScenario {
         let n = outputs.len().max(1) as f64;
         CirclSummary {
             recovered_rate: outputs.iter().filter(|r| r.recovered).count() as f64 / n,
-            mean_bit_accuracy: outputs.iter().map(|r| r.bit_accuracy).sum::<f64>() / n,
+            mean_bit_accuracy: crate::mean_of(outputs.iter().map(|r| r.bit_accuracy)),
         }
     }
 }

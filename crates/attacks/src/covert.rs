@@ -378,12 +378,11 @@ impl Scenario for CovertScenario {
     }
 
     fn summarize(&self, config: &Self::Config, outputs: &[CovertResult]) -> CovertSummary {
-        let n = outputs.len().max(1) as f64;
         CovertSummary {
             payload_bits: bitstring_to_bits(&config.payload).len(),
             error_rates: outputs.iter().map(|r| r.error_rate).collect(),
-            mean_error_rate: outputs.iter().map(|r| r.error_rate).sum::<f64>() / n,
-            mean_goodput_bps: outputs.iter().map(|r| r.goodput_bps).sum::<f64>() / n,
+            mean_error_rate: crate::mean_of(outputs.iter().map(|r| r.error_rate)),
+            mean_goodput_bps: crate::mean_of(outputs.iter().map(|r| r.goodput_bps)),
             total_errors: outputs.iter().map(|r| r.errors).sum(),
         }
     }

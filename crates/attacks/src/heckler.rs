@@ -136,14 +136,14 @@ pub fn inject_on(machine: &mut Machine, config: &HecklerConfig) -> HecklerTrial 
 #[must_use]
 pub fn summarize_heckler(outputs: &[HecklerTrial]) -> HecklerSummary {
     let n = outputs.len().max(1) as f64;
-    let rate: f64 = outputs
-        .iter()
-        .map(|t| t.hits as f64 / t.windows.max(1) as f64)
-        .sum();
     HecklerSummary {
-        accuracy: rate / n,
+        accuracy: crate::mean_of(
+            outputs
+                .iter()
+                .map(|t| t.hits as f64 / t.windows.max(1) as f64),
+        ),
         destroyed_frac: outputs.iter().filter(|t| t.destroyed).count() as f64 / n,
-        mean_refused: outputs.iter().map(|t| t.refused as f64).sum::<f64>() / n,
+        mean_refused: crate::mean_of(outputs.iter().map(|t| t.refused as f64)),
         trials: outputs.len(),
     }
 }

@@ -128,6 +128,12 @@ fn at_least_one(field: &str, value: usize) -> Result<(), String> {
         .ok_or_else(|| format!("`{field}` must be at least 1"))
 }
 
+/// [`segscope::mean`] of `xs`, for summaries: `+0` over no trials (an
+/// empty `f64` sum is `-0`), the sum in order over the count otherwise.
+fn mean_of(xs: impl Iterator<Item = f64>) -> f64 {
+    segscope::mean(&xs.collect::<Vec<_>>())
+}
+
 /// The attack registry: every case study and extension study behind one
 /// uniform [`scenario::DynScenario`] face.
 #[must_use]
@@ -185,6 +191,25 @@ mod registry_tests {
                 "{} default params JSON round-trip",
                 entry.name()
             );
+        }
+    }
+
+    /// A run over zero trials reports its means as `0`, never `-0`
+    /// (structured scenarios ignore the count and run their defaults).
+    #[test]
+    fn zero_trial_reports_print_no_negative_zero() {
+        let opts = scenario::RunOptions {
+            trials: Some(0),
+            threads: Some(1),
+            ..scenario::RunOptions::default()
+        };
+        for entry in registry().entries() {
+            let run = entry.run_dyn(None, &opts).expect("runs");
+            let json = serde_json::to_string(&run.report).expect("report serializes");
+            let negative_zero = json.match_indices("-0").any(|(i, _)| {
+                !json[i + 2..].starts_with(|c: char| c == '.' || c == 'e' || c.is_ascii_digit())
+            });
+            assert!(!negative_zero, "{}: {json}", entry.name());
         }
     }
 

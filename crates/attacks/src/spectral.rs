@@ -284,10 +284,9 @@ impl Scenario for SpectralScenario {
         _config: &SpectralScenarioConfig,
         outputs: &[SpectralResult],
     ) -> SpectralSummary {
-        let n = outputs.len().max(1) as f64;
         SpectralSummary {
-            mean_error_rate: outputs.iter().map(|r| r.error_rate).sum::<f64>() / n,
-            mean_leak_rate_bps: outputs.iter().map(|r| r.leak_rate_bps).sum::<f64>() / n,
+            mean_error_rate: crate::mean_of(outputs.iter().map(|r| r.error_rate)),
+            mean_leak_rate_bps: crate::mean_of(outputs.iter().map(|r| r.leak_rate_bps)),
             total_discarded: outputs.iter().map(|r| r.discarded).sum(),
         }
     }

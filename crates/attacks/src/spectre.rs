@@ -367,10 +367,9 @@ impl Scenario for SpectreScenario {
 
     fn summarize(&self, _config: &Self::Config, outputs: &[Self::TrialOutput]) -> SpectreSummary {
         let ok: Vec<&SpectreResult> = outputs.iter().filter_map(|r| r.as_ref().ok()).collect();
-        let n = ok.len().max(1) as f64;
         SpectreSummary {
-            mean_success_rate: ok.iter().map(|r| r.success_rate).sum::<f64>() / n,
-            mean_rate_bps: ok.iter().map(|r| r.rate_bps).sum::<f64>() / n,
+            mean_success_rate: crate::mean_of(ok.iter().map(|r| r.success_rate)),
+            mean_rate_bps: crate::mean_of(ok.iter().map(|r| r.rate_bps)),
             failed: outputs.len() - ok.len(),
         }
     }

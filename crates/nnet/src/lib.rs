@@ -22,7 +22,10 @@
 //! training, inference and `crates/serve` share). Every lane keeps the
 //! scalar operation order and gradients fold in per-example order, so
 //! the trained weights are bit-identical to training one example at a
-//! time.
+//! time. The gate step's two `tanh`s run eight elements at a time
+//! through a branch-free port of the host libm's `tanhf` that returns
+//! the same bits for every `f32` input (checked exhaustively by an
+//! ignored test); `sigmoid` keeps libm's `expf`.
 //!
 //! # Example
 //!
@@ -52,6 +55,7 @@ mod mat;
 mod metrics;
 mod optim;
 pub mod reference;
+mod tanh;
 
 pub use classifier::{SeqClassifier, SeqExample, SeqTagger, TaggedExample};
 pub use data::{average_pool, k_fold_indices, standardize, to_features};

@@ -2,6 +2,7 @@
 
 use crate::mat::Mat;
 use crate::optim::{Adam, AdamConfig};
+use crate::tanh::{tanh8, LANES};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -118,6 +119,10 @@ impl LstmTrace {
 /// does not depend on how many lanes run. Lanes with `live[l] == false`
 /// (past the end of a ragged sequence) are left untouched.
 ///
+/// Both `tanh`s run eight block elements at a time through a branch-free
+/// port of the host libm's `tanhf` that returns the same bits for every
+/// input; `sigmoid` calls libm's `expf` per element.
+///
 /// # Panics
 ///
 /// Panics on length mismatch.
@@ -130,22 +135,34 @@ pub fn gate_step(gates: &mut [f32], c: &mut [f32], tc: &mut [f32], h: &mut [f32]
     let (gi, rest) = gates.split_at_mut(n);
     let (gf, rest) = rest.split_at_mut(n);
     let (gg, go) = rest.split_at_mut(n);
-    for j in (0..n).step_by(lanes) {
-        for (l, _) in live.iter().enumerate().filter(|&(_, &on)| on) {
-            let k = j + l;
-            let i_g = sigmoid(gi[k]);
-            let f_g = sigmoid(gf[k]);
-            let g_g = gg[k].tanh();
-            let o_g = sigmoid(go[k]);
-            gi[k] = i_g;
-            gf[k] = f_g;
-            gg[k] = g_g;
-            go[k] = o_g;
-            let cv = f_g * c[k] + i_g * g_g;
-            c[k] = cv;
-            let t = cv.tanh();
-            tc[k] = t;
-            h[k] = o_g * t;
+    // The lane of block element `k` is `k % lanes`; `l` walks it along.
+    let mut l = 0;
+    for start in (0..n).step_by(LANES) {
+        let chunk = start..(start + LANES).min(n);
+        let mut g = [0.0f32; LANES];
+        g[..chunk.len()].copy_from_slice(&gg[chunk.clone()]);
+        tanh8(&mut g);
+        let mut cv = [0.0f32; LANES];
+        let mut on = [false; LANES];
+        for (e, k) in chunk.clone().enumerate() {
+            on[e] = live[l];
+            l = if l + 1 == lanes { 0 } else { l + 1 };
+            if on[e] {
+                let i_g = sigmoid(gi[k]);
+                let f_g = sigmoid(gf[k]);
+                let o_g = sigmoid(go[k]);
+                gi[k] = i_g;
+                gf[k] = f_g;
+                gg[k] = g[e];
+                go[k] = o_g;
+                cv[e] = f_g * c[k] + i_g * g[e];
+                c[k] = cv[e];
+            }
+        }
+        tanh8(&mut cv);
+        for (e, k) in chunk.enumerate().filter(|&(e, _)| on[e]) {
+            tc[k] = cv[e];
+            h[k] = go[k] * cv[e];
         }
     }
 }
@@ -519,6 +536,45 @@ mod tests {
     use super::*;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
+
+    /// [`gate_step`] at several widths with ragged live masks: each live
+    /// lane holds bit for bit what the scalar cell step with libm `tanh`
+    /// computes, and idle lanes' gates, cell, `tanh(c)` and hidden state
+    /// are untouched. Pre-activations span every `tanh` branch.
+    #[test]
+    fn gate_step_matches_the_scalar_cell_step_and_skips_idle_lanes() {
+        let hidden = 5;
+        let value = |k: usize, salt: usize| {
+            let scale = [1e-9, 0.3, 2.0, 9.0, 30.0][(k + salt) % 5];
+            ((k * 37 + salt) as f32 * 0.731).sin() * scale
+        };
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for lanes in [1usize, 3, 4, 8, 17, 64] {
+            let n = hidden * lanes;
+            let live: Vec<bool> = (0..lanes).map(|l| (l + lanes) % 3 != 0).collect();
+            let gates0: Vec<f32> = (0..4 * n).map(|k| value(k, 1)).collect();
+            let c0: Vec<f32> = (0..n).map(|k| value(k, 2)).collect();
+            let (mut gates, mut c) = (gates0.clone(), c0.clone());
+            let (mut tc, mut h) = (vec![-7.5f32; n], vec![7.5f32; n]);
+            gate_step(&mut gates, &mut c, &mut tc, &mut h, &live);
+            for k in 0..n {
+                let at = [k, n + k, 2 * n + k, 3 * n + k];
+                let got = [at.map(|i| gates[i]).as_slice(), &[c[k], tc[k], h[k]]].concat();
+                let want = if live[k % lanes] {
+                    let i_g = sigmoid(gates0[at[0]]);
+                    let f_g = sigmoid(gates0[at[1]]);
+                    let g_g = gates0[at[2]].tanh();
+                    let o_g = sigmoid(gates0[at[3]]);
+                    let cv = f_g * c0[k] + i_g * g_g;
+                    let t = cv.tanh();
+                    vec![i_g, f_g, g_g, o_g, cv, t, o_g * t]
+                } else {
+                    [at.map(|i| gates0[i]).as_slice(), &[c0[k], -7.5, 7.5]].concat()
+                };
+                assert_eq!(bits(&got), bits(&want), "width {lanes}, element {k}");
+            }
+        }
+    }
 
     #[test]
     fn forward_shapes() {

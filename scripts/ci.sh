@@ -26,6 +26,15 @@ cargo build --release --offline --workspace
 echo "==> cargo test"
 cargo test -q --offline --workspace
 
+echo "==> lane tanh vs libm tanhf: all 2^32 inputs (release)"
+# The LSTM gate step's tanh is a branch-free port of the host libm's
+# tanhf (glibc 2.36, x86-64), the function the gate step called through
+# f32::tanh before. This pins the port to that libm bit for bit over
+# every input, NaNs included; a host whose libm rounds tanhf differently
+# fails here. About a minute on two threads.
+cargo test -q --offline --release -p nnet --lib -- --ignored \
+    lane_tanh_matches_libm_on_every_bit_pattern
+
 echo "==> examples (release, seeded)"
 for example in covert_channel kaslr_break keystroke_monitor quickstart \
                segscope_timer spectral_enhance spectre_leak website_fingerprint; do
