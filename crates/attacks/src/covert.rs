@@ -397,23 +397,22 @@ pub fn bytes_to_bits(bytes: &[u8]) -> Vec<bool> {
         .collect()
 }
 
-/// Decodes bits back into bytes (inverse of [`bytes_to_bits`]).
-#[must_use]
-pub fn bits_to_bytes(bits: &[bool]) -> Vec<u8> {
-    bits.chunks(8)
-        .map(|chunk| {
-            chunk
-                .iter()
-                .enumerate()
-                .fold(0u8, |acc, (i, &b)| acc | (u8::from(b) << i))
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use scenario::RunOptions;
+
+    /// Decodes bits back into bytes (inverse of [`bytes_to_bits`]).
+    fn bits_to_bytes(bits: &[bool]) -> Vec<u8> {
+        bits.chunks(8)
+            .map(|chunk| {
+                chunk
+                    .iter()
+                    .enumerate()
+                    .fold(0u8, |acc, (i, &b)| acc | (u8::from(b) << i))
+            })
+            .collect()
+    }
 
     fn send(channel: CovertConfig, message: &[bool], seed: u64) -> CovertResult {
         let payload = bits_to_bitstring(message);

@@ -6,59 +6,19 @@
 //! per-probe gap is smaller, but it avoids the SIGSEGV round trip
 //! entirely.
 
-use segscope_attacks::kaslr::{k_sweep_distributions, ProbeMethod};
-
-fn median(xs: &[f64]) -> f64 {
-    let mut s = xs.to_vec();
-    s.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    s[s.len() / 2]
-}
+use segscope_attacks::kaslr::ProbeMethod;
 
 fn main() {
-    segscope_bench::header("Fig. 11: SegCnt vs K, prefetch probing");
-    let rounds = if segscope_bench::full_scale() { 60 } else { 20 };
     let ks: &[usize] = if segscope_bench::full_scale() {
         &[1, 10, 100, 1000]
     } else {
         &[1, 16, 64, 256]
     };
-    println!("rounds per point: {rounds}\n");
-    let widths = [8, 16, 16, 14];
-    segscope_bench::print_row(
-        &[
-            "K".into(),
-            "mapped (med)".into(),
-            "unmapped (med)".into(),
-            "gap".into(),
-        ],
-        &widths,
+    segscope_bench::kaslr_k_sweep(
+        "Fig. 11: SegCnt vs K, prefetch probing",
+        ProbeMethod::Prefetch,
+        ks,
+        0xF16C,
+        "a proper K separates mapped from unmapped (paper Fig. 11)",
     );
-    let mut gaps = Vec::new();
-    for &k in ks {
-        let (mapped, unmapped) =
-            k_sweep_distributions(ProbeMethod::Prefetch, k, rounds, 0xF16C).expect("probe works");
-        let gap = median(&unmapped) - median(&mapped);
-        segscope_bench::print_row(
-            &[
-                k.to_string(),
-                format!("{:.0}", median(&mapped)),
-                format!("{:.0}", median(&unmapped)),
-                format!("{gap:.0}"),
-            ],
-            &widths,
-        );
-        gaps.push(gap);
-        if k == *ks.last().expect("nonempty") {
-            println!("\nK = {k} distributions (ticks):");
-            println!("mapped:");
-            segscope_bench::ascii_histogram(&mapped, 8, 40);
-            println!("unmapped:");
-            segscope_bench::ascii_histogram(&unmapped, 8, 40);
-        }
-    }
-    assert!(
-        gaps.last().expect("nonempty") > gaps.first().expect("nonempty"),
-        "the gap must grow with K: {gaps:?}"
-    );
-    println!("\nshape check PASSED: a proper K separates mapped from unmapped (paper Fig. 11).");
 }

@@ -25,6 +25,7 @@ pub mod sweep;
 
 pub use record::BenchRecord;
 
+use segscope_attacks::kaslr::{k_sweep_distributions, ProbeMethod};
 use std::fmt::Write as _;
 
 /// FNV-1a offset basis: the digest of the empty input and the seed of
@@ -124,6 +125,66 @@ pub fn summary(label: &str, values: &[f64]) {
         stats.min(),
         stats.max()
     );
+}
+
+/// Figs. 10–11: sweeps the probe repetition count `K` over `ks`,
+/// printing the median SegCnt of mapped vs unmapped kernel addresses
+/// probed by `method` at each `K`, then both distributions at the
+/// largest `K`, and asserts that the gap grows with `K`. `shape` names
+/// the paper claim printed on success.
+///
+/// # Panics
+///
+/// Panics if `ks` is empty, the probe fails, or the gap does not grow.
+pub fn kaslr_k_sweep(title: &str, method: ProbeMethod, ks: &[usize], seed: u64, shape: &str) {
+    header(title);
+    let rounds = if full_scale() { 60 } else { 20 };
+    println!("rounds per point: {rounds}\n");
+    let widths = [8, 16, 16, 14];
+    print_row(
+        &[
+            "K".into(),
+            "mapped (med)".into(),
+            "unmapped (med)".into(),
+            "gap".into(),
+        ],
+        &widths,
+    );
+    let mut gaps = Vec::new();
+    for &k in ks {
+        let (mapped, unmapped) =
+            k_sweep_distributions(method, k, rounds, seed).expect("probe works");
+        let gap = median(&unmapped) - median(&mapped);
+        print_row(
+            &[
+                k.to_string(),
+                format!("{:.0}", median(&mapped)),
+                format!("{:.0}", median(&unmapped)),
+                format!("{gap:.0}"),
+            ],
+            &widths,
+        );
+        gaps.push(gap);
+        if k == *ks.last().expect("nonempty") {
+            println!("\nK = {k} distributions (ticks):");
+            println!("mapped:");
+            ascii_histogram(&mapped, 8, 40);
+            println!("unmapped:");
+            ascii_histogram(&unmapped, 8, 40);
+        }
+    }
+    assert!(
+        gaps.last().expect("nonempty") > gaps.first().expect("nonempty"),
+        "the gap must grow with K: {gaps:?}"
+    );
+    println!("\nshape check PASSED: {shape}.");
+}
+
+/// The upper median of `xs`.
+fn median(xs: &[f64]) -> f64 {
+    let mut s = xs.to_vec();
+    s.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+    s[s.len() / 2]
 }
 
 #[cfg(test)]

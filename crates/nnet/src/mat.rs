@@ -94,22 +94,6 @@ impl Mat {
         &mut self.data
     }
 
-    /// `out += self * x` where `x.len() == cols` and `out.len() == rows`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on dimension mismatch.
-    pub fn matvec_acc(&self, x: &[f32], out: &mut [f32]) {
-        assert_eq!(x.len(), self.cols, "matvec input length");
-        assert_eq!(out.len(), self.rows, "matvec output length");
-        if self.cols == 0 {
-            return;
-        }
-        for (o, row) in out.iter_mut().zip(self.data.chunks_exact(self.cols)) {
-            *o += dot(row, x);
-        }
-    }
-
     /// `out += self * [x, 1]` where the matrix's last column is a folded-in
     /// bias (`x.len() + 1 == cols`, `out.len() == rows`).
     ///
@@ -128,20 +112,9 @@ impl Mat {
         }
     }
 
-    /// `out += selfᵀ * g` where `g.len() == rows` and `out.len() == cols`
-    /// (backpropagating through a matvec).
-    ///
-    /// # Panics
-    ///
-    /// Panics on dimension mismatch.
-    pub fn matvec_t_acc(&self, g: &[f32], out: &mut [f32]) {
-        assert_eq!(out.len(), self.cols, "matvec_t output length");
-        self.matvec_t_narrow(g, out);
-    }
-
-    /// Like [`Mat::matvec_t_acc`] but accumulates only into the first
-    /// `out.len()` columns (`out.len() <= cols`) — the common case of
-    /// backpropagating past a folded-in bias column.
+    /// `out += selfᵀ * g` over the first `out.len()` columns (`g.len() ==
+    /// rows`, `out.len() <= cols`) — backpropagating through a matvec,
+    /// commonly stopping short of a folded-in bias column.
     ///
     /// Rows are processed in blocks of four so each `out` element is
     /// loaded and stored once per block instead of once per row.
@@ -186,30 +159,8 @@ impl Mat {
         }
     }
 
-    /// `self += scale * g ⊗ x` (rank-1 gradient accumulation).
-    ///
-    /// # Panics
-    ///
-    /// Panics on dimension mismatch.
-    pub fn outer_acc(&mut self, g: &[f32], x: &[f32], scale: f32) {
-        assert_eq!(g.len(), self.rows, "outer rows");
-        assert_eq!(x.len(), self.cols, "outer cols");
-        if self.cols == 0 {
-            return;
-        }
-        for (row, &gv) in self.data.chunks_exact_mut(self.cols).zip(g) {
-            let gr = gv * scale;
-            if gr == 0.0 {
-                continue;
-            }
-            for (w, xi) in row.iter_mut().zip(x) {
-                *w += gr * xi;
-            }
-        }
-    }
-
-    /// `self += scale * g ⊗ [x, 1]` where the last column is a folded-in
-    /// bias (`x.len() + 1 == cols`).
+    /// `self += scale * g ⊗ [x, 1]` (rank-1 gradient accumulation) where
+    /// the last column is a folded-in bias (`x.len() + 1 == cols`).
     ///
     /// # Panics
     ///
@@ -523,26 +474,29 @@ mod tests {
         for (i, v) in [1.0, 2.0, 3.0, 4.0, 5.0, 6.0].iter().enumerate() {
             m.as_mut_slice()[i] = *v;
         }
-        let x = [1.0, 0.0, -1.0];
+        // The last column is the bias: [1, 0] · [1, 2] + 3, [1, 0] · [4, 5] + 6.
+        let x = [1.0, 0.0];
         let mut y = [0.0; 2];
-        m.matvec_acc(&x, &mut y);
-        assert_eq!(y, [-2.0, -2.0]);
+        m.matvec_bias_acc(&x, &mut y);
+        assert_eq!(y, [4.0, 10.0]);
         let g = [1.0, 1.0];
         let mut gx = [0.0; 3];
-        m.matvec_t_acc(&g, &mut gx);
+        m.matvec_t_narrow(&g, &mut gx);
         assert_eq!(gx, [5.0, 7.0, 9.0]);
     }
 
     #[test]
     fn outer_accumulates() {
-        let mut m = Mat::zeros(2, 2);
-        m.outer_acc(&[1.0, 2.0], &[3.0, 4.0], 0.5);
+        let mut m = Mat::zeros(2, 3);
+        m.outer_acc_bias(&[1.0, 2.0], &[3.0, 4.0], 0.5);
         assert_eq!(m.get(0, 0), 1.5);
         assert_eq!(m.get(0, 1), 2.0);
+        assert_eq!(m.get(0, 2), 0.5);
         assert_eq!(m.get(1, 0), 3.0);
         assert_eq!(m.get(1, 1), 4.0);
+        assert_eq!(m.get(1, 2), 1.0);
         m.fill_zero();
-        assert_eq!(m.as_slice(), &[0.0; 4]);
+        assert_eq!(m.as_slice(), &[0.0; 6]);
     }
 
     #[test]
@@ -557,11 +511,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "matvec input length")]
+    #[should_panic(expected = "matvec_bias input length")]
     fn dimension_mismatch_panics() {
         let m = Mat::zeros(2, 3);
         let mut out = [0.0; 2];
-        m.matvec_acc(&[1.0; 4], &mut out);
+        m.matvec_bias_acc(&[1.0; 3], &mut out);
     }
 
     /// The unrolled/blocked kernels must agree with naive loops on sizes
@@ -574,13 +528,6 @@ mod tests {
             let m = Mat::xavier(rows, cols, &mut rng);
             let x: Vec<f32> = (0..cols).map(|i| (i as f32 * 0.7).sin()).collect();
             let g: Vec<f32> = (0..rows).map(|i| (i as f32 * 0.3).cos()).collect();
-
-            let mut fast = vec![0.0f32; rows];
-            m.matvec_acc(&x, &mut fast);
-            for (r, &got) in fast.iter().enumerate() {
-                let naive: f32 = m.row(r).iter().zip(&x).map(|(w, xi)| w * xi).sum();
-                assert!((got - naive).abs() < 1e-5, "matvec[{r}]: {got} vs {naive}");
-            }
 
             let mut bias_fast = vec![0.0f32; rows];
             m.matvec_bias_acc(&x[..cols - 1], &mut bias_fast);
@@ -595,7 +542,7 @@ mod tests {
             }
 
             let mut t_fast = vec![0.0f32; cols];
-            m.matvec_t_acc(&g, &mut t_fast);
+            m.matvec_t_narrow(&g, &mut t_fast);
             for (c, &got) in t_fast.iter().enumerate() {
                 let naive: f32 = (0..rows).map(|r| g[r] * m.get(r, c)).sum();
                 assert!(
@@ -608,14 +555,12 @@ mod tests {
             m.matvec_t_narrow(&g, &mut narrow);
             assert_eq!(&narrow[..], &t_fast[..cols - 1]);
 
-            let mut full = Mat::zeros(rows, cols);
-            full.outer_acc(&g, &x, 0.5);
             let mut bias = Mat::zeros(rows, cols);
             bias.outer_acc_bias(&g, &x[..cols - 1], 0.5);
             for r in 0..rows {
                 for c in 0..cols - 1 {
-                    assert!((full.get(r, c) - 0.5 * g[r] * x[c]).abs() < 1e-6);
-                    assert_eq!(bias.get(r, c), full.get(r, c), "outer_bias[{r},{c}]");
+                    let naive = 0.5 * g[r] * x[c];
+                    assert!((bias.get(r, c) - naive).abs() < 1e-6, "outer_bias[{r},{c}]");
                 }
                 assert!((bias.get(r, cols - 1) - 0.5 * g[r]).abs() < 1e-6);
             }
@@ -625,10 +570,10 @@ mod tests {
     #[test]
     fn empty_matrix_kernels_are_noops() {
         let m = Mat::zeros(0, 0);
-        m.matvec_acc(&[], &mut []);
-        m.matvec_t_acc(&[], &mut []);
-        let mut z = Mat::zeros(0, 0);
-        z.outer_acc(&[], &[], 1.0);
+        m.matvec_t_narrow(&[], &mut []);
+        let mut z = Mat::zeros(0, 1);
+        z.matvec_bias_acc(&[], &mut []);
+        z.outer_acc_bias(&[], &[], 1.0);
     }
 
     /// Lane counts every SoA kernel is pinned at: one lane, a half
@@ -766,7 +711,7 @@ mod tests {
                 })
                 .collect();
             let mut fast = vec![0.0f32; cols];
-            m.matvec_t_acc(&g, &mut fast);
+            m.matvec_t_narrow(&g, &mut fast);
             for (c, &got) in fast.iter().enumerate() {
                 let naive: f32 = (0..rows).map(|r| g[r] * m.get(r, c)).sum();
                 assert!(

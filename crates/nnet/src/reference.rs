@@ -255,7 +255,11 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(41);
         for (rows, cols) in [(1, 4), (2, 7), (3, 3), (5, 8), (6, 2), (9, 5), (11, 11)] {
             let m = Mat::xavier(rows, cols, &mut rng);
-            let x: Vec<f32> = (0..cols).map(|i| (i as f32 * 0.9).cos()).collect();
+            // `[x, 1]`: the kernels take `x` and fold in the bias column,
+            // the naive loops take the extended vector.
+            let mut x: Vec<f32> = (0..cols - 1).map(|i| (i as f32 * 0.9).cos()).collect();
+            x.push(1.0);
+            let x_in = &x[..cols - 1];
             let g: Vec<f32> = (0..rows)
                 .map(|r| {
                     if r % 4 == 1 {
@@ -267,7 +271,7 @@ mod tests {
                 .collect();
 
             let mut fast = vec![0.0f32; rows];
-            m.matvec_acc(&x, &mut fast);
+            m.matvec_bias_acc(x_in, &mut fast);
             let mut naive = vec![0.0f32; rows];
             matvec_acc_naive(&m, &x, &mut naive);
             for (r, (&got, &want)) in fast.iter().zip(&naive).enumerate() {
@@ -278,7 +282,7 @@ mod tests {
             }
 
             let mut t_fast = vec![0.0f32; cols];
-            m.matvec_t_acc(&g, &mut t_fast);
+            m.matvec_t_narrow(&g, &mut t_fast);
             let mut t_naive = vec![0.0f32; cols];
             matvec_t_acc_naive(&m, &g, &mut t_naive);
             for (c, (&got, &want)) in t_fast.iter().zip(&t_naive).enumerate() {
@@ -289,7 +293,7 @@ mod tests {
             }
 
             let mut fast_outer = Mat::zeros(rows, cols);
-            fast_outer.outer_acc(&g, &x, 0.25);
+            fast_outer.outer_acc_bias(&g, x_in, 0.25);
             let mut naive_outer = Mat::zeros(rows, cols);
             outer_acc_naive(&mut naive_outer, &g, &x, 0.25);
             for r in 0..rows {

@@ -2,7 +2,7 @@
 //! frequency domain, interrupt fabric, segment registers, caches, and
 //! kernel entry/exit behaviour.
 
-use crate::config::{Defense, MachineConfig, Vendor};
+use crate::config::{Defense, MachineConfig};
 use crate::error::SimError;
 use crate::freq::{FreqModel, StepFn};
 use irq::time::Ps;
@@ -614,16 +614,6 @@ impl Machine {
         }
         self.exec_op(self.config.rdtsc_cycles);
         Ok(self.tsc_value())
-    }
-
-    /// The name of the high-resolution timestamp instruction this machine
-    /// offers.
-    #[must_use]
-    pub fn hires_timer_name(&self) -> &'static str {
-        match self.config.vendor {
-            Vendor::Intel => "rdtsc",
-            Vendor::Amd => "rdpru",
-        }
     }
 
     /// A coarse architectural clock read (vDSO `clock_gettime` truncated

@@ -35,12 +35,8 @@ echo "==> lane tanh vs libm tanhf: all 2^32 inputs (release)"
 cargo test -q --offline --release -p nnet --lib -- --ignored \
     lane_tanh_matches_libm_on_every_bit_pattern
 
-echo "==> examples (release, seeded)"
-for example in covert_channel kaslr_break keystroke_monitor quickstart \
-               segscope_timer spectral_enhance spectre_leak website_fingerprint; do
-    echo "--> $example"
-    cargo run --release --offline --example "$example" >/dev/null
-done
+echo "==> quickstart example (release)"
+cargo run --release --offline --example quickstart >/dev/null
 
 echo "==> segscope CLI (release): list + per-scenario run smoke"
 cargo build --release --offline --bin segscope
@@ -236,6 +232,15 @@ grep -q "3/8 cells complete" target/ci.camp-status.txt || {
 }
 if "$SEGSCOPE" campaign report --out target/ci-campaign-killed >/dev/null 2>&1; then
     echo "campaign report accepted an incomplete manifest" >&2
+    exit 1
+fi
+# status and report read the persisted spec: a run flag is refused, not
+# silently dropped.
+status=0
+"$SEGSCOPE" campaign report --out target/ci-campaign \
+    --spec target/ci-campaign.spec.json 2> target/ci.camp-flag.err >/dev/null || status=$?
+if [[ "$status" != 1 ]] || ! grep -q -- '`--spec`' target/ci.camp-flag.err; then
+    echo "campaign report --spec exited $status without naming --spec" >&2
     exit 1
 fi
 "$SEGSCOPE" campaign resume --out target/ci-campaign-killed --shards 8 >/dev/null

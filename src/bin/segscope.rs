@@ -16,10 +16,9 @@
 //! ```
 //!
 //! Every run goes through the same generic deterministic driver
-//! ([`scenario::run_scenario`]): reports and merged traces are
-//! bit-identical at any `--threads` value, and identical to what the
-//! per-attack library APIs produce for the same seed. The
-//! `snapshot`/`replay`/`bisect` trio drives the record-and-replay layer
+//! ([`scenario::run_scenario`]) that library and bench callers use:
+//! reports and merged traces are bit-identical at any `--threads` value.
+//! The `snapshot`/`replay`/`bisect` trio drives the record-and-replay layer
 //! ([`segscope_repro::replay`]) over single-machine runs, and
 //! `campaign` drives the fleet-scale sweep engine
 //! ([`segscope_repro::campaign`]): sharded, resumable parameter-grid
@@ -454,7 +453,12 @@ fn parse_inject(text: &str, flag: &str) -> Result<InjectedIrq, String> {
     let (us, kind) = text
         .split_once(':')
         .ok_or_else(|| format!("`{flag}` needs US:KIND, got `{text}`"))?;
-    let at = irq::Ps::from_us(parse_u64(us, flag)?);
+    let at = parse_u64(us, flag)?
+        .checked_mul(1_000_000)
+        .map(irq::Ps::from_ps)
+        .ok_or_else(|| {
+            format!("`{flag}`: {us} microseconds is past the simulator's clock range")
+        })?;
     let kind = match kind.to_ascii_lowercase().as_str() {
         "timer" => irq::InterruptKind::Timer,
         "resched" => irq::InterruptKind::Resched,
@@ -501,7 +505,7 @@ fn cmd_snapshot(args: &[String]) -> Result<(), String> {
             continue;
         }
         match flag {
-            "--every" => every = flags.u64()?.max(1) as usize,
+            "--every" => every = flags.nonzero()?,
             "--out" => out = Some(flags.value()?),
             other => return Err(format!("unknown flag `{other}`\n\n{USAGE}")),
         }
@@ -570,7 +574,7 @@ fn cmd_bisect(args: &[String]) -> Result<(), String> {
             continue;
         }
         match flag {
-            "--every" => every = flags.u64()?.max(1) as usize,
+            "--every" => every = flags.nonzero()?,
             "--seed-a" => seed[0] = Some(flags.u64()?),
             "--seed-b" => seed[1] = Some(flags.u64()?),
             "--fault-plan-a" => fault[0] = Some(parse_fault_plan(&flags.value()?, flag)?),
@@ -632,6 +636,24 @@ fn parse_campaign_args(args: &[String], verb: &str) -> Result<CampaignArgs, Stri
         return Err(format!("`segscope campaign {verb}` needs --out DIR"));
     }
     Ok(parsed)
+}
+
+/// The `--out DIR` of `campaign status` and `campaign report`, which
+/// read the persisted spec and take no other flag.
+fn parse_campaign_dir(args: &[String], verb: &str) -> Result<String, String> {
+    let mut out = None;
+    let mut flags = Flags::new(args);
+    while let Some(flag) = flags.next() {
+        match flag {
+            "--out" => out = Some(flags.value()?),
+            other => {
+                return Err(format!(
+                    "`segscope campaign {verb}` takes only --out DIR, not `{other}`"
+                ))
+            }
+        }
+    }
+    out.ok_or_else(|| format!("`segscope campaign {verb}` needs --out DIR"))
 }
 
 /// The files of a campaign directory.
@@ -957,9 +979,7 @@ fn cmd_campaign_resume(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_campaign_status(args: &[String]) -> Result<(), String> {
-    let parsed = parse_campaign_args(args, "status")?;
-    let dir = parsed.out.expect("checked by parse_campaign_args");
-    let paths = campaign_paths(&dir);
+    let paths = campaign_paths(&parse_campaign_dir(args, "status")?);
     let spec = read_campaign_spec(&paths.spec)?;
     let (manifest, _) = read_campaign_manifest(&paths)?;
     if !manifest.matches(&spec) {
@@ -980,9 +1000,7 @@ fn cmd_campaign_status(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_campaign_report(args: &[String]) -> Result<(), String> {
-    let parsed = parse_campaign_args(args, "report")?;
-    let dir = parsed.out.expect("checked by parse_campaign_args");
-    let paths = campaign_paths(&dir);
+    let paths = campaign_paths(&parse_campaign_dir(args, "report")?);
     let spec = read_campaign_spec(&paths.spec)?;
     let (manifest, _) = read_campaign_manifest(&paths)?;
     let report = campaign::report_from_manifest(&spec, &manifest).map_err(|e| e.to_string())?;

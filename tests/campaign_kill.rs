@@ -39,7 +39,9 @@ fn campaign(verb: &str, dir: &Path, out: &str, shards: usize) -> Command {
         .arg(verb)
         .arg("--out")
         .arg(dir.join(out));
-    command.args(["--shards", &shards.to_string(), "--threads", "1"]);
+    if matches!(verb, "run" | "resume") {
+        command.args(["--shards", &shards.to_string(), "--threads", "1"]);
+    }
     if verb == "run" {
         command.arg("--spec").arg(dir.join("spec.json"));
         command.args(["--trials", "2"]);
@@ -169,4 +171,40 @@ fn corrupted_manifests_make_resume_fail_naming_the_chunk() {
         finished_report(&dir, "cut") == reference,
         "a resume past a torn line differs from the reference"
     );
+}
+
+/// `campaign status` and `campaign report` read the persisted spec and
+/// take only `--out`: every run flag exits 1 naming the flag, instead of
+/// being dropped while the verb reports the persisted grid.
+#[test]
+fn status_and_report_refuse_every_flag_but_out() {
+    let dir = scratch("campaign_read_flags");
+    succeed(campaign("run", &dir, "done", 2));
+    let spec = dir.join("spec.json");
+    let spec = spec.to_str().expect("utf-8 path");
+    let rejected = [
+        ["--spec", spec],
+        ["--seed", "1"],
+        ["--trials", "99"],
+        ["--shards", "2"],
+        ["--threads", "1"],
+        ["--stop-after-waves", "1"],
+    ];
+    for verb in ["status", "report"] {
+        for [flag, value] in rejected {
+            let output = Command::new(SEGSCOPE)
+                .args(["campaign", verb, "--out"])
+                .arg(dir.join("done"))
+                .args([flag, value])
+                .output()
+                .expect("segscope runs");
+            let stderr = String::from_utf8_lossy(&output.stderr);
+            assert_eq!(output.status.code(), Some(1), "{verb} {flag}: {stderr}");
+            assert!(
+                stderr.contains(&format!("`{flag}`")),
+                "{verb} {flag}: {stderr}"
+            );
+        }
+        succeed(campaign(verb, &dir, "done", 1));
+    }
 }

@@ -766,3 +766,37 @@ fn replay_rejects_a_malformed_snapshot_ladder() {
         assert!(stderr.contains("snapshot ladder"), "{name}: {stderr}");
     }
 }
+
+/// `snapshot` and `bisect` refuse an `--inject` time whose picoseconds
+/// overflow the simulator clock, and an `--every` of 0, with exit 1 and
+/// the flag named, instead of wrapping the time or running at 1.
+#[test]
+fn snapshot_and_bisect_refuse_overflowing_injects_and_every_zero() {
+    use std::process::Command;
+
+    let out = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("refused.rec.json");
+    let out = out.to_str().expect("utf-8 path");
+    // 18446744073710 µs is the smallest whole-µs time past u64 picoseconds.
+    let cases: [(&[&str], &str); 4] = [
+        (
+            &["snapshot", "--inject", "18446744073710:timer", "--out", out],
+            "--inject",
+        ),
+        (
+            &["bisect", "--inject-b", "18446744073710:gpu"],
+            "--inject-b",
+        ),
+        (&["snapshot", "--every", "0", "--out", out], "--every"),
+        (&["bisect", "--every", "0"], "--every"),
+    ];
+    for (args, flag) in cases {
+        let output = Command::new(env!("CARGO_BIN_EXE_segscope"))
+            .args(args)
+            .args(["--spans", "4"])
+            .output()
+            .expect("segscope runs");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains(&format!("`{flag}`")), "{args:?}: {stderr}");
+    }
+}
