@@ -22,10 +22,12 @@
 //! training, inference and `crates/serve` share). Every lane keeps the
 //! scalar operation order and gradients fold in per-example order, so
 //! the trained weights are bit-identical to training one example at a
-//! time. The gate step's two `tanh`s run eight elements at a time
-//! through a branch-free port of the host libm's `tanhf` that returns
-//! the same bits for every `f32` input (checked exhaustively by an
-//! ignored test); `sigmoid` keeps libm's `expf`.
+//! time. The gate step runs as whole-block passes eight elements at a
+//! time: its `tanh` is a branch-free port of glibc's `tanhf` and its
+//! `sigmoid` computes `1/(1 + expf(-x))` over a port of glibc's FMA
+//! `expf`, both returning the libm bits for every `f32` input (checked
+//! exhaustively by ignored tests). The `expf` port needs the x86-64-v3
+//! build target the workspace's `.cargo/config.toml` sets.
 //!
 //! # Example
 //!
@@ -49,6 +51,7 @@
 mod classifier;
 mod data;
 mod dense;
+mod expf;
 mod loss;
 mod lstm;
 mod mat;

@@ -1,14 +1,13 @@
 //! LSTM and bidirectional LSTM layers with truncated-free full BPTT.
 
+#[cfg(test)]
+use crate::expf::sigmoid;
+use crate::expf::sigmoid8;
 use crate::mat::Mat;
 use crate::optim::{Adam, AdamConfig};
 use crate::tanh::{tanh8, LANES};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-
-fn sigmoid(x: f32) -> f32 {
-    1.0 / (1.0 + (-x).exp())
-}
 
 /// A single-layer LSTM.
 ///
@@ -119,9 +118,13 @@ impl LstmTrace {
 /// does not depend on how many lanes run. Lanes with `live[l] == false`
 /// (past the end of a ragged sequence) are left untouched.
 ///
-/// Both `tanh`s run eight block elements at a time through a branch-free
-/// port of the host libm's `tanhf` that returns the same bits for every
-/// input; `sigmoid` calls libm's `expf` per element.
+/// The step runs as passes over whole blocks, eight elements at a time:
+/// `sigmoid` over the `i`, `f` and `o` blocks, `tanh` over `g`, the cell
+/// update, then `tanh(c)` and the hidden state. `tanh` is a branch-free
+/// port of glibc's `tanhf` and `sigmoid` computes `1/(1 + expf(-x))`
+/// over a port of glibc's FMA `expf`; both return the libm bits for
+/// every input. With idle lanes, each pass walks the blocks row by row
+/// so that row element `l` is lane `l`, and keeps idle lanes' values.
 ///
 /// # Panics
 ///
@@ -135,36 +138,90 @@ pub fn gate_step(gates: &mut [f32], c: &mut [f32], tc: &mut [f32], h: &mut [f32]
     let (gi, rest) = gates.split_at_mut(n);
     let (gf, rest) = rest.split_at_mut(n);
     let (gg, go) = rest.split_at_mut(n);
-    // The lane of block element `k` is `k % lanes`; `l` walks it along.
-    let mut l = 0;
-    for start in (0..n).step_by(LANES) {
-        let chunk = start..(start + LANES).min(n);
-        let mut g = [0.0f32; LANES];
-        g[..chunk.len()].copy_from_slice(&gg[chunk.clone()]);
-        tanh8(&mut g);
-        let mut cv = [0.0f32; LANES];
-        let mut on = [false; LANES];
-        for (e, k) in chunk.clone().enumerate() {
-            on[e] = live[l];
-            l = if l + 1 == lanes { 0 } else { l + 1 };
-            if on[e] {
-                let i_g = sigmoid(gi[k]);
-                let f_g = sigmoid(gf[k]);
-                let o_g = sigmoid(go[k]);
-                gi[k] = i_g;
-                gf[k] = f_g;
-                gg[k] = g[e];
-                go[k] = o_g;
-                cv[e] = f_g * c[k] + i_g * g[e];
-                c[k] = cv[e];
+    if live.iter().all(|&on| on) {
+        map8(gi, sigmoid8);
+        map8(gf, sigmoid8);
+        map8(gg, tanh8);
+        map8(go, sigmoid8);
+        for (((c, &f), &i), &g) in c.iter_mut().zip(&*gf).zip(&*gi).zip(&*gg) {
+            *c = f * *c + i * g;
+        }
+        tc.copy_from_slice(c);
+        map8(tc, tanh8);
+        for ((h, &o), &t) in h.iter_mut().zip(&*go).zip(&*tc) {
+            *h = o * t;
+        }
+        return;
+    }
+    map8_live(gi, live, sigmoid8);
+    map8_live(gf, live, sigmoid8);
+    map8_live(gg, live, tanh8);
+    map8_live(go, live, sigmoid8);
+    let cells = c
+        .chunks_mut(lanes)
+        .zip(tc.chunks_mut(lanes))
+        .zip(h.chunks_mut(lanes));
+    let gates = gf
+        .chunks(lanes)
+        .zip(gi.chunks(lanes))
+        .zip(gg.chunks(lanes).zip(go.chunks(lanes)));
+    for (((c, tc), h), ((f, i), (g, o))) in cells.zip(gates) {
+        for (l, &on) in live.iter().enumerate() {
+            c[l] = if on { f[l] * c[l] + i[l] * g[l] } else { c[l] };
+        }
+        let chunks = c
+            .chunks(LANES)
+            .zip(tc.chunks_mut(LANES))
+            .zip(h.chunks_mut(LANES));
+        for ((((c, tc), h), o), on) in chunks.zip(o.chunks(LANES)).zip(live.chunks(LANES)) {
+            let mut v = load8(c);
+            tanh8(&mut v);
+            for (e, &on) in on.iter().enumerate() {
+                tc[e] = if on { v[e] } else { tc[e] };
+                h[e] = if on { o[e] * v[e] } else { h[e] };
             }
         }
-        tanh8(&mut cv);
-        for (e, k) in chunk.enumerate().filter(|&(e, _)| on[e]) {
-            tc[k] = cv[e];
-            h[k] = go[k] * cv[e];
+    }
+}
+
+/// Runs `kernel` over `xs` in place, eight elements at a time.
+#[inline(always)]
+fn map8(xs: &mut [f32], kernel: impl Fn(&mut [f32; LANES])) {
+    let mut chunks = xs.chunks_exact_mut(LANES);
+    for chunk in &mut chunks {
+        kernel(chunk.try_into().expect("chunk of LANES"));
+    }
+    let rest = chunks.into_remainder();
+    if !rest.is_empty() {
+        let mut v = load8(rest);
+        kernel(&mut v);
+        rest.copy_from_slice(&v[..rest.len()]);
+    }
+}
+
+/// [`map8`] over a feature-major block with lanes `live.len()`, row by
+/// row so that row element `l` is lane `l`, keeping idle lanes' values.
+#[inline(always)]
+fn map8_live(xs: &mut [f32], live: &[bool], kernel: impl Fn(&mut [f32; LANES])) {
+    for row in xs.chunks_mut(live.len()) {
+        for (chunk, on) in row.chunks_mut(LANES).zip(live.chunks(LANES)) {
+            let mut v = load8(chunk);
+            kernel(&mut v);
+            for ((x, v), &on) in chunk.iter_mut().zip(v).zip(on) {
+                *x = if on { v } else { *x };
+            }
         }
     }
+}
+
+/// `xs` (at most `LANES` elements) padded with zeros to `LANES`.
+#[inline(always)]
+fn load8(xs: &[f32]) -> [f32; LANES] {
+    xs.try_into().unwrap_or_else(|_| {
+        let mut v = [0.0f32; LANES];
+        v[..xs.len()].copy_from_slice(xs);
+        v
+    })
 }
 
 /// Where [`Lstm::backward_impl`] reads each step's hidden-output
@@ -572,6 +629,32 @@ mod tests {
                     [at.map(|i| gates0[i]).as_slice(), &[c0[k], -7.5, 7.5]].concat()
                 };
                 assert_eq!(bits(&got), bits(&want), "width {lanes}, element {k}");
+            }
+        }
+    }
+
+    /// A lane gets the same bits from the all-live passes as from the
+    /// passes that skip idle lanes, at widths with and without a partial
+    /// chunk of eight.
+    #[test]
+    fn gate_step_gives_a_lane_the_same_bits_with_or_without_idle_lanes() {
+        let hidden = 3;
+        for lanes in [2usize, 8, 9, 64] {
+            let n = hidden * lanes;
+            let gates0: Vec<f32> = (0..4 * n).map(|k| (k as f32 * 0.377).sin() * 6.0).collect();
+            let c0: Vec<f32> = (0..n).map(|k| (k as f32 * 0.519).cos() * 3.0).collect();
+            let run = |live: &[bool]| {
+                let (mut gates, mut c) = (gates0.clone(), c0.clone());
+                let (mut tc, mut h) = (vec![0.0f32; n], vec![0.0f32; n]);
+                gate_step(&mut gates, &mut c, &mut tc, &mut h, live);
+                [gates, c, tc, h].map(|v| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>())
+            };
+            let all = run(&vec![true; lanes]);
+            let idle_first = run(&(0..lanes).map(|l| l != 0).collect::<Vec<_>>());
+            for (a, b) in all.iter().zip(&idle_first) {
+                for (k, (a, b)) in a.iter().zip(b).enumerate() {
+                    assert!(k % lanes == 0 || a == b, "width {lanes}, element {k}");
+                }
             }
         }
     }

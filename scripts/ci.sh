@@ -35,6 +35,15 @@ echo "==> lane tanh vs libm tanhf: all 2^32 inputs (release)"
 cargo test -q --offline --release -p nnet --lib -- --ignored \
     lane_tanh_matches_libm_on_every_bit_pattern
 
+echo "==> lane sigmoid vs libm 1/(1 + expf(-x)): all 2^32 inputs (release)"
+# The gate step's sigmoid runs over a port of glibc 2.36's FMA expf
+# (`__expf_fma`, five fused multiply-adds), built for x86-64-v3. This
+# pins it to the scalar libm form bit for bit over every input, NaNs
+# included; a host whose libm resolves expf to another variant fails
+# here. About a minute on two threads.
+cargo test -q --offline --release -p nnet --lib -- --ignored \
+    lane_sigmoid_matches_libm_on_every_bit_pattern
+
 echo "==> quickstart example (release)"
 cargo run --release --offline --example quickstart >/dev/null
 
@@ -108,17 +117,22 @@ grep -q "defenses: none, quanshield, padding" target/ci.describe.txt || {
     exit 1
 }
 
-echo "==> segscope CLI golden report diff (covert)"
-"$SEGSCOPE" run covert --seed 0xC07E --trials 2 --threads 2 \
-    --report target/covert.report.json >/dev/null
-if [[ "${SEGSCOPE_BLESS:-0}" == "1" ]]; then
-    cp target/covert.report.json tests/golden/covert.report.json
-    echo "blessed tests/golden/covert.report.json"
-elif ! cmp -s target/covert.report.json tests/golden/covert.report.json; then
-    echo "segscope run covert report drifted from tests/golden/covert.report.json;" >&2
-    echo "if intentional: SEGSCOPE_BLESS=1 scripts/ci.sh (or cp target/covert.report.json tests/golden/)" >&2
-    exit 1
-fi
+echo "==> segscope CLI golden report diff (covert + six scenarios)"
+# Each report is pinned byte for byte at one seed and trial count. The
+# five scenarios not listed here are pinned by tests/golden_enclave.rs.
+GOLDEN_REPORTS="covert circl spectral kaslr spectre keystroke procfp"
+for name in $GOLDEN_REPORTS; do
+    "$SEGSCOPE" run "$name" --seed 0xC07E --trials 2 --threads 2 \
+        --report "target/$name.report.json" >/dev/null
+    if [[ "${SEGSCOPE_BLESS:-0}" == "1" ]]; then
+        cp "target/$name.report.json" "tests/golden/$name.report.json"
+        echo "blessed tests/golden/$name.report.json"
+    elif ! cmp -s "target/$name.report.json" "tests/golden/$name.report.json"; then
+        echo "segscope run $name report drifted from tests/golden/$name.report.json;" >&2
+        echo "if intentional: SEGSCOPE_BLESS=1 scripts/ci.sh (or cp target/$name.report.json tests/golden/)" >&2
+        exit 1
+    fi
+done
 
 echo "==> segscope serve-bench smoke + golden verdict diff"
 # The streaming-serving smoke: batched and sequential serving must
@@ -148,9 +162,11 @@ echo "==> golden determinism gate (no SEGSCOPE_BLESS)"
 # Re-assert every checked-in golden byte-identical with blessing
 # explicitly disabled, so a blessed CI run can never mask drift.
 SEGSCOPE_BLESS=0 cargo test -q --offline --test golden_trace
-SEGSCOPE_BLESS=0 "$SEGSCOPE" run covert --seed 0xC07E --trials 2 --threads 2 \
-    --report target/covert.report.determinism.json >/dev/null
-cmp target/covert.report.determinism.json tests/golden/covert.report.json
+for name in $GOLDEN_REPORTS; do
+    SEGSCOPE_BLESS=0 "$SEGSCOPE" run "$name" --seed 0xC07E --trials 2 --threads 2 \
+        --report "target/$name.report.determinism.json" >/dev/null
+    cmp "target/$name.report.determinism.json" "tests/golden/$name.report.json"
+done
 SEGSCOPE_BLESS=0 SEGSCOPE_TRACE=target/keystroke.trace.determinism.json \
     cargo run --release --offline --example segscope_trace >/dev/null
 cmp target/keystroke.trace.determinism.json tests/golden/keystroke.trace.json

@@ -127,10 +127,7 @@ fn main() -> ExitCode {
         Some("bisect") => cmd_bisect(&args[1..]),
         Some("campaign") => cmd_campaign(&args[1..]),
         Some("serve-bench") => cmd_serve_bench(&args[1..]),
-        Some("--help" | "-h" | "help") | None => {
-            println!("{USAGE}");
-            Ok(())
-        }
+        Some("--help" | "-h" | "help") | None => say(USAGE),
         Some(other) => Err(format!("unknown command `{other}`\n\n{USAGE}")),
     };
     match result {
@@ -157,9 +154,13 @@ fn cmd_list(args: &[String]) -> Result<(), String> {
         .unwrap_or(0);
     for entry in registry.entries() {
         if names_only {
-            println!("{}", entry.name());
+            say(entry.name())?;
         } else {
-            println!("{:width$}  {}", entry.name(), entry.describe());
+            say(format_args!(
+                "{:width$}  {}",
+                entry.name(),
+                entry.describe()
+            ))?;
         }
     }
     Ok(())
@@ -238,28 +239,28 @@ fn cmd_describe(args: &[String]) -> Result<(), String> {
         return Err(format!("usage: segscope describe <name>\n\n{USAGE}"));
     };
     let entry = lookup_scenario(name)?;
-    println!("{}: {}", entry.name(), entry.describe());
+    say(format_args!("{}: {}", entry.name(), entry.describe()))?;
     let params = entry.default_params();
     if has_machine_field(&params) {
-        println!(
+        say(format_args!(
             "defenses: {} (armed via --defense or the config's machine.defense)",
             segsim::Defense::NAMES.join(", ")
-        );
+        ))?;
     } else {
-        println!("defenses: not applicable (config has no `machine` field)");
+        say("defenses: not applicable (config has no `machine` field)")?;
     }
     if has_streaming_field(&params) {
-        println!(
+        say(
             "streaming eval: supported (set the config's `streaming` flag; \
-             verdicts land in the trace as serve_verdict events)"
-        );
+             verdicts land in the trace as serve_verdict events)",
+        )?;
     } else {
-        println!("streaming eval: not applicable (config has no `streaming` field)");
+        say("streaming eval: not applicable (config has no `streaming` field)")?;
     }
-    println!(
+    say(format_args!(
         "default params: {}",
         serde_json::to_string(&params).map_err(|e| e.to_string())?
-    );
+    ))?;
     Ok(())
 }
 
@@ -293,7 +294,7 @@ fn parse_run_args(args: &[String]) -> Result<RunArgs, String> {
     while let Some(flag) = flags.next() {
         match flag {
             "--seed" => parsed.opts.seed = Some(flags.u64()?),
-            "--trials" => parsed.opts.trials = Some(flags.u64()? as usize),
+            "--trials" => parsed.opts.trials = Some(flags.nonzero()?),
             "--threads" => parsed.opts.threads = Some(flags.nonzero()?),
             "--capacity" => {
                 parsed.opts.capacity = flags.u64()? as usize;
@@ -433,7 +434,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             other => other.to_string(),
         })?;
     let report_json = serde_json::to_string(&run.report).map_err(|e| e.to_string())?;
-    println!("{report_json}");
+    say(&report_json)?;
     if let Some(path) = &parsed.report_out {
         write_file(path, format!("{report_json}\n"))?;
     }
@@ -487,7 +488,7 @@ fn apply_spec_flag(spec: &mut RunSpec, flag: &str, flags: &mut Flags) -> Result<
     match flag {
         "--machine" => spec.machine = flags.value()?,
         "--seed" => spec.seed = flags.u64()?,
-        "--spans" => spec.spans = flags.u64()? as usize,
+        "--spans" => spec.spans = flags.nonzero()?,
         "--fault-plan" => spec.fault_plan = Some(parse_fault_plan(&flags.value()?, flag)?),
         "--inject" => spec.inject.push(parse_inject(&flags.value()?, flag)?),
         _ => return Ok(false),
@@ -514,13 +515,13 @@ fn cmd_snapshot(args: &[String]) -> Result<(), String> {
     let recording = replay::record(&spec, every)?;
     let json = serde_json::to_string(&recording).map_err(|e| e.to_string())?;
     write_file(&out, json + "\n")?;
-    println!(
+    say(format_args!(
         "recorded {} events over {} spans ({} snapshot rungs, digest {:#018x}) -> {out}",
         recording.events.len(),
         recording.spec.spans,
         recording.snapshots.len(),
         recording.final_digest,
-    );
+    ))?;
     Ok(())
 }
 
@@ -540,14 +541,20 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
         .map_err(|e| format!("cannot read recording `{input}`: {e}"))?;
     let recording: replay::Recording = serde_json::from_str(&text)
         .map_err(|e| format!("`{input}` is not a valid recording: {e}"))?;
+    if from > recording.events.len() {
+        return Err(format!(
+            "`--from` {from} is past the recording's {} events",
+            recording.events.len()
+        ));
+    }
     let slice = replay::replay_from(&recording, from)?;
     if slice.matches(&recording) {
-        println!(
+        say(format_args!(
             "replayed {} events from span {} (event {}): bit-identical to the recording",
             slice.events.len(),
             slice.from_span,
             slice.from_event,
-        );
+        ))?;
         Ok(())
     } else {
         let index = slice.from_event
@@ -596,10 +603,9 @@ fn cmd_bisect(args: &[String]) -> Result<(), String> {
         spec
     };
     match replay::bisect(&side(0), &side(1), every)? {
-        None => println!("event streams are identical"),
-        Some(report) => println!("{report}"),
+        None => say("event streams are identical"),
+        Some(report) => say(report),
     }
-    Ok(())
 }
 
 /// Parsed flags shared by `campaign run` and `campaign resume`.
@@ -625,7 +631,7 @@ fn parse_campaign_args(args: &[String], verb: &str) -> Result<CampaignArgs, Stri
             "--spec" => parsed.spec_path = Some(flags.value()?),
             "--out" => parsed.out = Some(flags.value()?),
             "--seed" => parsed.seed = Some(flags.u64()?),
-            "--trials" => parsed.trials = Some(flags.u64()? as usize),
+            "--trials" => parsed.trials = Some(flags.nonzero()?),
             "--shards" => parsed.opts.shards = flags.nonzero()?,
             "--threads" => parsed.opts.threads = Some(flags.nonzero()?),
             "--stop-after-waves" => parsed.opts.stop_after_waves = Some(flags.nonzero()?),
@@ -699,6 +705,14 @@ fn read_campaign_manifest(paths: &CampaignPaths) -> Result<(CampaignManifest, bo
         eprintln!("warning: `{path}` ends in a torn line; its cell reruns on resume");
     }
     Ok((manifest, true))
+}
+
+/// Writes `text` and a newline to stdout. A failed write (a full disk, a
+/// reader that closed the pipe) comes back as an error for `main` to
+/// report with exit status 1, where `println!` would panic.
+fn say(text: impl std::fmt::Display) -> Result<(), String> {
+    use std::io::Write as _;
+    writeln!(std::io::stdout().lock(), "{text}").map_err(|e| format!("cannot write to stdout: {e}"))
 }
 
 /// Writes `contents` to `path` atomically: into `PATH.tmp`, fsynced,
@@ -824,28 +838,28 @@ fn drive_campaign(
     }
     match outcome {
         None => {
-            println!(
+            say(format_args!(
                 "checkpointed: {}/{} cells complete -> {} \
                  (resume with `segscope campaign resume --out {dir}`)",
                 manifest.completed_cells(),
                 manifest.total_cells(),
                 paths.log,
-            );
+            ))?;
         }
         Some(report) => {
             if log.file.is_some() {
                 compact_campaign(manifest, &paths)?;
             }
             write_file(&paths.report, report.to_json() + "\n")?;
-            print_campaign_summary(&report);
-            println!("report -> {}", paths.report);
+            print_campaign_summary(&report)?;
+            say(format_args!("report -> {}", paths.report))?;
         }
     }
     Ok(())
 }
 
-fn print_campaign_summary(report: &CampaignReport) {
-    println!(
+fn print_campaign_summary(report: &CampaignReport) -> Result<(), String> {
+    say(format_args!(
         "campaign `{}`: {} cells, {} trials, {} ground-truth deliveries, \
          {} delivery faults, {} timing faults",
         report.name,
@@ -854,7 +868,7 @@ fn print_campaign_summary(report: &CampaignReport) {
         report.totals.ground_truth_deliveries,
         report.fault_log.delivery_faults(),
         report.fault_log.timing_faults(),
-    );
+    ))?;
     let width = report
         .matrix
         .iter()
@@ -866,7 +880,7 @@ fn print_campaign_summary(report: &CampaignReport) {
             Some(mean) => format!("acc {mean:.3}"),
             None => "acc    --".to_owned(),
         };
-        println!(
+        say(format_args!(
             "  {:width$}  {:16}  {:10}  cells {:3}  trials {:5}  gt {:8}  dfaults {:6}  tfaults {:6}  {accuracy}",
             row.scenario,
             row.preset,
@@ -876,8 +890,9 @@ fn print_campaign_summary(report: &CampaignReport) {
             row.ground_truth_deliveries,
             row.delivery_faults,
             row.timing_faults,
-        );
+        ))?;
     }
+    Ok(())
 }
 
 fn cmd_campaign(args: &[String]) -> Result<(), String> {
@@ -919,9 +934,9 @@ fn cmd_campaign_spec(args: &[String]) -> Result<(), String> {
     match out {
         Some(path) => {
             write_file(&path, json + "\n")?;
-            println!("{} campaign spec -> {path}", spec.name);
+            say(format_args!("{} campaign spec -> {path}", spec.name))?;
         }
-        None => println!("{json}"),
+        None => say(&json)?,
     }
     Ok(())
 }
@@ -985,7 +1000,7 @@ fn cmd_campaign_status(args: &[String]) -> Result<(), String> {
     if !manifest.matches(&spec) {
         return Err(campaign::CampaignError::SpecMismatch.to_string());
     }
-    println!(
+    say(format_args!(
         "campaign `{}`: {}/{} cells complete ({})",
         spec.name,
         manifest.completed_cells(),
@@ -995,7 +1010,7 @@ fn cmd_campaign_status(args: &[String]) -> Result<(), String> {
         } else {
             "resume with `segscope campaign resume`"
         },
-    );
+    ))?;
     Ok(())
 }
 
@@ -1005,8 +1020,8 @@ fn cmd_campaign_report(args: &[String]) -> Result<(), String> {
     let (manifest, _) = read_campaign_manifest(&paths)?;
     let report = campaign::report_from_manifest(&spec, &manifest).map_err(|e| e.to_string())?;
     write_file(&paths.report, report.to_json() + "\n")?;
-    print_campaign_summary(&report);
-    println!("report -> {}", paths.report);
+    print_campaign_summary(&report)?;
+    say(format_args!("report -> {}", paths.report))?;
     Ok(())
 }
 
@@ -1115,7 +1130,7 @@ fn cmd_serve_bench(args: &[String]) -> Result<(), String> {
         quant_agreement: agree as f64 / sessions as f64,
     };
     let json = serde_json::to_string(&report).map_err(|e| e.to_string())?;
-    println!("{json}");
+    say(&json)?;
     if let Some(path) = &out {
         write_file(path, format!("{json}\n"))?;
     }
