@@ -1,15 +1,18 @@
 //! Regenerates `BENCH_hotpath.json`: cached-head fabric dispatch
 //! throughput vs the naive linear-scan baseline on the shipped 3-source
 //! machine, allocation counts for the buffer-reuse probe API vs the
-//! allocating wrapper, and recycled-machine vs fresh-machine trial
-//! throughput.
+//! allocating wrapper, recycled-machine vs fresh-machine trial
+//! throughput, and the LSTM gradient fold's tiled group kernel vs its
+//! scalar per-pair oracle.
 //!
 //! Writes to `SEGSCOPE_BENCH_JSON` (default `BENCH_hotpath.json` at the
 //! workspace root). Set `SEGSCOPE_BENCH_FULL=1` for the larger scales,
 //! which also raise the recycled-trials bar to ≥5x.
 
 use segscope::SegProbe;
-use segscope_bench::hotpath::{measure_fabric, measure_trials, trials_machine, PEEKS_PER_POP};
+use segscope_bench::hotpath::{
+    measure_fabric, measure_fold, measure_trials, trials_machine, FOLD_SHAPE, PEEKS_PER_POP,
+};
 use segscope_bench::{fnv1a_fold, BenchRecord, FNV1A_BASIS};
 use segsim::{Machine, MachineConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -112,18 +115,20 @@ fn main() {
     // Short probe trials (a 32-slot burst, the per-candidate unit of the
     // scan-style attacks) are where per-trial machine construction
     // dominates — the regime the recycled machine exists for.
-    let (events, samples, batches, trials) = if full {
-        (1_500_000, 1_000, 2_000, 2_000)
+    let (events, samples, batches, trials, groups) = if full {
+        (1_500_000, 1_000, 2_000, 2_000, 2_000)
     } else {
-        (150_000, 1_000, 200, 256)
+        (150_000, 1_000, 200, 256, 200)
     };
+    let (rows, cols, lanes, steps) = FOLD_SHAPE;
     let cfg = MachineConfig::lenovo_yangtian();
     let mut record = BenchRecord::new(
         "hotpath",
         format!(
             "fabric: `{}` timer/PMI/resched sources, {events} events, {PEEKS_PER_POP} peeks per \
              pop; probe: {batches} batches x {samples} samples; trials: {trials} trials x 32 \
-             slots on `{}` with a light fault plan",
+             slots on `{}` with a light fault plan; fold: {groups} groups of {lanes} lanes x \
+             {steps} steps into a {rows} x {cols} gradient",
             cfg.name,
             trials_machine().name,
         ),
@@ -131,5 +136,6 @@ fn main() {
     measure_fabric(&mut record, &cfg, events, 0xBA7C_0010);
     measure_probe(&mut record, samples, batches);
     measure_trials(&mut record, trials, 32, 3, 0xBA7C_0020);
+    measure_fold(&mut record, groups, 3);
     record.finish();
 }

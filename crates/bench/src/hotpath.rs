@@ -12,10 +12,15 @@
 //!   streams, fault logs, and final RNG positions (FNV-folded) to
 //!   fresh-machine trials, at ≥2x the throughput on the quick scale and
 //!   ≥5x at full scale.
+//! - The LSTM gradient fold's register-tiled group kernel
+//!   (`Mat::outer_acc_bias_group`) leaves the gradient bit for bit where
+//!   the scalar per-pair `outer_acc_bias` leaves it, and never loses to
+//!   it.
 
 use crate::record::{best_of, BenchRecord};
 use crate::{fnv1a_fold, FNV1A_BASIS};
 use irq::{InterruptFabric, InterruptKind, NaiveFabric};
+use nnet::Mat;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use segsim::{FaultPlan, Machine, MachineConfig};
@@ -36,6 +41,16 @@ pub const RECYCLED_MIN_SPEEDUP: f64 = 2.0;
 /// scale (`SEGSCOPE_BENCH_FULL=1`), where per-trial work is long enough
 /// to amortize timing noise.
 pub const RECYCLED_FULL_MIN_SPEEDUP: f64 = 5.0;
+
+/// Minimum accepted tiled-vs-oracle gradient fold speedup: the tiled
+/// kernel writes each gradient element back once per group where the
+/// oracle rereads and rewrites the whole matrix per (lane, step) pair.
+pub const FOLD_MIN_SPEEDUP: f64 = 1.0;
+
+/// The `fold` layer's group: the website classifier's LSTM (2 inputs,
+/// 16 hidden units, so a 64 × 19 gradient) over one lane group of eight
+/// 64-step sequences.
+pub const FOLD_SHAPE: (usize, usize, usize, usize) = (64, 19, 8, 64);
 
 /// How many `peek_next` calls the dispatch loop issues per consumed
 /// interrupt — the simulator re-peeks the head once per user span to
@@ -193,6 +208,90 @@ pub fn measure_trials(
     record.gate("trials.speedup", speedup, bar, true, true);
 }
 
+/// One traced group's deltas (`steps × rows × lanes`, row-major by lane)
+/// and inputs (`steps × (cols - 1) × lanes`, feature-major). Every 251st
+/// delta is an exact zero, so the zero-row skip runs at about the rate
+/// (0.4%) website training's deltas show.
+fn fold_group_data(rows: usize, cols: usize, lanes: usize, steps: usize) -> (Vec<f32>, Vec<f32>) {
+    let g = (0..steps * rows * lanes)
+        .map(|k| {
+            if k % 251 == 0 {
+                0.0
+            } else {
+                (k as f32 * 0.618).sin() * 1e-3
+            }
+        })
+        .collect();
+    let x = (0..steps * (cols - 1) * lanes)
+        .map(|k| (k as f32 * 0.377).cos())
+        .collect();
+    (g, x)
+}
+
+/// FNV-1a fold of a matrix's bits.
+fn mat_hash(m: &Mat) -> u64 {
+    m.as_slice()
+        .iter()
+        .fold(FNV1A_BASIS, |h, v| fnv1a_fold(h, u64::from(v.to_bits())))
+}
+
+/// Measures the `fold` layer at [`FOLD_SHAPE`]: `groups` folds of one
+/// traced group into a zeroed gradient, through the scalar oracle (one
+/// `outer_acc_bias(g, x, 1.0)` per (lane, step) pair on pre-gathered
+/// vectors, lane ascending and step descending) and through the tiled
+/// group kernel (its packing included), each the best of `repeats`,
+/// plus the `fold.speedup` gate. The digest folds the final gradient's
+/// bits.
+pub fn measure_fold(record: &mut BenchRecord, groups: usize, repeats: usize) {
+    let (rows, cols, lanes, steps) = FOLD_SHAPE;
+    let (g, x) = fold_group_data(rows, cols, lanes, steps);
+    let feat = cols - 1;
+    let lens = vec![steps; lanes];
+    let pairs: Vec<(Vec<f32>, Vec<f32>)> = (0..lanes)
+        .flat_map(|l| (0..steps).rev().map(move |t| (l, t)))
+        .map(|(l, t)| {
+            let gs = &g[t * rows * lanes..(t + 1) * rows * lanes];
+            let xs = &x[t * feat * lanes..(t + 1) * feat * lanes];
+            let lane = |v: &[f32]| v.iter().skip(l).step_by(lanes).copied().collect();
+            (lane(gs), lane(xs))
+        })
+        .collect();
+    let (oracle_s, oracle) = best_of(repeats, || {
+        let mut grad = Mat::zeros(rows, cols);
+        for _ in 0..groups {
+            for (g_l, x_l) in &pairs {
+                grad.outer_acc_bias(g_l, x_l, 1.0);
+            }
+        }
+        mat_hash(&grad)
+    });
+    let (mut inputs, mut deltas) = (Vec::new(), Vec::new());
+    let (tiled_s, tiled) = best_of(repeats, || {
+        let mut grad = Mat::zeros(rows, cols);
+        for _ in 0..groups {
+            grad.outer_acc_bias_group(&g, &x, &lens, &mut inputs, &mut deltas);
+        }
+        mat_hash(&grad)
+    });
+    let n = (groups * pairs.len()) as f64;
+    record.arm(
+        "fold",
+        "oracle",
+        "pairs/s",
+        n / oracle_s.max(1e-9),
+        Some(oracle),
+    );
+    record.arm(
+        "fold",
+        "tiled",
+        "pairs/s",
+        n / tiled_s.max(1e-9),
+        Some(tiled),
+    );
+    let speedup = oracle_s / tiled_s.max(1e-9);
+    record.gate("fold.speedup", speedup, FOLD_MIN_SPEEDUP, true, true);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -219,6 +318,16 @@ mod tests {
         assert_eq!(digests.len(), 2);
         assert!(digests[0].is_some());
         assert_eq!(digests[0], digests[1], "cached and naive fabrics diverged");
+    }
+
+    #[test]
+    fn tiled_fold_matches_the_oracle() {
+        let mut record = BenchRecord::new("hotpath", String::new());
+        measure_fold(&mut record, 2, 1);
+        let digests = layer_digests(&record, "fold");
+        assert_eq!(digests.len(), 2);
+        assert!(digests[0].is_some());
+        assert_eq!(digests[0], digests[1], "tiled and oracle folds diverged");
     }
 
     #[test]

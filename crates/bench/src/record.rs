@@ -98,6 +98,8 @@ fn required_arms(bench: &str) -> &'static [(&'static str, &'static str)] {
             ("probe", "probe_n_into"),
             ("trials", "fresh"),
             ("trials", "recycled"),
+            ("fold", "oracle"),
+            ("fold", "tiled"),
         ],
         "parallel" => &[
             ("engine", "serial"),
@@ -312,7 +314,9 @@ pub fn best_of<T: PartialEq>(repeats: usize, mut f: impl FnMut() -> T) -> (f64, 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hotpath::{FABRIC_MIN_SPEEDUP, RECYCLED_FULL_MIN_SPEEDUP, RECYCLED_MIN_SPEEDUP};
+    use crate::hotpath::{
+        FABRIC_MIN_SPEEDUP, FOLD_MIN_SPEEDUP, RECYCLED_FULL_MIN_SPEEDUP, RECYCLED_MIN_SPEEDUP,
+    };
     use crate::parallel::LSTM_MIN_SPEEDUP;
     use crate::serving::{
         BATCHED_SERVE_MIN_SPEEDUP, I16_MAX_ACCURACY_DELTA, I8_MAX_ACCURACY_DELTA,
@@ -353,11 +357,14 @@ mod tests {
                 ("probe", "probe_n_into allocs", "allocs", 21.0, None),
                 ("trials", "fresh", "trials/s", 24e3, Some(0xF3)),
                 ("trials", "recycled", "trials/s", 250e3, Some(0xF3)),
+                ("fold", "oracle", "pairs/s", 1.5e6, Some(0xF4)),
+                ("fold", "tiled", "pairs/s", 6e6, Some(0xF4)),
             ],
             &[
                 ("fabric.speedup", 2.0, FABRIC_MIN_SPEEDUP, true),
                 ("probe.allocs_saved", 1999.0, 1.0, true),
                 ("trials.speedup", 10.0, RECYCLED_MIN_SPEEDUP, true),
+                ("fold.speedup", 4.0, FOLD_MIN_SPEEDUP, true),
             ],
         )
     }
@@ -474,6 +481,9 @@ mod tests {
             (hotpath, Digest("trials", "recycled")),
             (hotpath, Gate("trials.speedup", 1.4)),
             (hotpath_full, Gate("trials.speedup", 3.0)),
+            (hotpath, Drop("fold/oracle")),
+            (hotpath, Digest("fold", "tiled")),
+            (hotpath, Gate("fold.speedup", 0.9)),
             (campaign, Drop("")),
             (campaign, Value("campaign", "shards=4", f64::INFINITY)),
             (campaign, Value("campaign", "shards=8", -1.0)),

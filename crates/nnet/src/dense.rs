@@ -111,10 +111,9 @@ impl Dense {
         for g in self.grad.as_mut_slice() {
             *g *= scale;
         }
-        let mut flat = std::mem::replace(&mut self.grad, Mat::zeros(0, 0));
-        self.adam.step(self.w.as_mut_slice(), flat.as_mut_slice());
-        flat.fill_zero();
-        self.grad = flat;
+        self.adam
+            .step(self.w.as_mut_slice(), self.grad.as_mut_slice());
+        self.grad.fill_zero();
     }
 }
 

@@ -41,6 +41,12 @@ pub struct Lstm {
 /// * `gates`: per step `4·hidden × lanes` post-nonlinearity `[i, f, g,
 ///   o]` rows; BPTT overwrites each step with its gate deltas.
 ///
+/// After the delta pass, `cs` and `tc` are dead, so the gradient fold
+/// ([`Mat::outer_acc_bias_group`]) packs into them: `cs` takes every
+/// (lane, step) pair's inputs (18 floats per pair at the website shape,
+/// against 16 of cell state) and `tc` one 8-row tile of its deltas.
+/// Nothing reads either before the next forward pass writes it.
+///
 /// A lane past its own length is padding: the gate step skips it, BPTT
 /// writes exact zero deltas there, and the gradient fold never reads
 /// them, so padding does not reach any result.
@@ -364,7 +370,9 @@ impl Lstm {
     /// `dh` is the loss gradient w.r.t. each step's hidden output, laid
     /// out like the trace (`steps × hidden × lanes`, feature-major per
     /// step; entries past a lane's length are ignored). The trace's gates
-    /// are overwritten with the gate deltas.
+    /// are overwritten with the gate deltas and its cell states with the
+    /// fold's packing, so a trace backpropagates once; its hidden states
+    /// stay readable.
     ///
     /// Bit-identical to backpropagating each lane alone, in lane order:
     /// the delta pass keeps each lane's scalar operation order, and the
@@ -452,16 +460,13 @@ impl Lstm {
             self.w.matvec_t_acc_soa(dpre, lanes, n, dh_next);
         }
         // The ordered gradient fold: lane ascending, step descending.
-        for (l, &len) in trace.lens.iter().enumerate() {
-            for t in (0..len).rev() {
-                self.grad.outer_acc_bias_lane(
-                    &trace.gates[t * 4 * cell..(t + 1) * 4 * cell],
-                    &trace.xh[t * block..(t + 1) * block],
-                    lanes,
-                    l,
-                );
-            }
-        }
+        self.grad.outer_acc_bias_group(
+            &trace.gates[..steps * 4 * cell],
+            &trace.xh[..steps * block],
+            &trace.lens,
+            &mut trace.cs,
+            &mut trace.tc,
+        );
     }
 
     /// Applies accumulated gradients (scaled by `1/batch`) with Adam and
@@ -471,11 +476,9 @@ impl Lstm {
         for g in self.grad.as_mut_slice() {
             *g *= scale;
         }
-        let grads = std::mem::replace(&mut self.grad, Mat::zeros(0, 0));
-        let mut flat = grads;
-        self.adam.step(self.w.as_mut_slice(), flat.as_mut_slice());
-        flat.fill_zero();
-        self.grad = flat;
+        self.adam
+            .step(self.w.as_mut_slice(), self.grad.as_mut_slice());
+        self.grad.fill_zero();
     }
 }
 

@@ -374,50 +374,214 @@ impl Mat {
         }
     }
 
-    /// Folds one lane's rank-1 gradient into `self`: `self += g_l ⊗ [x_l,
-    /// 1]`, where `g` is row-major by lane (`rows × lanes`) and `x` is
-    /// feature-major (`(cols - 1) × lanes`).
+    /// Folds a whole traced lane group's rank-1 gradients into `self`:
+    /// `self += g_(l,t) ⊗ [x_(l,t), 1]` for every lane `l` ascending and,
+    /// within a lane, every step `t < lens[l]` descending. Step `t`'s
+    /// deltas are `g[t * rows * lanes..]`, row-major by lane (`rows ×
+    /// lanes`), and its inputs `x[t * (cols - 1) * lanes..]`,
+    /// feature-major (`(cols - 1) × lanes`), with `lanes = lens.len()`.
     ///
-    /// Bit-identical to `outer_acc_bias(g_l, x_l, 1.0)` on the lane's
-    /// gathered vectors, zero-row skip included: every element receives
-    /// the same single add. Calling it lane by lane in a fixed order
-    /// therefore reproduces the scalar per-example accumulation order.
-    /// The lane's inputs are gathered in chunks of 64 so the inner loop
-    /// runs over contiguous memory.
+    /// Bit-identical to calling `outer_acc_bias(g_l, x_l, 1.0)` on each
+    /// (lane, step) pair's gathered vectors in that order: every element
+    /// receives the same sequence of rounded adds, and a zero delta
+    /// (`0.0` or `-0.0`) skips its row of the pair, while a NaN delta
+    /// does not. The kernel holds a tile of `self` in registers across
+    /// all of the group's pairs, 8 rows by up to 9 input columns, and
+    /// writes each element back once. The last column tile also holds the
+    /// bias column, whose input is `1.0`: it adds `g` alone, since `acc +
+    /// g·1.0 == acc + g` bit for bit. Two scratch buffers, whose contents
+    /// are overwritten, hold the packing: `inputs` every pair's inputs,
+    /// nine per column tile (`pairs × 9·⌈(cols - 1) / 9⌉` floats, at
+    /// least one tile), and `deltas` one 8-row tile of every pair's
+    /// deltas (`pairs × 8` floats).
     ///
     /// # Panics
     ///
-    /// Panics on dimension mismatch or `lane >= lanes`.
-    pub fn outer_acc_bias_lane(&mut self, g: &[f32], x: &[f32], lanes: usize, lane: usize) {
-        const CHUNK: usize = 64;
-        assert!(lane < lanes, "outer_lane lane out of range");
-        assert_eq!(g.len(), self.rows * lanes, "outer_lane rows");
-        assert_eq!(x.len() + lanes, self.cols * lanes, "outer_lane cols");
-        let cols = self.cols;
+    /// Panics on dimension mismatch or a matrix without a bias column.
+    pub fn outer_acc_bias_group(
+        &mut self,
+        g: &[f32],
+        x: &[f32],
+        lens: &[usize],
+        inputs: &mut Vec<f32>,
+        deltas: &mut Vec<f32>,
+    ) {
+        assert!(self.cols > 0, "outer_group needs a bias column");
+        let (rows, cols, lanes) = (self.rows, self.cols, lens.len());
         let feat = cols - 1;
-        let mut buf = [0.0f32; CHUNK];
-        let mut c0 = 0;
-        while c0 < feat {
-            let k = (feat - c0).min(CHUNK);
-            for (i, b) in buf[..k].iter_mut().enumerate() {
-                *b = x[(c0 + i) * lanes + lane];
-            }
-            for (r, row) in self.data.chunks_exact_mut(cols).enumerate() {
-                let gr = g[r * lanes + lane];
-                if gr == 0.0 {
-                    continue;
-                }
-                for (wi, xi) in row[c0..c0 + k].iter_mut().zip(&buf[..k]) {
-                    *wi += gr * xi;
-                }
-            }
-            c0 += k;
+        let steps = lens.iter().copied().max().unwrap_or(0);
+        assert!(g.len() >= steps * rows * lanes, "outer_group rows");
+        assert!(x.len() >= steps * feat * lanes, "outer_group cols");
+        let pairs: usize = lens.iter().sum();
+        // Column tiles of up to nine inputs; the last also folds the bias.
+        let tiles = feat.div_ceil(FOLD_COLS).max(1);
+        inputs.clear();
+        inputs.resize(pairs * tiles * FOLD_COLS, 0.0);
+        deltas.clear();
+        deltas.resize(pairs * FOLD_ROWS, 0.0);
+        // Inputs go tile by tile, nine per pair, so that one tile's pass
+        // reads only its own.
+        for (k, xt) in inputs.chunks_exact_mut(pairs * FOLD_COLS).enumerate() {
+            let c0 = k * FOLD_COLS;
+            let width = (feat - c0).min(FOLD_COLS);
+            pack_pairs::<FOLD_COLS>(x, feat * lanes, c0 * lanes, width, lens, xt);
         }
-        for (r, row) in self.data.chunks_exact_mut(cols).enumerate() {
-            let gr = g[r * lanes + lane];
-            if gr != 0.0 {
-                row[feat] += gr;
+        for r0 in (0..rows).step_by(FOLD_ROWS) {
+            let height = (rows - r0).min(FOLD_ROWS);
+            pack_pairs::<FOLD_ROWS>(g, rows * lanes, r0 * lanes, height, lens, deltas);
+            for (k, xt) in inputs.chunks_exact(pairs * FOLD_COLS).enumerate() {
+                if k + 1 < tiles {
+                    self.fold_tile::<false>(r0, height, k * FOLD_COLS, deltas, xt);
+                } else {
+                    self.fold_tile::<true>(r0, height, k * FOLD_COLS, deltas, xt);
+                }
             }
+        }
+    }
+
+    /// One register tile of [`Mat::outer_acc_bias_group`], folded over
+    /// every packed pair: `height` rows from `r0` by the input columns
+    /// `c0..c0 + 9` (clipped to the inputs), plus the bias column when
+    /// `BIAS`. `gp` holds eight deltas per pair and `xt` the tile's nine
+    /// inputs per pair, zero past the last input.
+    ///
+    /// Out of line: inlined into a larger caller, the pair loop lost its
+    /// register accumulators and ran several times slower.
+    #[inline(never)]
+    fn fold_tile<const BIAS: bool>(
+        &mut self,
+        r0: usize,
+        height: usize,
+        c0: usize,
+        gp: &[f32],
+        xt: &[f32],
+    ) {
+        let cols = self.cols;
+        let width = (cols - 1 - c0).min(FOLD_COLS);
+        // The tile goes through memory only here and at the store below,
+        // so the pair loop keeps its accumulators in registers.
+        let mut tile = [[0.0f32; FOLD_ROWS]; FOLD_COLS];
+        let mut bias = [0.0f32; FOLD_ROWS];
+        for i in 0..height {
+            let row = &self.data[(r0 + i) * cols..][..cols];
+            for (a, &w) in tile.iter_mut().zip(&row[c0..c0 + width]) {
+                a[i] = w;
+            }
+            bias[i] = row[cols - 1];
+        }
+        let (mut acc, mut acc_bias) = (tile, bias);
+        for (gv, xv) in gp.chunks_exact(FOLD_ROWS).zip(xt.chunks_exact(FOLD_COLS)) {
+            let gv: &[f32; FOLD_ROWS] = gv.try_into().expect("delta tile");
+            let xv: &[f32; FOLD_COLS] = xv.try_into().expect("input tile");
+            // Branch-free, so the test is one vector compare.
+            let any_zero = gv.iter().fold(false, |z, &v| z | (v == 0.0));
+            if any_zero {
+                for (a, &xj) in acc.iter_mut().zip(xv) {
+                    for (ai, &gi) in a.iter_mut().zip(gv) {
+                        *ai = if gi == 0.0 { *ai } else { *ai + gi * xj };
+                    }
+                }
+                if BIAS {
+                    for (ai, &gi) in acc_bias.iter_mut().zip(gv) {
+                        *ai = if gi == 0.0 { *ai } else { *ai + gi };
+                    }
+                }
+            } else {
+                for (a, &xj) in acc.iter_mut().zip(xv) {
+                    for (ai, &gi) in a.iter_mut().zip(gv) {
+                        *ai += gi * xj;
+                    }
+                }
+                if BIAS {
+                    for (ai, &gi) in acc_bias.iter_mut().zip(gv) {
+                        *ai += gi;
+                    }
+                }
+            }
+        }
+        (tile, bias) = (acc, acc_bias);
+        for i in 0..height {
+            let row = &mut self.data[(r0 + i) * cols..][..cols];
+            for (w, a) in row[c0..c0 + width].iter_mut().zip(&tile) {
+                *w = a[i];
+            }
+            if BIAS {
+                row[cols - 1] = bias[i];
+            }
+        }
+    }
+}
+
+/// Rows of one register tile of [`Mat::outer_acc_bias_group`]: one AVX
+/// register of `f32`s.
+const FOLD_ROWS: usize = 8;
+
+/// Input columns of one register tile of [`Mat::outer_acc_bias_group`]:
+/// nine row-vector accumulators and the bias's leave registers for the
+/// deltas and the broadcast input.
+const FOLD_COLS: usize = 9;
+
+/// Packs one tile of every (lane, step) pair for
+/// [`Mat::outer_acc_bias_group`]. Step `t`'s tile is the `k × lanes`
+/// block at `src[t * step + start..]`, row-major by lane (`k <= W`);
+/// lane `l`'s column goes to `out[W * p..][..k]`, where `p` is the pair
+/// of (lane `l`, step `t`). Pair `first + len - 1 - t` is step `t` of
+/// the lane whose pairs start at `first`: lanes ascending, steps
+/// descending.
+fn pack_pairs<const W: usize>(
+    src: &[f32],
+    step: usize,
+    start: usize,
+    k: usize,
+    lens: &[usize],
+    out: &mut [f32],
+) {
+    let lanes = lens.len();
+    if k == W && lanes == LANE_BLOCK {
+        pack_pairs8::<W>(src, step, start, lens, out);
+        return;
+    }
+    let steps = lens.iter().copied().max().unwrap_or(0);
+    for t in 0..steps {
+        let block = &src[t * step + start..][..k * lanes];
+        let mut first = 0;
+        for (l, &len) in lens.iter().enumerate() {
+            if t < len {
+                let tile = &mut out[(first + len - 1 - t) * W..][..k];
+                for (v, row) in tile.iter_mut().zip(block.chunks_exact(lanes)) {
+                    *v = row[l];
+                }
+            }
+            first += len;
+        }
+    }
+}
+
+/// [`pack_pairs`] for full tiles of an eight-lane group, whose every
+/// step is one contiguous `W × 8` block of constant size: the copy
+/// compiles without per-element bounds checks.
+#[inline(never)]
+fn pack_pairs8<const W: usize>(
+    src: &[f32],
+    step: usize,
+    start: usize,
+    lens: &[usize],
+    out: &mut [f32],
+) {
+    const B: usize = LANE_BLOCK;
+    let steps = lens.iter().copied().max().unwrap_or(0);
+    for t in 0..steps {
+        let block = &src[t * step + start..][..W * B];
+        let mut first = 0;
+        for (l, &len) in lens.iter().enumerate().take(B) {
+            if t < len {
+                let p = first + len - 1 - t;
+                let tile: &mut [f32; W] = (&mut out[p * W..][..W]).try_into().expect("pair tile");
+                for (i, v) in tile.iter_mut().enumerate() {
+                    *v = block[i * B + l];
+                }
+            }
+            first += len;
         }
     }
 }
@@ -667,25 +831,65 @@ mod tests {
         }
     }
 
-    /// Folding lanes one by one, in order, leaves the gradient bit for
-    /// bit where the scalar `outer_acc_bias` on each lane's gathered
-    /// vectors leaves it — zero-row skip included, and across the
-    /// 64-column gather chunks.
+    /// The whole-group fold leaves the gradient bit for bit where the
+    /// scalar `outer_acc_bias(g_l, x_l, 1.0)` leaves it, applied lane
+    /// ascending and step descending on each pair's gathered vectors.
+    /// Shapes cover partial row tiles (12 and 20 rows), one to five
+    /// column tiles, the dnnsteal tagger (48 rows, one lane) and the
+    /// website model (64 × 19); lane counts run over every SoA width
+    /// with ragged lengths down to 1. Zero deltas of both signs meet
+    /// infinite and NaN inputs (a dropped skip turns the cell NaN), and
+    /// NaN deltas, which are not skipped, meet finite inputs.
     #[test]
-    fn lane_fold_matches_scalar_outer_acc_bias() {
+    fn group_fold_matches_scalar_outer_acc_bias_per_pair() {
         let mut rng = SmallRng::seed_from_u64(13);
-        for (rows, cols) in [(1, 2), (5, 9), (64, 19), (8, 40), (3, 140)] {
-            for lanes in WIDTHS {
-                let g = soa(rows, lanes, true);
-                let x = soa(cols - 1, lanes, false);
+        let bits = |m: &Mat| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let (mut inputs, mut deltas) = (Vec::new(), Vec::new());
+        for (rows, cols) in [(12, 9), (20, 7), (48, 14), (64, 19), (1, 2), (8, 40)] {
+            let feat = cols - 1;
+            for lanes in [1, 4, 5, 8, 13, 17, 64] {
+                let lens: Vec<usize> = (0..lanes).map(|l| [11, 1, 7, 3, 5][l % 5]).collect();
+                let steps = lens.iter().copied().max().unwrap_or(0);
+                let mut g = soa(rows, lanes * steps, true);
+                let mut x = soa(feat, lanes * steps, false);
+                // Per step: deltas rows × lanes, inputs feat × lanes.
+                let (gs, xs) = (rows * lanes, feat * lanes);
+                for t in 0..steps {
+                    for l in 0..lanes {
+                        let at = |r: usize| t * gs + r * lanes + l;
+                        match (t + l) % 7 {
+                            // Every delta of the pair is a signed zero
+                            // and its inputs are ±∞ and NaN.
+                            3 => {
+                                for r in 0..rows {
+                                    g[at(r)] = if r % 2 == 0 { 0.0 } else { -0.0 };
+                                }
+                                for f in 0..feat {
+                                    x[t * xs + f * lanes + l] =
+                                        [f32::INFINITY, f32::NEG_INFINITY, f32::NAN][f % 3];
+                                }
+                            }
+                            // NaN deltas beside finite inputs.
+                            5 => g[at(t % rows)] = f32::NAN,
+                            _ => {}
+                        }
+                    }
+                }
                 let mut fold = Mat::xavier(rows, cols, &mut rng);
                 let mut scalar = fold.clone();
-                for l in 0..lanes {
-                    fold.outer_acc_bias_lane(&g, &x, lanes, l);
-                    scalar.outer_acc_bias(&lane(&g, lanes, l), &lane(&x, lanes, l), 1.0);
+                fold.outer_acc_bias_group(&g, &x, &lens, &mut inputs, &mut deltas);
+                for (l, &len) in lens.iter().enumerate() {
+                    for t in (0..len).rev() {
+                        let g_l = lane(&g[t * gs..(t + 1) * gs], lanes, l);
+                        let x_l = lane(&x[t * xs..(t + 1) * xs], lanes, l);
+                        scalar.outer_acc_bias(&g_l, &x_l, 1.0);
+                    }
                 }
-                let bits = |m: &Mat| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
                 assert_eq!(bits(&fold), bits(&scalar), "{rows}x{cols} at {lanes} lanes");
+                assert!(
+                    fold.as_slice().iter().any(|v| v.is_nan()),
+                    "{rows}x{cols} at {lanes} lanes: no NaN delta folded"
+                );
             }
         }
     }

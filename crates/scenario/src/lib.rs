@@ -402,7 +402,9 @@ pub fn run_geometry<S: Scenario>(
 /// How many consecutive trials one worker claims per queue operation:
 /// the batch a recycled lane amortizes machine construction over.
 fn trial_chunk(trials: usize, threads: usize) -> usize {
-    trials.div_ceil(threads.max(1) * 2).clamp(1, 32)
+    trials
+        .div_ceil(threads.max(1).saturating_mul(2))
+        .clamp(1, 32)
 }
 
 /// Runs `scenario` under `config` and `opts`: derives per-trial seeds,

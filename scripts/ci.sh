@@ -174,13 +174,26 @@ SEGSCOPE_BLESS=0 "$SEGSCOPE" serve-bench \
     --out target/serve.report.determinism.json >/dev/null
 cmp target/serve.report.determinism.json tests/golden/serve.report.json
 
-echo "==> paper harnesses (quick): every table/figure shape check"
+echo "==> paper harnesses (quick): every table/figure shape check + golden stdout"
 # Each harness prints one paper table or figure and asserts its shape
 # (orderings, ratios, crossovers); a failed assertion exits non-zero.
+# Their stdout holds simulated quantities only, identical at any
+# SEGSCOPE_THREADS, so each is pinned byte for byte in
+# tests/golden/bench/<harness>.txt.
+mkdir -p target/bench-golden
 for path in crates/bench/benches/{table,fig,ext}*.rs; do
     bench="$(basename "$path" .rs)"
     echo "--> $bench"
-    cargo bench -q --offline -p segscope-bench --bench "$bench" >/dev/null
+    out="target/bench-golden/$bench.txt"
+    cargo bench -q --offline -p segscope-bench --bench "$bench" > "$out"
+    if [[ "${SEGSCOPE_BLESS:-0}" == "1" ]]; then
+        cp "$out" "tests/golden/bench/$bench.txt"
+        echo "blessed tests/golden/bench/$bench.txt"
+    elif ! cmp -s "$out" "tests/golden/bench/$bench.txt"; then
+        echo "$bench stdout drifted from tests/golden/bench/$bench.txt;" >&2
+        echo "if intentional: SEGSCOPE_BLESS=1 scripts/ci.sh (or cp $out tests/golden/bench/)" >&2
+        exit 1
+    fi
 done
 
 echo "==> bench records (quick): BENCH_<bench>.json schema + validate()"

@@ -2,7 +2,7 @@
 //! index past the end of a recording, and a stdout that cannot be
 //! written. Each exits 1 with an error on stderr (naming the flag where
 //! one is at fault), never 0 with a degenerate result or 101 from a
-//! panic.
+//! panic. A worker count too large to double is no error: it runs.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -94,6 +94,20 @@ fn replay_refuses_an_event_past_the_recording() {
             "--from",
         );
     }
+}
+
+/// `--threads` at `usize::MAX` overflowed the trial-chunk arithmetic
+/// (exit 101 in a checked build). It runs like `--threads 1`: with one
+/// trial, at most one worker starts whatever the count.
+#[test]
+fn a_thread_count_past_any_trial_count_runs_like_one_thread() {
+    let run = |threads: &str| segscope(&["run", "kaslr", "--trials", "1", "--threads", threads]);
+    let huge = run(&usize::MAX.to_string());
+    let stderr = String::from_utf8_lossy(&huge.stderr);
+    assert_eq!(huge.status.code(), Some(0), "{stderr}");
+    let one = run("1");
+    assert!(one.status.success(), "--threads 1 failed");
+    assert_eq!(huge.stdout, one.stdout, "reports differ");
 }
 
 /// A stdout write error (here `/dev/full`'s ENOSPC) is reported and
