@@ -334,6 +334,11 @@ impl Scenario for KaslrScenario {
         (config.machine.clone(), ctx.seed)
     }
 
+    fn check_config(&self, config: &Self::Config) -> Result<(), String> {
+        crate::at_least_one("attack.slots", config.attack.slots)?;
+        crate::at_least_one("attack.c", config.attack.c)
+    }
+
     fn wire(&self, _config: &Self::Config, machine: &mut Machine, _ctx: &TrialCtx) {
         let layout = KaslrLayout::randomize(machine.rng_mut());
         machine.set_kaslr(layout);

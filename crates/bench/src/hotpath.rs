@@ -246,7 +246,6 @@ pub fn measure_fold(record: &mut BenchRecord, groups: usize, repeats: usize) {
     let (rows, cols, lanes, steps) = FOLD_SHAPE;
     let (g, x) = fold_group_data(rows, cols, lanes, steps);
     let feat = cols - 1;
-    let lens = vec![steps; lanes];
     let pairs: Vec<(Vec<f32>, Vec<f32>)> = (0..lanes)
         .flat_map(|l| (0..steps).rev().map(move |t| (l, t)))
         .map(|(l, t)| {
@@ -269,7 +268,7 @@ pub fn measure_fold(record: &mut BenchRecord, groups: usize, repeats: usize) {
     let (tiled_s, tiled) = best_of(repeats, || {
         let mut grad = Mat::zeros(rows, cols);
         for _ in 0..groups {
-            grad.outer_acc_bias_group(&g, &x, &lens, &mut inputs, &mut deltas);
+            grad.outer_acc_bias_group(&g, &x, lanes, &mut inputs, &mut deltas);
         }
         mat_hash(&grad)
     });

@@ -153,6 +153,18 @@ impl HandlerCostModel {
         self
     }
 
+    /// Every kind's parameters with its field name, in field order.
+    #[must_use]
+    pub fn named_params(&self) -> [(&'static str, &HandlerCostParams); 5] {
+        [
+            ("timer", &self.timer),
+            ("resched", &self.resched),
+            ("perfmon", &self.perfmon),
+            ("device", &self.device),
+            ("other", &self.other),
+        ]
+    }
+
     /// Draws the cost of one handler invocation.
     pub fn sample<R: Rng + ?Sized>(&self, kind: InterruptKind, rng: &mut R) -> Ps {
         self.params(kind).sample(rng)

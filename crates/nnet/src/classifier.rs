@@ -10,16 +10,18 @@ use crate::optim::AdamConfig;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-/// Lane-group width of [`SeqTagger`] training: one lane. A group's
-/// arena grows with its longest sequence times its width, and tagged
-/// traces are ragged and run several times longer than classifier
-/// sequences. On the paper grid's dnnsteal cells (12 hidden units,
-/// ~40–180 steps; 2-thread Xeon) groups of 4 or 8 trained no faster
-/// than one lane — the padded steps and a trace that outgrows the cache
-/// eat the matvec saving — while groups of 4 raised the grid sweep's
-/// peak RSS by about 6%. So the tagger runs the one-lane case of the
-/// same lane code.
-const TAGGER_LANES: usize = 1;
+/// Splits `examples` into lane groups: runs of at most `width`
+/// consecutive examples whose sequences (of length `len`) have one
+/// length, in order.
+fn lane_groups<T>(
+    examples: &[T],
+    width: usize,
+    len: impl Fn(&T) -> usize,
+) -> impl Iterator<Item = &[T]> {
+    examples
+        .chunk_by(move |a, b| len(a) == len(b))
+        .flat_map(move |run| run.chunks(width))
+}
 
 /// A labeled sequence for many-to-one classification.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -100,9 +102,10 @@ impl SeqClassifier {
     /// application every `batch` examples (`batch == 0`: once, after the
     /// whole epoch). Returns the mean loss.
     ///
-    /// Each minibatch trains as lane groups of eight (see
-    /// [`Lstm::forward_lanes`]); the weights and Adam state come out bit
-    /// for bit as if every example were trained alone, in order.
+    /// Each minibatch trains as lane groups of up to eight consecutive
+    /// examples of one length (see [`Lstm::forward_lanes`]); the weights
+    /// and Adam state come out bit for bit as if every example were
+    /// trained alone, in order.
     ///
     /// # Panics
     ///
@@ -111,7 +114,7 @@ impl SeqClassifier {
         self.train_epoch_grouped(examples, batch, LANE_BLOCK)
     }
 
-    /// [`SeqClassifier::train_epoch`] with lane groups of `group`
+    /// [`SeqClassifier::train_epoch`] with lane groups of up to `group`
     /// examples (`group == 1` is per-example training).
     fn train_epoch_grouped(&mut self, examples: &[SeqExample], batch: usize, group: usize) -> f32 {
         let hidden = self.lstm.hidden_dim();
@@ -126,7 +129,7 @@ impl SeqClassifier {
         let mut dh_last = vec![0.0f32; hidden * group];
         let size = if batch == 0 { examples.len() } else { batch };
         for minibatch in examples.chunks(size.max(1)) {
-            for lanes in minibatch.chunks(group) {
+            for lanes in lane_groups(minibatch, group, |ex| ex.xs.len()) {
                 seqs.clear();
                 seqs.extend(lanes.iter().map(|ex| ex.xs.as_slice()));
                 self.lstm.forward_lanes(&seqs, &mut trace);
@@ -152,14 +155,14 @@ impl SeqClassifier {
     }
 
     /// Calls `visit(example, logits)` for every example in order, running
-    /// the LSTM over lane groups of eight (bit-identical per example to
-    /// [`SeqClassifier::logits`]).
+    /// the LSTM over lane groups of up to eight examples of one length
+    /// (bit-identical per example to [`SeqClassifier::logits`]).
     fn visit_logits(&self, examples: &[SeqExample], mut visit: impl FnMut(&SeqExample, &[f32])) {
         let mut trace = LstmTrace::default();
         let mut seqs: Vec<&[Vec<f32>]> = Vec::with_capacity(LANE_BLOCK);
         let mut h_last = vec![0.0f32; self.lstm.hidden_dim()];
         let mut logits = vec![0.0f32; self.head.output_dim()];
-        for lanes in examples.chunks(LANE_BLOCK) {
+        for lanes in lane_groups(examples, LANE_BLOCK, |ex| ex.xs.len()) {
             seqs.clear();
             seqs.extend(lanes.iter().map(|ex| ex.xs.as_slice()));
             self.lstm.forward_lanes(&seqs, &mut trace);
@@ -253,10 +256,10 @@ impl SeqTagger {
     /// examples (`batch == 0`: once, after the whole epoch); returns the
     /// mean per-timestep loss.
     ///
-    /// Each minibatch trains through the lane code (see
-    /// [`BiLstm::forward_lanes`]) in one-lane groups; any group width,
-    /// ragged lengths included, leaves the weights and Adam state bit for
-    /// bit where per-example training leaves them.
+    /// Each minibatch trains as lane groups of up to eight consecutive
+    /// examples of one length (see [`BiLstm::forward_lanes`]); the
+    /// weights and Adam state come out bit for bit where per-example
+    /// training leaves them.
     ///
     /// The head's gradient divisor keeps a historical quirk: a full
     /// minibatch divides by `batch × len(its last example)`, but the
@@ -267,11 +270,11 @@ impl SeqTagger {
     ///
     /// Panics if an example's `tags` length differs from its `xs` length.
     pub fn train_epoch(&mut self, examples: &[TaggedExample], batch: usize) -> f32 {
-        self.train_epoch_grouped(examples, batch, TAGGER_LANES)
+        self.train_epoch_grouped(examples, batch, LANE_BLOCK)
     }
 
-    /// [`SeqTagger::train_epoch`] with lane groups of `group` examples
-    /// (`group == 1` is per-example training).
+    /// [`SeqTagger::train_epoch`] with lane groups of up to `group`
+    /// examples (`group == 1` is per-example training).
     fn train_epoch_grouped(
         &mut self,
         examples: &[TaggedExample],
@@ -292,7 +295,7 @@ impl SeqTagger {
         let (mut d_fwd, mut d_bwd) = (Vec::new(), Vec::new());
         let size = if batch == 0 { examples.len() } else { batch };
         for minibatch in examples.chunks(size.max(1)) {
-            for lanes in minibatch.chunks(group) {
+            for lanes in lane_groups(minibatch, group, |ex| ex.xs.len()) {
                 seqs.clear();
                 for ex in lanes {
                     assert_eq!(ex.xs.len(), ex.tags.len(), "tags must align with inputs");
@@ -573,7 +576,7 @@ mod tests {
             (8, 0xddec_54fb_c9b3_c671),
             (16, 0x0087_b0c0_8774_4e5f),
         ] {
-            let (model, _) = train_tagger(&tagged, batch, 2, TAGGER_LANES);
+            let (model, _) = train_tagger(&tagged, batch, 2, LANE_BLOCK);
             assert_eq!(state_digest(&model), want, "tagger batch {batch}");
         }
     }
@@ -603,6 +606,93 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Per-example lengths in runs of one length: 25 examples whose runs
+    /// (1, 3, 9, 2, 5, 1 and 4 long) split into lane groups of one to
+    /// five and of eight lanes.
+    fn run_lengths() -> Vec<usize> {
+        [(1, 4), (3, 6), (9, 3), (2, 6), (5, 5), (1, 2), (4, 7)]
+            .iter()
+            .flat_map(|&(run, len)| std::iter::repeat_n(len, run))
+            .collect()
+    }
+
+    #[test]
+    fn lane_groups_are_bounded_runs_of_one_length() {
+        let lengths = run_lengths();
+        let widths = |group: usize| -> Vec<usize> {
+            lane_groups(&lengths, group, |&len| len)
+                .map(<[usize]>::len)
+                .collect()
+        };
+        assert_eq!(widths(LANE_BLOCK), [1, 3, 8, 1, 2, 5, 1, 4]);
+        assert_eq!(widths(4), [1, 3, 4, 4, 1, 2, 4, 1, 1, 4]);
+        assert_eq!(widths(1), vec![1; lengths.len()]);
+        for group in lane_groups(&lengths, LANE_BLOCK, |&len| len) {
+            assert!(group.iter().all(|&len| len == group[0]));
+        }
+        assert_eq!(lane_groups(&[] as &[usize], 3, |&len| len).count(), 0);
+    }
+
+    /// On runs of equal-length sequences, where groups hold several
+    /// lanes, lane groups of up to 3, 4 and 8 train both models bit for
+    /// bit like per-example training, at every edge-case batch size, and
+    /// evaluate each example to its one-lane logits.
+    #[test]
+    fn multi_lane_groups_train_like_one_lane() {
+        let examples: Vec<SeqExample> = run_lengths()
+            .into_iter()
+            .enumerate()
+            .map(|(i, len)| SeqExample {
+                xs: (0..len)
+                    .map(|t| {
+                        vec![
+                            ((i * 13 + t * 5) as f32 * 0.37).sin(),
+                            (t as f32 * 0.4).cos(),
+                        ]
+                    })
+                    .collect(),
+                label: i % 3,
+            })
+            .collect();
+        let tagged: Vec<TaggedExample> = run_lengths()
+            .into_iter()
+            .enumerate()
+            .map(|(i, len)| TaggedExample {
+                xs: (0..len)
+                    .map(|t| vec![((i * 11 + t * 3) as f32 * 0.41).cos()])
+                    .collect(),
+                tags: (0..len).map(|t| (i + t / 3) % 3).collect(),
+            })
+            .collect();
+        for batch in [0, 1, 5, 8, 16] {
+            let one = format!("{:?}", train_classifier(&examples, (5, 3), batch, 2, 1));
+            let one_tagger = format!("{:?}", train_tagger(&tagged, batch, 2, 1));
+            for group in [3, 4, LANE_BLOCK] {
+                let lanes = train_classifier(&examples, (5, 3), batch, 2, group);
+                assert_eq!(
+                    format!("{lanes:?}"),
+                    one,
+                    "classifier batch {batch} group {group}"
+                );
+                let lanes = train_tagger(&tagged, batch, 2, group);
+                assert_eq!(
+                    format!("{lanes:?}"),
+                    one_tagger,
+                    "tagger batch {batch} group {group}"
+                );
+            }
+        }
+        // Evaluation's lane groups give each example its one-lane logits.
+        let (model, _) = train_classifier(&examples, (5, 3), 4, 2, LANE_BLOCK);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut seen = 0;
+        model.visit_logits(&examples, |ex, logits| {
+            assert_eq!(bits(logits), bits(&model.logits(&ex.xs)), "example {seen}");
+            seen += 1;
+        });
+        assert_eq!(seen, examples.len());
     }
 
     /// Pins the tagger's head-divisor quirk: a full minibatch divides the

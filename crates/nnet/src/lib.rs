@@ -17,14 +17,15 @@
 //! (SA)). Gradients are verified against finite differences in the test
 //! suite.
 //!
-//! Training runs each minibatch as feature-major lane groups (an
-//! [`LstmTrace`] holds one group; [`gate_step`] is the one cell step
-//! training, inference and `crates/serve` share). Every lane keeps the
-//! scalar operation order, and one register-tiled kernel
+//! Training runs each minibatch as feature-major lane groups: runs of
+//! up to eight consecutive examples of one length (an [`LstmTrace`]
+//! holds one group; [`gate_step`] is the one cell step training,
+//! inference and `crates/serve` share). Every lane keeps the scalar
+//! operation order, and one register-tiled kernel
 //! ([`Mat::outer_acc_bias_group`]) folds a group's gradients in
 //! per-example order, so the trained weights are bit-identical to
-//! training one example at a time. The gate step runs as whole-block passes eight elements at a
-//! time: its `tanh` is a branch-free port of glibc's `tanhf` and its
+//! training one example at a time. The gate step runs as whole-block
+//! passes eight elements at a time: its `tanh` is a branch-free port of glibc's `tanhf` and its
 //! `sigmoid` computes `1/(1 + expf(-x))` over a port of glibc's FMA
 //! `expf`, both returning the libm bits for every `f32` input (checked
 //! exhaustively by ignored tests). The `expf` port needs the x86-64-v3

@@ -29,9 +29,9 @@ pub struct Lstm {
 /// needs — plus the BPTT scratch. Reusing one trace across minibatches
 /// makes it the trainer's arena: buffers only grow to the longest group.
 ///
-/// A group is `lanes` sequences (ragged lengths allowed) laid out
-/// feature-major (SoA), so element `(feature f, lane l)` of a per-step
-/// block sits at `f * lanes + l`:
+/// A group is `lanes` sequences of one length laid out feature-major
+/// (SoA), so element `(feature f, lane l)` of a per-step block sits at
+/// `f * lanes + l`:
 ///
 /// * `xh`: `steps + 1` blocks of `(input + hidden) × lanes`; block `t` is
 ///   `[x_t, h_t]` — exactly step `t`'s matvec input — and step `t`
@@ -46,23 +46,17 @@ pub struct Lstm {
 /// (lane, step) pair's inputs (18 floats per pair at the website shape,
 /// against 16 of cell state) and `tc` one 8-row tile of its deltas.
 /// Nothing reads either before the next forward pass writes it.
-///
-/// A lane past its own length is padding: the gate step skips it, BPTT
-/// writes exact zero deltas there, and the gradient fold never reads
-/// them, so padding does not reach any result.
 #[derive(Debug, Clone, Default)]
 pub struct LstmTrace {
     input: usize,
     hidden: usize,
     lanes: usize,
     steps: usize,
-    lens: Vec<usize>,
     xh: Vec<f32>,
     cs: Vec<f32>,
     tc: Vec<f32>,
     gates: Vec<f32>,
-    // Step scratch: which lanes are live, and BPTT's recurrent deltas.
-    live: Vec<bool>,
+    // BPTT's recurrent deltas.
     dh_next: Vec<f32>,
     dc_next: Vec<f32>,
 }
@@ -98,7 +92,7 @@ impl LstmTrace {
         }
     }
 
-    /// Number of timesteps traced (the longest lane's length).
+    /// Number of timesteps traced (every lane's length).
     #[must_use]
     pub fn len(&self) -> usize {
         self.steps
@@ -114,79 +108,44 @@ impl LstmTrace {
 /// One LSTM cell step over SoA lanes, shared by training, batch inference
 /// and the streaming server (`crates/serve`).
 ///
-/// `c`, `tc` and `h` are feature-major `hidden × lanes` blocks with
-/// `lanes = live.len()`; `gates` stacks four such blocks, the `[i, f, g,
-/// o]` pre-activations, and receives the activations. `c` holds the
-/// previous cell state on entry and the new one on exit; `tc` receives
-/// `tanh(c)` and `h` the new hidden state. Every live lane runs
-/// `sigmoid`/`tanh` per gate, `f·c + i·g` into the cell and `o·tanh(c)`
-/// into the hidden state — one fixed operation order, so a lane's state
-/// does not depend on how many lanes run. Lanes with `live[l] == false`
-/// (past the end of a ragged sequence) are left untouched.
+/// `c`, `tc` and `h` are feature-major `hidden × lanes` blocks; `gates`
+/// stacks four such blocks, the `[i, f, g, o]` pre-activations, and
+/// receives the activations. `c` holds the previous cell state on entry
+/// and the new one on exit; `tc` receives `tanh(c)` and `h` the new
+/// hidden state. Every lane runs `sigmoid`/`tanh` per gate, `f·c + i·g`
+/// into the cell and `o·tanh(c)` into the hidden state — one fixed
+/// operation order per element, so a lane's state does not depend on
+/// how many lanes run.
 ///
 /// The step runs as passes over whole blocks, eight elements at a time:
 /// `sigmoid` over the `i`, `f` and `o` blocks, `tanh` over `g`, the cell
 /// update, then `tanh(c)` and the hidden state. `tanh` is a branch-free
 /// port of glibc's `tanhf` and `sigmoid` computes `1/(1 + expf(-x))`
 /// over a port of glibc's FMA `expf`; both return the libm bits for
-/// every input. With idle lanes, each pass walks the blocks row by row
-/// so that row element `l` is lane `l`, and keeps idle lanes' values.
+/// every input.
 ///
 /// # Panics
 ///
 /// Panics on length mismatch.
-pub fn gate_step(gates: &mut [f32], c: &mut [f32], tc: &mut [f32], h: &mut [f32], live: &[bool]) {
-    let (n, lanes) = (c.len(), live.len());
-    assert!(lanes > 0 && n % lanes == 0, "cell length");
+pub fn gate_step(gates: &mut [f32], c: &mut [f32], tc: &mut [f32], h: &mut [f32]) {
+    let n = c.len();
     assert_eq!(gates.len(), 4 * n, "gate rows");
     assert_eq!(tc.len(), n, "tanh(c) length");
     assert_eq!(h.len(), n, "hidden length");
     let (gi, rest) = gates.split_at_mut(n);
     let (gf, rest) = rest.split_at_mut(n);
     let (gg, go) = rest.split_at_mut(n);
-    if live.iter().all(|&on| on) {
-        map8(gi, sigmoid8);
-        map8(gf, sigmoid8);
-        map8(gg, tanh8);
-        map8(go, sigmoid8);
-        for (((c, &f), &i), &g) in c.iter_mut().zip(&*gf).zip(&*gi).zip(&*gg) {
-            *c = f * *c + i * g;
-        }
-        tc.copy_from_slice(c);
-        map8(tc, tanh8);
-        for ((h, &o), &t) in h.iter_mut().zip(&*go).zip(&*tc) {
-            *h = o * t;
-        }
-        return;
+    map8(gi, sigmoid8);
+    map8(gf, sigmoid8);
+    map8(gg, tanh8);
+    map8(go, sigmoid8);
+    for (((c, &f), &i), &g) in c.iter_mut().zip(&*gf).zip(&*gi).zip(&*gg) {
+        *c = f * *c + i * g;
     }
-    map8_live(gi, live, sigmoid8);
-    map8_live(gf, live, sigmoid8);
-    map8_live(gg, live, tanh8);
-    map8_live(go, live, sigmoid8);
-    let cells = c
-        .chunks_mut(lanes)
-        .zip(tc.chunks_mut(lanes))
-        .zip(h.chunks_mut(lanes));
-    let gates = gf
-        .chunks(lanes)
-        .zip(gi.chunks(lanes))
-        .zip(gg.chunks(lanes).zip(go.chunks(lanes)));
-    for (((c, tc), h), ((f, i), (g, o))) in cells.zip(gates) {
-        for (l, &on) in live.iter().enumerate() {
-            c[l] = if on { f[l] * c[l] + i[l] * g[l] } else { c[l] };
-        }
-        let chunks = c
-            .chunks(LANES)
-            .zip(tc.chunks_mut(LANES))
-            .zip(h.chunks_mut(LANES));
-        for ((((c, tc), h), o), on) in chunks.zip(o.chunks(LANES)).zip(live.chunks(LANES)) {
-            let mut v = load8(c);
-            tanh8(&mut v);
-            for (e, &on) in on.iter().enumerate() {
-                tc[e] = if on { v[e] } else { tc[e] };
-                h[e] = if on { o[e] * v[e] } else { h[e] };
-            }
-        }
+    tc.copy_from_slice(c);
+    map8(tc, tanh8);
+    for ((h, &o), &t) in h.iter_mut().zip(&*go).zip(&*tc) {
+        *h = o * t;
     }
 }
 
@@ -199,35 +158,11 @@ fn map8(xs: &mut [f32], kernel: impl Fn(&mut [f32; LANES])) {
     }
     let rest = chunks.into_remainder();
     if !rest.is_empty() {
-        let mut v = load8(rest);
+        let mut v = [0.0f32; LANES];
+        v[..rest.len()].copy_from_slice(rest);
         kernel(&mut v);
         rest.copy_from_slice(&v[..rest.len()]);
     }
-}
-
-/// [`map8`] over a feature-major block with lanes `live.len()`, row by
-/// row so that row element `l` is lane `l`, keeping idle lanes' values.
-#[inline(always)]
-fn map8_live(xs: &mut [f32], live: &[bool], kernel: impl Fn(&mut [f32; LANES])) {
-    for row in xs.chunks_mut(live.len()) {
-        for (chunk, on) in row.chunks_mut(LANES).zip(live.chunks(LANES)) {
-            let mut v = load8(chunk);
-            kernel(&mut v);
-            for ((x, v), &on) in chunk.iter_mut().zip(v).zip(on) {
-                *x = if on { v } else { *x };
-            }
-        }
-    }
-}
-
-/// `xs` (at most `LANES` elements) padded with zeros to `LANES`.
-#[inline(always)]
-fn load8(xs: &[f32]) -> [f32; LANES] {
-    xs.try_into().unwrap_or_else(|_| {
-        let mut v = [0.0f32; LANES];
-        v[..xs.len()].copy_from_slice(xs);
-        v
-    })
 }
 
 /// Where [`Lstm::backward_impl`] reads each step's hidden-output
@@ -236,7 +171,7 @@ fn load8(xs: &[f32]) -> [f32; LANES] {
 enum DhSrc<'a> {
     /// `steps × hidden × lanes`, laid out like the trace.
     Steps(&'a [f32]),
-    /// `hidden × lanes`, applied at each lane's last step only.
+    /// `hidden × lanes`, applied at the last step only.
     Last(&'a [f32]),
 }
 
@@ -301,13 +236,14 @@ impl Lstm {
         trace
     }
 
-    /// Runs the layer over a group of sequences, one lane each, into
-    /// `trace` (reusing its buffers). Each lane's activations are
-    /// bit-identical to [`Lstm::forward`] on that sequence alone.
+    /// Runs the layer over a group of sequences of one length, one lane
+    /// each, into `trace` (reusing its buffers). Each lane's activations
+    /// are bit-identical to [`Lstm::forward`] on that sequence alone.
     ///
     /// # Panics
     ///
-    /// Panics if any input vector has the wrong dimensionality.
+    /// Panics if the sequences differ in length or any input vector has
+    /// the wrong dimensionality.
     pub fn forward_lanes(&self, seqs: &[&[Vec<f32>]], trace: &mut LstmTrace) {
         self.forward_group(seqs, false, trace);
     }
@@ -316,17 +252,19 @@ impl Lstm {
     /// sequence back to front (the reverse direction of [`BiLstm`]).
     fn forward_group(&self, seqs: &[&[Vec<f32>]], reverse: bool, trace: &mut LstmTrace) {
         let (n, h, lanes) = (self.input, self.hidden, seqs.len());
-        let steps = seqs.iter().map(|s| s.len()).max().unwrap_or(0);
+        let steps = seqs.first().map_or(0, |s| s.len());
+        assert!(
+            seqs.iter().all(|s| s.len() == steps),
+            "lane group of ragged lengths"
+        );
         let block = (n + h) * lanes;
         let cell = h * lanes;
         trace.input = n;
         trace.hidden = h;
         trace.lanes = lanes;
         trace.steps = steps;
-        trace.lens.clear();
-        trace.lens.extend(seqs.iter().map(|s| s.len()));
-        // Zero inputs past each lane's end, h_0 and c_0; every other
-        // element is written below before it is read.
+        // Zero h_0 and c_0; every other element that is read is written
+        // below first.
         trace.xh.clear();
         trace.xh.resize((steps + 1) * block, 0.0);
         trace.cs.resize((steps + 1) * cell, 0.0);
@@ -334,10 +272,9 @@ impl Lstm {
         trace.tc.resize(steps * cell, 0.0);
         trace.gates.resize(steps * 4 * cell, 0.0);
         for (l, seq) in seqs.iter().enumerate() {
-            let len = seq.len();
             for (t, x) in seq.iter().enumerate() {
                 assert_eq!(x.len(), n, "lstm input dimension");
-                let step = if reverse { len - 1 - t } else { t };
+                let step = if reverse { steps - 1 - t } else { t };
                 let xs = &mut trace.xh[step * block..step * block + n * lanes];
                 for (f, &v) in x.iter().enumerate() {
                     xs[f * lanes + l] = v;
@@ -352,14 +289,11 @@ impl Lstm {
             let (c_prev, c_new) = trace.cs.split_at_mut((t + 1) * cell);
             let c = &mut c_new[..cell];
             c.copy_from_slice(&c_prev[t * cell..]);
-            trace.live.clear();
-            trace.live.extend(trace.lens.iter().map(|&len| t < len));
             gate_step(
                 gates,
                 c,
                 &mut trace.tc[t * cell..(t + 1) * cell],
                 &mut next[n * lanes..block],
-                &trace.live,
             );
         }
     }
@@ -369,10 +303,9 @@ impl Lstm {
     ///
     /// `dh` is the loss gradient w.r.t. each step's hidden output, laid
     /// out like the trace (`steps × hidden × lanes`, feature-major per
-    /// step; entries past a lane's length are ignored). The trace's gates
-    /// are overwritten with the gate deltas and its cell states with the
-    /// fold's packing, so a trace backpropagates once; its hidden states
-    /// stay readable.
+    /// step). The trace's gates are overwritten with the gate deltas and
+    /// its cell states with the fold's packing, so a trace backpropagates
+    /// once; its hidden states stay readable.
     ///
     /// Bit-identical to backpropagating each lane alone, in lane order:
     /// the delta pass keeps each lane's scalar operation order, and the
@@ -424,37 +357,25 @@ impl Lstm {
             let (gi, rest) = dpre.split_at_mut(cell);
             let (gf, rest) = rest.split_at_mut(cell);
             let (gg, go) = rest.split_at_mut(cell);
-            for (l, &len) in trace.lens.iter().enumerate() {
-                for k in (l..cell).step_by(lanes) {
-                    if t >= len {
-                        // Past the lane's end: exact zeros, so its delta
-                        // pass starts from the state a one-lane run has.
-                        gi[k] = 0.0;
-                        gf[k] = 0.0;
-                        gg[k] = 0.0;
-                        go[k] = 0.0;
-                        dc_next[k] = 0.0;
-                        continue;
-                    }
-                    let dh_t = match src {
-                        DhSrc::Steps(d) => d[t * cell + k],
-                        DhSrc::Last(d) if t + 1 == len => d[k],
-                        DhSrc::Last(_) => 0.0,
-                    };
-                    let dh_total = dh_t + dh_next[k];
-                    let i_g = gi[k];
-                    let f_g = gf[k];
-                    let g_g = gg[k];
-                    let o_g = go[k];
-                    let tc = tcs[k];
-                    let dc = dh_total * o_g * (1.0 - tc * tc) + dc_next[k];
-                    // Gate pre-activation gradients, written over the gates.
-                    gi[k] = dc * g_g * i_g * (1.0 - i_g);
-                    gf[k] = dc * c_prev[k] * f_g * (1.0 - f_g);
-                    gg[k] = dc * i_g * (1.0 - g_g * g_g);
-                    go[k] = dh_total * tc * o_g * (1.0 - o_g);
-                    dc_next[k] = dc * f_g;
-                }
+            for k in 0..cell {
+                let dh_t = match src {
+                    DhSrc::Steps(d) => d[t * cell + k],
+                    DhSrc::Last(d) if t + 1 == steps => d[k],
+                    DhSrc::Last(_) => 0.0,
+                };
+                let dh_total = dh_t + dh_next[k];
+                let i_g = gi[k];
+                let f_g = gf[k];
+                let g_g = gg[k];
+                let o_g = go[k];
+                let tc = tcs[k];
+                let dc = dh_total * o_g * (1.0 - tc * tc) + dc_next[k];
+                // Gate pre-activation gradients, written over the gates.
+                gi[k] = dc * g_g * i_g * (1.0 - i_g);
+                gf[k] = dc * c_prev[k] * f_g * (1.0 - f_g);
+                gg[k] = dc * i_g * (1.0 - g_g * g_g);
+                go[k] = dh_total * tc * o_g * (1.0 - o_g);
+                dc_next[k] = dc * f_g;
             }
             dh_next.fill(0.0);
             self.w.matvec_t_acc_soa(dpre, lanes, n, dh_next);
@@ -463,7 +384,7 @@ impl Lstm {
         self.grad.outer_acc_bias_group(
             &trace.gates[..steps * 4 * cell],
             &trace.xh[..steps * block],
-            &trace.lens,
+            lanes,
             &mut trace.cs,
             &mut trace.tc,
         );
@@ -492,7 +413,7 @@ pub struct BiLstm {
 
 /// Cached activations of a bidirectional pass over a lane group: the
 /// forward direction's trace and the reverse direction's, whose step `s`
-/// of lane `l` saw input `len_l - 1 - s`.
+/// saw input `steps - 1 - s`.
 #[derive(Debug, Clone, Default)]
 pub struct BiLstmTrace {
     fwd: LstmTrace,
@@ -505,17 +426,17 @@ impl BiLstmTrace {
     ///
     /// # Panics
     ///
-    /// Panics if `out.len()` is not `2 × hidden` or `t` is past the
-    /// lane's length.
+    /// Panics if `out.len()` is not `2 × hidden` or `t` or `lane` is
+    /// out of range.
     pub fn output_into(&self, lane: usize, t: usize, out: &mut [f32]) {
-        let len = self.fwd.lens[lane];
-        assert!(t < len, "trace step out of range");
+        let steps = self.fwd.steps;
+        assert!(t < steps, "trace step out of range");
         let (f, b) = out.split_at_mut(self.fwd.hidden);
         self.fwd.hidden_lane(t, lane, f);
-        self.bwd.hidden_lane(len - 1 - t, lane, b);
+        self.bwd.hidden_lane(steps - 1 - t, lane, b);
     }
 
-    /// Number of timesteps (the longest lane's length).
+    /// Number of timesteps (every lane's length).
     #[must_use]
     pub fn len(&self) -> usize {
         self.fwd.len()
@@ -563,8 +484,13 @@ impl BiLstm {
         trace
     }
 
-    /// Runs both directions over a group of sequences, one lane each,
-    /// into `trace` (reusing its buffers).
+    /// Runs both directions over a group of sequences of one length, one
+    /// lane each, into `trace` (reusing its buffers).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the sequences differ in length or any input vector has
+    /// the wrong dimensionality.
     pub fn forward_lanes(&self, seqs: &[&[Vec<f32>]], trace: &mut BiLstmTrace) {
         self.fwd.forward_group(seqs, false, &mut trace.fwd);
         self.bwd.forward_group(seqs, true, &mut trace.bwd);
@@ -573,7 +499,7 @@ impl BiLstm {
     /// Backpropagates per-direction output gradients, each laid out like
     /// its direction's trace (see [`Lstm::backward`]): `d_fwd` at
     /// forward step `t` is the gradient of output `t`'s first half, and
-    /// `d_bwd` at reverse step `s` that of output `len - 1 - s`'s second
+    /// `d_bwd` at reverse step `s` that of output `steps - 1 - s`'s second
     /// half.
     ///
     /// # Panics
@@ -597,12 +523,12 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
-    /// [`gate_step`] at several widths with ragged live masks: each live
-    /// lane holds bit for bit what the scalar cell step with libm `tanh`
-    /// computes, and idle lanes' gates, cell, `tanh(c)` and hidden state
-    /// are untouched. Pre-activations span every `tanh` branch.
+    /// [`gate_step`] at several widths, with and without a partial chunk
+    /// of eight: each element holds bit for bit what the scalar cell step
+    /// with libm `tanh` computes. Pre-activations span every `tanh`
+    /// branch.
     #[test]
-    fn gate_step_matches_the_scalar_cell_step_and_skips_idle_lanes() {
+    fn gate_step_matches_the_scalar_cell_step() {
         let hidden = 5;
         let value = |k: usize, salt: usize| {
             let scale = [1e-9, 0.3, 2.0, 9.0, 30.0][(k + salt) % 5];
@@ -611,53 +537,22 @@ mod tests {
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for lanes in [1usize, 3, 4, 8, 17, 64] {
             let n = hidden * lanes;
-            let live: Vec<bool> = (0..lanes).map(|l| (l + lanes) % 3 != 0).collect();
             let gates0: Vec<f32> = (0..4 * n).map(|k| value(k, 1)).collect();
             let c0: Vec<f32> = (0..n).map(|k| value(k, 2)).collect();
             let (mut gates, mut c) = (gates0.clone(), c0.clone());
             let (mut tc, mut h) = (vec![-7.5f32; n], vec![7.5f32; n]);
-            gate_step(&mut gates, &mut c, &mut tc, &mut h, &live);
+            gate_step(&mut gates, &mut c, &mut tc, &mut h);
             for k in 0..n {
                 let at = [k, n + k, 2 * n + k, 3 * n + k];
                 let got = [at.map(|i| gates[i]).as_slice(), &[c[k], tc[k], h[k]]].concat();
-                let want = if live[k % lanes] {
-                    let i_g = sigmoid(gates0[at[0]]);
-                    let f_g = sigmoid(gates0[at[1]]);
-                    let g_g = gates0[at[2]].tanh();
-                    let o_g = sigmoid(gates0[at[3]]);
-                    let cv = f_g * c0[k] + i_g * g_g;
-                    let t = cv.tanh();
-                    vec![i_g, f_g, g_g, o_g, cv, t, o_g * t]
-                } else {
-                    [at.map(|i| gates0[i]).as_slice(), &[c0[k], -7.5, 7.5]].concat()
-                };
+                let i_g = sigmoid(gates0[at[0]]);
+                let f_g = sigmoid(gates0[at[1]]);
+                let g_g = gates0[at[2]].tanh();
+                let o_g = sigmoid(gates0[at[3]]);
+                let cv = f_g * c0[k] + i_g * g_g;
+                let t = cv.tanh();
+                let want = [i_g, f_g, g_g, o_g, cv, t, o_g * t];
                 assert_eq!(bits(&got), bits(&want), "width {lanes}, element {k}");
-            }
-        }
-    }
-
-    /// A lane gets the same bits from the all-live passes as from the
-    /// passes that skip idle lanes, at widths with and without a partial
-    /// chunk of eight.
-    #[test]
-    fn gate_step_gives_a_lane_the_same_bits_with_or_without_idle_lanes() {
-        let hidden = 3;
-        for lanes in [2usize, 8, 9, 64] {
-            let n = hidden * lanes;
-            let gates0: Vec<f32> = (0..4 * n).map(|k| (k as f32 * 0.377).sin() * 6.0).collect();
-            let c0: Vec<f32> = (0..n).map(|k| (k as f32 * 0.519).cos() * 3.0).collect();
-            let run = |live: &[bool]| {
-                let (mut gates, mut c) = (gates0.clone(), c0.clone());
-                let (mut tc, mut h) = (vec![0.0f32; n], vec![0.0f32; n]);
-                gate_step(&mut gates, &mut c, &mut tc, &mut h, live);
-                [gates, c, tc, h].map(|v| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>())
-            };
-            let all = run(&vec![true; lanes]);
-            let idle_first = run(&(0..lanes).map(|l| l != 0).collect::<Vec<_>>());
-            for (a, b) in all.iter().zip(&idle_first) {
-                for (k, (a, b)) in a.iter().zip(b).enumerate() {
-                    assert!(k % lanes == 0 || a == b, "width {lanes}, element {k}");
-                }
             }
         }
     }
@@ -732,18 +627,16 @@ mod tests {
         assert_eq!(&out[..3], bi.fwd.forward(&xs).hidden(0));
     }
 
-    /// Every lane of a ragged group (and of the reverse direction) holds
-    /// bit for bit the hidden states a one-lane pass over its sequence
-    /// computes.
+    /// Every lane of a nine-lane group (and of the reverse direction)
+    /// holds bit for bit the hidden states a one-lane pass over its
+    /// sequence computes.
     #[test]
     fn lane_forward_matches_one_lane_forward() {
         let mut rng = SmallRng::seed_from_u64(10);
         let bi = BiLstm::new(3, 5, &mut rng, AdamConfig::default());
-        let seqs: Vec<Vec<Vec<f32>>> = [4usize, 9, 1, 6, 9, 2, 7, 3, 5]
-            .iter()
-            .enumerate()
-            .map(|(i, &len)| {
-                (0..len)
+        let seqs: Vec<Vec<Vec<f32>>> = (0..9)
+            .map(|i| {
+                (0..7)
                     .map(|t| {
                         (0..3)
                             .map(|k| ((i * 17 + t * 3 + k) as f32 * 0.29).sin())
@@ -755,6 +648,7 @@ mod tests {
         let group: Vec<&[Vec<f32>]> = seqs.iter().map(Vec::as_slice).collect();
         let mut lanes = BiLstmTrace::default();
         bi.forward_lanes(&group, &mut lanes);
+        assert_eq!(lanes.len(), 7);
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let (mut got, mut want) = ([0.0f32; 10], [0.0f32; 10]);
         for (l, seq) in seqs.iter().enumerate() {
@@ -772,6 +666,15 @@ mod tests {
                 assert_eq!(bits(&got), bits(&want), "lane {l} output {t}");
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "ragged lengths")]
+    fn a_ragged_lane_group_panics() {
+        let mut rng = SmallRng::seed_from_u64(11);
+        let lstm = Lstm::new(1, 2, &mut rng, AdamConfig::default());
+        let (short, long) = (vec![vec![0.5f32]; 2], vec![vec![0.5f32]; 3]);
+        lstm.forward_lanes(&[&short, &long], &mut LstmTrace::default());
     }
 
     /// The optimized forward/backward must agree with the naive reference

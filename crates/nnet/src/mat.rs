@@ -334,29 +334,29 @@ impl Mat {
                 .try_into()
                 .expect("block")
         };
-        let live_of = |a: &[[f32; B]; 4]| -> [bool; B] {
+        let nonzero_of = |a: &[[f32; B]; 4]| -> [bool; B] {
             std::array::from_fn(|l| {
                 !(a[0][l] == 0.0 && a[1][l] == 0.0 && a[2][l] == 0.0 && a[3][l] == 0.0)
             })
         };
         for r in (0..self.rows / 4).map(|b| 4 * b) {
             let a = [gblock(r), gblock(r + 1), gblock(r + 2), gblock(r + 3)];
-            let live = live_of(&a);
-            if !live.contains(&true) {
+            let nonzero = nonzero_of(&a);
+            if !nonzero.contains(&true) {
                 continue;
             }
-            let all_live = !live.contains(&false);
+            let all_nonzero = !nonzero.contains(&false);
             let (w0, w1, w2, w3) = (window(r), window(r + 1), window(r + 2), window(r + 3));
             for (c, out_c) in out.chunks_exact_mut(lanes).enumerate() {
                 let (v0, v1, v2, v3) = (w0[c], w1[c], w2[c], w3[c]);
                 let o = &mut out_c[lane0..lane0 + B];
                 let v = |l: usize| a[0][l] * v0 + a[1][l] * v1 + a[2][l] * v2 + a[3][l] * v3;
-                if all_live {
+                if all_nonzero {
                     for (l, ol) in o.iter_mut().enumerate() {
                         *ol += v(l);
                     }
                 } else {
-                    for (l, ol) in o.iter_mut().enumerate().filter(|&(l, _)| live[l]) {
+                    for (l, ol) in o.iter_mut().enumerate().filter(|&(l, _)| nonzero[l]) {
                         *ol += v(l);
                     }
                 }
@@ -376,10 +376,10 @@ impl Mat {
 
     /// Folds a whole traced lane group's rank-1 gradients into `self`:
     /// `self += g_(l,t) ⊗ [x_(l,t), 1]` for every lane `l` ascending and,
-    /// within a lane, every step `t < lens[l]` descending. Step `t`'s
-    /// deltas are `g[t * rows * lanes..]`, row-major by lane (`rows ×
-    /// lanes`), and its inputs `x[t * (cols - 1) * lanes..]`,
-    /// feature-major (`(cols - 1) × lanes`), with `lanes = lens.len()`.
+    /// within a lane, every step `t` descending. Step `t`'s deltas are
+    /// `g[t * rows * lanes..]`, row-major by lane (`rows × lanes`), and
+    /// its inputs `x[t * (cols - 1) * lanes..]`, feature-major (`(cols -
+    /// 1) × lanes`); the step count is `g.len() / (rows × lanes)`.
     ///
     /// Bit-identical to calling `outer_acc_bias(g_l, x_l, 1.0)` on each
     /// (lane, step) pair's gathered vectors in that order: every element
@@ -402,17 +402,17 @@ impl Mat {
         &mut self,
         g: &[f32],
         x: &[f32],
-        lens: &[usize],
+        lanes: usize,
         inputs: &mut Vec<f32>,
         deltas: &mut Vec<f32>,
     ) {
         assert!(self.cols > 0, "outer_group needs a bias column");
-        let (rows, cols, lanes) = (self.rows, self.cols, lens.len());
+        let (rows, cols) = (self.rows, self.cols);
         let feat = cols - 1;
-        let steps = lens.iter().copied().max().unwrap_or(0);
-        assert!(g.len() >= steps * rows * lanes, "outer_group rows");
-        assert!(x.len() >= steps * feat * lanes, "outer_group cols");
-        let pairs: usize = lens.iter().sum();
+        let steps = g.len().checked_div(rows * lanes).unwrap_or(0);
+        assert_eq!(g.len(), steps * rows * lanes, "outer_group rows");
+        assert_eq!(x.len(), steps * feat * lanes, "outer_group cols");
+        let pairs = lanes * steps;
         // Column tiles of up to nine inputs; the last also folds the bias.
         let tiles = feat.div_ceil(FOLD_COLS).max(1);
         inputs.clear();
@@ -424,11 +424,11 @@ impl Mat {
         for (k, xt) in inputs.chunks_exact_mut(pairs * FOLD_COLS).enumerate() {
             let c0 = k * FOLD_COLS;
             let width = (feat - c0).min(FOLD_COLS);
-            pack_pairs::<FOLD_COLS>(x, feat * lanes, c0 * lanes, width, lens, xt);
+            pack_pairs::<FOLD_COLS>(x, feat * lanes, c0 * lanes, width, (lanes, steps), xt);
         }
         for r0 in (0..rows).step_by(FOLD_ROWS) {
             let height = (rows - r0).min(FOLD_ROWS);
-            pack_pairs::<FOLD_ROWS>(g, rows * lanes, r0 * lanes, height, lens, deltas);
+            pack_pairs::<FOLD_ROWS>(g, rows * lanes, r0 * lanes, height, (lanes, steps), deltas);
             for (k, xt) in inputs.chunks_exact(pairs * FOLD_COLS).enumerate() {
                 if k + 1 < tiles {
                     self.fold_tile::<false>(r0, height, k * FOLD_COLS, deltas, xt);
@@ -524,35 +524,27 @@ const FOLD_COLS: usize = 9;
 /// Packs one tile of every (lane, step) pair for
 /// [`Mat::outer_acc_bias_group`]. Step `t`'s tile is the `k × lanes`
 /// block at `src[t * step + start..]`, row-major by lane (`k <= W`);
-/// lane `l`'s column goes to `out[W * p..][..k]`, where `p` is the pair
-/// of (lane `l`, step `t`). Pair `first + len - 1 - t` is step `t` of
-/// the lane whose pairs start at `first`: lanes ascending, steps
-/// descending.
+/// lane `l`'s column goes to `out[W * p..][..k]`, where pair `p = l ·
+/// steps + steps - 1 - t`: lanes ascending, steps descending.
 fn pack_pairs<const W: usize>(
     src: &[f32],
     step: usize,
     start: usize,
     k: usize,
-    lens: &[usize],
+    (lanes, steps): (usize, usize),
     out: &mut [f32],
 ) {
-    let lanes = lens.len();
     if k == W && lanes == LANE_BLOCK {
-        pack_pairs8::<W>(src, step, start, lens, out);
+        pack_pairs8::<W>(src, step, start, steps, out);
         return;
     }
-    let steps = lens.iter().copied().max().unwrap_or(0);
     for t in 0..steps {
         let block = &src[t * step + start..][..k * lanes];
-        let mut first = 0;
-        for (l, &len) in lens.iter().enumerate() {
-            if t < len {
-                let tile = &mut out[(first + len - 1 - t) * W..][..k];
-                for (v, row) in tile.iter_mut().zip(block.chunks_exact(lanes)) {
-                    *v = row[l];
-                }
+        for l in 0..lanes {
+            let tile = &mut out[(l * steps + steps - 1 - t) * W..][..k];
+            for (v, row) in tile.iter_mut().zip(block.chunks_exact(lanes)) {
+                *v = row[l];
             }
-            first += len;
         }
     }
 }
@@ -565,30 +557,25 @@ fn pack_pairs8<const W: usize>(
     src: &[f32],
     step: usize,
     start: usize,
-    lens: &[usize],
+    steps: usize,
     out: &mut [f32],
 ) {
     const B: usize = LANE_BLOCK;
-    let steps = lens.iter().copied().max().unwrap_or(0);
     for t in 0..steps {
         let block = &src[t * step + start..][..W * B];
-        let mut first = 0;
-        for (l, &len) in lens.iter().enumerate().take(B) {
-            if t < len {
-                let p = first + len - 1 - t;
-                let tile: &mut [f32; W] = (&mut out[p * W..][..W]).try_into().expect("pair tile");
-                for (i, v) in tile.iter_mut().enumerate() {
-                    *v = block[i * B + l];
-                }
+        for l in 0..B {
+            let p = l * steps + steps - 1 - t;
+            let tile: &mut [f32; W] = (&mut out[p * W..][..W]).try_into().expect("pair tile");
+            for (i, v) in tile.iter_mut().enumerate() {
+                *v = block[i * B + l];
             }
-            first += len;
         }
     }
 }
 
 /// Lane-block width of the SoA kernels: two SSE or one AVX register of
-/// `f32`s, and the lane-group size of [`crate::SeqClassifier`] training
-/// and evaluation.
+/// `f32`s, and the widest lane group of [`crate::SeqClassifier`] and
+/// [`crate::SeqTagger`] training and of classifier evaluation.
 pub(crate) const LANE_BLOCK: usize = 8;
 
 /// The widest lane block (eight, four or one) that fits `remaining`
@@ -800,7 +787,7 @@ mod tests {
 
     /// The lane twin of `matvec_t_narrow` is bit-identical per lane to
     /// the scalar kernel on every column window, including lanes whose
-    /// four-row blocks are all zero (skipped) next to live ones, and
+    /// four-row blocks are all zero (skipped) next to nonzero ones, and
     /// leftover rows past the last block.
     #[test]
     fn soa_matvec_t_is_bit_identical_per_lane() {
@@ -836,10 +823,10 @@ mod tests {
     /// ascending and step descending on each pair's gathered vectors.
     /// Shapes cover partial row tiles (12 and 20 rows), one to five
     /// column tiles, the dnnsteal tagger (48 rows, one lane) and the
-    /// website model (64 × 19); lane counts run over every SoA width
-    /// with ragged lengths down to 1. Zero deltas of both signs meet
-    /// infinite and NaN inputs (a dropped skip turns the cell NaN), and
-    /// NaN deltas, which are not skipped, meet finite inputs.
+    /// website model (64 × 19); lane counts run over every SoA width,
+    /// each at its own step count, down to 1. Zero deltas of both signs
+    /// meet infinite and NaN inputs (a dropped skip turns the cell NaN),
+    /// and NaN deltas, which are not skipped, meet finite inputs.
     #[test]
     fn group_fold_matches_scalar_outer_acc_bias_per_pair() {
         let mut rng = SmallRng::seed_from_u64(13);
@@ -847,9 +834,7 @@ mod tests {
         let (mut inputs, mut deltas) = (Vec::new(), Vec::new());
         for (rows, cols) in [(12, 9), (20, 7), (48, 14), (64, 19), (1, 2), (8, 40)] {
             let feat = cols - 1;
-            for lanes in [1, 4, 5, 8, 13, 17, 64] {
-                let lens: Vec<usize> = (0..lanes).map(|l| [11, 1, 7, 3, 5][l % 5]).collect();
-                let steps = lens.iter().copied().max().unwrap_or(0);
+            for (lanes, steps) in [(1, 11), (4, 9), (5, 2), (8, 1), (13, 7), (17, 3), (64, 5)] {
                 let mut g = soa(rows, lanes * steps, true);
                 let mut x = soa(feat, lanes * steps, false);
                 // Per step: deltas rows × lanes, inputs feat × lanes.
@@ -877,9 +862,9 @@ mod tests {
                 }
                 let mut fold = Mat::xavier(rows, cols, &mut rng);
                 let mut scalar = fold.clone();
-                fold.outer_acc_bias_group(&g, &x, &lens, &mut inputs, &mut deltas);
-                for (l, &len) in lens.iter().enumerate() {
-                    for t in (0..len).rev() {
+                fold.outer_acc_bias_group(&g, &x, lanes, &mut inputs, &mut deltas);
+                for l in 0..lanes {
+                    for t in (0..steps).rev() {
                         let g_l = lane(&g[t * gs..(t + 1) * gs], lanes, l);
                         let x_l = lane(&x[t * xs..(t + 1) * xs], lanes, l);
                         scalar.outer_acc_bias(&g_l, &x_l, 1.0);

@@ -549,8 +549,9 @@ pub trait DynScenario: Sync {
     ///
     /// [`ScenarioError::Params`] when `params` does not deserialize into
     /// the scenario's config type, a `fault_plan` anywhere in it fails
-    /// [`FaultPlan::validate`], or the config fails
-    /// [`Scenario::check_config`].
+    /// [`FaultPlan::validate`], the config fails
+    /// [`Scenario::check_config`], or the trial machine fails
+    /// [`MachineConfig::validate`].
     fn check_params(&self, params: &Value) -> Result<(), ScenarioError>;
     /// Runs the scenario from serialized params (`None` = defaults).
     ///
@@ -606,13 +607,27 @@ impl<S: Scenario> DynScenario for S {
 /// tree — a plan nested in params (a channel's, a `machine`'s) gets the
 /// same check as a top-level `--fault-plan`, so an unfinishable plan is
 /// refused before anything runs — then [`Scenario::check_config`] on the
-/// result.
+/// result, then [`MachineConfig::validate`] on trial 0's machine: every
+/// trial boots from the one recipe, [`Scenario::machine`], so a machine
+/// that cannot boot is refused here instead of panicking or hanging in
+/// the first trial.
 fn parse_config<S: Scenario>(scenario: &S, params: &Value) -> Result<S::Config, ScenarioError> {
     check_fault_plans(params, &mut Vec::new())?;
     let config = S::Config::from_value(params).map_err(|e| ScenarioError::Params(e.to_string()))?;
     scenario
         .check_config(&config)
         .map_err(ScenarioError::Params)?;
+    let seed = scenario.experiment_seed(&config, None);
+    let ctx = TrialCtx {
+        index: 0,
+        seed: exec::derive_seed(seed, 0),
+        experiment_seed: seed,
+    };
+    scenario
+        .machine(&config, &ctx)
+        .0
+        .validate()
+        .map_err(|e| ScenarioError::Params(format!("trial machine: {e}")))?;
     Ok(config)
 }
 

@@ -247,6 +247,48 @@ impl MachineConfig {
         self.freq.max_khz
     }
 
+    /// Checks the ranges a machine needs to boot and run: a booted
+    /// machine asserts some of them (a positive timer rate, ordered
+    /// frequency and handler-cost bounds) and loops forever without
+    /// others (a zero P-state step or governor period). Every preset
+    /// passes.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the first offending field by its path in this
+    /// config (`freq.max_khz`).
+    pub fn validate(&self) -> Result<(), String> {
+        if self.timer_hz <= 0.0 {
+            return Err(format!(
+                "`timer_hz` must be positive, got {}",
+                self.timer_hz
+            ));
+        }
+        let f = &self.freq;
+        if f.max_khz < f.min_khz {
+            return Err(format!(
+                "`freq.max_khz` ({}) must not be below `freq.min_khz` ({})",
+                f.max_khz, f.min_khz
+            ));
+        }
+        if f.step_khz == 0 {
+            return Err("`freq.step_khz` must be at least 1".to_owned());
+        }
+        if f.update_period == Ps::ZERO {
+            return Err("`freq.update_period` must be at least 1 ps".to_owned());
+        }
+        for (kind, p) in self.handler_model.named_params() {
+            if p.body_lo > p.body_hi {
+                return Err(format!(
+                    "`handler_model.{kind}.body_lo` ({}) must not exceed \
+                     `handler_model.{kind}.body_hi` ({})",
+                    p.body_lo, p.body_hi
+                ));
+            }
+        }
+        Ok(())
+    }
+
     /// Table I row 1: Xiaomi Air 13.3 — Intel Core i5-8250U, HZ=250.
     #[must_use]
     pub fn xiaomi_air13() -> Self {
@@ -571,6 +613,31 @@ mod tests {
         assert!(
             cfg.cr4_tsd && cfg.tickless && cfg.preserve_selectors && cfg.restrict_segment_writes
         );
+    }
+
+    /// Each out-of-range field is refused by name.
+    #[test]
+    fn validate_names_the_offending_field() {
+        type Spoil = fn(&mut MachineConfig);
+        let cases: [(&str, Spoil); 3] = [
+            ("timer_hz", |m| m.timer_hz = -250.0),
+            ("freq.max_khz", |m| m.freq.min_khz = m.freq.max_khz + 1),
+            ("handler_model.device.body_lo", |m| {
+                let kind = irq::InterruptKind::Network;
+                let mut p = *m.handler_model.params(kind);
+                p.body_lo = p.body_hi + Ps::from_ps(1);
+                m.handler_model = m.handler_model.clone().with_params(kind, p);
+            }),
+        ];
+        for (field, spoil) in cases {
+            let mut machine = MachineConfig::default();
+            spoil(&mut machine);
+            let message = machine.validate().expect_err(field);
+            assert!(
+                message.contains(&format!("`{field}`")),
+                "{field}: {message}"
+            );
+        }
     }
 
     #[test]

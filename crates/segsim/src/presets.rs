@@ -55,6 +55,13 @@ mod tests {
     }
 
     #[test]
+    fn every_preset_validates() {
+        for (name, machine) in all() {
+            assert_eq!(machine.validate(), Ok(()), "{name}");
+        }
+    }
+
+    #[test]
     fn unknown_name_is_none() {
         assert!(by_name("cray_1").is_none());
         assert!(by_name("").is_none());

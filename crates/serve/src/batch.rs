@@ -52,7 +52,7 @@ pub struct SessionBatch {
     expected: Vec<usize>,
     seen: Vec<usize>,
     staged: Vec<bool>,
-    live: Vec<bool>,
+    attached: Vec<bool>,
     generation: Vec<u64>,
     /// Vacant lanes, popped on attach (lowest lane first).
     free: Vec<usize>,
@@ -62,8 +62,6 @@ pub struct SessionBatch {
     cpack: Vec<f32>,
     hpack: Vec<f32>,
     tcpack: Vec<f32>,
-    /// All `true`: every packed lane steps.
-    packed_live: Vec<bool>,
     active: Vec<usize>,
     logits: Vec<f32>,
     hlane: Vec<f32>,
@@ -89,7 +87,7 @@ impl SessionBatch {
             expected: vec![0; capacity],
             seen: vec![0; capacity],
             staged: vec![false; capacity],
-            live: vec![false; capacity],
+            attached: vec![false; capacity],
             generation: vec![0; capacity],
             free: (0..capacity).rev().collect(),
             concat: vec![0.0; (input + hidden) * capacity],
@@ -97,7 +95,6 @@ impl SessionBatch {
             cpack: vec![0.0; hidden * capacity],
             hpack: vec![0.0; hidden * capacity],
             tcpack: vec![0.0; hidden * capacity],
-            packed_live: vec![true; capacity],
             active: Vec::with_capacity(capacity),
             logits: vec![0.0; model.classes()],
             hlane: vec![0.0; hidden],
@@ -138,7 +135,7 @@ impl SessionBatch {
         self.expected[lane] = expected_steps;
         self.seen[lane] = 0;
         self.staged[lane] = false;
-        self.live[lane] = true;
+        self.attached[lane] = true;
         self.generation[lane] += 1;
         Some(SessionId {
             lane,
@@ -206,7 +203,6 @@ impl SessionBatch {
             &mut self.cpack[..self.hidden * m],
             &mut self.tcpack[..self.hidden * m],
             &mut self.hpack[..self.hidden * m],
-            &self.packed_live[..m],
         );
         // Scatter the new state back to the lanes.
         for f in 0..self.hidden {
@@ -246,14 +242,14 @@ impl SessionBatch {
     fn check(&self, id: SessionId) {
         assert!(
             id.lane < self.capacity
-                && self.live[id.lane]
+                && self.attached[id.lane]
                 && self.generation[id.lane] == id.generation,
             "stale or foreign session handle"
         );
     }
 
     fn release(&mut self, lane: usize) {
-        self.live[lane] = false;
+        self.attached[lane] = false;
         self.staged[lane] = false;
         self.free.push(lane);
     }

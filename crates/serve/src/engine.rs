@@ -7,7 +7,7 @@ use crate::session::{StreamSession, Verdict};
 
 /// Serves every trace through a [`SessionBatch`] of `capacity` lanes:
 /// up to `capacity` sessions run in lockstep, lanes recycle onto the
-/// next waiting trace as sessions finish, and each live session
+/// next waiting trace as sessions finish, and each attached session
 /// receives one timestep per step. Returns one verdict per trace, in
 /// trace order.
 ///

@@ -96,13 +96,7 @@ impl StreamSession {
         self.concat[..self.input].copy_from_slice(x);
         self.concat[self.input..].copy_from_slice(&self.h);
         model.gate_pre_soa(&self.concat, 1, &mut self.pre);
-        nnet::gate_step(
-            &mut self.pre,
-            &mut self.c,
-            &mut self.tc,
-            &mut self.h,
-            &[true],
-        );
+        nnet::gate_step(&mut self.pre, &mut self.c, &mut self.tc, &mut self.h);
         self.seen += 1;
         if self.seen < self.expected {
             return None;

@@ -158,21 +158,36 @@ if ! cmp -s target/keystroke.trace.json tests/golden/keystroke.trace.json; then
     exit 1
 fi
 
+# golden_gate [--test NAME]... — re-asserts every checked-in golden
+# byte-identical with blessing explicitly disabled, so a blessed CI run
+# can never mask drift: the golden_trace test (plus any extra test
+# binaries named), the CLI reports, the keystroke trace and serve-bench.
+golden_gate() {
+    SEGSCOPE_BLESS=0 cargo test -q --offline --test golden_trace "$@"
+    for name in $GOLDEN_REPORTS; do
+        SEGSCOPE_BLESS=0 "$SEGSCOPE" run "$name" --seed 0xC07E --trials 2 --threads 2 \
+            --report "target/$name.report.determinism.json" >/dev/null
+        cmp "target/$name.report.determinism.json" "tests/golden/$name.report.json"
+    done
+    SEGSCOPE_BLESS=0 SEGSCOPE_TRACE=target/keystroke.trace.determinism.json \
+        cargo run --release --offline --example segscope_trace >/dev/null
+    cmp target/keystroke.trace.determinism.json tests/golden/keystroke.trace.json
+    SEGSCOPE_BLESS=0 "$SEGSCOPE" serve-bench \
+        --out target/serve.report.determinism.json >/dev/null
+    cmp target/serve.report.determinism.json tests/golden/serve.report.json
+}
+
 echo "==> golden determinism gate (no SEGSCOPE_BLESS)"
-# Re-assert every checked-in golden byte-identical with blessing
-# explicitly disabled, so a blessed CI run can never mask drift.
-SEGSCOPE_BLESS=0 cargo test -q --offline --test golden_trace
-for name in $GOLDEN_REPORTS; do
-    SEGSCOPE_BLESS=0 "$SEGSCOPE" run "$name" --seed 0xC07E --trials 2 --threads 2 \
-        --report "target/$name.report.determinism.json" >/dev/null
-    cmp "target/$name.report.determinism.json" "tests/golden/$name.report.json"
-done
-SEGSCOPE_BLESS=0 SEGSCOPE_TRACE=target/keystroke.trace.determinism.json \
-    cargo run --release --offline --example segscope_trace >/dev/null
-cmp target/keystroke.trace.determinism.json tests/golden/keystroke.trace.json
-SEGSCOPE_BLESS=0 "$SEGSCOPE" serve-bench \
-    --out target/serve.report.determinism.json >/dev/null
-cmp target/serve.report.determinism.json tests/golden/serve.report.json
+golden_gate
+
+echo "==> golden determinism gate again under glibc's generic libm"
+# With AVX2 and FMA masked from glibc's dispatch, libm resolves its
+# generic, non-FMA variants (expf among them), as on a pre-Haswell CPU;
+# the program's own x86-64-v3 code is unchanged. Every golden must stay
+# byte-identical, so none depends on which libm variant the host picks.
+# golden_enclave adds the trained website and dnnsteal reports. Under a
+# second on two threads with the test binaries built.
+GLIBC_TUNABLES=glibc.cpu.hwcaps=-AVX2,-FMA golden_gate --test golden_enclave
 
 echo "==> paper harnesses (quick): every table/figure shape check + golden stdout"
 # Each harness prints one paper table or figure and asserts its shape

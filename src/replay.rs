@@ -125,7 +125,8 @@ impl Recording {
     /// Checks what a recording read from disk must hold before it can be
     /// replayed: a valid spec fault plan, and a snapshot ladder that is
     /// non-empty, starts at (span 0, event 0), ascends, stays within the
-    /// recorded events and spans, and carries only valid fault plans.
+    /// recorded events and spans, and carries only valid machine configs
+    /// and fault plans.
     fn check(&self) -> Result<(), String> {
         let check_plan = |plan: Option<FaultPlan>, what: &str| match plan {
             Some(plan) => plan
@@ -174,10 +175,11 @@ impl Recording {
                     point.span, self.spec.spans
                 ));
             }
-            check_plan(
-                point.snapshot.config().fault_plan,
-                &format!("{rung}'s machine config"),
-            )?;
+            let config = point.snapshot.config();
+            config
+                .validate()
+                .map_err(|e| format!("{rung}'s machine config: {e}"))?;
+            check_plan(config.fault_plan, &format!("{rung}'s machine config"))?;
             // The machine's own plan is only readable from a restored
             // machine; one machine is restored rung after rung.
             let machine = match restored.as_mut() {
@@ -347,8 +349,9 @@ pub fn record(spec: &RunSpec, snapshot_every: usize) -> Result<Recording, String
 ///
 /// Returns a message naming the problem when the recording's snapshot
 /// ladder is malformed (empty, not starting at span 0 and event 0, out
-/// of order, or past the recorded events or spans) or when the spec or
-/// any rung carries an invalid fault plan.
+/// of order, or past the recorded events or spans), when a rung's
+/// machine config fails [`segsim::MachineConfig::validate`], or when the
+/// spec or any rung carries an invalid fault plan.
 pub fn replay_from(recording: &Recording, event_index: usize) -> Result<ReplaySlice, String> {
     recording.check()?;
     let point = recording.nearest_snapshot(event_index.min(recording.events.len()));

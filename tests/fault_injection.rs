@@ -608,6 +608,32 @@ fn campaign_expansion_rejects_a_plan_nested_in_params() {
     }
 }
 
+/// `CampaignSpec::expand` runs each scenario's `check_config` per cell,
+/// so a KASLR scan of no candidate slots fails expansion as `Params`,
+/// naming the field, before any cell runs. (The campaign replaces the
+/// params' `machine` with a preset, and every preset boots.)
+#[test]
+fn campaign_expansion_rejects_a_kaslr_scan_of_no_slots() {
+    use segscope_repro::campaign::{CampaignError, CampaignSpec};
+
+    let mut config = KaslrScenarioConfig::default();
+    config.attack.slots = 0;
+    let spec = CampaignSpec::from_json(&format!(
+        r#"{{"name":"no_slots","seed":1,"scenarios":[{{"scenario":"kaslr","params":{}}}],
+        "presets":["lenovo_yangtian"],"faults":[{{"name":"none","plan":null}}],
+        "replicates":1,"trials":1}}"#,
+        serde_json::to_string(&config).expect("config serializes")
+    ))
+    .expect("spec parses");
+    match spec.expand(&segscope_repro::attacks::registry()) {
+        Err(CampaignError::Params { scenario, message }) => {
+            assert_eq!(scenario, "kaslr");
+            assert!(message.contains("`attack.slots`"), "{message}");
+        }
+        other => panic!("expected a params error, got {other:?}"),
+    }
+}
+
 /// `campaign run` validates the spec before writing anything: an unknown
 /// preset, a bad nested plan or an out-of-range param exits non-zero and
 /// leaves no `spec.json` or `manifest.json` that `campaign status` would
@@ -671,13 +697,17 @@ fn campaign_run_writes_nothing_for_an_unrunnable_spec() {
 }
 
 /// Params that deserialize but lie outside the range a trial body
-/// asserts: `segscope run` refuses each — a scenario's default params
-/// with one field changed — with exit status 1 and a message naming the
-/// field, instead of panicking mid-run.
+/// asserts or the trial machine needs to boot: `segscope run` refuses
+/// each — a scenario's default params with one field changed — at once,
+/// with exit status 1 and a message naming the field, instead of
+/// panicking, hanging or reporting nonsense. A field of the trial
+/// machine is named by its path in the machine config. Each run is
+/// killed after 10 s, since some of these machines loop forever.
 #[test]
 fn cli_rejects_out_of_range_params_naming_the_field() {
     use serde::Value;
-    use std::process::Command;
+    use std::process::{Command, Stdio};
+    use std::time::{Duration, Instant};
 
     let quick = WebsiteFpConfig::default();
     let too_many_folds = (quick.n_sites * quick.traces_per_site + 1).to_string();
@@ -694,6 +724,15 @@ fn cli_rejects_out_of_range_params_naming_the_field() {
         ("website", "pooled_len", "0"),
         ("website", "folds", "0"),
         ("website", "folds", &too_many_folds),
+        ("kaslr", "attack.slots", "0"),
+        ("kaslr", "attack.c", "0"),
+        // Machines that panic at boot or in the first trial.
+        ("kaslr", "machine.timer_hz", "0"),
+        ("kaslr", "machine.freq.max_khz", "0"),
+        ("kaslr", "machine.handler_model.timer.body_lo", "2000000"),
+        // Machines that never finish a trial.
+        ("kaslr", "machine.freq.step_khz", "0"),
+        ("kaslr", "machine.freq.update_period", "0"),
     ];
     for (name, path, value) in cases {
         let mut params = segscope_repro::attacks::registry()
@@ -708,20 +747,38 @@ fn cli_rejects_out_of_range_params_naming_the_field() {
             field = &mut fields.iter_mut().find(|(k, _)| k == key).expect("field").1;
         }
         *field = serde_json::from_str(value).expect("value parses");
-        let output = Command::new(env!("CARGO_BIN_EXE_segscope"))
-            .args(["run", name, "--params"])
+        let mut child = Command::new(env!("CARGO_BIN_EXE_segscope"))
+            .args(["run", name, "--trials", "1", "--threads", "1", "--params"])
             .arg(serde_json::to_string(&params).expect("params serialize"))
-            .output()
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
             .expect("segscope runs");
+        let start = Instant::now();
+        while child.try_wait().expect("waitable").is_none() {
+            if start.elapsed() > Duration::from_secs(10) {
+                let _ = child.kill();
+                panic!("{name} {path}: `segscope run` still running after 10 s");
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let elapsed = start.elapsed();
+        let output = child.wait_with_output().expect("exited");
         let stderr = String::from_utf8_lossy(&output.stderr);
         assert_eq!(output.status.code(), Some(1), "{name} {path}: {stderr}");
-        assert!(stderr.contains(&format!("`{path}`")), "{name}: {stderr}");
+        assert!(
+            elapsed < Duration::from_secs(1),
+            "{name} {path}: took {elapsed:?}"
+        );
+        let named = path.strip_prefix("machine.").unwrap_or(path);
+        assert!(stderr.contains(&format!("`{named}`")), "{name}: {stderr}");
     }
 }
 
-/// `segscope replay` on a recording with a malformed snapshot ladder, or
-/// with an unfinishable plan planted in a rung, exits 1 with a message
-/// naming the ladder instead of panicking or diverging later.
+/// `segscope replay` on a recording with a malformed snapshot ladder,
+/// with an unfinishable plan planted in a rung, or with rung machines
+/// that cannot boot, exits 1 with a message naming the ladder instead of
+/// panicking or diverging later.
 #[test]
 fn replay_rejects_a_malformed_snapshot_ladder() {
     use segscope_repro::replay::{record, RunSpec};
@@ -748,14 +805,18 @@ fn replay_rejects_a_malformed_snapshot_ladder() {
     endless_rung.snapshots[1].snapshot = planted;
     let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("bad_ladders");
     std::fs::create_dir_all(&dir).expect("test dir");
+    let json = |recording: &_| serde_json::to_string(recording).expect("serializes");
+    // Every rung's machine with a zero P-state step, which never boots.
+    let unbootable = json(&recording).replace(r#""step_khz":100000"#, r#""step_khz":0"#);
+    assert_ne!(unbootable, json(&recording), "no rung's step planted");
     for (name, bad) in [
-        ("empty", empty),
-        ("past_from", past_from),
-        ("endless", endless_rung),
+        ("empty", json(&empty)),
+        ("past_from", json(&past_from)),
+        ("endless", json(&endless_rung)),
+        ("unbootable", unbootable),
     ] {
         let path = dir.join(format!("{name}.json"));
-        std::fs::write(&path, serde_json::to_string(&bad).expect("serializes"))
-            .expect("recording written");
+        std::fs::write(&path, bad).expect("recording written");
         let output = Command::new(env!("CARGO_BIN_EXE_segscope"))
             .args(["replay", "--from", "2", "--in"])
             .arg(&path)
