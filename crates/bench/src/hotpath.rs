@@ -20,7 +20,7 @@
 use crate::record::{best_of, BenchRecord};
 use crate::{fnv1a_fold, FNV1A_BASIS};
 use irq::{InterruptFabric, InterruptKind, NaiveFabric};
-use nnet::Mat;
+use nnet::{LaneGroup, Mat};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use segsim::{FaultPlan, Machine, MachineConfig};
@@ -265,10 +265,11 @@ pub fn measure_fold(record: &mut BenchRecord, groups: usize, repeats: usize) {
         mat_hash(&grad)
     });
     let (mut inputs, mut deltas) = (Vec::new(), Vec::new());
+    let group = LaneGroup::new(&vec![steps; lanes]);
     let (tiled_s, tiled) = best_of(repeats, || {
         let mut grad = Mat::zeros(rows, cols);
         for _ in 0..groups {
-            grad.outer_acc_bias_group(&g, &x, lanes, &mut inputs, &mut deltas);
+            grad.outer_acc_bias_group(&g, &x, &group, &mut inputs, &mut deltas);
         }
         mat_hash(&grad)
     });

@@ -107,6 +107,8 @@ fn required_arms(bench: &str) -> &'static [(&'static str, &'static str)] {
             ("lstm", "naive"),
             ("lstm", "optimized"),
             ("lstm", "lanes"),
+            ("ragged", "one_lane"),
+            ("ragged", "grouped"),
         ],
         "campaign" => &[("campaign", "shards=1")],
         "serve" => &[
@@ -385,8 +387,13 @@ mod tests {
                 ("lstm", "naive", "ms/epoch", 0.39, None),
                 ("lstm", "optimized", "ms/epoch", 0.31, Some(0x15)),
                 ("lstm", "lanes", "ms/epoch", 0.25, Some(0x15)),
+                ("ragged", "one_lane", "ms/epoch", 0.8, Some(0x16)),
+                ("ragged", "grouped", "ms/epoch", 0.5, Some(0x16)),
             ],
-            &[("lstm.speedup", 1.25, LSTM_MIN_SPEEDUP, true)],
+            &[
+                ("lstm.speedup", 1.25, LSTM_MIN_SPEEDUP, true),
+                ("ragged.speedup", 1.6, LSTM_MIN_SPEEDUP, true),
+            ],
         )
     }
 
@@ -505,6 +512,9 @@ mod tests {
             (parallel, Gate("lstm.speedup", 1.0)),
             (parallel, Drop("lstm/lanes")),
             (parallel, Digest("lstm", "lanes")),
+            (parallel, Drop("ragged/grouped")),
+            (parallel, Digest("ragged", "grouped")),
+            (parallel, Gate("ragged.speedup", 0.9)),
         ];
         for &(good, mutation) in table {
             let mut broken = good();

@@ -995,6 +995,31 @@ mod tests {
         }
     }
 
+    /// A `machine` in a selection's params would be replaced by the
+    /// preset's without a word, so expansion refuses it, naming the
+    /// scenario; default params (`None`) carry the preset's machine.
+    #[test]
+    fn expansion_refuses_a_machine_in_params() {
+        let mut spec = small_spec();
+        let mut params = GridProbeConfig::default().to_value();
+        spec.scenarios[0].params = Some(params.clone());
+        match spec.expand(&probe_registry()) {
+            Err(CampaignError::Params { scenario, message }) => {
+                assert_eq!(scenario, "grid_probe");
+                assert!(message.contains("`machine`"), "{message}");
+                assert!(message.contains("`presets`"), "{message}");
+            }
+            other => panic!("expected a params error, got {other:?}"),
+        }
+        if let Value::Map(fields) = &mut params {
+            fields.retain(|(k, _)| k != "machine");
+        }
+        spec.scenarios[0].params = Some(params);
+        assert_eq!(spec.expand(&probe_registry()).expect("valid").len(), 8);
+        spec.scenarios[0].params = None;
+        assert_eq!(spec.expand(&probe_registry()).expect("valid").len(), 8);
+    }
+
     #[test]
     fn defense_axis_expands_in_order_and_injects_into_the_machine() {
         use segsim::Defense;

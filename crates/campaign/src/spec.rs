@@ -297,7 +297,8 @@ impl CampaignSpec {
     /// variant's plan fails [`FaultPlan::validate`], and
     /// [`CampaignError::Params`] when a params override (with the
     /// preset's machine and the variant's defense injected) does not
-    /// deserialize into the scenario's config.
+    /// deserialize into the scenario's config, or sets `machine` itself,
+    /// which the preset axis would silently replace.
     pub fn expand(&self, registry: &Registry) -> Result<Vec<CampaignCell>, CampaignError> {
         for (axis, empty) in [
             ("scenarios", self.scenarios.is_empty()),
@@ -343,6 +344,18 @@ impl CampaignSpec {
                             message: e.to_string(),
                         })?;
                     defended.push((variant, params));
+                }
+                // After the params' own check, so an out-of-range field is
+                // named first.
+                if let Some(Value::Map(fields)) = &sel.params {
+                    if fields.iter().any(|(k, _)| k == "machine") {
+                        return Err(CampaignError::Params {
+                            scenario: sel.scenario.clone(),
+                            message: "params set `machine`, which the `presets` axis sets for \
+                                      every cell; remove it and pick machines with `presets`"
+                                .to_owned(),
+                        });
+                    }
                 }
                 for fault in &self.faults {
                     for (variant, params) in &defended {

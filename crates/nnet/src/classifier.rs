@@ -10,18 +10,12 @@ use crate::optim::AdamConfig;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-/// Splits `examples` into lane groups: runs of at most `width`
-/// consecutive examples whose sequences (of length `len`) have one
-/// length, in order.
-fn lane_groups<T>(
-    examples: &[T],
-    width: usize,
-    len: impl Fn(&T) -> usize,
-) -> impl Iterator<Item = &[T]> {
-    examples
-        .chunk_by(move |a, b| len(a) == len(b))
-        .flat_map(move |run| run.chunks(width))
-}
+/// Lanes per [`SeqTagger`] lane group. The tagger's traces are ragged
+/// and up to 240 steps long, and a group's trace holds every lane-step
+/// it runs: eight-lane groups (up to 1,049 lane-steps on the paper grid,
+/// about 0.86 MB of arena per training thread) raised the grid's peak
+/// RSS by 12–17%, four-lane groups by about 3%.
+const TAGGER_LANES: usize = 4;
 
 /// A labeled sequence for many-to-one classification.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -103,7 +97,7 @@ impl SeqClassifier {
     /// whole epoch). Returns the mean loss.
     ///
     /// Each minibatch trains as lane groups of up to eight consecutive
-    /// examples of one length (see [`Lstm::forward_lanes`]); the weights
+    /// examples of any lengths (see [`Lstm::forward_lanes`]); the weights
     /// and Adam state come out bit for bit as if every example were
     /// trained alone, in order.
     ///
@@ -125,28 +119,27 @@ impl SeqClassifier {
         let mut h_last = vec![0.0f32; hidden];
         let mut logits = vec![0.0f32; self.head.output_dim()];
         let mut dlogits = vec![0.0f32; self.head.output_dim()];
-        let mut dh_lane = vec![0.0f32; hidden];
         let mut dh_last = vec![0.0f32; hidden * group];
         let size = if batch == 0 { examples.len() } else { batch };
         for minibatch in examples.chunks(size.max(1)) {
-            for lanes in lane_groups(minibatch, group, |ex| ex.xs.len()) {
+            for lanes in minibatch.chunks(group) {
                 seqs.clear();
                 seqs.extend(lanes.iter().map(|ex| ex.xs.as_slice()));
                 self.lstm.forward_lanes(&seqs, &mut trace);
-                let width = lanes.len();
                 // The head is per example, in example order.
-                for (l, ex) in lanes.iter().enumerate() {
+                for (l, (ex, dh)) in lanes
+                    .iter()
+                    .zip(dh_last.chunks_exact_mut(hidden))
+                    .enumerate()
+                {
                     assert!(!ex.xs.is_empty(), "cannot classify an empty sequence");
                     trace.hidden_lane(ex.xs.len() - 1, l, &mut h_last);
                     self.head.forward_into(&h_last, &mut logits);
                     total += softmax_cross_entropy_into(&logits, ex.label, &mut dlogits);
-                    self.head.backward_into(&h_last, &dlogits, &mut dh_lane);
-                    for (j, &d) in dh_lane.iter().enumerate() {
-                        dh_last[j * width + l] = d;
-                    }
+                    self.head.backward_into(&h_last, &dlogits, dh);
                 }
                 self.lstm
-                    .backward_last(&mut trace, &dh_last[..hidden * width]);
+                    .backward_last(&mut trace, &dh_last[..hidden * lanes.len()]);
             }
             self.lstm.apply_grads(minibatch.len());
             self.head.apply_grads(minibatch.len());
@@ -155,14 +148,14 @@ impl SeqClassifier {
     }
 
     /// Calls `visit(example, logits)` for every example in order, running
-    /// the LSTM over lane groups of up to eight examples of one length
+    /// the LSTM over lane groups of up to eight consecutive examples
     /// (bit-identical per example to [`SeqClassifier::logits`]).
     fn visit_logits(&self, examples: &[SeqExample], mut visit: impl FnMut(&SeqExample, &[f32])) {
         let mut trace = LstmTrace::default();
         let mut seqs: Vec<&[Vec<f32>]> = Vec::with_capacity(LANE_BLOCK);
         let mut h_last = vec![0.0f32; self.lstm.hidden_dim()];
         let mut logits = vec![0.0f32; self.head.output_dim()];
-        for lanes in lane_groups(examples, LANE_BLOCK, |ex| ex.xs.len()) {
+        for lanes in examples.chunks(LANE_BLOCK) {
             seqs.clear();
             seqs.extend(lanes.iter().map(|ex| ex.xs.as_slice()));
             self.lstm.forward_lanes(&seqs, &mut trace);
@@ -256,8 +249,8 @@ impl SeqTagger {
     /// examples (`batch == 0`: once, after the whole epoch); returns the
     /// mean per-timestep loss.
     ///
-    /// Each minibatch trains as lane groups of up to eight consecutive
-    /// examples of one length (see [`BiLstm::forward_lanes`]); the
+    /// Each minibatch trains as lane groups of up to four consecutive
+    /// examples of any lengths (see [`BiLstm::forward_lanes`]); the
     /// weights and Adam state come out bit for bit where per-example
     /// training leaves them.
     ///
@@ -270,7 +263,7 @@ impl SeqTagger {
     ///
     /// Panics if an example's `tags` length differs from its `xs` length.
     pub fn train_epoch(&mut self, examples: &[TaggedExample], batch: usize) -> f32 {
-        self.train_epoch_grouped(examples, batch, LANE_BLOCK)
+        self.train_epoch_grouped(examples, batch, TAGGER_LANES)
     }
 
     /// [`SeqTagger::train_epoch`] with lane groups of up to `group`
@@ -295,19 +288,21 @@ impl SeqTagger {
         let (mut d_fwd, mut d_bwd) = (Vec::new(), Vec::new());
         let size = if batch == 0 { examples.len() } else { batch };
         for minibatch in examples.chunks(size.max(1)) {
-            for lanes in lane_groups(minibatch, group, |ex| ex.xs.len()) {
+            for lanes in minibatch.chunks(group) {
                 seqs.clear();
                 for ex in lanes {
                     assert_eq!(ex.xs.len(), ex.tags.len(), "tags must align with inputs");
                     seqs.push(&ex.xs);
                 }
                 self.bilstm.forward_lanes(&seqs, &mut trace);
-                let (w, cell) = (lanes.len(), hidden * lanes.len());
+                let pairs: usize = seqs.iter().map(|s| s.len()).sum();
                 for d in [&mut d_fwd, &mut d_bwd] {
                     d.clear();
-                    d.resize(trace.len() * cell, 0.0f32);
+                    d.resize(pairs * hidden, 0.0f32);
                 }
-                // The head is per example and timestep, in that order.
+                // The head is per example and timestep, in that order; each
+                // lane's gradients follow the earlier lanes' (`first`).
+                let mut first = 0;
                 for (l, ex) in lanes.iter().enumerate() {
                     let len = ex.xs.len();
                     for t in 0..len {
@@ -317,11 +312,10 @@ impl SeqTagger {
                         steps += 1;
                         self.head.backward_into(&features, &dlogits, &mut d_out);
                         let (rt, (df, db)) = (len - 1 - t, d_out.split_at(hidden));
-                        for j in 0..hidden {
-                            d_fwd[t * cell + j * w + l] = df[j];
-                            d_bwd[rt * cell + j * w + l] = db[j];
-                        }
+                        d_fwd[(first + t) * hidden..][..hidden].copy_from_slice(df);
+                        d_bwd[(first + rt) * hidden..][..hidden].copy_from_slice(db);
                     }
+                    first += len;
                 }
                 self.bilstm.backward(&mut trace, &d_fwd, &d_bwd);
             }
@@ -344,6 +338,7 @@ impl SeqTagger {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mat::LaneGroup;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -608,43 +603,46 @@ mod tests {
         }
     }
 
-    /// Per-example lengths in runs of one length: 25 examples whose runs
-    /// (1, 3, 9, 2, 5, 1 and 4 long) split into lane groups of one to
-    /// five and of eight lanes.
-    fn run_lengths() -> Vec<usize> {
-        [(1, 4), (3, 6), (9, 3), (2, 6), (5, 5), (1, 2), (4, 7)]
+    /// 21 ragged lengths with ties and length-1 lanes, whose lane groups
+    /// of eight run every width from 1 to 8 at some step.
+    const RAGGED_LENS: [usize; 21] = [
+        5, 1, 7, 7, 3, 1, 8, 2, // widths 8, 6, 5, 4, 4, 3, 3, 1
+        4, 6, 2, 9, 6, 1, 3, 5, // widths 8, 7, 6, 5, 4, 3, 1, 1, 1
+        2, 2, 3, 1, 3, // widths 5, 4, 2
+    ];
+
+    /// `Debug` of a trained model and its losses' bits: every `f32` of
+    /// the weights, gradients and Adam moments prints in its shortest
+    /// round-trip form, so equal strings are equal bits (NaN aside, which
+    /// no model here holds).
+    fn state_bits<T: std::fmt::Debug>(trained: &T) -> String {
+        let state = format!("{trained:?}");
+        assert!(!state.contains("NaN"), "a trained state holds a NaN");
+        state
+    }
+
+    /// Ragged lane groups — lanes of any lengths, sorted for compute only
+    /// — train both models bit for bit like per-example training: lane
+    /// groups of up to 3, 4 and 8 leave the same weights, gradients,
+    /// Adam moments and loss bits as groups of one, at every edge-case
+    /// batch size, and evaluation's lane groups give each example its
+    /// one-lane logits.
+    #[test]
+    fn ragged_lane_groups_train_like_one_lane() {
+        let mut widths: Vec<usize> = RAGGED_LENS
+            .chunks(LANE_BLOCK)
+            .flat_map(|lens| {
+                let group = LaneGroup::new(lens);
+                (0..group.steps()).map(move |t| group.width(t))
+            })
+            .collect();
+        widths.sort_unstable();
+        widths.dedup();
+        assert_eq!(widths, (1..=LANE_BLOCK).collect::<Vec<_>>());
+        let examples: Vec<SeqExample> = RAGGED_LENS
             .iter()
-            .flat_map(|&(run, len)| std::iter::repeat_n(len, run))
-            .collect()
-    }
-
-    #[test]
-    fn lane_groups_are_bounded_runs_of_one_length() {
-        let lengths = run_lengths();
-        let widths = |group: usize| -> Vec<usize> {
-            lane_groups(&lengths, group, |&len| len)
-                .map(<[usize]>::len)
-                .collect()
-        };
-        assert_eq!(widths(LANE_BLOCK), [1, 3, 8, 1, 2, 5, 1, 4]);
-        assert_eq!(widths(4), [1, 3, 4, 4, 1, 2, 4, 1, 1, 4]);
-        assert_eq!(widths(1), vec![1; lengths.len()]);
-        for group in lane_groups(&lengths, LANE_BLOCK, |&len| len) {
-            assert!(group.iter().all(|&len| len == group[0]));
-        }
-        assert_eq!(lane_groups(&[] as &[usize], 3, |&len| len).count(), 0);
-    }
-
-    /// On runs of equal-length sequences, where groups hold several
-    /// lanes, lane groups of up to 3, 4 and 8 train both models bit for
-    /// bit like per-example training, at every edge-case batch size, and
-    /// evaluate each example to its one-lane logits.
-    #[test]
-    fn multi_lane_groups_train_like_one_lane() {
-        let examples: Vec<SeqExample> = run_lengths()
-            .into_iter()
             .enumerate()
-            .map(|(i, len)| SeqExample {
+            .map(|(i, &len)| SeqExample {
                 xs: (0..len)
                     .map(|t| {
                         vec![
@@ -656,10 +654,10 @@ mod tests {
                 label: i % 3,
             })
             .collect();
-        let tagged: Vec<TaggedExample> = run_lengths()
-            .into_iter()
+        let tagged: Vec<TaggedExample> = RAGGED_LENS
+            .iter()
             .enumerate()
-            .map(|(i, len)| TaggedExample {
+            .map(|(i, &len)| TaggedExample {
                 xs: (0..len)
                     .map(|t| vec![((i * 11 + t * 3) as f32 * 0.41).cos()])
                     .collect(),
@@ -667,18 +665,18 @@ mod tests {
             })
             .collect();
         for batch in [0, 1, 5, 8, 16] {
-            let one = format!("{:?}", train_classifier(&examples, (5, 3), batch, 2, 1));
-            let one_tagger = format!("{:?}", train_tagger(&tagged, batch, 2, 1));
+            let one = state_bits(&train_classifier(&examples, (5, 3), batch, 2, 1));
+            let one_tagger = state_bits(&train_tagger(&tagged, batch, 2, 1));
             for group in [3, 4, LANE_BLOCK] {
                 let lanes = train_classifier(&examples, (5, 3), batch, 2, group);
                 assert_eq!(
-                    format!("{lanes:?}"),
+                    state_bits(&lanes),
                     one,
                     "classifier batch {batch} group {group}"
                 );
                 let lanes = train_tagger(&tagged, batch, 2, group);
                 assert_eq!(
-                    format!("{lanes:?}"),
+                    state_bits(&lanes),
                     one_tagger,
                     "tagger batch {batch} group {group}"
                 );

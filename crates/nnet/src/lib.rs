@@ -17,19 +17,22 @@
 //! (SA)). Gradients are verified against finite differences in the test
 //! suite.
 //!
-//! Training runs each minibatch as feature-major lane groups: runs of
-//! up to eight consecutive examples of one length (an [`LstmTrace`]
-//! holds one group; [`gate_step`] is the one cell step training,
-//! inference and `crates/serve` share). Every lane keeps the scalar
-//! operation order, and one register-tiled kernel
+//! Training runs each minibatch as feature-major lane groups of
+//! consecutive examples of any lengths, up to eight for the classifier
+//! and four for the tagger (an [`LstmTrace`] holds one group; [`gate_step`] is the one cell step training, inference and
+//! `crates/serve` share). A group's lanes are sorted by length for
+//! compute only ([`LaneGroup`]): step `t` runs the lanes still running
+//! as one contiguous prefix, so no lane is padding. Every lane keeps
+//! the scalar operation order, and one register-tiled kernel
 //! ([`Mat::outer_acc_bias_group`]) folds a group's gradients in
 //! per-example order, so the trained weights are bit-identical to
 //! training one example at a time. The gate step runs as whole-block
-//! passes eight elements at a time: its `tanh` is a branch-free port of glibc's `tanhf` and its
-//! `sigmoid` computes `1/(1 + expf(-x))` over a port of glibc's FMA
-//! `expf`, both returning the libm bits for every `f32` input (checked
-//! exhaustively by ignored tests). The `expf` port needs the x86-64-v3
-//! build target the workspace's `.cargo/config.toml` sets.
+//! passes: its `tanh`, eight elements at a time, is a branch-free port
+//! of glibc's `tanhf`, and its `sigmoid`, sixteen at a time, computes
+//! `1/(1 + expf(-x))` over a port of glibc's FMA `expf`, both returning
+//! the libm bits for every `f32` input (checked exhaustively by ignored
+//! tests). The `expf` port needs the x86-64-v3 build target the
+//! workspace's `.cargo/config.toml` sets.
 //!
 //! # Example
 //!
@@ -67,7 +70,7 @@ pub use data::{average_pool, k_fold_indices, standardize, to_features};
 pub use dense::Dense;
 pub use loss::{argmax, softmax, softmax_cross_entropy, softmax_cross_entropy_into, top_k};
 pub use lstm::{gate_step, BiLstm, BiLstmTrace, Lstm, LstmTrace};
-pub use mat::Mat;
+pub use mat::{LaneGroup, Mat};
 pub use metrics::{
     collapse_runs, levenshtein, levenshtein_accuracy, per_class_segment_accuracy, segment_accuracy,
     ConfusionMatrix,

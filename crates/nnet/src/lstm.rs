@@ -2,8 +2,8 @@
 
 #[cfg(test)]
 use crate::expf::sigmoid;
-use crate::expf::sigmoid8;
-use crate::mat::Mat;
+use crate::expf::{sigmoid16, SIGMOID_LANES};
+use crate::mat::{LaneGroup, Mat};
 use crate::optim::{Adam, AdamConfig};
 use crate::tanh::{tanh8, LANES};
 use rand::Rng;
@@ -27,19 +27,28 @@ pub struct Lstm {
 
 /// Cached activations of one lane group's forward pass — the state BPTT
 /// needs — plus the BPTT scratch. Reusing one trace across minibatches
-/// makes it the trainer's arena: buffers only grow to the longest group.
+/// makes it the trainer's arena: buffers only grow to the largest group.
 ///
-/// A group is `lanes` sequences of one length laid out feature-major
-/// (SoA), so element `(feature f, lane l)` of a per-step block sits at
-/// `f * lanes + l`:
+/// A group is `lanes` sequences of any lengths. Step `t` runs the
+/// `w_t` lanes still running, the prefix of the lanes sorted by length,
+/// descending ([`LaneGroup`]), so no lane is padding. Each per-step
+/// block is feature-major (SoA) over those `w_t` lanes: element
+/// `(feature f, sorted position p)` sits at `f * w_t + p`, and step `t`'s
+/// blocks start at `start(t)` (the pairs of the earlier steps) times the
+/// block height:
 ///
-/// * `xh`: `steps + 1` blocks of `(input + hidden) × lanes`; block `t` is
-///   `[x_t, h_t]` — exactly step `t`'s matvec input — and step `t`
-///   writes `h_{t+1}` into block `t + 1` (`h_0 = 0`).
-/// * `cs`: `c_0 .. c_T`, `hidden × lanes` each; `tc`: `tanh(c_{t+1})`
-///   kept from the forward pass, so BPTT does not recompute it.
-/// * `gates`: per step `4·hidden × lanes` post-nonlinearity `[i, f, g,
-///   o]` rows; BPTT overwrites each step with its gate deltas.
+/// * `xh`: per step `(input + hidden) × w_t`, `[x_t, h_t]` — exactly step
+///   `t`'s matvec input (`h_0 = 0`). Step `t` writes `h_{t+1}` into step
+///   `t + 1`'s block when every lane runs on; when the width shrinks,
+///   the rows are re-strided to `w_{t+1}` and each ending lane's final
+///   hidden state goes to `h_end`.
+/// * `cs`: per step `c_t`, `hidden × w_t`; re-strided like `h` when the
+///   width shrinks. `tc`: per step `tanh(c_{t+1})`, kept from the
+///   forward pass, so BPTT does not recompute it.
+/// * `gates`: per step `4·hidden × w_t` post-nonlinearity `[i, f, g, o]`
+///   rows; BPTT overwrites each step with its gate deltas.
+/// * `h_end`: every lane's hidden state after its last step, `hidden ×
+///   lanes` by sorted position.
 ///
 /// After the delta pass, `cs` and `tc` are dead, so the gradient fold
 /// ([`Mat::outer_acc_bias_group`]) packs into them: `cs` takes every
@@ -50,58 +59,83 @@ pub struct Lstm {
 pub struct LstmTrace {
     input: usize,
     hidden: usize,
-    lanes: usize,
-    steps: usize,
+    group: LaneGroup,
     xh: Vec<f32>,
     cs: Vec<f32>,
     tc: Vec<f32>,
     gates: Vec<f32>,
-    // BPTT's recurrent deltas.
+    h_end: Vec<f32>,
+    // BPTT's recurrent deltas; a shrinking forward step stages its new
+    // cell and hidden state in them.
     dh_next: Vec<f32>,
     dc_next: Vec<f32>,
 }
 
 impl LstmTrace {
-    /// Hidden state after step `t` (0-based step index): a feature-major
-    /// `hidden × lanes` block, i.e. the plain hidden vector for a
-    /// one-lane trace.
+    /// Hidden state after step `t` (0-based step index) of a trace whose
+    /// lanes share one length: a feature-major `hidden × lanes` block,
+    /// i.e. the plain hidden vector for a one-lane trace.
     ///
     /// # Panics
     ///
-    /// Panics when `t` is out of range.
+    /// Panics when `t` is out of range or the lanes differ in length.
     #[must_use]
     pub fn hidden(&self, t: usize) -> &[f32] {
-        assert!(t < self.steps, "trace step out of range");
-        let block = (self.input + self.hidden) * self.lanes;
-        &self.xh[(t + 1) * block + self.input * self.lanes..(t + 2) * block]
+        let (g, lanes) = (&self.group, self.group.lanes());
+        assert!(t < g.steps(), "trace step out of range");
+        assert_eq!(g.width(t), lanes, "hidden block of a ragged trace");
+        if t + 1 == g.steps() {
+            return &self.h_end[..self.hidden * lanes];
+        }
+        assert_eq!(g.width(t + 1), lanes, "hidden block of a ragged trace");
+        let block = (self.input + self.hidden) * g.start(t + 1);
+        &self.xh[block + self.input * lanes..][..self.hidden * lanes]
     }
 
-    /// Copies lane `lane`'s hidden state after step `t` into `out`.
+    /// Copies lane `lane`'s hidden state after its step `t` into `out`.
     ///
     /// # Panics
     ///
-    /// Panics when `t` or `lane` is out of range or `out.len() != hidden`.
+    /// Panics when `lane` is out of range, `t` is not below the lane's
+    /// length or `out.len() != hidden`.
     pub fn hidden_lane(&self, t: usize, lane: usize, out: &mut [f32]) {
-        assert!(lane < self.lanes, "trace lane out of range");
+        let g = &self.group;
+        assert!(lane < g.lanes(), "trace lane out of range");
+        assert!(t < g.len(lane), "trace step out of range");
         assert_eq!(out.len(), self.hidden, "hidden dimension");
-        for (o, &v) in out
-            .iter_mut()
-            .zip(self.hidden(t).iter().skip(lane).step_by(self.lanes))
-        {
+        let p = g.position(lane);
+        let (src, w) = if t + 1 == g.len(lane) {
+            (&self.h_end[..], g.lanes())
+        } else {
+            let w = g.width(t + 1);
+            let block = (self.input + self.hidden) * g.start(t + 1);
+            (&self.xh[block + self.input * w..], w)
+        };
+        for (o, &v) in out.iter_mut().zip(src.iter().skip(p).step_by(w)) {
             *o = v;
         }
     }
 
-    /// Number of timesteps traced (every lane's length).
+    /// Lane `lane`'s length.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `lane` is out of range.
+    #[must_use]
+    pub fn lane_len(&self, lane: usize) -> usize {
+        self.group.len(lane)
+    }
+
+    /// Number of timesteps traced: the longest lane's length.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.steps
+        self.group.steps()
     }
 
     /// Whether the trace is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.steps == 0
+        self.group.steps() == 0
     }
 }
 
@@ -117,12 +151,14 @@ impl LstmTrace {
 /// operation order per element, so a lane's state does not depend on
 /// how many lanes run.
 ///
-/// The step runs as passes over whole blocks, eight elements at a time:
-/// `sigmoid` over the `i`, `f` and `o` blocks, `tanh` over `g`, the cell
-/// update, then `tanh(c)` and the hidden state. `tanh` is a branch-free
-/// port of glibc's `tanhf` and `sigmoid` computes `1/(1 + expf(-x))`
-/// over a port of glibc's FMA `expf`; both return the libm bits for
-/// every input.
+/// The step runs as passes over whole blocks: `sigmoid` over the `i`
+/// and `f` blocks (one pass) and the `o` block sixteen elements at a
+/// time, `tanh` over `g` eight
+/// at a time, the cell update, then `tanh(c)` and the hidden state.
+/// `tanh` is a branch-free port of glibc's `tanhf` and `sigmoid`
+/// computes `1/(1 + expf(-x))` over a port of glibc's FMA `expf`; both
+/// return the libm bits for every input, so the chunk width does not
+/// change a bit.
 ///
 /// # Panics
 ///
@@ -132,36 +168,59 @@ pub fn gate_step(gates: &mut [f32], c: &mut [f32], tc: &mut [f32], h: &mut [f32]
     assert_eq!(gates.len(), 4 * n, "gate rows");
     assert_eq!(tc.len(), n, "tanh(c) length");
     assert_eq!(h.len(), n, "hidden length");
-    let (gi, rest) = gates.split_at_mut(n);
-    let (gf, rest) = rest.split_at_mut(n);
+    let (gif, rest) = gates.split_at_mut(2 * n);
     let (gg, go) = rest.split_at_mut(n);
-    map8(gi, sigmoid8);
-    map8(gf, sigmoid8);
-    map8(gg, tanh8);
-    map8(go, sigmoid8);
-    for (((c, &f), &i), &g) in c.iter_mut().zip(&*gf).zip(&*gi).zip(&*gg) {
+    // `i` and `f` are adjacent: one pass, at most one partial chunk.
+    map::<SIGMOID_LANES>(gif, sigmoid16);
+    map::<LANES>(gg, tanh8);
+    map::<SIGMOID_LANES>(go, sigmoid16);
+    let (gi, gf) = gif.split_at(n);
+    for (((c, &f), &i), &g) in c.iter_mut().zip(gf).zip(gi).zip(&*gg) {
         *c = f * *c + i * g;
     }
     tc.copy_from_slice(c);
-    map8(tc, tanh8);
+    map::<LANES>(tc, tanh8);
     for ((h, &o), &t) in h.iter_mut().zip(&*go).zip(&*tc) {
         *h = o * t;
     }
 }
 
-/// Runs `kernel` over `xs` in place, eight elements at a time.
+/// Runs `kernel` over `xs` in place, `N` elements at a time; a partial
+/// last chunk runs zero-padded and only its real elements are written
+/// back.
 #[inline(always)]
-fn map8(xs: &mut [f32], kernel: impl Fn(&mut [f32; LANES])) {
-    let mut chunks = xs.chunks_exact_mut(LANES);
+fn map<const N: usize>(xs: &mut [f32], kernel: impl Fn(&mut [f32; N])) {
+    let mut chunks = xs.chunks_exact_mut(N);
     for chunk in &mut chunks {
-        kernel(chunk.try_into().expect("chunk of LANES"));
+        kernel(chunk.try_into().expect("chunk of N"));
     }
     let rest = chunks.into_remainder();
     if !rest.is_empty() {
-        let mut v = [0.0f32; LANES];
+        let mut v = [0.0f32; N];
         v[..rest.len()].copy_from_slice(rest);
         kernel(&mut v);
         rest.copy_from_slice(&v[..rest.len()]);
+    }
+}
+
+/// Copies the first `to` lanes of each row of a feature-major block of
+/// `from` lanes (`src`) into a block of `to` lanes (`dst`).
+fn restride(src: &[f32], from: usize, dst: &mut [f32], to: usize) {
+    for (d, s) in dst.chunks_exact_mut(to).zip(src.chunks_exact(from)) {
+        d.copy_from_slice(&s[..to]);
+    }
+}
+
+/// Widens a feature-major block of `rows` rows in place from `from` to
+/// `to >= from` lanes, giving the new lanes `+0.0`.
+fn widen(buf: &mut Vec<f32>, rows: usize, from: usize, to: usize) {
+    if from == to {
+        return;
+    }
+    buf.resize(rows * to, 0.0);
+    for j in (0..rows).rev() {
+        buf.copy_within(j * from..(j + 1) * from, j * to);
+        buf[j * to + from..(j + 1) * to].fill(0.0);
     }
 }
 
@@ -169,9 +228,11 @@ fn map8(xs: &mut [f32], kernel: impl Fn(&mut [f32; LANES])) {
 /// gradient.
 #[derive(Clone, Copy)]
 enum DhSrc<'a> {
-    /// `steps × hidden × lanes`, laid out like the trace.
+    /// Every step's, lane after lane in group order, each lane `len ×
+    /// hidden`.
     Steps(&'a [f32]),
-    /// `hidden × lanes`, applied at the last step only.
+    /// `lanes × hidden` in group order, applied at each lane's last step
+    /// only.
     Last(&'a [f32]),
 }
 
@@ -236,14 +297,13 @@ impl Lstm {
         trace
     }
 
-    /// Runs the layer over a group of sequences of one length, one lane
+    /// Runs the layer over a group of sequences of any lengths, one lane
     /// each, into `trace` (reusing its buffers). Each lane's activations
     /// are bit-identical to [`Lstm::forward`] on that sequence alone.
     ///
     /// # Panics
     ///
-    /// Panics if the sequences differ in length or any input vector has
-    /// the wrong dimensionality.
+    /// Panics if any input vector has the wrong dimensionality.
     pub fn forward_lanes(&self, seqs: &[&[Vec<f32>]], trace: &mut LstmTrace) {
         self.forward_group(seqs, false, trace);
     }
@@ -252,88 +312,111 @@ impl Lstm {
     /// sequence back to front (the reverse direction of [`BiLstm`]).
     fn forward_group(&self, seqs: &[&[Vec<f32>]], reverse: bool, trace: &mut LstmTrace) {
         let (n, h, lanes) = (self.input, self.hidden, seqs.len());
-        let steps = seqs.first().map_or(0, |s| s.len());
-        assert!(
-            seqs.iter().all(|s| s.len() == steps),
-            "lane group of ragged lengths"
-        );
-        let block = (n + h) * lanes;
-        let cell = h * lanes;
         trace.input = n;
         trace.hidden = h;
-        trace.lanes = lanes;
-        trace.steps = steps;
+        trace.group.set(seqs.iter().map(|s| s.len()));
+        let g = &trace.group;
+        let pairs = g.pairs();
         // Zero h_0 and c_0; every other element that is read is written
         // below first.
         trace.xh.clear();
-        trace.xh.resize((steps + 1) * block, 0.0);
-        trace.cs.resize((steps + 1) * cell, 0.0);
-        trace.cs[..cell].fill(0.0);
-        trace.tc.resize(steps * cell, 0.0);
-        trace.gates.resize(steps * 4 * cell, 0.0);
+        trace.xh.resize(pairs * (n + h), 0.0);
+        trace.cs.resize(pairs * h, 0.0);
+        trace.cs[..g.width(0) * h].fill(0.0);
+        trace.tc.resize(pairs * h, 0.0);
+        trace.gates.resize(pairs * 4 * h, 0.0);
+        trace.h_end.resize(lanes * h, 0.0);
         for (l, seq) in seqs.iter().enumerate() {
+            let (p, len) = (g.position(l), seq.len());
             for (t, x) in seq.iter().enumerate() {
                 assert_eq!(x.len(), n, "lstm input dimension");
-                let step = if reverse { steps - 1 - t } else { t };
-                let xs = &mut trace.xh[step * block..step * block + n * lanes];
+                let step = if reverse { len - 1 - t } else { t };
+                let w = g.width(step);
+                let xs = &mut trace.xh[(n + h) * g.start(step)..][..n * w];
                 for (f, &v) in x.iter().enumerate() {
-                    xs[f * lanes + l] = v;
+                    xs[f * w + p] = v;
                 }
             }
         }
-        for t in 0..steps {
-            let (done, next) = trace.xh.split_at_mut((t + 1) * block);
-            let gates = &mut trace.gates[t * 4 * cell..(t + 1) * 4 * cell];
+        for t in 0..g.steps() {
+            let (w, next) = (g.width(t), g.width(t + 1));
+            let (s0, s1) = (g.start(t), g.start(t + 1));
+            let (done, later) = trace.xh.split_at_mut((n + h) * s1);
+            let gates = &mut trace.gates[4 * h * s0..4 * h * s1];
             gates.fill(0.0);
-            self.w.matvec_bias_acc_soa(&done[t * block..], lanes, gates);
-            let (c_prev, c_new) = trace.cs.split_at_mut((t + 1) * cell);
-            let c = &mut c_new[..cell];
-            c.copy_from_slice(&c_prev[t * cell..]);
-            gate_step(
-                gates,
-                c,
-                &mut trace.tc[t * cell..(t + 1) * cell],
-                &mut next[n * lanes..block],
-            );
+            self.w.matvec_bias_acc_soa(&done[(n + h) * s0..], w, gates);
+            let tc = &mut trace.tc[h * s0..h * s1];
+            let (c_prev, c_later) = trace.cs.split_at_mut(h * s1);
+            let c_prev = &c_prev[h * s0..];
+            if next == w {
+                // Every lane runs on: step in place into step t + 1's
+                // blocks.
+                let c = &mut c_later[..h * w];
+                c.copy_from_slice(c_prev);
+                gate_step(gates, c, tc, &mut later[n * w..(n + h) * w]);
+                continue;
+            }
+            // The width shrinks: stage the step, then re-stride the
+            // running lanes' state to `next` lanes and move each ending
+            // lane's final hidden state to `h_end`.
+            let (c, h_new) = (&mut trace.dc_next, &mut trace.dh_next);
+            c.clear();
+            c.extend_from_slice(c_prev);
+            h_new.clear();
+            h_new.resize(h * w, 0.0);
+            gate_step(gates, c, tc, h_new);
+            if next > 0 {
+                restride(c, w, &mut c_later[..h * next], next);
+                restride(h_new, w, &mut later[n * next..(n + h) * next], next);
+            }
+            for (end, row) in trace
+                .h_end
+                .chunks_exact_mut(lanes)
+                .zip(h_new.chunks_exact(w))
+            {
+                end[next..w].copy_from_slice(&row[next..]);
+            }
         }
     }
 
     /// Backpropagates through the traced group and accumulates the weight
     /// gradient until [`Lstm::apply_grads`].
     ///
-    /// `dh` is the loss gradient w.r.t. each step's hidden output, laid
-    /// out like the trace (`steps × hidden × lanes`, feature-major per
-    /// step). The trace's gates are overwritten with the gate deltas and
-    /// its cell states with the fold's packing, so a trace backpropagates
-    /// once; its hidden states stay readable.
+    /// `dh` is the loss gradient w.r.t. each step's hidden output, lane
+    /// after lane in group order, each lane `len × hidden` by step (for
+    /// one lane, `steps × hidden`). The trace's gates are overwritten
+    /// with the gate deltas and its cell states with the fold's packing,
+    /// so a trace backpropagates once; its hidden states stay readable.
     ///
-    /// Bit-identical to backpropagating each lane alone, in lane order:
-    /// the delta pass keeps each lane's scalar operation order, and the
-    /// gradient is folded lane ascending, step descending — the order a
-    /// one-lane-at-a-time loop accumulates in.
+    /// Bit-identical to backpropagating each lane alone, in group order:
+    /// a lane enters the reverse walk at its own last step with `+0.0`
+    /// recurrent deltas, the delta pass keeps each lane's scalar
+    /// operation order, and the gradient is folded lane after lane in
+    /// group order, step descending — the order a one-lane-at-a-time
+    /// loop accumulates in.
     ///
     /// # Panics
     ///
     /// Panics if the trace came from a different layer shape or `dh`
     /// has the wrong length.
     pub fn backward(&mut self, trace: &mut LstmTrace, dh: &[f32]) {
-        assert_eq!(
-            dh.len(),
-            trace.steps * trace.hidden * trace.lanes,
-            "dh length"
-        );
+        assert_eq!(dh.len(), trace.group.pairs() * trace.hidden, "dh length");
         self.backward_impl(trace, DhSrc::Steps(dh));
     }
 
     /// [`Lstm::backward`] with a gradient only at each lane's final
     /// hidden state — the many-to-one classifier case. `dh_last` is
-    /// `hidden × lanes`, feature-major.
+    /// `lanes × hidden`, lane after lane in group order.
     ///
     /// # Panics
     ///
     /// Panics if `dh_last` does not match the hidden size times lanes.
     pub fn backward_last(&mut self, trace: &mut LstmTrace, dh_last: &[f32]) {
-        assert_eq!(dh_last.len(), trace.hidden * trace.lanes, "dh dimension");
+        assert_eq!(
+            dh_last.len(),
+            trace.hidden * trace.group.lanes(),
+            "dh dimension"
+        );
         self.backward_impl(trace, DhSrc::Last(dh_last));
     }
 
@@ -341,50 +424,58 @@ impl Lstm {
         let (n, h) = (self.input, self.hidden);
         assert_eq!(trace.input, n, "trace from a different layer shape");
         assert_eq!(trace.hidden, h, "trace from a different layer shape");
-        let (lanes, steps) = (trace.lanes, trace.steps);
-        let cell = h * lanes;
-        let block = (n + h) * lanes;
-        trace.dh_next.clear();
-        trace.dh_next.resize(cell, 0.0);
-        trace.dc_next.clear();
-        trace.dc_next.resize(cell, 0.0);
+        let g = &trace.group;
         let dh_next = &mut trace.dh_next;
         let dc_next = &mut trace.dc_next;
-        for t in (0..steps).rev() {
-            let c_prev = &trace.cs[t * cell..(t + 1) * cell];
-            let tcs = &trace.tc[t * cell..(t + 1) * cell];
-            let dpre = &mut trace.gates[t * 4 * cell..(t + 1) * 4 * cell];
-            let (gi, rest) = dpre.split_at_mut(cell);
-            let (gf, rest) = rest.split_at_mut(cell);
-            let (gg, go) = rest.split_at_mut(cell);
-            for k in 0..cell {
-                let dh_t = match src {
-                    DhSrc::Steps(d) => d[t * cell + k],
-                    DhSrc::Last(d) if t + 1 == steps => d[k],
-                    DhSrc::Last(_) => 0.0,
-                };
-                let dh_total = dh_t + dh_next[k];
-                let i_g = gi[k];
-                let f_g = gf[k];
-                let g_g = gg[k];
-                let o_g = go[k];
-                let tc = tcs[k];
-                let dc = dh_total * o_g * (1.0 - tc * tc) + dc_next[k];
-                // Gate pre-activation gradients, written over the gates.
-                gi[k] = dc * g_g * i_g * (1.0 - i_g);
-                gf[k] = dc * c_prev[k] * f_g * (1.0 - f_g);
-                gg[k] = dc * i_g * (1.0 - g_g * g_g);
-                go[k] = dh_total * tc * o_g * (1.0 - o_g);
-                dc_next[k] = dc * f_g;
+        dh_next.clear();
+        dc_next.clear();
+        for t in (0..g.steps()).rev() {
+            let (w, next) = (g.width(t), g.width(t + 1));
+            let (s0, s1) = (g.start(t), g.start(t + 1));
+            // Lanes whose last step this is enter with +0.0 deltas.
+            widen(dh_next, h, next, w);
+            widen(dc_next, h, next, w);
+            let c_prev = &trace.cs[h * s0..h * s1];
+            let tcs = &trace.tc[h * s0..h * s1];
+            let dpre = &mut trace.gates[4 * h * s0..4 * h * s1];
+            let (gi, rest) = dpre.split_at_mut(h * w);
+            let (gf, rest) = rest.split_at_mut(h * w);
+            let (gg, go) = rest.split_at_mut(h * w);
+            // This step's hidden-output gradient of sorted position `p`'s
+            // lane, row `j`.
+            let dh_t = |p: usize, j: usize| match src {
+                DhSrc::Steps(d) => d[(g.first(g.lane_at(p)) + t) * h + j],
+                DhSrc::Last(d) if p >= next => d[g.lane_at(p) * h + j],
+                DhSrc::Last(_) => 0.0,
+            };
+            for j in 0..h {
+                for p in 0..w {
+                    let k = j * w + p;
+                    let dh_total = dh_t(p, j) + dh_next[k];
+                    let i_g = gi[k];
+                    let f_g = gf[k];
+                    let g_g = gg[k];
+                    let o_g = go[k];
+                    let tc = tcs[k];
+                    let dc = dh_total * o_g * (1.0 - tc * tc) + dc_next[k];
+                    // Gate pre-activation gradients, written over the gates.
+                    gi[k] = dc * g_g * i_g * (1.0 - i_g);
+                    gf[k] = dc * c_prev[k] * f_g * (1.0 - f_g);
+                    gg[k] = dc * i_g * (1.0 - g_g * g_g);
+                    go[k] = dh_total * tc * o_g * (1.0 - o_g);
+                    dc_next[k] = dc * f_g;
+                }
             }
             dh_next.fill(0.0);
-            self.w.matvec_t_acc_soa(dpre, lanes, n, dh_next);
+            self.w.matvec_t_acc_soa(dpre, w, n, dh_next);
         }
-        // The ordered gradient fold: lane ascending, step descending.
+        // The ordered gradient fold: lane after lane in group order, step
+        // descending.
+        let pairs = g.pairs();
         self.grad.outer_acc_bias_group(
-            &trace.gates[..steps * 4 * cell],
-            &trace.xh[..steps * block],
-            lanes,
+            &trace.gates[..pairs * 4 * h],
+            &trace.xh[..pairs * (n + h)],
+            g,
             &mut trace.cs,
             &mut trace.tc,
         );
@@ -413,7 +504,7 @@ pub struct BiLstm {
 
 /// Cached activations of a bidirectional pass over a lane group: the
 /// forward direction's trace and the reverse direction's, whose step `s`
-/// saw input `steps - 1 - s`.
+/// of a lane of length `len` saw input `len - 1 - s`.
 #[derive(Debug, Clone, Default)]
 pub struct BiLstmTrace {
     fwd: LstmTrace,
@@ -422,21 +513,31 @@ pub struct BiLstmTrace {
 
 impl BiLstmTrace {
     /// Writes lane `lane`'s concatenated `[h_fwd(t), h_bwd(t)]` output at
-    /// timestep `t` into `out` (`2 × hidden` long).
+    /// its timestep `t` into `out` (`2 × hidden` long).
     ///
     /// # Panics
     ///
-    /// Panics if `out.len()` is not `2 × hidden` or `t` or `lane` is
-    /// out of range.
+    /// Panics if `out.len()` is not `2 × hidden`, `lane` is out of range
+    /// or `t` is not below the lane's length.
     pub fn output_into(&self, lane: usize, t: usize, out: &mut [f32]) {
-        let steps = self.fwd.steps;
-        assert!(t < steps, "trace step out of range");
+        let len = self.fwd.lane_len(lane);
+        assert!(t < len, "trace step out of range");
         let (f, b) = out.split_at_mut(self.fwd.hidden);
         self.fwd.hidden_lane(t, lane, f);
-        self.bwd.hidden_lane(steps - 1 - t, lane, b);
+        self.bwd.hidden_lane(len - 1 - t, lane, b);
     }
 
-    /// Number of timesteps (every lane's length).
+    /// Lane `lane`'s length.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `lane` is out of range.
+    #[must_use]
+    pub fn lane_len(&self, lane: usize) -> usize {
+        self.fwd.lane_len(lane)
+    }
+
+    /// Number of timesteps: the longest lane's length.
     #[must_use]
     pub fn len(&self) -> usize {
         self.fwd.len()
@@ -484,23 +585,22 @@ impl BiLstm {
         trace
     }
 
-    /// Runs both directions over a group of sequences of one length, one
-    /// lane each, into `trace` (reusing its buffers).
+    /// Runs both directions over a group of sequences of any lengths,
+    /// one lane each, into `trace` (reusing its buffers).
     ///
     /// # Panics
     ///
-    /// Panics if the sequences differ in length or any input vector has
-    /// the wrong dimensionality.
+    /// Panics if any input vector has the wrong dimensionality.
     pub fn forward_lanes(&self, seqs: &[&[Vec<f32>]], trace: &mut BiLstmTrace) {
         self.fwd.forward_group(seqs, false, &mut trace.fwd);
         self.bwd.forward_group(seqs, true, &mut trace.bwd);
     }
 
-    /// Backpropagates per-direction output gradients, each laid out like
-    /// its direction's trace (see [`Lstm::backward`]): `d_fwd` at
-    /// forward step `t` is the gradient of output `t`'s first half, and
-    /// `d_bwd` at reverse step `s` that of output `steps - 1 - s`'s second
-    /// half.
+    /// Backpropagates per-direction output gradients, each lane after
+    /// lane in group order and `len × hidden` per lane (see
+    /// [`Lstm::backward`]): a lane's `d_fwd` at forward step `t` is the
+    /// gradient of its output `t`'s first half, and its `d_bwd` at
+    /// reverse step `s` that of its output `len - 1 - s`'s second half.
     ///
     /// # Panics
     ///
@@ -523,10 +623,10 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
-    /// [`gate_step`] at several widths, with and without a partial chunk
-    /// of eight: each element holds bit for bit what the scalar cell step
-    /// with libm `tanh` computes. Pre-activations span every `tanh`
-    /// branch.
+    /// [`gate_step`] at several widths, with and without partial chunks
+    /// of eight and sixteen: each element holds bit for bit what the
+    /// scalar cell step with libm `tanh` and `expf` computes.
+    /// Pre-activations span every `tanh` branch.
     #[test]
     fn gate_step_matches_the_scalar_cell_step() {
         let hidden = 5;
@@ -627,16 +727,19 @@ mod tests {
         assert_eq!(&out[..3], bi.fwd.forward(&xs).hidden(0));
     }
 
-    /// Every lane of a nine-lane group (and of the reverse direction)
-    /// holds bit for bit the hidden states a one-lane pass over its
-    /// sequence computes.
+    /// Every lane of a nine-lane ragged group (lengths with ties and a
+    /// length-1 lane), in both directions, holds bit for bit the hidden
+    /// states a one-lane pass over its sequence computes.
     #[test]
     fn lane_forward_matches_one_lane_forward() {
         let mut rng = SmallRng::seed_from_u64(10);
         let bi = BiLstm::new(3, 5, &mut rng, AdamConfig::default());
-        let seqs: Vec<Vec<Vec<f32>>> = (0..9)
-            .map(|i| {
-                (0..7)
+        let lens = [4, 7, 1, 7, 3, 5, 2, 4, 6];
+        let seqs: Vec<Vec<Vec<f32>>> = lens
+            .iter()
+            .enumerate()
+            .map(|(i, &len)| {
+                (0..len)
                     .map(|t| {
                         (0..3)
                             .map(|k| ((i * 17 + t * 3 + k) as f32 * 0.29).sin())
@@ -652,6 +755,7 @@ mod tests {
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let (mut got, mut want) = ([0.0f32; 10], [0.0f32; 10]);
         for (l, seq) in seqs.iter().enumerate() {
+            assert_eq!(lanes.lane_len(l), seq.len());
             let alone = bi.forward(seq);
             let mut h = [0.0f32; 5];
             for t in 0..seq.len() {
@@ -666,15 +770,6 @@ mod tests {
                 assert_eq!(bits(&got), bits(&want), "lane {l} output {t}");
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "ragged lengths")]
-    fn a_ragged_lane_group_panics() {
-        let mut rng = SmallRng::seed_from_u64(11);
-        let lstm = Lstm::new(1, 2, &mut rng, AdamConfig::default());
-        let (short, long) = (vec![vec![0.5f32]; 2], vec![vec![0.5f32]; 3]);
-        lstm.forward_lanes(&[&short, &long], &mut LstmTrace::default());
     }
 
     /// The optimized forward/backward must agree with the naive reference

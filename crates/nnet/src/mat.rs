@@ -194,11 +194,11 @@ impl Mat {
     ///
     /// Each lane's result is **bit-identical** to the scalar
     /// `matvec_bias_acc` on that lane's input. Lanes run in fixed blocks
-    /// of `LANE_BLOCK` (eight), then at most one half block of four, both
-    /// keeping four per-lane accumulators over feature chunks of four
-    /// plus a per-lane scalar tail, combined as `(a0 + a1) + (a2 + a3) +
-    /// tail + bias` — the scalar `dot`'s order. Leftover single lanes run
-    /// `dot` itself. So a lane's result does not depend on `lanes` or on
+    /// of `LANE_BLOCK` (eight), then at most one block of four and one of
+    /// two, all keeping four per-lane accumulators over feature chunks of
+    /// four plus a per-lane scalar tail, combined as `(a0 + a1) + (a2 +
+    /// a3) + tail + bias` — the scalar `dot`'s order. A leftover single
+    /// lane runs `dot` itself. So a lane's result does not depend on `lanes` or on
     /// which block it lands in.
     ///
     /// # Panics
@@ -233,6 +233,7 @@ impl Mat {
             match width {
                 LANE_BLOCK => self.bias_block::<LANE_BLOCK>(block, lanes, lane0, out),
                 4 => self.bias_block::<4>(block, lanes, lane0, out),
+                2 => self.bias_block::<2>(block, lanes, lane0, out),
                 // A single lane's inputs are one contiguous vector: the
                 // scalar kernel itself.
                 _ => {
@@ -287,7 +288,8 @@ impl Mat {
     /// four summed as `g0·w0 + g1·w1 + g2·w2 + g3·w3` and skipped when
     /// all four of the lane's `g` are zero, then the leftover rows one at
     /// a time, skipped when zero. Lanes run in blocks of `LANE_BLOCK`
-    /// (eight), then at most one half block of four, then single lanes.
+    /// (eight), then at most one block of four, one of two and a single
+    /// lane.
     ///
     /// # Panics
     ///
@@ -310,6 +312,7 @@ impl Mat {
             match block {
                 LANE_BLOCK => self.t_block::<LANE_BLOCK>(g, lanes, lane0, col0, out),
                 4 => self.t_block::<4>(g, lanes, lane0, col0, out),
+                2 => self.t_block::<2>(g, lanes, lane0, col0, out),
                 _ => self.t_block::<1>(g, lanes, lane0, col0, out),
             }
             lane0 += block;
@@ -375,11 +378,12 @@ impl Mat {
     }
 
     /// Folds a whole traced lane group's rank-1 gradients into `self`:
-    /// `self += g_(l,t) ⊗ [x_(l,t), 1]` for every lane `l` ascending and,
-    /// within a lane, every step `t` descending. Step `t`'s deltas are
-    /// `g[t * rows * lanes..]`, row-major by lane (`rows × lanes`), and
-    /// its inputs `x[t * (cols - 1) * lanes..]`, feature-major (`(cols -
-    /// 1) × lanes`); the step count is `g.len() / (rows × lanes)`.
+    /// `self += g_(l,t) ⊗ [x_(l,t), 1]` for every lane `l` of `group` in
+    /// group order and, within a lane, every step `t` of it descending.
+    /// Step `t` runs the `w = group.width(t)` longest lanes, the sorted
+    /// prefix; its deltas are `g[rows · group.start(t)..]`, row-major by
+    /// lane (`rows × w`), and its inputs `x[(cols - 1) · group.start(t)..]`,
+    /// feature-major (`(cols - 1) × w`).
     ///
     /// Bit-identical to calling `outer_acc_bias(g_l, x_l, 1.0)` on each
     /// (lane, step) pair's gathered vectors in that order: every element
@@ -402,17 +406,16 @@ impl Mat {
         &mut self,
         g: &[f32],
         x: &[f32],
-        lanes: usize,
+        group: &LaneGroup,
         inputs: &mut Vec<f32>,
         deltas: &mut Vec<f32>,
     ) {
         assert!(self.cols > 0, "outer_group needs a bias column");
         let (rows, cols) = (self.rows, self.cols);
         let feat = cols - 1;
-        let steps = g.len().checked_div(rows * lanes).unwrap_or(0);
-        assert_eq!(g.len(), steps * rows * lanes, "outer_group rows");
-        assert_eq!(x.len(), steps * feat * lanes, "outer_group cols");
-        let pairs = lanes * steps;
+        let pairs = group.pairs();
+        assert_eq!(g.len(), pairs * rows, "outer_group rows");
+        assert_eq!(x.len(), pairs * feat, "outer_group cols");
         // Column tiles of up to nine inputs; the last also folds the bias.
         let tiles = feat.div_ceil(FOLD_COLS).max(1);
         inputs.clear();
@@ -424,11 +427,11 @@ impl Mat {
         for (k, xt) in inputs.chunks_exact_mut(pairs * FOLD_COLS).enumerate() {
             let c0 = k * FOLD_COLS;
             let width = (feat - c0).min(FOLD_COLS);
-            pack_pairs::<FOLD_COLS>(x, feat * lanes, c0 * lanes, width, (lanes, steps), xt);
+            pack_pairs::<FOLD_COLS>(x, feat, c0, width, group, xt);
         }
         for r0 in (0..rows).step_by(FOLD_ROWS) {
             let height = (rows - r0).min(FOLD_ROWS);
-            pack_pairs::<FOLD_ROWS>(g, rows * lanes, r0 * lanes, height, (lanes, steps), deltas);
+            pack_pairs::<FOLD_ROWS>(g, rows, r0, height, group, deltas);
             for (k, xt) in inputs.chunks_exact(pairs * FOLD_COLS).enumerate() {
                 if k + 1 < tiles {
                     self.fold_tile::<false>(r0, height, k * FOLD_COLS, deltas, xt);
@@ -522,69 +525,248 @@ const FOLD_ROWS: usize = 8;
 const FOLD_COLS: usize = 9;
 
 /// Packs one tile of every (lane, step) pair for
-/// [`Mat::outer_acc_bias_group`]. Step `t`'s tile is the `k × lanes`
-/// block at `src[t * step + start..]`, row-major by lane (`k <= W`);
-/// lane `l`'s column goes to `out[W * p..][..k]`, where pair `p = l ·
-/// steps + steps - 1 - t`: lanes ascending, steps descending.
+/// [`Mat::outer_acc_bias_group`]. Step `t`'s `rows × w` block starts at
+/// `src[rows · group.start(t)..]`, row-major by lane; its tile is rows
+/// `r0..r0 + k` (`k <= W`), and the lane at sorted position `p` goes to
+/// `out[W · group.pair(p, t)..][..k]`. Runs of steps of one width pack
+/// together, so the per-lane bookkeeping is paid once per run.
 fn pack_pairs<const W: usize>(
     src: &[f32],
-    step: usize,
-    start: usize,
+    rows: usize,
+    r0: usize,
     k: usize,
-    (lanes, steps): (usize, usize),
+    group: &LaneGroup,
     out: &mut [f32],
 ) {
-    if k == W && lanes == LANE_BLOCK {
-        pack_pairs8::<W>(src, step, start, steps, out);
-        return;
-    }
-    for t in 0..steps {
-        let block = &src[t * step + start..][..k * lanes];
-        for l in 0..lanes {
-            let tile = &mut out[(l * steps + steps - 1 - t) * W..][..k];
-            for (v, row) in tile.iter_mut().zip(block.chunks_exact(lanes)) {
-                *v = row[l];
+    for (w, steps) in group.runs() {
+        let run = &src[rows * group.start(steps.start)..][..rows * w * steps.len()];
+        if k == W {
+            let last = |p| group.pair(p, 0);
+            match w {
+                LANE_BLOCK => {
+                    pack_run::<W, LANE_BLOCK>(run, rows, r0, steps, std::array::from_fn(last), out);
+                    continue;
+                }
+                4 => {
+                    pack_run::<W, 4>(run, rows, r0, steps, std::array::from_fn(last), out);
+                    continue;
+                }
+                _ => {}
+            }
+        }
+        for p in 0..w {
+            let last = group.pair(p, 0);
+            for (i, t) in steps.clone().enumerate() {
+                let block = &run[rows * w * i + r0 * w..][..k * w];
+                let tile = &mut out[(last - t) * W..][..k];
+                for (v, row) in tile.iter_mut().zip(block.chunks_exact(w)) {
+                    *v = row[p];
+                }
             }
         }
     }
 }
 
-/// [`pack_pairs`] for full tiles of an eight-lane group, whose every
-/// step is one contiguous `W × 8` block of constant size: the copy
-/// compiles without per-element bounds checks.
+/// [`pack_pairs`] for full tiles of a run of steps that each run `B`
+/// lanes (eight or four), whose every step is one contiguous `W × B`
+/// block of constant size: the copy compiles without per-element bounds
+/// checks. `last[p]` is sorted position `p`'s pair at step 0.
 #[inline(never)]
-fn pack_pairs8<const W: usize>(
-    src: &[f32],
-    step: usize,
-    start: usize,
-    steps: usize,
+fn pack_run<const W: usize, const B: usize>(
+    run: &[f32],
+    rows: usize,
+    r0: usize,
+    steps: std::ops::Range<usize>,
+    last: [usize; B],
     out: &mut [f32],
 ) {
-    const B: usize = LANE_BLOCK;
-    for t in 0..steps {
-        let block = &src[t * step + start..][..W * B];
-        for l in 0..B {
-            let p = l * steps + steps - 1 - t;
-            let tile: &mut [f32; W] = (&mut out[p * W..][..W]).try_into().expect("pair tile");
-            for (i, v) in tile.iter_mut().enumerate() {
-                *v = block[i * B + l];
+    for (i, t) in steps.enumerate() {
+        let block = &run[rows * B * i + r0 * B..][..W * B];
+        for (l, &p) in last.iter().enumerate() {
+            let tile: &mut [f32; W] = (&mut out[(p - t) * W..][..W])
+                .try_into()
+                .expect("pair tile");
+            for (j, v) in tile.iter_mut().enumerate() {
+                *v = block[j * B + l];
             }
         }
+    }
+}
+
+/// The step geometry of a lane group of sequences of any lengths.
+///
+/// The lanes are sorted by length, descending and stable, for compute
+/// only: step `t` runs the `width(t)` lanes whose length exceeds `t`,
+/// which are the sorted prefix, so every per-step block holds only
+/// running lanes and no lane is ever padding. A traced group stores
+/// step `t`'s `k × width(t)` blocks back to back, each at `k ·
+/// start(t)`, where `start(t)` counts the (lane, step) pairs of the
+/// earlier steps. Gradients still fold in group order: pair `pair(p,
+/// t)` numbers the pairs lane after lane in group order, each lane's
+/// steps descending — the order one-lane-at-a-time training folds in.
+///
+/// ```
+/// let group = nnet::LaneGroup::new(&[2, 3, 1, 3]);
+/// assert_eq!((group.lanes(), group.steps(), group.pairs()), (4, 3, 9));
+/// assert_eq!((0..3).map(|t| group.width(t)).collect::<Vec<_>>(), [4, 3, 2]);
+/// // Lanes 1 and 3 (length 3) run first, then lane 0, then lane 2.
+/// assert_eq!((0..4).map(|l| group.position(l)).collect::<Vec<_>>(), [2, 0, 3, 1]);
+/// // Lane 1's step 2 folds right after lane 0's two pairs.
+/// assert_eq!(group.pair(0, 2), 2);
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct LaneGroup {
+    /// Each lane's length, in group order.
+    lens: Vec<usize>,
+    /// Each lane's sorted position.
+    position: Vec<usize>,
+    /// The lane at each sorted position.
+    lane: Vec<usize>,
+    /// Each lane's end in group order: the earlier lanes' total length
+    /// plus its own.
+    ends: Vec<usize>,
+    /// `start(t)` for `t` in `0..=steps`: running prefix sums of the
+    /// widths.
+    starts: Vec<usize>,
+}
+
+impl LaneGroup {
+    /// The geometry of lanes of lengths `lens`, in group order.
+    #[must_use]
+    pub fn new(lens: &[usize]) -> Self {
+        let mut group = LaneGroup::default();
+        group.set(lens.iter().copied());
+        group
+    }
+
+    /// Recomputes the geometry for lanes of lengths `lens`, reusing the
+    /// buffers.
+    pub fn set(&mut self, lens: impl IntoIterator<Item = usize>) {
+        self.lens.clear();
+        self.lens.extend(lens);
+        let lanes = self.lens.len();
+        self.lane.clear();
+        self.lane.extend(0..lanes);
+        // Stable: lanes of one length keep their group order.
+        let lens = &self.lens;
+        self.lane.sort_by_key(|&l| std::cmp::Reverse(lens[l]));
+        self.position.clear();
+        self.position.resize(lanes, 0);
+        for (p, &l) in self.lane.iter().enumerate() {
+            self.position[l] = p;
+        }
+        self.ends.clear();
+        self.ends.extend(self.lens.iter().scan(0, |end, &len| {
+            *end += len;
+            Some(*end)
+        }));
+        let steps = self.lane.first().map_or(0, |&l| self.lens[l]);
+        self.starts.clear();
+        self.starts.push(0);
+        let mut width = lanes;
+        for t in 0..steps {
+            while self.lens[self.lane[width - 1]] <= t {
+                width -= 1;
+            }
+            self.starts.push(self.starts[t] + width);
+        }
+    }
+
+    /// Number of lanes.
+    #[must_use]
+    pub fn lanes(&self) -> usize {
+        self.lens.len()
+    }
+
+    /// Number of steps: the longest lane's length.
+    #[must_use]
+    pub fn steps(&self) -> usize {
+        self.starts.len().saturating_sub(1)
+    }
+
+    /// Number of (lane, step) pairs: the lanes' total length.
+    #[must_use]
+    pub fn pairs(&self) -> usize {
+        self.starts.last().copied().unwrap_or(0)
+    }
+
+    /// Lane `lane`'s length.
+    #[must_use]
+    pub fn len(&self, lane: usize) -> usize {
+        self.lens[lane]
+    }
+
+    /// Lane `lane`'s sorted position.
+    #[must_use]
+    pub fn position(&self, lane: usize) -> usize {
+        self.position[lane]
+    }
+
+    /// The lane at sorted position `p`.
+    #[must_use]
+    pub fn lane_at(&self, p: usize) -> usize {
+        self.lane[p]
+    }
+
+    /// Number of lanes that run step `t` (0 past the last step).
+    #[must_use]
+    pub fn width(&self, t: usize) -> usize {
+        match self.starts.get(t + 1) {
+            Some(&end) => end - self.starts[t],
+            None => 0,
+        }
+    }
+
+    /// The pairs before step `t`: where step `t`'s blocks start, in
+    /// units of one lane's block height.
+    #[must_use]
+    pub fn start(&self, t: usize) -> usize {
+        self.starts[t]
+    }
+
+    /// The fold-order number of the pair (lane at sorted position `p`,
+    /// step `t`): pairs run lane after lane in group order, each lane's
+    /// steps descending.
+    #[must_use]
+    pub fn pair(&self, p: usize, t: usize) -> usize {
+        self.ends[self.lane[p]] - 1 - t
+    }
+
+    /// Maximal runs of steps of one width, widest first: `(width,
+    /// steps)`. Widths only shrink, and width `w` runs from the end of
+    /// sorted position `w`'s lane to the end of position `w - 1`'s.
+    fn runs(&self) -> impl Iterator<Item = (usize, std::ops::Range<usize>)> + '_ {
+        let len_at = |p: usize| self.lens[self.lane[p]];
+        (1..=self.lanes()).rev().filter_map(move |w| {
+            let from = if w == self.lanes() { 0 } else { len_at(w) };
+            (from < len_at(w - 1)).then(|| (w, from..len_at(w - 1)))
+        })
+    }
+
+    /// The first pair of lane `lane`'s own steps in group order (the
+    /// earlier lanes' total length): where its per-step values start in
+    /// a lane-after-lane buffer.
+    #[must_use]
+    pub fn first(&self, lane: usize) -> usize {
+        self.ends[lane] - self.lens[lane]
     }
 }
 
 /// Lane-block width of the SoA kernels: two SSE or one AVX register of
-/// `f32`s, and the widest lane group of [`crate::SeqClassifier`] and
-/// [`crate::SeqTagger`] training and of classifier evaluation.
+/// `f32`s, and the widest lane group of [`crate::SeqClassifier`]
+/// training and evaluation (a chunk of up to eight consecutive
+/// examples, of any lengths).
 pub(crate) const LANE_BLOCK: usize = 8;
 
-/// The widest lane block (eight, four or one) that fits `remaining`
-/// lanes.
+/// The widest lane block (eight, four, two or one) that fits
+/// `remaining` lanes.
 fn block_width(remaining: usize) -> usize {
     if remaining >= LANE_BLOCK {
         LANE_BLOCK
     } else if remaining >= 4 {
         4
+    } else if remaining >= 2 {
+        2
     } else {
         1
     }
@@ -727,12 +909,11 @@ mod tests {
         z.outer_acc_bias(&[], &[], 1.0);
     }
 
-    /// Lane counts every SoA kernel is pinned at: one lane, a half
-    /// block, a half block plus a leftover lane (5 = 4+1), one and two
-    /// exact blocks, a block, a half block and a leftover lane (13 =
-    /// 8+4+1), two blocks plus a leftover lane (17 = 8+8+1), and many
-    /// blocks.
-    const WIDTHS: [usize; 8] = [1, 4, 5, 8, 13, 16, 17, 64];
+    /// Lane counts every SoA kernel is pinned at: every width a ragged
+    /// group of eight runs (1 to 8, so each mix of the blocks of four and
+    /// two and a leftover lane), 8+4+1 (13), 8+4+2 (14), two blocks (16),
+    /// two blocks and a leftover lane (17), and many blocks.
+    const WIDTHS: [usize; 13] = [1, 2, 3, 4, 5, 6, 7, 8, 13, 14, 16, 17, 64];
 
     /// Feature-major SoA block of `lanes` distinct `feat`-long vectors,
     /// with every third (lane, feature) entry zero when `zeros` is set.
@@ -820,63 +1001,117 @@ mod tests {
 
     /// The whole-group fold leaves the gradient bit for bit where the
     /// scalar `outer_acc_bias(g_l, x_l, 1.0)` leaves it, applied lane
-    /// ascending and step descending on each pair's gathered vectors.
-    /// Shapes cover partial row tiles (12 and 20 rows), one to five
-    /// column tiles, the dnnsteal tagger (48 rows, one lane) and the
-    /// website model (64 × 19); lane counts run over every SoA width,
-    /// each at its own step count, down to 1. Zero deltas of both signs
-    /// meet infinite and NaN inputs (a dropped skip turns the cell NaN),
-    /// and NaN deltas, which are not skipped, meet finite inputs.
+    /// after lane in group order and step descending on each pair's
+    /// gathered vectors. Shapes cover partial row tiles (12 and 20 rows),
+    /// one to five column tiles, the dnnsteal tagger (48 × 14) and the
+    /// website model (64 × 19). Groups cover one lane, equal lengths at
+    /// every SoA width, and ragged lengths with ties, length-1 and
+    /// length-0 lanes, so steps run every width from 1 to 8 and some
+    /// wider. Zero deltas of both signs meet infinite and NaN inputs (a
+    /// dropped skip turns the cell NaN), and NaN deltas, which are not
+    /// skipped, meet finite inputs.
     #[test]
     fn group_fold_matches_scalar_outer_acc_bias_per_pair() {
         let mut rng = SmallRng::seed_from_u64(13);
         let bits = |m: &Mat| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         let (mut inputs, mut deltas) = (Vec::new(), Vec::new());
+        let ragged64: Vec<usize> = (0..64).map(|l| 1 + (l * 7) % 5).collect();
+        let groups: [&[usize]; 9] = [
+            &[11],
+            &[9; 4],
+            &[2, 5, 2, 1, 5],
+            &[1; 8],
+            &[8, 1, 7, 2, 6, 3, 5, 4],
+            &[7, 3, 7, 1, 6, 7, 2, 7, 5, 4, 7, 1, 3],
+            &[3; 17],
+            &[0, 6, 0, 4, 2],
+            &ragged64,
+        ];
         for (rows, cols) in [(12, 9), (20, 7), (48, 14), (64, 19), (1, 2), (8, 40)] {
             let feat = cols - 1;
-            for (lanes, steps) in [(1, 11), (4, 9), (5, 2), (8, 1), (13, 7), (17, 3), (64, 5)] {
-                let mut g = soa(rows, lanes * steps, true);
-                let mut x = soa(feat, lanes * steps, false);
-                // Per step: deltas rows × lanes, inputs feat × lanes.
-                let (gs, xs) = (rows * lanes, feat * lanes);
-                for t in 0..steps {
-                    for l in 0..lanes {
-                        let at = |r: usize| t * gs + r * lanes + l;
-                        match (t + l) % 7 {
+            for lens in groups {
+                let group = LaneGroup::new(lens);
+                let pairs = group.pairs();
+                let mut g = soa(rows, pairs, true);
+                let mut x = soa(feat, pairs, false);
+                // Step t's deltas are rows × w at rows · start(t), its
+                // inputs feat × w at feat · start(t).
+                let g_at =
+                    |t: usize, r: usize, p: usize| rows * group.start(t) + r * group.width(t) + p;
+                let x_at =
+                    |t: usize, f: usize, p: usize| feat * group.start(t) + f * group.width(t) + p;
+                for t in 0..group.steps() {
+                    for p in 0..group.width(t) {
+                        match (t + p) % 7 {
                             // Every delta of the pair is a signed zero
                             // and its inputs are ±∞ and NaN.
                             3 => {
                                 for r in 0..rows {
-                                    g[at(r)] = if r % 2 == 0 { 0.0 } else { -0.0 };
+                                    g[g_at(t, r, p)] = if r % 2 == 0 { 0.0 } else { -0.0 };
                                 }
                                 for f in 0..feat {
-                                    x[t * xs + f * lanes + l] =
+                                    x[x_at(t, f, p)] =
                                         [f32::INFINITY, f32::NEG_INFINITY, f32::NAN][f % 3];
                                 }
                             }
                             // NaN deltas beside finite inputs.
-                            5 => g[at(t % rows)] = f32::NAN,
+                            5 => g[g_at(t, t % rows, p)] = f32::NAN,
                             _ => {}
                         }
                     }
                 }
                 let mut fold = Mat::xavier(rows, cols, &mut rng);
                 let mut scalar = fold.clone();
-                fold.outer_acc_bias_group(&g, &x, lanes, &mut inputs, &mut deltas);
-                for l in 0..lanes {
-                    for t in (0..steps).rev() {
-                        let g_l = lane(&g[t * gs..(t + 1) * gs], lanes, l);
-                        let x_l = lane(&x[t * xs..(t + 1) * xs], lanes, l);
+                fold.outer_acc_bias_group(&g, &x, &group, &mut inputs, &mut deltas);
+                for (l, &len) in lens.iter().enumerate() {
+                    let p = group.position(l);
+                    for t in (0..len).rev() {
+                        let g_l: Vec<f32> = (0..rows).map(|r| g[g_at(t, r, p)]).collect();
+                        let x_l: Vec<f32> = (0..feat).map(|f| x[x_at(t, f, p)]).collect();
                         scalar.outer_acc_bias(&g_l, &x_l, 1.0);
                     }
                 }
-                assert_eq!(bits(&fold), bits(&scalar), "{rows}x{cols} at {lanes} lanes");
+                assert_eq!(bits(&fold), bits(&scalar), "{rows}x{cols} at {lens:?}");
                 assert!(
                     fold.as_slice().iter().any(|v| v.is_nan()),
-                    "{rows}x{cols} at {lanes} lanes: no NaN delta folded"
+                    "{rows}x{cols} at {lens:?}: no NaN delta folded"
                 );
             }
         }
+    }
+
+    /// A group's geometry: widths are the running prefix of the lanes
+    /// sorted by length, descending and stable; pairs number the lanes
+    /// in group order, each lane's steps descending.
+    #[test]
+    fn lane_group_geometry_is_the_sorted_running_prefix() {
+        let lens = [3, 1, 4, 1, 5, 0, 4];
+        let group = LaneGroup::new(&lens);
+        assert_eq!((group.lanes(), group.steps(), group.pairs()), (7, 5, 18));
+        let lanes: Vec<usize> = (0..7).map(|p| group.lane_at(p)).collect();
+        assert_eq!(lanes, [4, 2, 6, 0, 1, 3, 5]);
+        let widths: Vec<usize> = (0..=5).map(|t| group.width(t)).collect();
+        assert_eq!(widths, [6, 4, 4, 3, 1, 0]);
+        for t in 0..group.steps() {
+            assert_eq!(group.start(t + 1), group.start(t) + group.width(t));
+            for p in 0..group.width(t) {
+                let l = group.lane_at(p);
+                assert_eq!(group.position(l), p);
+                assert!(group.len(l) > t, "lane {l} runs step {t}");
+                assert_eq!(group.pair(p, t), group.first(l) + group.len(l) - 1 - t);
+            }
+        }
+        let runs: Vec<_> = group.runs().collect();
+        assert_eq!(runs, [(6, 0..1), (4, 1..3), (3, 3..4), (1, 4..5)]);
+        let firsts: Vec<usize> = (0..7).map(|l| group.first(l)).collect();
+        assert_eq!(firsts, [0, 3, 4, 8, 9, 14, 14]);
+        let empty = LaneGroup::new(&[]);
+        assert_eq!((empty.lanes(), empty.steps(), empty.pairs()), (0, 0, 0));
+        let default = LaneGroup::default();
+        assert_eq!(
+            (default.steps(), default.pairs(), default.width(0)),
+            (0, 0, 0)
+        );
     }
 
     /// The 4-row-blocked transpose kernel at row counts that are *not*

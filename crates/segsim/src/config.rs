@@ -236,6 +236,12 @@ pub struct MachineConfig {
 }
 
 impl MachineConfig {
+    /// The highest interrupt rate [`MachineConfig::validate`] accepts
+    /// for the timer and each Poisson source: 100 kHz, a hundred times
+    /// the fastest preset's 1 kHz timer. A KASLR trial at this rate on
+    /// every source takes seconds; at 10^12 Hz one never finishes.
+    pub const MAX_RATE_HZ: f64 = 1e5;
+
     /// The frequency the invariant TSC ticks at, kHz.
     ///
     /// Modeled as the sustained single-core turbo frequency: under the
@@ -250,8 +256,9 @@ impl MachineConfig {
     /// Checks the ranges a machine needs to boot and run: a booted
     /// machine asserts some of them (a positive timer rate, ordered
     /// frequency and handler-cost bounds) and loops forever without
-    /// others (a zero P-state step or governor period). Every preset
-    /// passes.
+    /// others (a zero P-state step or governor period, or an interrupt
+    /// source firing faster than a trial can ever drain: every rate is
+    /// at most [`MachineConfig::MAX_RATE_HZ`]). Every preset passes.
     ///
     /// # Errors
     ///
@@ -263,6 +270,18 @@ impl MachineConfig {
                 "`timer_hz` must be positive, got {}",
                 self.timer_hz
             ));
+        }
+        for (field, rate) in [
+            ("timer_hz", self.timer_hz),
+            ("pmi_rate_hz", self.pmi_rate_hz),
+            ("resched_rate_hz", self.resched_rate_hz),
+        ] {
+            if rate.is_nan() || rate > Self::MAX_RATE_HZ {
+                return Err(format!(
+                    "`{field}` must be at most {} Hz, got {rate}",
+                    Self::MAX_RATE_HZ
+                ));
+            }
         }
         let f = &self.freq;
         if f.max_khz < f.min_khz {
@@ -619,8 +638,11 @@ mod tests {
     #[test]
     fn validate_names_the_offending_field() {
         type Spoil = fn(&mut MachineConfig);
-        let cases: [(&str, Spoil); 3] = [
+        let cases: [(&str, Spoil); 6] = [
             ("timer_hz", |m| m.timer_hz = -250.0),
+            ("timer_hz", |m| m.timer_hz = 1e12),
+            ("pmi_rate_hz", |m| m.pmi_rate_hz = 1e15),
+            ("resched_rate_hz", |m| m.resched_rate_hz = f64::NAN),
             ("freq.max_khz", |m| m.freq.min_khz = m.freq.max_khz + 1),
             ("handler_model.device.body_lo", |m| {
                 let kind = irq::InterruptKind::Network;

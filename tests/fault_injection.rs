@@ -696,6 +696,45 @@ fn campaign_run_writes_nothing_for_an_unrunnable_spec() {
     }
 }
 
+/// A campaign's presets axis sets every cell's machine, so `campaign
+/// run` refuses a spec whose scenario params set `machine` themselves
+/// (here a 1 kHz timer the preset would silently replace with its own):
+/// exit 1, a message naming the scenario and the `presets` axis, and no
+/// `spec.json` or `manifest.json` written.
+#[test]
+fn campaign_run_refuses_a_machine_in_params() {
+    use std::process::Command;
+
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("machine_params");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("test dir");
+    let mut config = KaslrScenarioConfig::default();
+    config.machine.timer_hz = 1000.0;
+    let spec = dir.join("spec.json");
+    let spec_json = format!(
+        r#"{{"name":"machine","seed":1,"scenarios":[{{"scenario":"kaslr","params":{}}}],
+        "presets":["lenovo_yangtian"],"faults":[{{"name":"none","plan":null}}],
+        "replicates":1,"trials":1}}"#,
+        serde_json::to_string(&config).expect("config serializes")
+    );
+    std::fs::write(&spec, spec_json).expect("spec written");
+    let out = dir.join("out");
+    let output = Command::new(env!("CARGO_BIN_EXE_segscope"))
+        .args(["campaign", "run", "--spec"])
+        .arg(&spec)
+        .arg("--out")
+        .arg(&out)
+        .output()
+        .expect("segscope runs");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "{stderr}");
+    for named in ["`kaslr`", "`machine`", "`presets`"] {
+        assert!(stderr.contains(named), "{named}: {stderr}");
+    }
+    assert!(!out.join("spec.json").exists(), "spec.json written");
+    assert!(!out.join("manifest.json").exists(), "manifest.json written");
+}
+
 /// Params that deserialize but lie outside the range a trial body
 /// asserts or the trial machine needs to boot: `segscope run` refuses
 /// each — a scenario's default params with one field changed — at once,
@@ -733,6 +772,10 @@ fn cli_rejects_out_of_range_params_naming_the_field() {
         // Machines that never finish a trial.
         ("kaslr", "machine.freq.step_khz", "0"),
         ("kaslr", "machine.freq.update_period", "0"),
+        // Interrupt sources firing every picosecond or faster.
+        ("kaslr", "machine.timer_hz", "1e12"),
+        ("kaslr", "machine.pmi_rate_hz", "1e15"),
+        ("kaslr", "machine.resched_rate_hz", "1e13"),
     ];
     for (name, path, value) in cases {
         let mut params = segscope_repro::attacks::registry()
