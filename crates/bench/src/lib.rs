@@ -30,29 +30,20 @@ use std::fmt::Write as _;
 
 /// FNV-1a offset basis: the digest of the empty input and the seed of
 /// every [`fnv1a_fold`] chain.
-pub const FNV1A_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// FNV-1a prime.
-const FNV1A_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a_bytes(hash: u64, bytes: &[u8]) -> u64 {
-    bytes
-        .iter()
-        .fold(hash, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV1A_PRIME))
-}
+pub use obs::FNV1A_BASIS;
 
 /// Folds `value`'s little-endian bytes into an order-sensitive FNV-1a
 /// hash; start a chain from [`FNV1A_BASIS`]. The bench reports compare
 /// two code paths' streams by folding both this way.
 #[must_use]
 pub fn fnv1a_fold(hash: u64, value: u64) -> u64 {
-    fnv1a_bytes(hash, &value.to_le_bytes())
+    obs::fnv1a_extend(hash, &value.to_le_bytes())
 }
 
 /// FNV-1a digest of a byte string.
 #[must_use]
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    fnv1a_bytes(FNV1A_BASIS, bytes)
+    obs::fnv1a_extend(FNV1A_BASIS, bytes)
 }
 
 /// Whether the harness should run at full scale

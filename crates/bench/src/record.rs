@@ -111,12 +111,7 @@ fn required_arms(bench: &str) -> &'static [(&'static str, &'static str)] {
             ("ragged", "grouped"),
         ],
         "campaign" => &[("campaign", "shards=1")],
-        "serve" => &[
-            ("serve.f64", "sequential"),
-            ("serve.f64", "batched x64"),
-            ("serve.i16", "sequential"),
-            ("serve.i16", "batched x64"),
-        ],
+        "serve" => &[("serve.f64", "sequential"), ("serve.f64", "batched x64")],
         _ => &[],
     }
 }
@@ -320,9 +315,7 @@ mod tests {
         FABRIC_MIN_SPEEDUP, FOLD_MIN_SPEEDUP, RECYCLED_FULL_MIN_SPEEDUP, RECYCLED_MIN_SPEEDUP,
     };
     use crate::parallel::LSTM_MIN_SPEEDUP;
-    use crate::serving::{
-        BATCHED_SERVE_MIN_SPEEDUP, I16_MAX_ACCURACY_DELTA, I8_MAX_ACCURACY_DELTA,
-    };
+    use crate::serving::BATCHED_SERVE_MIN_SPEEDUP;
     use crate::sweep::SHARDED_MIN_SPEEDUP;
 
     type ArmRow = (&'static str, &'static str, &'static str, f64, Option<u64>);
@@ -415,22 +408,8 @@ mod tests {
             &[
                 ("serve.f64", "sequential", "sessions/s", 6e3, Some(0xA1)),
                 ("serve.f64", "batched x64", "sessions/s", 20e3, Some(0xA1)),
-                ("serve.i16", "sequential", "sessions/s", 7e3, Some(0xA1)),
-                ("serve.i16", "batched x64", "sessions/s", 9e3, Some(0xA1)),
-                ("serve.quant", "f64 accuracy", "share", 0.6, None),
-                ("serve.quant", "i8 accuracy", "share", 0.6, None),
-                ("serve.quant", "i16 accuracy", "share", 0.6, None),
             ],
-            &[
-                ("serve.f64.speedup", 3.3, BATCHED_SERVE_MIN_SPEEDUP, true),
-                ("serve.i8.accuracy_delta", 0.0, I8_MAX_ACCURACY_DELTA, false),
-                (
-                    "serve.i16.accuracy_delta",
-                    0.0,
-                    I16_MAX_ACCURACY_DELTA,
-                    false,
-                ),
-            ],
+            &[("serve.f64.speedup", 3.3, BATCHED_SERVE_MIN_SPEEDUP, true)],
         )
     }
 
@@ -498,14 +477,9 @@ mod tests {
             (campaign, Digest("campaign", "shards=8")),
             (campaign, Gate("campaign.speedup", 1.46)),
             (serve, Drop("serve.f64/")),
-            (serve, Drop("serve.i16/")),
             (serve, Drop("serve.f64/sequential")),
-            (serve, Drop("serve.i16/sequential")),
-            (serve, Value("serve.i16", "batched x64", 0.0)),
+            (serve, Value("serve.f64", "batched x64", 0.0)),
             (serve, Digest("serve.f64", "batched x64")),
-            (serve, Digest("serve.i16", "batched x64")),
-            (serve, Gate("serve.i16.accuracy_delta", 0.02)),
-            (serve, Gate("serve.i8.accuracy_delta", 0.06)),
             (serve, Gate("serve.f64.speedup", 1.5)),
             (parallel, Digest("engine", "parallel")),
             (parallel, Value("engine", "serial", 0.0)),
@@ -534,10 +508,6 @@ mod tests {
         let mut parity = hotpath();
         Break::Gate("fabric.speedup", 1.0).apply(&mut parity);
         assert!(parity.validate().is_ok());
-        // i8 has a wider accuracy budget than i16.
-        let mut coarse = serve();
-        Break::Gate("serve.i8.accuracy_delta", 0.02).apply(&mut coarse);
-        assert!(coarse.validate().is_ok());
         // A multi-core gate recorded on one core is reported, not enforced.
         for mut single in [campaign(), serve()] {
             single.host.threads = 1;

@@ -1,12 +1,9 @@
 //! The streaming serving engine (`BENCH_serve.json`).
 //!
-//! - Every batched arm reproduces its precision's sequential baseline
-//!   verdict stream bit for bit (FNV-folded) at every batch capacity —
-//!   the serve crate's batch-parity contract, measured end to end.
-//! - Post-training quantization stays within the per-scheme
-//!   accuracy-delta budget of the f64 model on a Table IV-style
-//!   website-fingerprinting eval set.
-//! - On multi-core hosts the best f64 batched arm serves sessions at
+//! - Every batched arm reproduces the sequential baseline verdict
+//!   stream bit for bit (FNV-folded) at every batch capacity — the
+//!   serve crate's batch-parity contract, measured end to end.
+//! - On multi-core hosts the best batched arm serves sessions at
 //!   least [`BATCHED_SERVE_MIN_SPEEDUP`]x faster than the recycled
 //!   single-session baseline (recorded unarmed on one core).
 
@@ -15,35 +12,22 @@ use nnet::{AdamConfig, SeqClassifier, SeqExample};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use segscope_attacks::website::{self, Browser, Setting, WebsiteFpConfig};
-use serve::{
-    serve_batched, serve_sequential, verdict_fnv, QuantScheme, QuantizedSeqClassifier, StepModel,
-    Verdict,
-};
+use serve::{serve_batched, serve_sequential, verdict_fnv, Verdict};
 
 /// Minimum accepted batched-vs-sequential session throughput speedup on
 /// multi-core hosts (single-core hosts gate verdict identity alone —
 /// lockstep lanes add no parallelism on one core).
 pub const BATCHED_SERVE_MIN_SPEEDUP: f64 = 3.0;
 
-/// Maximum accepted |accuracy(quantized) - accuracy(f64)| on the eval
-/// set for the 15-bit `i16` scheme — the serving default, and the bar
-/// the issue's acceptance criterion names.
-pub const I16_MAX_ACCURACY_DELTA: f64 = 0.01;
-
-/// Maximum accepted accuracy delta for the 7-bit `i8` scheme, whose
-/// coarser weight grid may flip genuinely close calls.
-pub const I8_MAX_ACCURACY_DELTA: f64 = 0.05;
-
 /// Auxiliary seed stream for the bench's serving model, disjoint from
 /// the website scenario's machine and visit streams.
 const SERVE_BENCH_STREAM: u64 = 0x5EBE;
 
-/// The trained model, its quantized variants' source data, and the
-/// serving trace set the arms run over.
+/// The trained model and the serving trace set the arms run over.
 pub struct ServeWorkload {
-    /// The f32-weight reference classifier, trained on the train split.
+    /// The classifier, trained on the train split.
     pub model: SeqClassifier,
-    /// Held-out eval split (the quantization accuracy set).
+    /// Held-out eval split, the source of the serving traces.
     pub eval: Vec<SeqExample>,
     /// Serving traces: eval sequences cycled up to the session count.
     pub traces: Vec<Vec<Vec<f32>>>,
@@ -54,9 +38,8 @@ pub struct ServeWorkload {
 /// Builds the Table IV-style workload: simulate website-fingerprinting
 /// visit traces on the quick scenario scale, train the LSTM on the
 /// train split (`train_per_site` traces per site), and keep
-/// `eval_per_site` held-out traces per site as the quantization eval
-/// set. The serving trace list cycles the eval sequences up to
-/// `sessions` entries.
+/// `eval_per_site` held-out traces per site. The serving trace list
+/// cycles the held-out sequences up to `sessions` entries.
 #[must_use]
 pub fn build_workload(
     sessions: usize,
@@ -111,8 +94,8 @@ pub fn build_workload(
 /// concatenated verdict stream is bit-identical to an unsharded run at
 /// any shard count.
 #[must_use]
-pub fn serve_sharded<M: StepModel + Sync>(
-    model: &M,
+pub fn serve_sharded(
+    model: &SeqClassifier,
     traces: &[Vec<Vec<f32>>],
     capacity: usize,
     threads: usize,
@@ -130,26 +113,23 @@ pub fn serve_sharded<M: StepModel + Sync>(
     .collect()
 }
 
-/// Measures the `serve.<precision>` layer: the recycled single-session
-/// baseline (`sequential`), then the workload's traces through `threads`
-/// shards of 1, 8 and 64 lockstep lanes (`batched x<capacity>`), each
-/// the best of `repeats`. Returns the best batched speedup over the
-/// baseline.
-pub fn measure_precision<M: StepModel + Sync>(
+/// Measures the `serve.f64` layer: the recycled single-session baseline
+/// (`sequential`), then the workload's traces through `threads` shards
+/// of 1, 8 and 64 lockstep lanes (`batched x<capacity>`), each the best
+/// of `repeats`. Returns the best batched speedup over the baseline.
+pub fn measure_precision(
     record: &mut BenchRecord,
-    model: &M,
-    precision: &str,
     workload: &ServeWorkload,
     threads: usize,
     repeats: usize,
 ) -> f64 {
-    let layer = format!("serve.{precision}");
-    let traces = &workload.traces;
+    const LAYER: &str = "serve.f64";
+    let (model, traces) = (&workload.model, &workload.traces);
     let n = traces.len() as f64;
     let (base_s, verdicts) = best_of(repeats, || serve_sequential(model, traces));
     let rate = n / base_s.max(1e-9);
     record.arm(
-        &layer,
+        LAYER,
         "sequential",
         "sessions/s",
         rate,
@@ -160,7 +140,7 @@ pub fn measure_precision<M: StepModel + Sync>(
         let (wall_s, verdicts) =
             best_of(repeats, || serve_sharded(model, traces, capacity, threads));
         record.arm(
-            &layer,
+            LAYER,
             &format!("batched x{capacity}"),
             "sessions/s",
             n / wall_s.max(1e-9),
@@ -169,36 +149,6 @@ pub fn measure_precision<M: StepModel + Sync>(
         best = best.max(base_s / wall_s.max(1e-9));
     }
     best
-}
-
-/// Measures post-training quantization accuracy on the eval set: the
-/// `serve.quant` arms (f64, i8, i16 accuracy) and one
-/// `serve.<scheme>.accuracy_delta` gate per scheme.
-pub fn measure_quant(record: &mut BenchRecord, model: &SeqClassifier, eval: &[SeqExample]) {
-    let f64_accuracy = model.accuracy(eval);
-    record.arm("serve.quant", "f64 accuracy", "share", f64_accuracy, None);
-    for (scheme, bar) in [
-        (QuantScheme::I8, I8_MAX_ACCURACY_DELTA),
-        (QuantScheme::I16, I16_MAX_ACCURACY_DELTA),
-    ] {
-        let accuracy = QuantizedSeqClassifier::quantize(model, scheme).accuracy(eval);
-        let name = scheme.name();
-        record.arm(
-            "serve.quant",
-            &format!("{name} accuracy"),
-            "share",
-            accuracy,
-            None,
-        );
-        let delta = (accuracy - f64_accuracy).abs();
-        record.gate(
-            &format!("serve.{name}.accuracy_delta"),
-            delta,
-            bar,
-            false,
-            true,
-        );
-    }
 }
 
 #[cfg(test)]

@@ -83,6 +83,8 @@ pub enum CampaignError {
     },
     /// A grid axis is empty, so the spec expands to zero cells.
     EmptyAxis(&'static str),
+    /// The spec's `trials` is above [`scenario::MAX_TRIALS`].
+    Trials(usize),
     /// A manifest does not belong to the spec it was resumed under
     /// (digest or cell-axis geometry mismatch).
     SpecMismatch,
@@ -117,6 +119,11 @@ impl fmt::Display for CampaignError {
             CampaignError::EmptyAxis(axis) => {
                 write!(f, "campaign axis `{axis}` is empty — the grid has no cells")
             }
+            CampaignError::Trials(trials) => write!(
+                f,
+                "campaign `trials` must be at most {}, got {trials}",
+                scenario::MAX_TRIALS
+            ),
             CampaignError::SpecMismatch => write!(
                 f,
                 "manifest does not belong to this campaign spec (digest or geometry mismatch)"

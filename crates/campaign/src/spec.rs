@@ -269,14 +269,7 @@ impl CampaignSpec {
     /// manifest cut for one grid can never be resumed under another.
     #[must_use]
     pub fn digest(&self) -> u64 {
-        const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut hash = FNV_BASIS;
-        for byte in self.to_json().bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(FNV_PRIME);
-        }
-        hash
+        obs::fnv1a_extend(obs::FNV1A_BASIS, self.to_json().as_bytes())
     }
 
     /// Expands the grid into its flat cell list, validating every axis
@@ -292,7 +285,8 @@ impl CampaignSpec {
     /// # Errors
     ///
     /// [`CampaignError::EmptyAxis`] on an empty axis,
-    /// [`CampaignError::UnknownScenario`] / `UnknownPreset` on a name
+    /// [`CampaignError::Trials`] on a trial count above
+    /// [`scenario::MAX_TRIALS`], [`CampaignError::UnknownScenario`] / `UnknownPreset` on a name
     /// that does not resolve, [`CampaignError::FaultPlan`] when a fault
     /// variant's plan fails [`FaultPlan::validate`], and
     /// [`CampaignError::Params`] when a params override (with the
@@ -309,6 +303,9 @@ impl CampaignSpec {
             if empty {
                 return Err(CampaignError::EmptyAxis(axis));
             }
+        }
+        if let Some(trials) = self.trials.filter(|&t| t > scenario::MAX_TRIALS) {
+            return Err(CampaignError::Trials(trials));
         }
         for fault in &self.faults {
             if let Some(plan) = fault.plan {

@@ -47,13 +47,6 @@ impl Dense {
         self.output
     }
 
-    /// The `output × (input + 1)` weight matrix (bias folded into the
-    /// last column) — read-only access for external inference engines.
-    #[must_use]
-    pub fn weights(&self) -> &Mat {
-        &self.w
-    }
-
     /// Forward pass.
     ///
     /// # Panics

@@ -6,6 +6,10 @@
 //! digest folds each event in as it is recorded, so two prefixes compare
 //! in O(1) and the first disagreeing digest brackets where to replay.
 //!
+//! [`fnv1a_extend`] is the workspace's one FNV-1a: campaign spec
+//! fingerprints, serving verdict identities and bench record digests
+//! fold through it too.
+//!
 //! The digest is FNV-1a over each event's canonical JSON encoding — the
 //! same encoding a recording stores its events in, so equal digests
 //! mean the serialized streams are byte-identical. FNV is *not*
@@ -15,8 +19,23 @@
 
 use crate::event::Event;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+/// FNV-1a offset basis: the hash of the empty input, and the start of
+/// every [`fnv1a_extend`] chain.
+pub const FNV1A_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+const FNV1A_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// Folds `bytes` into the running FNV-1a hash `hash`, in order.
+///
+/// ```
+/// assert_eq!(obs::fnv1a_extend(obs::FNV1A_BASIS, b"a"), 0xaf63_dc4c_8601_ec8c);
+/// ```
+#[must_use]
+pub fn fnv1a_extend(hash: u64, bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(hash, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV1A_PRIME))
+}
 
 /// An incremental, order-sensitive digest of an event stream.
 ///
@@ -48,21 +67,16 @@ impl EventDigest {
     /// An empty digest (the FNV offset basis).
     #[must_use]
     pub fn new() -> Self {
-        EventDigest { state: FNV_OFFSET }
+        EventDigest { state: FNV1A_BASIS }
     }
 
     /// Folds one event into the digest.
     pub fn update(&mut self, event: &Event) {
         let encoded =
             serde_json::to_string(event).expect("events contain only integers and unit variants");
-        for byte in encoded.bytes() {
-            self.state ^= u64::from(byte);
-            self.state = self.state.wrapping_mul(FNV_PRIME);
-        }
         // A terminator byte no JSON encoding contains, so event
         // boundaries cannot alias across concatenations.
-        self.state ^= 0xFF;
-        self.state = self.state.wrapping_mul(FNV_PRIME);
+        self.state = fnv1a_extend(fnv1a_extend(self.state, encoded.as_bytes()), &[0xFF]);
     }
 
     /// The digest of everything folded in so far.

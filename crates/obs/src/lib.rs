@@ -48,7 +48,7 @@ pub mod export;
 pub mod metrics;
 mod ring;
 
-pub use digest::{digest_events, EventDigest};
+pub use digest::{digest_events, fnv1a_extend, EventDigest, FNV1A_BASIS};
 pub use event::{Event, EventClass, EventKind, FaultKind, IrqClass, SegRegId};
 pub use metrics::{Metrics, PhaseStats};
 pub use ring::{TraceSink, DEFAULT_CAPACITY};

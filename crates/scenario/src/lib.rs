@@ -299,13 +299,19 @@ pub fn with_recycled_machine<T>(
     })
 }
 
+/// The largest trial count a run may ask for. Trial outputs and seeds
+/// are held in memory until the run merges them, so a count must be one
+/// a host can hold; the CLI's `--trials` and a campaign spec's `trials`
+/// refuse anything above it.
+pub const MAX_TRIALS: usize = 1_000_000;
+
 /// Run-level options of the generic driver (the CLI's flags).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunOptions {
     /// Experiment seed override (`None` = the scenario's default).
     pub seed: Option<u64>,
     /// Trial-count override (`None` = the scenario's default; ignored by
-    /// structured scenarios).
+    /// structured scenarios; callers keep it at most [`MAX_TRIALS`]).
     pub trials: Option<usize>,
     /// Worker threads (`None` = `SEGSCOPE_THREADS`, else all cores).
     pub threads: Option<usize>,

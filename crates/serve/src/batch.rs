@@ -1,7 +1,7 @@
 //! The cross-session batcher: SoA lockstep lanes with recycling.
 
-use crate::model::StepModel;
-use crate::session::Verdict;
+use crate::session::{gate_pre_soa, Verdict};
+use nnet::SeqClassifier;
 
 /// A generation-checked handle to one attached session.
 ///
@@ -74,9 +74,9 @@ impl SessionBatch {
     ///
     /// Panics when `capacity` is zero.
     #[must_use]
-    pub fn new<M: StepModel>(model: &M, capacity: usize) -> Self {
+    pub fn new(model: &SeqClassifier, capacity: usize) -> Self {
         assert!(capacity > 0, "a session batch needs at least one lane");
-        let (input, hidden) = (model.input_dim(), model.hidden_dim());
+        let (input, hidden) = (model.lstm().input_dim(), model.lstm().hidden_dim());
         SessionBatch {
             input,
             hidden,
@@ -166,9 +166,10 @@ impl SessionBatch {
     /// recycling before returning.
     ///
     /// `model` must be the model the batch was built for.
-    pub fn step<M: StepModel>(&mut self, model: &M) -> Vec<(SessionId, Verdict)> {
-        debug_assert_eq!(model.input_dim(), self.input, "model shape changed");
-        debug_assert_eq!(model.hidden_dim(), self.hidden, "model shape changed");
+    pub fn step(&mut self, model: &SeqClassifier) -> Vec<(SessionId, Verdict)> {
+        let lstm = model.lstm();
+        let shape = (lstm.input_dim(), lstm.hidden_dim());
+        debug_assert_eq!(shape, (self.input, self.hidden), "model shape changed");
         self.active.clear();
         for lane in 0..self.capacity {
             if self.staged[lane] {
@@ -193,7 +194,8 @@ impl SessionBatch {
         }
         // One blocked kernel call for the whole batch, then the fused
         // gate pass over all lanes.
-        model.gate_pre_soa(
+        gate_pre_soa(
+            model,
             &self.concat[..(self.input + self.hidden) * m],
             m,
             &mut self.pre[..4 * self.hidden * m],
@@ -222,7 +224,7 @@ impl SessionBatch {
             for f in 0..self.hidden {
                 self.hlane[f] = self.hpack[f * m + k];
             }
-            model.head_logits(&self.hlane, &mut self.logits);
+            model.head().forward_into(&self.hlane, &mut self.logits);
             let id = SessionId {
                 lane,
                 generation: self.generation[lane],

@@ -2,8 +2,8 @@
 //! (or a single recycled session) and collect verdicts in trace order.
 
 use crate::batch::SessionBatch;
-use crate::model::StepModel;
 use crate::session::{StreamSession, Verdict};
+use nnet::SeqClassifier;
 
 /// Serves every trace through a [`SessionBatch`] of `capacity` lanes:
 /// up to `capacity` sessions run in lockstep, lanes recycle onto the
@@ -20,8 +20,8 @@ use crate::session::{StreamSession, Verdict};
 /// Panics when `capacity` is zero or any trace is empty or has the
 /// wrong feature dimensionality.
 #[must_use]
-pub fn serve_batched<M: StepModel>(
-    model: &M,
+pub fn serve_batched(
+    model: &SeqClassifier,
     traces: &[Vec<Vec<f32>>],
     capacity: usize,
 ) -> Vec<Verdict> {
@@ -73,7 +73,7 @@ pub fn serve_batched<M: StepModel>(
 /// Panics when any trace is empty or has the wrong feature
 /// dimensionality.
 #[must_use]
-pub fn serve_sequential<M: StepModel>(model: &M, traces: &[Vec<Vec<f32>>]) -> Vec<Verdict> {
+pub fn serve_sequential(model: &SeqClassifier, traces: &[Vec<Vec<f32>>]) -> Vec<Verdict> {
     let mut verdicts = Vec::with_capacity(traces.len());
     let mut session: Option<StreamSession> = None;
     for trace in traces {
@@ -93,24 +93,13 @@ pub fn serve_sequential<M: StepModel>(model: &M, traces: &[Vec<Vec<f32>>]) -> Ve
     verdicts
 }
 
-const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
 /// FNV-1a over a verdict sequence (class then step count of each
 /// verdict, little-endian) — the order-sensitive identity the bench
 /// gate and the CI smoke compare serving paths with.
 #[must_use]
 pub fn verdict_fnv(verdicts: &[Verdict]) -> u64 {
-    let mut hash = FNV_BASIS;
-    let mut fold = |value: u64| {
-        for byte in value.to_le_bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(FNV_PRIME);
-        }
-    };
-    for v in verdicts {
-        fold(v.class as u64);
-        fold(v.steps as u64);
-    }
-    hash
+    verdicts.iter().fold(obs::FNV1A_BASIS, |hash, v| {
+        let hash = obs::fnv1a_extend(hash, &(v.class as u64).to_le_bytes());
+        obs::fnv1a_extend(hash, &(v.steps as u64).to_le_bytes())
+    })
 }

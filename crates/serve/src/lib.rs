@@ -3,7 +3,8 @@
 //! many concurrent sessions and advance in lockstep through the
 //! [`nnet`] LSTM.
 //!
-//! Three layers, each bit-identical to the one below:
+//! Two layers over the full-precision [`nnet::SeqClassifier`], each
+//! bit-identical to the one below:
 //!
 //! * [`StreamSession`] — one session's hidden/cell state with an
 //!   incremental [`StreamSession::push`]`(timestep) -> Option<Verdict>`
@@ -11,10 +12,7 @@
 //!   trace (the parity oracle test pins this bit-for-bit);
 //! * [`SessionBatch`] — the cross-session batcher: SoA state lanes, one
 //!   blocked kernel call per gate matrix per step for the whole batch,
-//!   lane recycling as sessions finish and new ones attach;
-//! * [`QuantizedSeqClassifier`] — post-training i8/i16 weight
-//!   quantization with per-row scales and a dequant-free integer inner
-//!   loop, gated to within 1% of the `f32` model's accuracy.
+//!   lane recycling as sessions finish and new ones attach.
 //!
 //! The trace-level drivers [`serve_batched`]/[`serve_sequential`] and
 //! the [`verdict_fnv`] identity back the `bench_serve` throughput gate
@@ -45,12 +43,8 @@
 
 mod batch;
 mod engine;
-mod model;
-mod quant;
 mod session;
 
 pub use batch::{SessionBatch, SessionId};
 pub use engine::{serve_batched, serve_sequential, verdict_fnv};
-pub use model::StepModel;
-pub use quant::{QuantScheme, QuantizedSeqClassifier};
 pub use session::{StreamSession, Verdict};

@@ -1,7 +1,7 @@
 //! A single streaming session: incremental timesteps in, one verdict
 //! out, bit-identical to the batch classifier on the same trace.
 
-use crate::model::StepModel;
+use nnet::SeqClassifier;
 use serde::{Deserialize, Serialize};
 
 /// The engine's classification result for one finished session.
@@ -48,9 +48,9 @@ impl StreamSession {
     /// Panics when `expected_steps` is zero (an empty sequence cannot be
     /// classified — same contract as [`nnet::SeqClassifier::logits`]).
     #[must_use]
-    pub fn new<M: StepModel>(model: &M, expected_steps: usize) -> Self {
+    pub fn new(model: &SeqClassifier, expected_steps: usize) -> Self {
         assert!(expected_steps > 0, "cannot classify an empty sequence");
-        let (input, hidden) = (model.input_dim(), model.hidden_dim());
+        let (input, hidden) = (model.lstm().input_dim(), model.lstm().hidden_dim());
         StreamSession {
             input,
             expected: expected_steps,
@@ -90,18 +90,18 @@ impl StreamSession {
     ///
     /// Panics on an input-dimension mismatch or when pushing into a
     /// session that already produced its verdict.
-    pub fn push<M: StepModel>(&mut self, model: &M, x: &[f32]) -> Option<Verdict> {
+    pub fn push(&mut self, model: &SeqClassifier, x: &[f32]) -> Option<Verdict> {
         assert_eq!(x.len(), self.input, "session input dimension");
         assert!(!self.finished(), "session already produced its verdict");
         self.concat[..self.input].copy_from_slice(x);
         self.concat[self.input..].copy_from_slice(&self.h);
-        model.gate_pre_soa(&self.concat, 1, &mut self.pre);
+        gate_pre_soa(model, &self.concat, 1, &mut self.pre);
         nnet::gate_step(&mut self.pre, &mut self.c, &mut self.tc, &mut self.h);
         self.seen += 1;
         if self.seen < self.expected {
             return None;
         }
-        model.head_logits(&self.h, &mut self.logits);
+        model.head().forward_into(&self.h, &mut self.logits);
         Some(Verdict {
             class: nnet::argmax(&self.logits),
             steps: self.seen,
@@ -121,4 +121,20 @@ impl StreamSession {
         self.seen = 0;
         self.expected = expected_steps;
     }
+}
+
+/// Writes the stacked gate pre-activations for `lanes` lockstep
+/// sessions: `concat` holds `[x, h_prev]` feature-major
+/// (`concat[f * lanes + l]`), and `pre` receives the `[i, f, g, o]` rows
+/// row-major (`pre[row * lanes + l]`). A lane's slice is bit-identical
+/// to the batch forward pass on that lane alone at any `lanes`, because
+/// [`nnet::Mat::matvec_bias_acc_soa`] keeps a width-independent per-lane
+/// floating-point order; the cell arithmetic after it is
+/// [`nnet::gate_step`], the one gate step training runs too.
+pub(crate) fn gate_pre_soa(model: &SeqClassifier, concat: &[f32], lanes: usize, pre: &mut [f32]) {
+    pre.fill(0.0);
+    model
+        .lstm()
+        .weights()
+        .matvec_bias_acc_soa(concat, lanes, pre);
 }

@@ -5,10 +5,7 @@
 use nnet::{AdamConfig, SeqClassifier, SeqExample};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serve::{
-    serve_batched, serve_sequential, verdict_fnv, QuantScheme, QuantizedSeqClassifier,
-    SessionBatch, StreamSession,
-};
+use serve::{serve_batched, serve_sequential, verdict_fnv, SessionBatch, StreamSession};
 
 /// A deterministic lightly-trained model (training makes the logits
 /// non-degenerate, so argmax parity is meaningful).
@@ -83,47 +80,6 @@ fn batched_lockstep_matches_sequential_at_every_batch_size() {
         );
         assert_eq!(verdict_fnv(&batched), reference);
     }
-}
-
-#[test]
-fn quantized_batched_matches_quantized_sequential() {
-    let mut rng = SmallRng::seed_from_u64(0x5E23);
-    let model = trained_model(&mut rng);
-    let traces = traces(&mut rng, 60);
-    for scheme in [QuantScheme::I8, QuantScheme::I16] {
-        let quantized = QuantizedSeqClassifier::quantize(&model, scheme);
-        let sequential = serve_sequential(&quantized, &traces);
-        for (trace, verdict) in traces.iter().zip(&sequential) {
-            assert_eq!(verdict.class, quantized.predict(trace), "{}", scheme.name());
-        }
-        for capacity in [1usize, 4, 17, 64] {
-            assert_eq!(
-                serve_batched(&quantized, &traces, capacity),
-                sequential,
-                "{} batched at capacity {capacity} diverged",
-                scheme.name()
-            );
-        }
-    }
-}
-
-#[test]
-fn i16_quantization_tracks_the_f32_model_closely() {
-    let mut rng = SmallRng::seed_from_u64(0x5E24);
-    let model = trained_model(&mut rng);
-    let traces = traces(&mut rng, 60);
-    let quantized = QuantizedSeqClassifier::quantize(&model, QuantScheme::I16);
-    let agree = traces
-        .iter()
-        .filter(|t| quantized.predict(t) == model.predict(t))
-        .count();
-    // i16 keeps ~15 bits of weight precision; verdict flips should be
-    // rare even near decision boundaries on random traces.
-    assert!(
-        agree * 10 >= traces.len() * 9,
-        "i16 verdicts agree on only {agree}/{} traces",
-        traces.len()
-    );
 }
 
 #[test]

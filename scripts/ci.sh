@@ -216,7 +216,7 @@ echo "==> bench records (quick): BENCH_<bench>.json schema + validate()"
 # a violation: every digest-carrying arm of a layer agrees (cached vs
 # naive fabric, probe_n vs probe_n_into, recycled vs fresh trials,
 # serial vs parallel engine, campaign shards 1/4/8, batched vs sequential
-# serving per precision), every rate is positive, every armed gate meets
+# serving), every rate is positive, every armed gate meets
 # its bar. Multi-core gates (campaign >= 2x, serve >= 3x) arm on hosts
 # with more than one thread.
 for bench in bench_hotpath bench_parallel bench_campaign bench_serve; do

@@ -12,7 +12,7 @@
 //! segscope replay --in PATH [--from EVENT]
 //! segscope bisect [SHARED SPEC FLAGS] [per-side -a/-b flags] [--every K]
 //! segscope campaign spec|run|status|resume|report ...
-//! segscope serve-bench [--sessions N] [--capacity N] [--quant i8|i16]
+//! segscope serve-bench [--sessions N] [--capacity N] [--out PATH]
 //! ```
 //!
 //! Every run goes through the same generic deterministic driver
@@ -49,14 +49,13 @@ USAGE:
     segscope campaign status --out DIR
     segscope campaign resume --out DIR [CAMPAIGN OPTIONS]
     segscope campaign report --out DIR
-    segscope serve-bench [--sessions N] [--capacity N] [--quant i8|i16]
-                         [--out PATH]
+    segscope serve-bench [--sessions N] [--capacity N] [--out PATH]
 
 `serve-bench` collects fixed-seed website traces, serves them through
 the streaming engine (the serve crate) sequentially and batched,
 verifies the batched/sequential verdict identity, and prints a fully
-deterministic JSON report (verdict FNV, quantized agreement — no
-timing), suitable for golden comparison in CI.
+deterministic JSON report (verdict FNV, no timing), suitable for
+golden comparison.
 
 `campaign spec --defense-matrix` emits the enclave attack x defense
 matrix instead of the full grid: {aexcount, heckler, keystroke} x
@@ -66,7 +65,8 @@ CAMPAIGN OPTIONS (run, resume):
     --spec PATH        Campaign spec JSON (default for run: the full
                        11-scenario x 6-preset x 3-fault grid)
     --seed N           Override the spec's campaign seed (run only)
-    --trials N         Override the spec's per-cell trial count (run only)
+    --trials N         Override the spec's per-cell trial count (run only;
+                       at most 1000000)
     --shards N         Cells run concurrently: one worker each (default 1)
     --threads N        Worker threads within each cell's run, summarize
                        included
@@ -86,7 +86,8 @@ kill/resume schedule.
 
 RUN OPTIONS:
     --seed N           Experiment seed override (default: the scenario's)
-    --trials N         Trial-count override (structured scenarios ignore it)
+    --trials N         Trial-count override, at most 1000000 (structured
+                       scenarios ignore it)
     --threads N        Worker threads (default: SEGSCOPE_THREADS, else all cores)
     --params JSON      Full scenario config as JSON (default: the scenario's)
     --machine PRESET   Replace the config's `machine` field with a Table I
@@ -102,7 +103,8 @@ RUN OPTIONS:
 SPEC FLAGS (snapshot, and the shared base of bisect):
     --machine PRESET   Table I preset to run (default: xiaomi_air13)
     --seed N           Machine seed
-    --spans N          Marker/run-until-interrupt spans to execute
+    --spans N          Marker/run-until-interrupt spans to execute (at most
+                       1000)
     --fault-plan JSON  Fault plan installed before the run
     --inject US:KIND   Inject a one-shot interrupt at US microseconds
                        (kind: timer resched perfmon network gpu keyboard
@@ -294,7 +296,7 @@ fn parse_run_args(args: &[String]) -> Result<RunArgs, String> {
     while let Some(flag) = flags.next() {
         match flag {
             "--seed" => parsed.opts.seed = Some(flags.u64()?),
-            "--trials" => parsed.opts.trials = Some(flags.nonzero()?),
+            "--trials" => parsed.opts.trials = Some(flags.at_most(scenario::MAX_TRIALS)?),
             "--threads" => parsed.opts.threads = Some(flags.nonzero()?),
             "--capacity" => {
                 parsed.opts.capacity = flags.u64()? as usize;
@@ -318,6 +320,12 @@ fn parse_run_args(args: &[String]) -> Result<RunArgs, String> {
     }
     Ok(parsed)
 }
+
+/// The largest span count `snapshot`/`bisect --spans` accept. Every
+/// snapshot rung carries the ground truth so far, so a recording grows
+/// with the square of its span count: 1,000 spans at `--every 1` write
+/// about 128 MB.
+const MAX_SPANS: usize = 1_000;
 
 /// A cursor over `--flag value` arguments: yields each flag, and reads
 /// the current flag's value as text, an integer, or a nonzero count.
@@ -349,8 +357,14 @@ impl<'a> Flags<'a> {
 
     /// The current flag's value as a count of at least 1.
     fn nonzero(&mut self) -> Result<usize, String> {
+        self.at_most(usize::MAX)
+    }
+
+    /// The current flag's value as a count from 1 to `max`.
+    fn at_most(&mut self, max: usize) -> Result<usize, String> {
         match self.u64()? as usize {
             0 => Err(format!("`{}` must be at least 1", self.flag)),
+            n if n > max => Err(format!("`{}` must be at most {max}, got {n}", self.flag)),
             n => Ok(n),
         }
     }
@@ -488,7 +502,7 @@ fn apply_spec_flag(spec: &mut RunSpec, flag: &str, flags: &mut Flags) -> Result<
     match flag {
         "--machine" => spec.machine = flags.value()?,
         "--seed" => spec.seed = flags.u64()?,
-        "--spans" => spec.spans = flags.nonzero()?,
+        "--spans" => spec.spans = flags.at_most(MAX_SPANS)?,
         "--fault-plan" => spec.fault_plan = Some(parse_fault_plan(&flags.value()?, flag)?),
         "--inject" => spec.inject.push(parse_inject(&flags.value()?, flag)?),
         _ => return Ok(false),
@@ -631,7 +645,7 @@ fn parse_campaign_args(args: &[String], verb: &str) -> Result<CampaignArgs, Stri
             "--spec" => parsed.spec_path = Some(flags.value()?),
             "--out" => parsed.out = Some(flags.value()?),
             "--seed" => parsed.seed = Some(flags.u64()?),
-            "--trials" => parsed.trials = Some(flags.nonzero()?),
+            "--trials" => parsed.trials = Some(flags.at_most(scenario::MAX_TRIALS)?),
             "--shards" => parsed.opts.shards = flags.nonzero()?,
             "--threads" => parsed.opts.threads = Some(flags.nonzero()?),
             "--stop-after-waves" => parsed.opts.stop_after_waves = Some(flags.nonzero()?),
@@ -1036,15 +1050,9 @@ struct ServeBenchReport {
     steps_per_session: usize,
     /// Batcher lane capacity.
     capacity: usize,
-    /// FNV-1a identity of the f64 verdict sequence (batched verified
+    /// FNV-1a identity of the verdict sequence (batched verified
     /// identical to sequential before printing).
     verdict_fnv: String,
-    /// Quantization scheme of the quantized arm.
-    quant: String,
-    /// FNV-1a identity of the quantized verdict sequence.
-    quant_verdict_fnv: String,
-    /// Fraction of sessions where the quantized verdict agrees with f64.
-    quant_agreement: f64,
 }
 
 /// Auxiliary stream of the serve-bench model (distinct from every
@@ -1054,20 +1062,12 @@ const SERVE_BENCH_STREAM: u64 = 0x5EBE;
 fn cmd_serve_bench(args: &[String]) -> Result<(), String> {
     let mut sessions = 12usize;
     let mut capacity = 8usize;
-    let mut scheme = serve::QuantScheme::I16;
     let mut out: Option<String> = None;
     let mut flags = Flags::new(args);
     while let Some(flag) = flags.next() {
         match flag {
             "--sessions" => sessions = flags.nonzero()?,
             "--capacity" => capacity = flags.nonzero()?,
-            "--quant" => {
-                scheme = match flags.value()?.as_str() {
-                    "i8" => serve::QuantScheme::I8,
-                    "i16" => serve::QuantScheme::I16,
-                    other => return Err(format!("`--quant` must be i8 or i16, got `{other}`")),
-                };
-            }
             "--out" => out = Some(flags.value()?),
             other => return Err(format!("unknown flag `{other}`\n\n{USAGE}")),
         }
@@ -1107,27 +1107,11 @@ fn cmd_serve_bench(args: &[String]) -> Result<(), String> {
              the serve parity contract is broken"
         ));
     }
-    let quantized = serve::QuantizedSeqClassifier::quantize(&model, scheme);
-    let q_sequential = serve::serve_sequential(&quantized, &traces);
-    let q_batched = serve::serve_batched(&quantized, &traces, capacity);
-    if q_batched != q_sequential {
-        return Err(format!(
-            "quantized batched serving diverged from sequential at capacity {capacity}"
-        ));
-    }
-    let agree = sequential
-        .iter()
-        .zip(&q_sequential)
-        .filter(|(a, b)| a.class == b.class)
-        .count();
     let report = ServeBenchReport {
         sessions,
         steps_per_session: config.pooled_len,
         capacity,
         verdict_fnv: format!("0x{:016x}", serve::verdict_fnv(&sequential)),
-        quant: scheme.name().to_owned(),
-        quant_verdict_fnv: format!("0x{:016x}", serve::verdict_fnv(&q_sequential)),
-        quant_agreement: agree as f64 / sessions as f64,
     };
     let json = serde_json::to_string(&report).map_err(|e| e.to_string())?;
     say(&json)?;

@@ -18,8 +18,8 @@
 //!   timer, and the timer-based baselines;
 //! * [`nnet`] — the LSTM/BiLSTM classifiers;
 //! * [`serve`] — the streaming inference engine: cross-session SoA
-//!   batching, lane recycling, and i8/i16 post-training quantization,
-//!   bit-identical to the batch classifier;
+//!   batching and lane recycling, bit-identical to the batch
+//!   classifier;
 //! * [`scenario`] — the uniform `Scenario` trait, generic deterministic
 //!   driver, and registry machinery behind the `segscope` CLI;
 //! * [`attacks`] — the six end-to-end case studies plus three extension

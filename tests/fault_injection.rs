@@ -736,12 +736,15 @@ fn campaign_run_refuses_a_machine_in_params() {
 }
 
 /// Params that deserialize but lie outside the range a trial body
-/// asserts or the trial machine needs to boot: `segscope run` refuses
-/// each — a scenario's default params with one field changed — at once,
-/// with exit status 1 and a message naming the field, instead of
-/// panicking, hanging or reporting nonsense. A field of the trial
-/// machine is named by its path in the machine config. Each run is
-/// killed after 10 s, since some of these machines loop forever.
+/// asserts or the trial machine needs to boot, and counts past their
+/// stated maximum: `segscope` refuses each — a scenario's default params
+/// with one field changed, or a count flag at `u64::MAX` — at once, with
+/// exit status 1 and a message naming the field or flag, instead of
+/// panicking, hanging, reporting nonsense or allocating without bound.
+/// A field of the trial machine is named by its path in the machine
+/// config. Each run is limited to 4 GB of address space and killed
+/// after 10 s, since some of these machines loop forever and an
+/// unbounded count would otherwise allocate until the host runs out.
 #[test]
 fn cli_rejects_out_of_range_params_naming_the_field() {
     use serde::Value;
@@ -750,7 +753,7 @@ fn cli_rejects_out_of_range_params_naming_the_field() {
 
     let quick = WebsiteFpConfig::default();
     let too_many_folds = (quick.n_sites * quick.traces_per_site + 1).to_string();
-    let cases = [
+    let params = [
         ("spectre", "secret", r#""""#),
         ("spectre", "attack.candidates", "0"),
         ("covert", "payload", r#""""#),
@@ -777,7 +780,9 @@ fn cli_rejects_out_of_range_params_naming_the_field() {
         ("kaslr", "machine.pmi_rate_hz", "1e15"),
         ("kaslr", "machine.resched_rate_hz", "1e13"),
     ];
-    for (name, path, value) in cases {
+    // (arguments, the field or flag the refusal names)
+    let mut cases: Vec<(Vec<String>, String)> = Vec::new();
+    for (name, path, value) in params {
         let mut params = segscope_repro::attacks::registry()
             .get(name)
             .expect("registered")
@@ -790,9 +795,58 @@ fn cli_rejects_out_of_range_params_naming_the_field() {
             field = &mut fields.iter_mut().find(|(k, _)| k == key).expect("field").1;
         }
         *field = serde_json::from_str(value).expect("value parses");
-        let mut child = Command::new(env!("CARGO_BIN_EXE_segscope"))
-            .args(["run", name, "--trials", "1", "--threads", "1", "--params"])
-            .arg(serde_json::to_string(&params).expect("params serialize"))
+        let params = serde_json::to_string(&params).expect("params serialize");
+        let args = [
+            "run",
+            name,
+            "--trials",
+            "1",
+            "--threads",
+            "1",
+            "--params",
+            &params,
+        ];
+        let named = path.strip_prefix("machine.").unwrap_or(path);
+        cases.push((args.map(String::from).to_vec(), named.to_owned()));
+    }
+    // Counts past their maximum, which would otherwise panic on a
+    // capacity overflow or allocate until the address space runs out.
+    // The spec file sets its own `trials`.
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("count_bounds");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let mut grid = segscope_repro::campaign::CampaignSpec::full_grid(1);
+    grid.trials = Some(usize::MAX);
+    std::fs::write(dir.join("spec.json"), grid.to_json()).expect("spec written");
+    let path = |name: &str| dir.join(name).display().to_string();
+    let (spec, out, rec) = (path("spec.json"), path("out"), path("rec.json"));
+    let max = u64::MAX.to_string();
+    let counts: [(&[&str], &str); 6] = [
+        (&["run", "kaslr", "--trials", &max], "--trials"),
+        (&["run", "kaslr", "--trials", "100000000000"], "--trials"),
+        (&["run", "kaslr", "--trials", "1000001"], "--trials"),
+        (
+            &["campaign", "run", "--trials", &max, "--out", &out],
+            "--trials",
+        ),
+        (
+            &["campaign", "run", "--spec", &spec, "--out", &out],
+            "trials",
+        ),
+        (&["snapshot", "--spans", &max, "--out", &rec], "--spans"),
+    ];
+    for (args, named) in counts {
+        cases.push((
+            args.iter().map(|a| (*a).to_owned()).collect(),
+            named.to_owned(),
+        ));
+    }
+    for (args, named) in cases {
+        let what = format!("{} `{named}`", args[..2].join(" "));
+        let mut child = Command::new("sh")
+            .args(["-c", r#"ulimit -v 4194304 && exec "$0" "$@""#])
+            .arg(env!("CARGO_BIN_EXE_segscope"))
+            .args(&args)
             .stdout(Stdio::null())
             .stderr(Stdio::piped())
             .spawn()
@@ -801,21 +855,25 @@ fn cli_rejects_out_of_range_params_naming_the_field() {
         while child.try_wait().expect("waitable").is_none() {
             if start.elapsed() > Duration::from_secs(10) {
                 let _ = child.kill();
-                panic!("{name} {path}: `segscope run` still running after 10 s");
+                panic!("{what}: `segscope` still running after 10 s");
             }
             std::thread::sleep(Duration::from_millis(5));
         }
         let elapsed = start.elapsed();
         let output = child.wait_with_output().expect("exited");
         let stderr = String::from_utf8_lossy(&output.stderr);
-        assert_eq!(output.status.code(), Some(1), "{name} {path}: {stderr}");
-        assert!(
-            elapsed < Duration::from_secs(1),
-            "{name} {path}: took {elapsed:?}"
-        );
-        let named = path.strip_prefix("machine.").unwrap_or(path);
-        assert!(stderr.contains(&format!("`{named}`")), "{name}: {stderr}");
+        assert_eq!(output.status.code(), Some(1), "{what}: {stderr}");
+        assert!(elapsed < Duration::from_secs(1), "{what}: took {elapsed:?}");
+        assert!(stderr.contains(&format!("`{named}`")), "{what}: {stderr}");
     }
+    assert!(
+        !dir.join("out").exists(),
+        "a refused campaign wrote its directory"
+    );
+    assert!(
+        !dir.join("rec.json").exists(),
+        "a refused snapshot wrote its recording"
+    );
 }
 
 /// `segscope replay` on a recording with a malformed snapshot ladder,

@@ -7,7 +7,9 @@
 //! training scenarios (`website`, `dnnsteal`) run their default trial
 //! count, so the report pins the trained `SeqClassifier` / `SeqTagger`
 //! numerics bit for bit. Any drift in those layers or in the scenario
-//! driver shows up as a byte diff here.
+//! driver shows up as a byte diff here. The `segscope serve-bench`
+//! report, which pins the streaming engine's verdicts, is compared the
+//! same way against `tests/golden/serve.report.json`.
 //! Regenerate intentionally with:
 //!
 //! ```text
@@ -42,6 +44,12 @@ fn check_golden_report(name: &str, trials: Option<usize>) {
     };
     let run = entry.run_dyn(None, &opts).expect("default params valid");
     let actual = serde_json::to_string(&run.report.to_value()).expect("report serializes");
+    check_golden(name, actual);
+}
+
+/// Compares one report line with `tests/golden/<name>.report.json`, or
+/// blesses it under `SEGSCOPE_BLESS=1`.
+fn check_golden(name: &str, actual: String) {
     let path = golden_path(name);
     if std::env::var("SEGSCOPE_BLESS").as_deref() == Ok("1") {
         std::fs::write(&path, actual + "\n").expect("golden file writable");
@@ -83,4 +91,19 @@ fn golden_website_report() {
 #[test]
 fn golden_dnnsteal_report() {
     check_golden_report("dnnsteal", None);
+}
+
+/// Streaming serving at `segscope serve-bench`'s defaults: the report
+/// the built binary prints (the verdict FNV of twelve website sessions,
+/// batched verified identical to sequential) is pinned byte for byte.
+#[test]
+fn golden_serve_bench_report() {
+    let output = std::process::Command::new(env!("CARGO_BIN_EXE_segscope"))
+        .arg("serve-bench")
+        .output()
+        .expect("segscope runs");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(output.status.success(), "serve-bench failed: {stderr}");
+    let stdout = String::from_utf8(output.stdout).expect("the report is UTF-8");
+    check_golden("serve", stdout.trim_end().to_owned());
 }
