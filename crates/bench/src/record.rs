@@ -297,15 +297,33 @@ impl BenchRecord {
 /// If a timed run returns a different result than the warmup: every
 /// timed path is deterministic, so the digest of one run stands for all.
 pub fn best_of<T: PartialEq>(repeats: usize, mut f: impl FnMut() -> T) -> (f64, T) {
-    let out = f();
-    let mut best = f64::INFINITY;
+    best_of_each(repeats, 1, |_| f()).pop().expect("one arm")
+}
+
+/// [`best_of`] over `arms` arms timed round-robin: every arm warms up
+/// once, then each of `repeats` rounds times `f(0)`, `f(1)`, … once
+/// apiece, so host drift during the run reaches every arm alike. Returns
+/// each arm's minimum wall-clock seconds and warmup result, in arm
+/// order.
+///
+/// # Panics
+///
+/// If a timed run returns a different result than its arm's warmup.
+pub fn best_of_each<T: PartialEq>(
+    repeats: usize,
+    arms: usize,
+    mut f: impl FnMut(usize) -> T,
+) -> Vec<(f64, T)> {
+    let mut best: Vec<(f64, T)> = (0..arms).map(|arm| (f64::INFINITY, f(arm))).collect();
     for _ in 0..repeats.max(1) {
-        let start = Instant::now();
-        let again = f();
-        best = best.min(start.elapsed().as_secs_f64());
-        assert!(again == out, "a timed run diverged from its warmup run");
+        for (arm, (best_s, out)) in best.iter_mut().enumerate() {
+            let start = Instant::now();
+            let again = f(arm);
+            *best_s = best_s.min(start.elapsed().as_secs_f64());
+            assert!(again == *out, "a timed run diverged from its warmup run");
+        }
     }
-    (best, out)
+    best
 }
 
 #[cfg(test)]
@@ -532,5 +550,18 @@ mod tests {
         });
         assert_eq!((calls, out), (4, 7));
         assert!(s.is_finite() && s >= 0.0);
+    }
+
+    #[test]
+    fn best_of_each_times_arms_round_robin() {
+        let mut order = Vec::new();
+        let best = best_of_each(2, 3, |arm| {
+            order.push(arm);
+            arm * 10
+        });
+        assert_eq!(order, [0, 1, 2, 0, 1, 2, 0, 1, 2]);
+        let outs: Vec<usize> = best.iter().map(|&(_, out)| out).collect();
+        assert_eq!(outs, [0, 10, 20]);
+        assert!(best.iter().all(|&(s, _)| s.is_finite() && s >= 0.0));
     }
 }

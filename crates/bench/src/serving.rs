@@ -7,7 +7,7 @@
 //!   least [`BATCHED_SERVE_MIN_SPEEDUP`]x faster than the recycled
 //!   single-session baseline (recorded unarmed on one core).
 
-use crate::record::{best_of, BenchRecord};
+use crate::record::{best_of_each, BenchRecord};
 use nnet::{AdamConfig, SeqClassifier, SeqExample};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -113,10 +113,15 @@ pub fn serve_sharded(
     .collect()
 }
 
+/// Batch capacities of the `batched x<capacity>` arms.
+const CAPACITIES: [usize; 3] = [1, 8, 64];
+
 /// Measures the `serve.f64` layer: the recycled single-session baseline
 /// (`sequential`), then the workload's traces through `threads` shards
 /// of 1, 8 and 64 lockstep lanes (`batched x<capacity>`), each the best
-/// of `repeats`. Returns the best batched speedup over the baseline.
+/// of `repeats`. The repeats run round-robin across the arms, so host
+/// drift reaches both sides of the speedup alike. Returns the best
+/// batched speedup over the baseline.
 pub fn measure_precision(
     record: &mut BenchRecord,
     workload: &ServeWorkload,
@@ -126,27 +131,28 @@ pub fn measure_precision(
     const LAYER: &str = "serve.f64";
     let (model, traces) = (&workload.model, &workload.traces);
     let n = traces.len() as f64;
-    let (base_s, verdicts) = best_of(repeats, || serve_sequential(model, traces));
-    let rate = n / base_s.max(1e-9);
-    record.arm(
-        LAYER,
-        "sequential",
-        "sessions/s",
-        rate,
-        Some(verdict_fnv(&verdicts)),
-    );
+    // Arm 0 is the baseline; arm `k` batches at `CAPACITIES[k - 1]`.
+    let arms = best_of_each(repeats, 1 + CAPACITIES.len(), |arm| match arm {
+        0 => serve_sequential(model, traces),
+        k => serve_sharded(model, traces, CAPACITIES[k - 1], threads),
+    });
+    let base_s = arms[0].0;
     let mut best = f64::NEG_INFINITY;
-    for capacity in [1usize, 8, 64] {
-        let (wall_s, verdicts) =
-            best_of(repeats, || serve_sharded(model, traces, capacity, threads));
+    for (arm, (wall_s, verdicts)) in arms.iter().enumerate() {
+        let name = match arm {
+            0 => "sequential".to_owned(),
+            k => format!("batched x{}", CAPACITIES[k - 1]),
+        };
         record.arm(
             LAYER,
-            &format!("batched x{capacity}"),
+            &name,
             "sessions/s",
             n / wall_s.max(1e-9),
-            Some(verdict_fnv(&verdicts)),
+            Some(verdict_fnv(verdicts)),
         );
-        best = best.max(base_s / wall_s.max(1e-9));
+        if arm > 0 {
+            best = best.max(base_s / wall_s.max(1e-9));
+        }
     }
     best
 }

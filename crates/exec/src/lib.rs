@@ -31,7 +31,7 @@
 //! of a run completed, with their outputs — the campaign layer's
 //! resumable record).
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 mod checkpoint;
 
@@ -102,8 +102,9 @@ fn chunk_size(tasks: usize, threads: usize) -> usize {
 /// `(0..tasks).map(task).collect()` provided `task` is a pure function
 /// of its index (derive per-task randomness via [`derive_seed`]).
 ///
-/// Panics in a task propagate after all workers have stopped pulling
-/// work.
+/// A panic in a task propagates once every worker has stopped: the
+/// unwinding worker raises a shared stop flag, and the others check it
+/// before each claim, so they finish only the chunk they hold.
 pub fn parallel_map<T, F>(tasks: usize, threads: usize, task: F) -> Vec<T>
 where
     T: Send,
@@ -114,15 +115,20 @@ where
         return (0..tasks).map(task).collect();
     }
     let cursor = AtomicUsize::new(0);
+    let stop = AtomicBool::new(false);
     let chunk = chunk_size(tasks, threads);
     let task = &task;
-    let cursor = &cursor;
+    let (cursor, stop) = (&cursor, &stop);
     std::thread::scope(|scope| {
         let workers: Vec<_> = (0..threads)
             .map(|_| {
                 scope.spawn(move || {
+                    let _stop_on_panic = StopOnPanic(stop);
                     let mut local = Vec::new();
                     loop {
+                        if stop.load(Ordering::Relaxed) {
+                            return local;
+                        }
                         let start = cursor.fetch_add(chunk, Ordering::Relaxed);
                         if start >= tasks {
                             return local;
@@ -155,6 +161,17 @@ where
             .map(|slot| slot.expect("every task index was claimed exactly once"))
             .collect()
     })
+}
+
+/// Raises the stop flag when its worker unwinds out of a task.
+struct StopOnPanic<'a>(&'a AtomicBool);
+
+impl Drop for StopOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.store(true, Ordering::Relaxed);
+        }
+    }
 }
 
 /// Seeded fan-out where a *chunk of consecutive trials* — not a single
@@ -288,6 +305,36 @@ mod tests {
             assert!(i != 7, "task 7 exploded");
             i
         });
+    }
+
+    #[test]
+    fn a_panic_stops_the_other_workers_claiming() {
+        const TASKS: usize = 4096;
+        let ran = AtomicUsize::new(0);
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            parallel_map(TASKS, 2, |i| {
+                if i == 0 {
+                    // Let the other worker claim and run its first chunk.
+                    while ran.load(Ordering::Relaxed) == 0 {
+                        std::thread::yield_now();
+                    }
+                    panic!("task 0 exploded");
+                }
+                ran.fetch_add(1, Ordering::Relaxed);
+                // Slow enough that the other worker can never run
+                // through the whole range before the panic lands.
+                std::thread::sleep(std::time::Duration::from_micros(50));
+            })
+        }));
+        assert!(outcome.is_err(), "the panic propagates");
+        // The other worker finishes the chunk it holds when the flag
+        // goes up, and at most one more claimed just before.
+        let chunk = chunk_size(TASKS, 2);
+        let ran = ran.into_inner();
+        assert!(
+            ran <= 2 * chunk,
+            "{ran} tasks ran after a panic, chunk {chunk}"
+        );
     }
 
     #[test]

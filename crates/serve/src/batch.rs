@@ -23,11 +23,22 @@ impl SessionId {
     }
 }
 
+/// A run of consecutive staged lanes and where it lands in a step's
+/// dense block: lanes `lane..lane + len` pack into slots
+/// `slot..slot + len`.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    lane: usize,
+    slot: usize,
+    len: usize,
+}
+
 /// A lockstep batch of streaming sessions over one model.
 ///
 /// Per-session hidden/cell state lives in feature-major SoA buffers
 /// (`buf[feature * capacity + lane]`). Each [`SessionBatch::step`]
-/// packs the staged lanes into a dense block and drives **one** blocked
+/// packs the staged lanes into a dense block, copying each run of
+/// consecutive staged lanes as a whole, and drives **one** blocked
 /// kernel call per gate matrix for the whole batch instead of one matvec
 /// per session; lanes recycle through a free list as sessions finish and
 /// new ones attach.
@@ -62,7 +73,7 @@ pub struct SessionBatch {
     cpack: Vec<f32>,
     hpack: Vec<f32>,
     tcpack: Vec<f32>,
-    active: Vec<usize>,
+    runs: Vec<Run>,
     logits: Vec<f32>,
     hlane: Vec<f32>,
 }
@@ -95,7 +106,7 @@ impl SessionBatch {
             cpack: vec![0.0; hidden * capacity],
             hpack: vec![0.0; hidden * capacity],
             tcpack: vec![0.0; hidden * capacity],
-            active: Vec::with_capacity(capacity),
+            runs: Vec::with_capacity(capacity.div_ceil(2)),
             logits: vec![0.0; model.classes()],
             hlane: vec![0.0; hidden],
         }
@@ -170,73 +181,97 @@ impl SessionBatch {
         let lstm = model.lstm();
         let shape = (lstm.input_dim(), lstm.hidden_dim());
         debug_assert_eq!(shape, (self.input, self.hidden), "model shape changed");
-        self.active.clear();
-        for lane in 0..self.capacity {
-            if self.staged[lane] {
-                self.active.push(lane);
+        // Split the staged lanes, in ascending order, into maximal runs
+        // of consecutive lanes.
+        self.runs.clear();
+        let mut m = 0;
+        let mut lane = 0;
+        while lane < self.capacity {
+            if !self.staged[lane] {
+                lane += 1;
+                continue;
             }
+            let first = lane;
+            while lane < self.capacity && self.staged[lane] {
+                lane += 1;
+            }
+            let len = lane - first;
+            self.runs.push(Run {
+                lane: first,
+                slot: m,
+                len,
+            });
+            m += len;
         }
-        let m = self.active.len();
         if m == 0 {
             return Vec::new();
         }
-        // Gather the staged lanes into dense feature-major blocks.
-        for f in 0..self.input {
-            for (k, &lane) in self.active.iter().enumerate() {
-                self.concat[f * m + k] = self.x[f * self.capacity + lane];
-            }
-        }
-        for f in 0..self.hidden {
-            for (k, &lane) in self.active.iter().enumerate() {
-                self.concat[(self.input + f) * m + k] = self.h[f * self.capacity + lane];
-                self.cpack[f * m + k] = self.c[f * self.capacity + lane];
-            }
-        }
+        let (input, hidden, capacity) = (self.input, self.hidden, self.capacity);
+        let to_slots = || self.runs.iter().map(|r| (r.lane, r.slot, r.len));
+        let to_lanes = || self.runs.iter().map(|r| (r.slot, r.lane, r.len));
+        // Pack the staged lanes into dense feature-major blocks.
+        let (xs, hs) = self.concat.split_at_mut(input * m);
+        copy_runs(to_slots(), input, (&self.x, capacity), (xs, m));
+        copy_runs(to_slots(), hidden, (&self.h, capacity), (hs, m));
+        copy_runs(
+            to_slots(),
+            hidden,
+            (&self.c, capacity),
+            (&mut self.cpack, m),
+        );
         // One blocked kernel call for the whole batch, then the fused
         // gate pass over all lanes.
         gate_pre_soa(
             model,
-            &self.concat[..(self.input + self.hidden) * m],
+            &self.concat[..(input + hidden) * m],
             m,
-            &mut self.pre[..4 * self.hidden * m],
+            &mut self.pre[..4 * hidden * m],
         );
         nnet::gate_step(
-            &mut self.pre[..4 * self.hidden * m],
-            &mut self.cpack[..self.hidden * m],
-            &mut self.tcpack[..self.hidden * m],
-            &mut self.hpack[..self.hidden * m],
+            &mut self.pre[..4 * hidden * m],
+            &mut self.cpack[..hidden * m],
+            &mut self.tcpack[..hidden * m],
+            &mut self.hpack[..hidden * m],
         );
-        // Scatter the new state back to the lanes.
-        for f in 0..self.hidden {
-            for (k, &lane) in self.active.iter().enumerate() {
-                self.h[f * self.capacity + lane] = self.hpack[f * m + k];
-                self.c[f * self.capacity + lane] = self.cpack[f * m + k];
-            }
-        }
+        // Copy the new state back to the lanes it came from.
+        copy_runs(
+            to_lanes(),
+            hidden,
+            (&self.hpack, m),
+            (&mut self.h, capacity),
+        );
+        copy_runs(
+            to_lanes(),
+            hidden,
+            (&self.cpack, m),
+            (&mut self.c, capacity),
+        );
         let mut verdicts = Vec::new();
-        for k in 0..m {
-            let lane = self.active[k];
-            self.staged[lane] = false;
-            self.seen[lane] += 1;
-            if self.seen[lane] < self.expected[lane] {
-                continue;
+        for r in 0..self.runs.len() {
+            let Run { lane, slot, len } = self.runs[r];
+            for (lane, k) in (lane..lane + len).zip(slot..) {
+                self.staged[lane] = false;
+                self.seen[lane] += 1;
+                if self.seen[lane] < self.expected[lane] {
+                    continue;
+                }
+                for f in 0..hidden {
+                    self.hlane[f] = self.hpack[f * m + k];
+                }
+                model.head().forward_into(&self.hlane, &mut self.logits);
+                let id = SessionId {
+                    lane,
+                    generation: self.generation[lane],
+                };
+                verdicts.push((
+                    id,
+                    Verdict {
+                        class: nnet::argmax(&self.logits),
+                        steps: self.seen[lane],
+                    },
+                ));
+                self.release(lane);
             }
-            for f in 0..self.hidden {
-                self.hlane[f] = self.hpack[f * m + k];
-            }
-            model.head().forward_into(&self.hlane, &mut self.logits);
-            let id = SessionId {
-                lane,
-                generation: self.generation[lane],
-            };
-            verdicts.push((
-                id,
-                Verdict {
-                    class: nnet::argmax(&self.logits),
-                    steps: self.seen[lane],
-                },
-            ));
-            self.release(lane);
         }
         verdicts
     }
@@ -254,5 +289,87 @@ impl SessionBatch {
         self.attached[lane] = false;
         self.staged[lane] = false;
         self.free.push(lane);
+    }
+}
+
+/// Runs shorter than this many lanes copy lane by lane down the rows,
+/// as a per-lane gather does; longer runs copy row by row as slices. A
+/// slice copy of a length known only at run time is a `memcpy` call,
+/// which costs more than a few scalar moves.
+const SLICE_RUN: usize = 4;
+
+/// For each `(from, to, len)` in `runs`, copies the `len` elements at
+/// `from` in each of the first `rows` rows of `src` (rows of
+/// `src_row`) to `to` in the same row of `dst` (rows of `dst_row`).
+fn copy_runs(
+    runs: impl Iterator<Item = (usize, usize, usize)>,
+    rows: usize,
+    (src, src_row): (&[f32], usize),
+    (dst, dst_row): (&mut [f32], usize),
+) {
+    for (from, to, len) in runs {
+        if len < SLICE_RUN {
+            for k in 0..len {
+                for f in 0..rows {
+                    dst[f * dst_row + to + k] = src[f * src_row + from + k];
+                }
+            }
+        } else {
+            for f in 0..rows {
+                dst[f * dst_row + to..][..len].copy_from_slice(&src[f * src_row + from..][..len]);
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use nnet::AdamConfig;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
+    /// Over steps whose staged lanes split into several runs, a staged
+    /// lane's hidden and cell state equals the same session stepped in
+    /// a batch of one, and a lane that sits out keeps its state bits.
+    #[test]
+    fn a_step_moves_exactly_the_staged_lanes() {
+        let mut rng = SmallRng::seed_from_u64(0xBA7C);
+        let model = SeqClassifier::new(2, 9, 3, &mut rng, AdamConfig::default());
+        let capacity = 13;
+        let mut batch = SessionBatch::new(&model, capacity);
+        let mut solo: Vec<SessionBatch> = (0..capacity)
+            .map(|_| SessionBatch::new(&model, 1))
+            .collect();
+        let ids: Vec<SessionId> = (0..capacity)
+            .map(|_| batch.attach(usize::MAX).expect("lane free"))
+            .collect();
+        let solo_ids: Vec<SessionId> = solo
+            .iter_mut()
+            .map(|one| one.attach(usize::MAX).expect("lane free"))
+            .collect();
+        for _ in 0..50 {
+            let (h, c) = (batch.h.clone(), batch.c.clone());
+            let staged: Vec<bool> = (0..capacity).map(|_| rng.gen_range(0u32..3) != 0).collect();
+            for lane in (0..capacity).filter(|&lane| staged[lane]) {
+                let x = [rng.gen_range(-1.0f32..1.0), rng.gen_range(-1.0f32..1.0)];
+                batch.stage(ids[lane], &x);
+                solo[lane].stage(solo_ids[lane], &x);
+                assert!(solo[lane].step(&model).is_empty());
+            }
+            assert!(batch.step(&model).is_empty());
+            for (lane, one) in solo.iter().enumerate() {
+                for f in 0..batch.hidden {
+                    let at = f * capacity + lane;
+                    let (want_h, want_c) = if staged[lane] {
+                        (one.h[f], one.c[f])
+                    } else {
+                        (h[at], c[at])
+                    };
+                    assert_eq!(batch.h[at].to_bits(), want_h.to_bits(), "h lane {lane}");
+                    assert_eq!(batch.c[at].to_bits(), want_c.to_bits(), "c lane {lane}");
+                }
+            }
+        }
     }
 }

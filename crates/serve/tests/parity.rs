@@ -5,7 +5,7 @@
 use nnet::{AdamConfig, SeqClassifier, SeqExample};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serve::{serve_batched, serve_sequential, verdict_fnv, SessionBatch, StreamSession};
+use serve::{serve_batched, serve_sequential, verdict_fnv, SessionBatch, SessionId, StreamSession};
 
 /// A deterministic lightly-trained model (training makes the logits
 /// non-degenerate, so argmax parity is meaningful).
@@ -79,6 +79,70 @@ fn batched_lockstep_matches_sequential_at_every_batch_size() {
             "batched at capacity {capacity} diverged from sequential"
         );
         assert_eq!(verdict_fnv(&batched), reference);
+    }
+}
+
+/// Drives a [`SessionBatch`] directly with sessions of different
+/// lengths, where an attached session sits out about one step in three
+/// (attached, not staged). A step's staged lanes then split into
+/// several runs of consecutive lanes. Every verdict equals a solo
+/// [`StreamSession`] fed the same inputs, and arrives only after the
+/// session's last staged timestep: sitting out consumes nothing.
+#[test]
+fn steps_over_many_lane_runs_match_solo_sessions() {
+    let mut rng = SmallRng::seed_from_u64(0x5E27);
+    let model = trained_model(&mut rng);
+    for capacity in [1usize, 4, 17, 64] {
+        let traces = traces(&mut rng, 3 * capacity + 7);
+        let mut batch = SessionBatch::new(&model, capacity);
+        // Per lane: the session's handle, its trace and the next
+        // timestep to stage.
+        let mut lanes: Vec<Option<(SessionId, usize, usize)>> = vec![None; capacity];
+        let mut verdicts = vec![None; traces.len()];
+        let (mut next, mut most_runs) = (0, 0);
+        while next < traces.len() || batch.active_sessions() > 0 {
+            while next < traces.len() {
+                let Some(id) = batch.attach(traces[next].len()) else {
+                    break;
+                };
+                lanes[id.lane()] = Some((id, next, 0));
+                next += 1;
+            }
+            let mut staged = vec![false; capacity];
+            for (lane, slot) in lanes.iter_mut().enumerate() {
+                let Some((id, trace, cursor)) = slot else {
+                    continue;
+                };
+                if rng.gen_range(0u32..3) == 0 {
+                    continue;
+                }
+                batch.stage(*id, &traces[*trace][*cursor]);
+                *cursor += 1;
+                staged[lane] = true;
+            }
+            let runs = staged
+                .iter()
+                .enumerate()
+                .filter(|&(lane, &on)| on && (lane == 0 || !staged[lane - 1]))
+                .count();
+            most_runs = most_runs.max(runs);
+            for (id, verdict) in batch.step(&model) {
+                let (_, trace, cursor) = lanes[id.lane()].take().expect("a live lane");
+                assert_eq!(cursor, traces[trace].len(), "verdict before the last step");
+                verdicts[trace] = Some(verdict);
+            }
+        }
+        for (t, trace) in traces.iter().enumerate() {
+            let mut solo = StreamSession::new(&model, trace.len());
+            let want = trace.iter().fold(None, |_, x| solo.push(&model, x));
+            assert_eq!(verdicts[t], want, "capacity {capacity}, trace {t}");
+        }
+        if capacity > 1 {
+            assert!(
+                most_runs >= 2,
+                "capacity {capacity}: no step split into runs"
+            );
+        }
     }
 }
 

@@ -55,7 +55,8 @@ USAGE:
 the streaming engine (the serve crate) sequentially and batched,
 verifies the batched/sequential verdict identity, and prints a fully
 deterministic JSON report (verdict FNV, no timing), suitable for
-golden comparison.
+golden comparison. --sessions (default 12) is at most 100000, and
+--capacity (default 8 lanes) at most 4096.
 
 `campaign spec --defense-matrix` emits the enclave attack x defense
 matrix instead of the full grid: {aexcount, heckler, keystroke} x
@@ -1059,6 +1060,16 @@ struct ServeBenchReport {
 /// scenario stream).
 const SERVE_BENCH_STREAM: u64 = 0x5EBE;
 
+/// The largest `serve-bench --sessions`. Every session's trace is
+/// simulated and held in memory (about 3.6 kB and 0.3 ms each), so the
+/// largest run takes about 30 s and 360 MB.
+const MAX_SERVE_SESSIONS: usize = 100_000;
+
+/// The largest `serve-bench --capacity`: 64 times the widest batch the
+/// serving benches run. Each lane holds about 0.7 kB of state and
+/// scratch, and every step scans every lane.
+const MAX_SERVE_CAPACITY: usize = 4_096;
+
 fn cmd_serve_bench(args: &[String]) -> Result<(), String> {
     let mut sessions = 12usize;
     let mut capacity = 8usize;
@@ -1066,8 +1077,8 @@ fn cmd_serve_bench(args: &[String]) -> Result<(), String> {
     let mut flags = Flags::new(args);
     while let Some(flag) = flags.next() {
         match flag {
-            "--sessions" => sessions = flags.nonzero()?,
-            "--capacity" => capacity = flags.nonzero()?,
+            "--sessions" => sessions = flags.at_most(MAX_SERVE_SESSIONS)?,
+            "--capacity" => capacity = flags.at_most(MAX_SERVE_CAPACITY)?,
             "--out" => out = Some(flags.value()?),
             other => return Err(format!("unknown flag `{other}`\n\n{USAGE}")),
         }

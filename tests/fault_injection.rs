@@ -821,7 +821,7 @@ fn cli_rejects_out_of_range_params_naming_the_field() {
     let path = |name: &str| dir.join(name).display().to_string();
     let (spec, out, rec) = (path("spec.json"), path("out"), path("rec.json"));
     let max = u64::MAX.to_string();
-    let counts: [(&[&str], &str); 6] = [
+    let counts: [(&[&str], &str); 11] = [
         (&["run", "kaslr", "--trials", &max], "--trials"),
         (&["run", "kaslr", "--trials", "100000000000"], "--trials"),
         (&["run", "kaslr", "--trials", "1000001"], "--trials"),
@@ -834,6 +834,11 @@ fn cli_rejects_out_of_range_params_naming_the_field() {
             "trials",
         ),
         (&["snapshot", "--spans", &max, "--out", &rec], "--spans"),
+        (&["serve-bench", "--capacity", &max], "--capacity"),
+        (&["serve-bench", "--capacity", "100000000000"], "--capacity"),
+        (&["serve-bench", "--capacity", "4097"], "--capacity"),
+        (&["serve-bench", "--sessions", &max], "--sessions"),
+        (&["serve-bench", "--sessions", "100001"], "--sessions"),
     ];
     for (args, named) in counts {
         cases.push((
